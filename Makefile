@@ -37,28 +37,28 @@ fuzz-smoke:
 # jobs — plus a deliberate journal corruption per cycle; fails unless every
 # resumed report is byte-identical to the uninterrupted same-seed run.
 chaos-smoke:
-	$(GO) run ./cmd/ptguard-soak -rounds 1 -lines 20 -jobs 6 -timeout 5s -quiet
+	$(GO) run ./cmd/ptguard soak -rounds 1 -lines 20 -jobs 6 -timeout 5s -quiet
 
-# dist-smoke: a micro-campaign sharded over two race-built ptguard-worker
-# subprocesses — spawn, CRC-framed handshake, job streaming, and shutdown
-# all exercised end to end under the race detector.
+# dist-smoke: a micro-campaign sharded over two `ptguard worker`
+# subprocesses of one race-built binary — spawn, CRC-framed handshake, job
+# streaming, and shutdown all exercised end to end under the race detector.
 dist-smoke:
 	@dir=$$(mktemp -d) && \
-	$(GO) build -race -o $$dir ./cmd/ptguard-sweep ./cmd/ptguard-worker && \
-	$$dir/ptguard-sweep -sections correction -correction-lines 10 \
+	$(GO) build -race -o $$dir/ptguard ./cmd/ptguard && \
+	$$dir/ptguard sweep -sections correction -correction-lines 10 \
 		-backend proc -dist-workers 2 -quiet > /dev/null; \
 	rc=$$?; rm -rf $$dir; exit $$rc
 
 # A tiny head-to-head matrix: the mitigation registry, attack patterns, and
 # campaign plumbing all exercised end to end in a couple of seconds.
 mitigate-smoke:
-	$(GO) run ./cmd/ptguard-mitigate -mitigations none,trr,oracle \
+	$(GO) run ./cmd/ptguard mitigate -mitigations none,trr,oracle \
 		-patterns classic,half-double -trials 1 -acts 4096 -quiet
 
 # A tiny inter-VM campaign on the nested-paging substrate: 4 tenant VMs,
 # both attack targets, the unprotected and fully protected placements.
 vm-smoke:
-	$(GO) run ./cmd/ptguard-vm -tenants 4 -placements none,both \
+	$(GO) run ./cmd/ptguard vm -tenants 4 -placements none,both \
 		-targets guest,stage2 -trials 1 -pages 8 -acts 4096 -quiet
 
 # One iteration of every benchmark: a build-and-run check that the bench
@@ -72,17 +72,17 @@ bench:
 
 # bench-json runs the root benchmark suite at full fidelity and appends the
 # next BENCH_<n>.json baseline, so the perf trajectory is tracked
-# run-over-run (compare two baselines with ptguard-bench -compare).
+# run-over-run (compare two baselines with `ptguard bench -compare`).
 bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ . | $(GO) run ./cmd/ptguard-bench -out .
+	$(GO) test -bench=. -benchmem -run=^$$ . | $(GO) run ./cmd/ptguard bench -out .
 
 # bench-compare diffs the two newest committed baselines and fails when any
 # shared benchmark's ns/op regressed by more than 10% (tune with
-# `ptguard-bench -threshold`).
+# `ptguard bench -threshold`).
 bench-compare:
-	$(GO) run ./cmd/ptguard-bench -compare $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2 | paste -sd, -)
+	$(GO) run ./cmd/ptguard bench -compare $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2 | paste -sd, -)
 
 # bench-json-smoke proves the pipeline stays parseable without paying for
 # full timings: 1-iteration run, baseline written to a throwaway dir.
 bench-json-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . | $(GO) run ./cmd/ptguard-bench -out $$(mktemp -d)
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . | $(GO) run ./cmd/ptguard bench -out $$(mktemp -d)

@@ -20,21 +20,11 @@ func BenchmarkAblationMACWidth(b *testing.B) {
 	for _, width := range []int{64, 96} {
 		width := width
 		b.Run(map[int]string{64: "64bit", 96: "96bit"}[width], func(b *testing.B) {
-			var corrected float64
+			cfg := attack.CorrectionConfig{FlipProb: 1.0 / 128, Lines: 120, TagBits: width}
+			corrected := correction(b, cfg, true).CorrectedPct()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := attack.RunCorrection(attack.CorrectionConfig{
-					FlipProb: 1.0 / 128,
-					Lines:    120,
-					Seed:     uint64(i) + 1,
-					TagBits:  width,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Miscorrected != 0 {
-					b.Fatal("miscorrection")
-				}
-				corrected = res.CorrectedPct()
+				correction(b, cfg, true)
 			}
 			nEff, err := mac.EffectiveMACBits(width, 4, mac.GMaxPaper)
 			if err != nil {
@@ -56,18 +46,13 @@ func BenchmarkAblationOptimizations(b *testing.B) {
 	for _, mode := range []sim.Mode{sim.PTGuard, sim.PTGuardOptimized} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			var slowdown float64
-			var macComputes uint64
+			cmp := compare(b, prof, 10, mode)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cmp, cerr := sim.Compare(prof, 60_000, 120_000, uint64(i), 10, []sim.Mode{mode})
-				if cerr != nil {
-					b.Fatal(cerr)
-				}
-				slowdown = cmp.SlowdownPct[mode]
-				macComputes = cmp.Results[mode].Guard.ReadMACComputes
+				compare(b, prof, 10, mode)
 			}
-			b.ReportMetric(slowdown, "slowdown-%")
-			b.ReportMetric(float64(macComputes), "read-mac-computes")
+			b.ReportMetric(cmp.SlowdownPct[mode], "slowdown-%")
+			b.ReportMetric(float64(cmp.Results[mode].Guard.ReadMACComputes), "read-mac-computes")
 		})
 	}
 }
@@ -78,18 +63,11 @@ func BenchmarkAblationSoftMatchK(b *testing.B) {
 	for _, k := range []int{1, 4, 8} {
 		k := k
 		b.Run(map[int]string{1: "k1", 4: "k4", 8: "k8"}[k], func(b *testing.B) {
-			var corrected float64
+			cfg := attack.CorrectionConfig{FlipProb: 1.0 / 128, Lines: 120, SoftMatchK: k}
+			corrected := correction(b, cfg, false).CorrectedPct()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := attack.RunCorrection(attack.CorrectionConfig{
-					FlipProb:   1.0 / 128,
-					Lines:      120,
-					Seed:       uint64(i) + 1,
-					SoftMatchK: k,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				corrected = res.CorrectedPct()
+				correction(b, cfg, false)
 			}
 			nEff, err := mac.EffectiveMACBits(96, k, mac.GMaxPaper)
 			if err != nil {
@@ -117,22 +95,12 @@ func BenchmarkAblationGuessStrategies(b *testing.B) {
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			var corrected float64
+			cfg := attack.CorrectionConfig{FlipProb: 1.0 / 128, Lines: 120}
+			tc.mutate(&cfg)
+			corrected := correction(b, cfg, true).CorrectedPct()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cfg := attack.CorrectionConfig{
-					FlipProb: 1.0 / 128,
-					Lines:    120,
-					Seed:     uint64(i) + 1,
-				}
-				tc.mutate(&cfg)
-				res, err := attack.RunCorrection(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Miscorrected != 0 {
-					b.Fatal("miscorrection")
-				}
-				corrected = res.CorrectedPct()
+				correction(b, cfg, true)
 			}
 			b.ReportMetric(corrected, "corrected-%")
 		})

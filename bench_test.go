@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper (see
 // DESIGN.md §3 for the experiment index). Each benchmark runs a scaled-down
 // instance of the corresponding experiment per iteration and reports the
-// headline quantity via b.ReportMetric; the cmd/ binaries run the
-// full-scale versions.
+// headline quantity via b.ReportMetric; `ptguard <subcommand>` runs the
+// full-scale versions. Every experiment runs on benchSeed, and its quality
+// metrics come from one untimed run before the timed loop, so they never
+// depend on b.N.
 package ptguard
 
 import (
@@ -17,6 +19,9 @@ import (
 	"ptguard/internal/stats"
 	"ptguard/internal/workload"
 )
+
+// benchSeed seeds every paper-experiment benchmark.
+const benchSeed = 1
 
 // BenchmarkTableIVProtectedBitMap covers Tables I/IV: deriving the x86_64
 // protected-bit map and packing a PTE line.
@@ -40,15 +45,13 @@ func BenchmarkFig6Slowdown(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last sim.Comparison
+	cmp := compare(b, prof, 10, sim.PTGuard)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last, err = sim.Compare(prof, 60_000, 120_000, uint64(i), 10, []sim.Mode{sim.PTGuard})
-		if err != nil {
-			b.Fatal(err)
-		}
+		compare(b, prof, 10, sim.PTGuard)
 	}
-	b.ReportMetric(last.SlowdownPct[sim.PTGuard], "slowdown-%")
-	b.ReportMetric(last.LLCMPKI, "llc-mpki")
+	b.ReportMetric(cmp.SlowdownPct[sim.PTGuard], "slowdown-%")
+	b.ReportMetric(cmp.LLCMPKI, "llc-mpki")
 }
 
 // BenchmarkFig6SlowdownOptimized is the Optimized PT-Guard series of Fig. 6.
@@ -57,14 +60,21 @@ func BenchmarkFig6SlowdownOptimized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last sim.Comparison
+	cmp := compare(b, prof, 10, sim.PTGuardOptimized)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last, err = sim.Compare(prof, 60_000, 120_000, uint64(i), 10, []sim.Mode{sim.PTGuardOptimized})
-		if err != nil {
-			b.Fatal(err)
-		}
+		compare(b, prof, 10, sim.PTGuardOptimized)
 	}
-	b.ReportMetric(last.SlowdownPct[sim.PTGuardOptimized], "slowdown-%")
+	b.ReportMetric(cmp.SlowdownPct[sim.PTGuardOptimized], "slowdown-%")
+}
+
+// compare runs the scaled-down Fig. 6 comparison of one mode on benchSeed.
+func compare(b *testing.B, prof workload.Profile, macLatency int, mode sim.Mode) sim.Comparison {
+	cmp, err := sim.Compare(prof, 60_000, 120_000, benchSeed, macLatency, []sim.Mode{mode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cmp
 }
 
 // BenchmarkFig7LatencySweep regenerates Fig. 7's end points: slowdown at 5
@@ -74,17 +84,12 @@ func BenchmarkFig7LatencySweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var s5, s20 float64
+	s5 := compare(b, prof, 5, sim.PTGuard).SlowdownPct[sim.PTGuard]
+	s20 := compare(b, prof, 20, sim.PTGuard).SlowdownPct[sim.PTGuard]
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c5, cerr := sim.Compare(prof, 60_000, 120_000, uint64(i), 5, []sim.Mode{sim.PTGuard})
-		if cerr != nil {
-			b.Fatal(cerr)
-		}
-		c20, cerr := sim.Compare(prof, 60_000, 120_000, uint64(i), 20, []sim.Mode{sim.PTGuard})
-		if cerr != nil {
-			b.Fatal(cerr)
-		}
-		s5, s20 = c5.SlowdownPct[sim.PTGuard], c20.SlowdownPct[sim.PTGuard]
+		compare(b, prof, 5, sim.PTGuard)
+		compare(b, prof, 20, sim.PTGuard)
 	}
 	b.ReportMetric(s5, "slowdown-5cyc-%")
 	b.ReportMetric(s20, "slowdown-20cyc-%")
@@ -93,14 +98,13 @@ func BenchmarkFig7LatencySweep(b *testing.B) {
 // BenchmarkFig8Profile regenerates Fig. 8: synthesising and classifying a
 // slice of the process population.
 func BenchmarkFig8Profile(b *testing.B) {
-	var zero, contig float64
-	for i := 0; i < b.N; i++ {
+	profile := func() ostable.PopulationSummary {
 		alloc, err := ostable.NewFrameAllocator(0x1000, 1<<20)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := ostable.DefaultSynthConfig()
-		cfg.Seed = uint64(i) + 1
+		cfg.Seed = benchSeed
 		pop, err := ostable.NewPopulation(cfg, alloc)
 		if err != nil {
 			b.Fatal(err)
@@ -113,32 +117,42 @@ func BenchmarkFig8Profile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		zero, contig = sum.ZeroMean, sum.ContigMean
+		return sum
 	}
-	b.ReportMetric(zero, "zero-pte-%")
-	b.ReportMetric(contig, "contig-pfn-%")
+	sum := profile()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		profile()
+	}
+	b.ReportMetric(sum.ZeroMean, "zero-pte-%")
+	b.ReportMetric(sum.ContigMean, "contig-pfn-%")
 }
 
 // BenchmarkFig9Correction regenerates a Fig. 9 point: correction rate at
 // the LPDDR4 worst-case flip probability.
 func BenchmarkFig9Correction(b *testing.B) {
-	var last attack.CorrectionResult
+	cfg := attack.CorrectionConfig{FlipProb: 1.0 / 128, Lines: 150}
+	res := correction(b, cfg, true)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := attack.RunCorrection(attack.CorrectionConfig{
-			FlipProb: 1.0 / 128,
-			Lines:    150,
-			Seed:     uint64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Miscorrected != 0 {
-			b.Fatal("miscorrection observed")
-		}
-		last = res
+		correction(b, cfg, true)
 	}
-	b.ReportMetric(last.CorrectedPct(), "corrected-%")
-	b.ReportMetric(last.CoveragePct(), "coverage-%")
+	b.ReportMetric(res.CorrectedPct(), "corrected-%")
+	b.ReportMetric(res.CoveragePct(), "coverage-%")
+}
+
+// correction runs one Fig. 9 correction sweep on benchSeed, failing the
+// benchmark on a miscorrection when exact is set.
+func correction(b *testing.B, cfg attack.CorrectionConfig, exact bool) attack.CorrectionResult {
+	cfg.Seed = benchSeed
+	res, err := attack.RunCorrection(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if exact && res.Miscorrected != 0 {
+		b.Fatal("miscorrection observed")
+	}
+	return res
 }
 
 // BenchmarkSecurityModel regenerates the §VI-E analytics (Eqs. 1 and 2).
@@ -160,19 +174,23 @@ func BenchmarkSecurityModel(b *testing.B) {
 // BenchmarkDetectionCoverage regenerates the §VI-F / §VIII comparison:
 // PT-Guard vs prior defenses on identical fault patterns.
 func BenchmarkDetectionCoverage(b *testing.B) {
-	var last attack.CoverageResult
-	for i := 0; i < b.N; i++ {
-		res, err := attack.RunCoverage(uint64(i)+1, 60, 8)
+	coverage := func() attack.CoverageResult {
+		res, err := attack.RunCoverage(benchSeed, 60, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.PTGuardDetected != res.Trials {
 			b.Fatal("PT-Guard missed a fault")
 		}
-		last = res
+		return res
+	}
+	res := coverage()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coverage()
 	}
 	b.ReportMetric(100, "ptguard-detect-%")
-	b.ReportMetric(float64(last.MonotonicUnprotected)/float64(last.Trials)*100, "monotonic-unprot-%")
+	b.ReportMetric(float64(res.MonotonicUnprotected)/float64(res.Trials)*100, "monotonic-unprot-%")
 }
 
 // BenchmarkMulticore regenerates §VII-C: a 4-core SAME mix under PT-Guard.
@@ -182,14 +200,17 @@ func BenchmarkMulticore(b *testing.B) {
 		b.Fatal(err)
 	}
 	mix := sim.MulticoreMix{Name: "lbm-SAME", Workloads: []workload.Profile{prof, prof, prof, prof}}
-	var last sim.MulticoreResult
+	res, err := sim.CompareMulticore(mix, 30_000, 60_000, benchSeed, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		last, err = sim.CompareMulticore(mix, 30_000, 60_000, uint64(i), 10)
-		if err != nil {
+		if _, err := sim.CompareMulticore(mix, 30_000, 60_000, benchSeed, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(last.SlowdownPct, "slowdown-%")
+	b.ReportMetric(res.SlowdownPct, "slowdown-%")
 }
 
 // BenchmarkGuardWrite measures the mechanism's write path (pattern match +

@@ -1,6 +1,11 @@
-// End-to-end CLI test: builds every cmd/ binary once and runs it with
-// minimal parameters, verifying exit status and that the headline table
-// appears. Skipped under -short (it compiles every cmd/ binary).
+// End-to-end CLI test: builds cmd/ptguard once and runs every subcommand
+// with small parameters, requiring stdout byte-identical to the golden in
+// testdata/cli/. Skipped under -short (it compiles the binary).
+//
+// The goldens were captured from the per-tool binaries that preceded the
+// subcommands, and each case keeps that invocation's test name. The
+// deleted ptguard-slowdown, -multicore and -ablation binaries map onto
+// their `ptguard sweep -sections ...` equivalents.
 package ptguard
 
 import (
@@ -10,358 +15,202 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
 
 func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs every cmd/ binary; run without -short")
+		t.Skip("builds and runs the ptguard binary; run without -short")
 	}
-	binDir := t.TempDir()
-	build := exec.Command("go", "build", "-o", binDir, "./cmd/...")
+	bin := filepath.Join(t.TempDir(), "ptguard")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/ptguard")
 	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod")
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+		t.Fatalf("go build ./cmd/ptguard: %v\n%s", err, out)
+	}
+	golden := func(t *testing.T, name string) []byte {
+		t.Helper()
+		want, err := os.ReadFile(filepath.Join("testdata", "cli", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	// matchGolden runs `ptguard args...` and requires its stdout to equal
+	// the named golden byte for byte.
+	matchGolden := func(t *testing.T, name string, args ...string) {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("ptguard %v: %v", args, err)
+		}
+		if want := golden(t, name); !bytes.Equal(out, want) {
+			t.Errorf("ptguard %v: stdout differs from testdata/cli/%s.golden:\n--- got\n%s\n--- want\n%s", args, name, out, want)
+		}
 	}
 
+	sweepCorrection20 := []string{"sweep", "-sections", "correction", "-correction-lines", "20",
+		"-format", "csv", "-quiet"}
 	tests := []struct {
-		bin  string
-		args []string
-		want []string
+		name, golden string
+		args         []string
 	}{
-		{
-			bin:  "ptguard-report",
-			args: []string{"-table=storage"},
-			want: []string{"52", "71", "12.5%"},
-		},
-		{
-			bin:  "ptguard-security",
-			args: nil,
-			want: []string{"Eq. 1", "Eq. 2", "65.7"},
-		},
-		{
-			bin:  "ptguard-profile",
-			args: []string{"-processes", "8"},
-			want: []string{"zero PFNs", "contiguous PFNs", "flag-uniform"},
-		},
-		{
-			bin:  "ptguard-correct",
-			args: []string{"-lines", "40", "-probs", "1/512"},
-			want: []string{"corrected %", "100.00%"},
-		},
-		{
-			bin:  "ptguard-attack",
-			args: nil,
-			want: []string{"privilege escalation", "PTECheckFailed", "re-key"},
-		},
-		{
-			bin:  "ptguard-attack",
-			args: []string{"-compare", "-trials", "40"},
-			want: []string{"pt-guard", "100.00%"},
-		},
-		{
-			bin:  "ptguard-slowdown",
-			args: []string{"-warmup", "2000", "-instructions", "4000", "-optimized=false"},
-			want: []string{"xalancbmk", "AMEAN", "WORST"},
-		},
-		{
-			bin:  "ptguard-latency",
-			args: []string{"-warmup", "2000", "-instructions", "4000", "-latencies", "10"},
-			want: []string{"10 cycles"},
-		},
-		{
-			bin:  "ptguard-multicore",
-			args: []string{"-warmup", "1000", "-instructions", "2000", "-same", "1", "-mix", "1"},
-			want: []string{"AVERAGE", "WORST"},
-		},
-		{
-			bin:  "ptguard-trace",
-			args: []string{"-instructions", "30000", "-trials", "30"},
-			want: []string{"trace lines", "coverage %"},
-		},
-		{
-			bin:  "ptguard-ablation",
-			args: []string{"-lines", "30"},
-			want: []string{"zero-PTE reset", "Soft-match budget", "MAC width"},
-		},
-		{
-			bin: "ptguard-sweep",
-			args: []string{"-sections", "slowdown", "-workloads", "leela,povray",
-				"-warmup", "1000", "-instructions", "2000", "-workers", "2", "-quiet"},
-			want: []string{"Fig. 6", "leela", "povray", "AMEAN", "WORST"},
-		},
-		{
-			bin: "ptguard-sweep",
-			args: []string{"-sections", "correction", "-correction-lines", "30",
-				"-format", "json", "-quiet"},
-			want: []string{`"headers"`, "Fig. 9", "corrected %"},
-		},
-		{
-			bin: "ptguard-mitigate",
-			args: []string{"-mitigations", "none,trr", "-patterns", "classic,many-sided",
-				"-trials", "1", "-acts", "4096", "-workers", "2", "-quiet"},
-			want: []string{"Mitigation head-to-head", "DEFEATED", "defended", "coverage %"},
-		},
-		{
-			bin:  "ptguard-mitigate",
-			args: []string{"-list"},
-			want: []string{"graphene", "oracle", "para", "half-double", "many-sided"},
-		},
-		{
-			bin:  "ptguard-security",
-			args: []string{"-mitigation", "oracle"},
-			want: []string{"Residual exposure", "oracle", "no flips"},
-		},
-		{
-			bin: "ptguard-sweep",
-			args: []string{"-sections", "mitigate", "-mitigation", "oracle",
-				"-mitigate-trials", "1", "-mitigate-acts", "4096", "-quiet"},
-			want: []string{"Mitigation head-to-head", "oracle", "no flips"},
-		},
-		{
-			bin: "ptguard-soak",
-			args: []string{"-faults", "worker.panic", "-lines", "20", "-jobs", "6",
-				"-timeout", "30s", "-quiet"},
-			want: []string{"Crash-safe soak", "worker.panic", "byte-identical"},
-		},
-		{
-			bin: "ptguard-vm",
-			args: []string{"-tenants", "4", "-placements", "none,both",
-				"-targets", "guest,stage2", "-trials", "1", "-pages", "8",
-				"-acts", "4096", "-workers", "2", "-quiet"},
-			want: []string{"Inter-VM", "guest", "stage2", "coverage %", "defended"},
-		},
-		{
-			bin:  "ptguard-vm",
-			args: []string{"-list"},
-			want: []string{"none", "guest", "stage2", "both"},
-		},
-		{
-			bin:  "ptguard-worker",
-			args: []string{"-list-kinds"},
-			want: []string{"ablation", "correction", "faults", "mitigate",
-				"multicore", "slowdown", "synthetic", "virt"},
-		},
-		{
-			// A whole campaign sharded over worker subprocesses; the
-			// coordinator discovers ptguard-worker next to its own binary.
-			bin: "ptguard-mitigate",
-			args: []string{"-mitigations", "none", "-patterns", "classic",
-				"-trials", "1", "-acts", "4096", "-quiet",
-				"-backend", "proc", "-dist-workers", "2"},
-			want: []string{"Mitigation head-to-head", "DEFEATED"},
-		},
+		{"ptguard-report-table=storage", "report-storage", []string{"report", "-table=storage"}},
+		{"ptguard-report", "report-all", []string{"report"}},
+		{"ptguard-security", "security", []string{"security"}},
+		{"ptguard-profile-processes_8", "profile-8", []string{"profile", "-processes", "8"}},
+		{"ptguard-correct-lines_40_-probs_1/512", "correct-40", []string{"correct", "-lines", "40", "-probs", "1/512"}},
+		{"ptguard-attack", "attack", []string{"attack"}},
+		{"ptguard-attack-compare_-trials_40", "attack-compare-40", []string{"attack", "-compare", "-trials", "40"}},
+		{"ptguard-slowdown-warmup_2000_-instructions_4000", "slowdown-2000-4000",
+			[]string{"sweep", "-sections", "slowdown", "-warmup", "2000", "-instructions", "4000", "-quiet"}},
+		{"ptguard-slowdown-warmup_2000_-instructions_4000_-csv", "slowdown-2000-4000-csv",
+			[]string{"sweep", "-sections", "slowdown", "-warmup", "2000", "-instructions", "4000", "-quiet", "-format", "csv"}},
+		{"ptguard-latency-warmup_2000_-instructions_4000_-latencies_10", "latency-10",
+			[]string{"latency", "-warmup", "2000", "-instructions", "4000", "-latencies", "10"}},
+		{"ptguard-multicore-warmup_1000_-instructions_2000_-same_1_-mix_1", "multicore-1-1",
+			[]string{"sweep", "-sections", "multicore", "-mc-warmup", "1000", "-mc-instructions", "2000",
+				"-same", "1", "-mix", "1", "-quiet"}},
+		{"ptguard-trace-instructions_30000_-trials_30", "trace-30", []string{"trace", "-instructions", "30000", "-trials", "30"}},
+		{"ptguard-ablation-lines_30", "ablation-30", []string{"sweep", "-sections", "ablation", "-ablation-lines", "30", "-quiet"}},
+		{"ptguard-ablation-lines_30_-csv", "ablation-30-csv",
+			[]string{"sweep", "-sections", "ablation", "-ablation-lines", "30", "-quiet", "-format", "csv"}},
+		{"ptguard-ablation-lines_30_-json", "ablation-30-json",
+			[]string{"sweep", "-sections", "ablation", "-ablation-lines", "30", "-quiet", "-format", "json"}},
+		{"ptguard-sweep-sections_slowdown_-workloads_leela,povray_-warmup_1000_-instructions_2000_-workers_2_-quiet",
+			"sweep-slowdown-leela-povray",
+			[]string{"sweep", "-sections", "slowdown", "-workloads", "leela,povray",
+				"-warmup", "1000", "-instructions", "2000", "-workers", "2", "-quiet"}},
+		{"ptguard-sweep-sections_correction_-correction-lines_30_-format_json_-quiet", "sweep-correction-30-json",
+			[]string{"sweep", "-sections", "correction", "-correction-lines", "30", "-format", "json", "-quiet"}},
+		{"ptguard-mitigate-mitigations_none,trr_-patterns_classic,many-sided_-trials_1_-acts_4096_-workers_2_-quiet",
+			"mitigate-none-trr",
+			[]string{"mitigate", "-mitigations", "none,trr", "-patterns", "classic,many-sided",
+				"-trials", "1", "-acts", "4096", "-workers", "2", "-quiet"}},
+		{"ptguard-mitigate-list", "mitigate-list", []string{"mitigate", "-list"}},
+		{"ptguard-security-mitigation_oracle", "security-oracle", []string{"security", "-mitigation", "oracle"}},
+		{"ptguard-sweep-sections_mitigate_-mitigation_oracle_-mitigate-trials_1_-mitigate-acts_4096_-quiet",
+			"sweep-mitigate-oracle",
+			[]string{"sweep", "-sections", "mitigate", "-mitigation", "oracle",
+				"-mitigate-trials", "1", "-mitigate-acts", "4096", "-quiet"}},
+		{"ptguard-soak-faults_worker.panic_-lines_20_-jobs_6_-timeout_30s_-quiet", "soak-worker-panic",
+			[]string{"soak", "-faults", "worker.panic", "-lines", "20", "-jobs", "6", "-timeout", "30s", "-quiet"}},
+		{"ptguard-vm-tenants_4_-placements_none,both_-targets_guest,stage2_-trials_1_-pages_8_-acts_4096_-workers_2_-quiet",
+			"vm-4",
+			[]string{"vm", "-tenants", "4", "-placements", "none,both", "-targets", "guest,stage2",
+				"-trials", "1", "-pages", "8", "-acts", "4096", "-workers", "2", "-quiet"}},
+		{"ptguard-vm-list", "vm-list", []string{"vm", "-list"}},
+		{"ptguard-worker-list-kinds", "worker-list-kinds", []string{"worker", "-list-kinds"}},
+		// A whole campaign sharded over worker subprocesses: the binary
+		// re-executes itself as `ptguard worker`.
+		{"ptguard-mitigate-mitigations_none_-patterns_classic_-trials_1_-acts_4096_-quiet_-backend_proc_-dist-workers_2",
+			"mitigate-proc",
+			[]string{"mitigate", "-mitigations", "none", "-patterns", "classic",
+				"-trials", "1", "-acts", "4096", "-quiet", "-backend", "proc", "-dist-workers", "2"}},
+		// Kill-resume determinism: a soak cycle that really kills the
+		// campaign mid-journal-write (short write included) and corrupts the
+		// journal between legs; every verdict is byte-identical, with real
+		// kills and corruptions counted.
+		{"ptguard-soak_kill_resume_determinism", "soak-kill-csv",
+			[]string{"soak", "-faults", "proc.kill,journal.short-write", "-lines", "20", "-jobs", "6",
+				"-timeout", "30s", "-format", "csv", "-quiet"}},
+		// Soak under the proc backend: the disrupted legs run on worker
+		// subprocesses while the reference stays in-process. worker.kill is
+		// absorbed by the coordinator's crash-requeue; proc.kill takes the
+		// whole leg down.
+		{"ptguard-soak_proc_backend", "soak-proc-csv",
+			[]string{"soak", "-faults", "worker.kill,proc.kill", "-lines", "20", "-jobs", "6",
+				"-timeout", "30s", "-backend", "proc", "-dist-workers", "2", "-format", "csv", "-quiet"}},
+		// The Makefile smokes.
+		{"ptguard-soak-rounds_1_-lines_20_-jobs_6_-timeout_5s_-quiet", "chaos-smoke",
+			[]string{"soak", "-rounds", "1", "-lines", "20", "-jobs", "6", "-timeout", "5s", "-quiet"}},
+		{"ptguard-mitigate-mitigations_none,trr,oracle_-patterns_classic,half-double_-trials_1_-acts_4096_-quiet",
+			"mitigate-smoke",
+			[]string{"mitigate", "-mitigations", "none,trr,oracle", "-patterns", "classic,half-double",
+				"-trials", "1", "-acts", "4096", "-quiet"}},
+		{"ptguard-vm-tenants_4_-placements_none,both_-targets_guest,stage2_-trials_1_-pages_8_-acts_4096_-quiet",
+			"vm-smoke",
+			[]string{"vm", "-tenants", "4", "-placements", "none,both", "-targets", "guest,stage2",
+				"-trials", "1", "-pages", "8", "-acts", "4096", "-quiet"}},
+		{"ptguard-sweep-sections_correction_-correction-lines_10_-backend_proc_-dist-workers_2_-quiet", "dist-smoke",
+			[]string{"sweep", "-sections", "correction", "-correction-lines", "10",
+				"-backend", "proc", "-dist-workers", "2", "-quiet"}},
+		{"ptguard-sweep-sections_correction_-correction-lines_20_-format_csv_-quiet", "sweep-correction-20-csv",
+			sweepCorrection20},
 	}
 	for _, tt := range tests {
-		name := tt.bin + strings.Join(tt.args, "_")
-		t.Run(name, func(t *testing.T) {
-			cmd := exec.Command(filepath.Join(binDir, tt.bin), tt.args...)
-			out, err := cmd.Output()
-			if err != nil {
-				t.Fatalf("%s %v: %v", tt.bin, tt.args, err)
-			}
-			for _, want := range tt.want {
-				if !strings.Contains(string(out), want) {
-					t.Errorf("%s output missing %q:\n%s", tt.bin, want, out)
-				}
-			}
-		})
+		t.Run(tt.name, func(t *testing.T) { matchGolden(t, tt.golden, tt.args...) })
 	}
 
 	// Flag validation: a bad flag must exit non-zero.
-	cmd := exec.Command(filepath.Join(binDir, "ptguard-report"), "-table=nonsense")
-	if err := cmd.Run(); err == nil {
-		t.Error("ptguard-report accepted an unknown table")
-	}
-	if err := exec.Command(filepath.Join(binDir, "ptguard-soak"),
-		"-faults", "nonsense.point").Run(); err == nil {
-		t.Error("ptguard-soak accepted an unknown fault point")
+	for _, args := range [][]string{
+		{"report", "-table=nonsense"},
+		{"soak", "-faults", "nonsense.point"},
+		{"sweep", "-format", "xml"},
+		{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0"},
+		{"nonsense"},
+	} {
+		if err := exec.Command(bin, args...).Run(); err == nil {
+			t.Errorf("ptguard %v exited 0", args)
+		}
 	}
 
-	// Kill-resume determinism: a soak cycle that really SIGKILLs the
-	// campaign mid-journal-write (short write included) and corrupts the
-	// journal between legs must still converge to a report byte-identical
-	// to the uninterrupted run, with at least one real process kill and
-	// one corruption exercised per fault point.
-	t.Run("ptguard-soak_kill_resume_determinism", func(t *testing.T) {
-		cmd := exec.Command(filepath.Join(binDir, "ptguard-soak"),
-			"-faults", "proc.kill,journal.short-write",
-			"-lines", "20", "-jobs", "6", "-timeout", "30s",
-			"-format", "csv", "-quiet")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("ptguard-soak: %v\n%s", err, out)
-		}
-		rows := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(rows) != 3 { // header + one row per fault point
-			t.Fatalf("want 3 CSV rows, got %d:\n%s", len(rows), out)
-		}
-		for _, row := range rows[1:] {
-			cells := strings.Split(row, ",")
-			if len(cells) != 7 {
-				t.Fatalf("malformed CSV row %q", row)
-			}
-			point, kills, corrupted, verdict := cells[1], cells[4], cells[5], cells[6]
-			if !strings.Contains(verdict, "byte-identical") {
-				t.Errorf("%s: resumed report diverged: %q", point, verdict)
-			}
-			if kills == "0" {
-				t.Errorf("%s: cycle finished without a real process kill", point)
-			}
-			if corrupted == "0" {
-				t.Errorf("%s: cycle finished without exercising journal corruption", point)
-			}
-		}
-	})
-
-	// Inter-VM kill-resume determinism: SIGKILL a journaled ptguard-vm
-	// campaign mid-run, resume it against the same journal, and require
-	// output byte-identical to an uninterrupted run with the same seed.
-	// (If the first leg finishes before the kill lands, the resume leg is a
-	// pure journal replay and the check still holds.)
+	// Inter-VM kill-resume determinism: SIGKILL a journaled vm campaign
+	// mid-run, resume it against the same journal, and require the
+	// uninterrupted run's report. (If the first leg finishes before the
+	// kill lands, the resume leg is a pure journal replay and the check
+	// still holds.)
 	t.Run("ptguard-vm_kill_resume_determinism", func(t *testing.T) {
-		dir := t.TempDir()
-		vmArgs := func(journal string) []string {
-			return []string{"-seed", "7", "-tenants", "4,6",
-				"-targets", "guest,stage2", "-trials", "2", "-pages", "8",
-				"-workers", "2", "-quiet", "-format", "csv",
-				"-journal", journal}
-		}
-		ref, err := exec.Command(filepath.Join(binDir, "ptguard-vm"),
-			vmArgs(filepath.Join(dir, "ref.jsonl"))...).Output()
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
-		}
-
-		journal := filepath.Join(dir, "resume.jsonl")
-		first := exec.Command(filepath.Join(binDir, "ptguard-vm"), vmArgs(journal)...)
+		journal := filepath.Join(t.TempDir(), "resume.jsonl")
+		args := []string{"vm", "-seed", "7", "-tenants", "4,6",
+			"-targets", "guest,stage2", "-trials", "2", "-pages", "8",
+			"-workers", "2", "-quiet", "-format", "csv", "-journal", journal}
+		first := exec.Command(bin, args...)
 		if err := first.Start(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(400 * time.Millisecond)
 		_ = first.Process.Kill()
 		_ = first.Wait()
-
-		out, err := exec.Command(filepath.Join(binDir, "ptguard-vm"), vmArgs(journal)...).Output()
-		if err != nil {
-			t.Fatalf("resumed run: %v", err)
-		}
-		if !bytes.Equal(out, ref) {
-			t.Errorf("resumed report diverged from uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", out, ref)
-		}
+		matchGolden(t, "vm-seed7-csv", args...)
 	})
 
-	// Distributed-backend determinism: the same sweep section run in-process
-	// and sharded over worker subprocesses must emit byte-identical reports.
+	// Distributed-backend determinism: the sweep section sharded over
+	// worker subprocesses emits the in-process report.
 	t.Run("ptguard-sweep_proc_backend_determinism", func(t *testing.T) {
-		args := []string{"-sections", "correction", "-correction-lines", "20",
-			"-format", "csv", "-quiet"}
-		local, err := exec.Command(filepath.Join(binDir, "ptguard-sweep"), args...).Output()
-		if err != nil {
-			t.Fatalf("local run: %v", err)
-		}
-		proc, err := exec.Command(filepath.Join(binDir, "ptguard-sweep"),
-			append(args, "-backend", "proc", "-dist-workers", "3")...).Output()
-		if err != nil {
-			t.Fatalf("proc run: %v", err)
-		}
-		if !bytes.Equal(proc, local) {
-			t.Errorf("proc report diverged from local:\n--- proc\n%s\n--- local\n%s", proc, local)
-		}
+		matchGolden(t, "sweep-correction-20-csv", append(sweepCorrection20, "-backend", "proc", "-dist-workers", "3")...)
 	})
 
-	// Distributed kill-resume determinism: SIGKILL a journaled -backend=proc
-	// campaign mid-run (taking its worker subprocesses down with it), resume
-	// against the same journal at a different worker count, and require
-	// output byte-identical to the in-process run — the journal, not the
-	// backend, is the source of truth. (If the first leg finishes before the
-	// kill lands, the resume is a pure journal replay and the check holds.)
+	// Distributed kill-resume determinism: SIGKILL a journaled proc-backend
+	// campaign mid-run (taking its worker subprocesses down with it),
+	// resume at a different worker count, and require the in-process
+	// report — the journal, not the backend, is the source of truth.
 	t.Run("ptguard-faults_proc_kill_resume_determinism", func(t *testing.T) {
-		dir := t.TempDir()
-		faultsArgs := func(journal string, extra ...string) []string {
-			return append([]string{"-seed", "7", "-models", "1bit,2bit,burst",
-				"-modes", "detect,correct", "-lines", "60",
-				"-quiet", "-format", "csv", "-journal", journal}, extra...)
-		}
-		ref, err := exec.Command(filepath.Join(binDir, "ptguard-faults"),
-			faultsArgs(filepath.Join(dir, "ref.jsonl"))...).Output()
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
-		}
-
-		journal := filepath.Join(dir, "resume.jsonl")
-		first := exec.Command(filepath.Join(binDir, "ptguard-faults"),
-			faultsArgs(journal, "-backend", "proc", "-dist-workers", "2")...)
+		journal := filepath.Join(t.TempDir(), "resume.jsonl")
+		args := []string{"faults", "-seed", "7", "-models", "1bit,2bit,burst",
+			"-modes", "detect,correct", "-lines", "60", "-quiet", "-format", "csv", "-journal", journal,
+			"-backend", "proc"}
+		first := exec.Command(bin, append(args, "-dist-workers", "2")...)
 		if err := first.Start(); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(600 * time.Millisecond)
 		_ = first.Process.Kill()
 		_ = first.Wait()
-
-		out, err := exec.Command(filepath.Join(binDir, "ptguard-faults"),
-			faultsArgs(journal, "-backend", "proc", "-dist-workers", "4")...).Output()
-		if err != nil {
-			t.Fatalf("resumed proc run: %v", err)
-		}
-		if !bytes.Equal(out, ref) {
-			t.Errorf("resumed proc report diverged from local reference:\n--- resumed\n%s\n--- reference\n%s", out, ref)
-		}
-	})
-
-	// Soak under the proc backend: the kill/corrupt/resume cycle runs its
-	// disrupted legs on worker subprocesses while the reference stays
-	// in-process, so byte-identical verdicts prove cross-backend identity
-	// under chaos. worker.kill is coordinator-side (absorbed by
-	// crash-requeue, leg still exits clean); proc.kill takes the whole leg
-	// down and must show real process kills.
-	t.Run("ptguard-soak_proc_backend", func(t *testing.T) {
-		cmd := exec.Command(filepath.Join(binDir, "ptguard-soak"),
-			"-faults", "worker.kill,proc.kill",
-			"-lines", "20", "-jobs", "6", "-timeout", "30s",
-			"-backend", "proc", "-dist-workers", "2",
-			"-worker-bin", filepath.Join(binDir, "ptguard-worker"),
-			"-format", "csv", "-quiet")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("ptguard-soak: %v\n%s", err, out)
-		}
-		rows := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(rows) != 3 { // header + one row per fault point
-			t.Fatalf("want 3 CSV rows, got %d:\n%s", len(rows), out)
-		}
-		for _, row := range rows[1:] {
-			cells := strings.Split(row, ",")
-			if len(cells) != 7 {
-				t.Fatalf("malformed CSV row %q", row)
-			}
-			point, kills, verdict := cells[1], cells[4], cells[6]
-			if !strings.Contains(verdict, "byte-identical") {
-				t.Errorf("%s: resumed report diverged: %q", point, verdict)
-			}
-			if point == "proc.kill" && kills == "0" {
-				t.Errorf("%s: cycle finished without a real process kill", point)
-			}
-		}
+		matchGolden(t, "faults-seed7-csv", append(args, "-dist-workers", "4")...)
 	})
 
 	// Observability outputs: one sweep point with -metrics-out/-trace-out
 	// must yield a JSONL time series with at least two snapshots per run
-	// and a parseable Chrome trace_event document.
+	// and a parseable Chrome trace_event document, and leave stdout as is.
 	t.Run("ptguard-sweep_obs_outputs", func(t *testing.T) {
 		outDir := t.TempDir()
 		metrics := filepath.Join(outDir, "metrics.jsonl")
 		trace := filepath.Join(outDir, "trace.json")
-		cmd := exec.Command(filepath.Join(binDir, "ptguard-sweep"),
-			"-sections", "slowdown", "-workloads", "leela",
+		matchGolden(t, "sweep-obs", "sweep", "-sections", "slowdown", "-workloads", "leela",
 			"-warmup", "1000", "-instructions", "4000", "-quiet",
-			"-metrics-out", metrics, "-trace-out", trace,
-			"-snapshot-every", "1000")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("sweep with obs outputs: %v\n%s", err, out)
-		}
+			"-metrics-out", metrics, "-trace-out", trace, "-snapshot-every", "1000")
 
 		f, err := os.Open(metrics)
 		if err != nil {

@@ -1,6 +1,7 @@
 // Campaign-throughput benchmarks for the distributed execution backend
 // (BENCH_2): the same fixed-cost campaign run in-process and sharded
-// over 1, 2, 4, and 8 ptguard-worker subprocesses. The jobs are
+// over 1, 2, 4, and 8 worker subprocesses (the re-executed test binary,
+// via WorkerCommand). The jobs are
 // wall-clock-bound (dist.SyntheticSpec sleeps a fixed cost per job, it
 // does not burn CPU), so campaign-jobs/sec measures what the backend
 // actually adds — dispatch, framing, and pipeline overlap across

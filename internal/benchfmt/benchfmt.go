@@ -1,7 +1,7 @@
 // Package benchfmt parses the text output of `go test -bench -benchmem`
 // into a structured baseline so the performance trajectory of the repo can
 // be tracked run over run (BENCH_<n>.json files written by
-// cmd/ptguard-bench, `make bench-json`).
+// `ptguard bench`, `make bench-json`).
 //
 // The format it understands is the standard benchmark result line,
 //

@@ -27,7 +27,7 @@ import (
 type Point string
 
 // The fault-point catalog. Every point is wired through internal/harness;
-// cmd/ptguard-soak cycles a kill/corrupt/resume campaign over all of them.
+// `ptguard soak` cycles a kill/corrupt/resume campaign over all of them.
 const (
 	// JournalWrite fails the journal record write (nothing is written).
 	JournalWrite Point = "journal.write"

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,15 +31,13 @@ type Options struct {
 	// Workers is the number of worker subprocesses to spawn (proc mode).
 	// Ignored when Connect is non-empty. Default 2.
 	Workers int
-	// Connect lists remote `ptguard-worker -listen` endpoints
+	// Connect lists remote `ptguard worker -listen` endpoints
 	// (host:port); non-empty selects TCP mode with one session per
 	// endpoint.
 	Connect []string
-	// WorkerBin is the worker binary for proc mode; empty discovers
-	// `ptguard-worker` next to the running executable, then on $PATH.
-	WorkerBin string
-	// WorkerCommand overrides the full worker argv (tests re-exec the
-	// test binary with an env hook). Takes precedence over WorkerBin.
+	// WorkerCommand is the worker argv for proc mode; empty re-executes
+	// the running binary as `<self> worker`. Tests re-exec the test
+	// binary with an env hook instead.
 	WorkerCommand []string
 	// WorkerEnv appends to the spawned workers' environment.
 	WorkerEnv []string
@@ -186,23 +183,11 @@ func (c *Coordinator) workerArgv() ([]string, error) {
 	if len(c.opts.WorkerCommand) > 0 {
 		return c.opts.WorkerCommand, nil
 	}
-	bin := c.opts.WorkerBin
-	if bin == "" {
-		if self, err := os.Executable(); err == nil {
-			cand := filepath.Join(filepath.Dir(self), "ptguard-worker")
-			if _, err := os.Stat(cand); err == nil {
-				bin = cand
-			}
-		}
+	self, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("dist: locate worker binary: %w", err)
 	}
-	if bin == "" {
-		path, err := exec.LookPath("ptguard-worker")
-		if err != nil {
-			return nil, fmt.Errorf("dist: ptguard-worker not found beside %q or on $PATH (build cmd/ptguard-worker or pass -worker-bin)", os.Args[0])
-		}
-		bin = path
-	}
-	return []string{bin}, nil
+	return []string{self, "worker"}, nil
 }
 
 // spawn starts one worker session (subprocess or TCP dial) and runs the

@@ -17,7 +17,7 @@ import (
 // this test executable with PTGUARD_DIST_WORKER=1, which routes straight
 // into Serve instead of the test runner — so the real subprocess
 // machinery (spawn, pipes, kill, respawn) is exercised without needing
-// ptguard-worker on $PATH.
+// a ptguard binary.
 func TestMain(m *testing.M) {
 	if os.Getenv("PTGUARD_DIST_WORKER") == "1" {
 		if err := Serve(os.Stdin, os.Stdout); err != nil {
@@ -164,7 +164,7 @@ func TestWorkerKillRequeue(t *testing.T) {
 }
 
 // TestTCPBackend serves workers over TCP from in-process goroutines —
-// the same Serve loop ptguard-worker -listen runs — and checks
+// the same Serve loop `ptguard worker -listen` runs — and checks
 // byte-identity and multi-session fan-out.
 func TestTCPBackend(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -12,14 +12,13 @@ import (
 )
 
 // Flags is the shared CLI surface for backend selection; every campaign
-// CLI (ptguard-sweep, -faults, -mitigate, -vm, -soak) registers it so
+// subcommand (ptguard sweep, faults, mitigate, vm, soak) registers it so
 // the same -backend/-dist-workers/-connect flags mean the same thing
 // everywhere.
 type Flags struct {
-	Backend   string
-	Workers   int
-	Connect   string
-	WorkerBin string
+	Backend string
+	Workers int
+	Connect string
 }
 
 // AddFlags registers the backend flags on fs and returns the bundle to
@@ -27,12 +26,10 @@ type Flags struct {
 func AddFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Backend, "backend", harness.BackendLocal,
-		"execution backend: local (in-process pool), proc (ptguard-worker subprocesses), tcp (remote workers via -connect)")
+		"execution backend: local (in-process pool), proc (ptguard worker subprocesses), tcp (remote workers via -connect)")
 	fs.IntVar(&f.Workers, "dist-workers", 2, "worker processes to spawn for -backend=proc")
 	fs.StringVar(&f.Connect, "connect", "",
-		"comma-separated host:port list of `ptguard-worker -listen` endpoints for -backend=tcp")
-	fs.StringVar(&f.WorkerBin, "worker-bin", "",
-		"path to the ptguard-worker binary (default: next to this binary, then $PATH)")
+		"comma-separated host:port list of `ptguard worker -listen` endpoints for -backend=tcp")
 	return f
 }
 
@@ -49,7 +46,7 @@ func (f *Flags) Start(campaign Campaign, hopts *harness.Options, inj *chaos.Inje
 	case "", harness.BackendLocal:
 		return nil, nil
 	case "proc":
-		co, err := Start(campaign, Options{Workers: f.Workers, WorkerBin: f.WorkerBin, Chaos: inj})
+		co, err := Start(campaign, Options{Workers: f.Workers, Chaos: inj})
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +80,7 @@ func (f *Flags) install(co *Coordinator, hopts *harness.Options) {
 }
 
 // published holds the coordinator the expvar callback reads; CLIs that
-// run several campaigns sequentially (ptguard-sweep sections) swap it
+// run several campaigns sequentially (ptguard sweep sections) swap it
 // per section.
 var published atomic.Pointer[Coordinator]
 

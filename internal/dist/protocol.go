@@ -1,7 +1,7 @@
 // Package dist shards one harness campaign across processes and
 // machines: a coordinator (implementing harness.Executor) dispatches job
-// keys to ptguard-worker subprocesses over stdin/stdout — or to remote
-// `ptguard-worker -listen` endpoints over TCP — and each worker expands
+// keys to `ptguard worker` subprocesses over stdin/stdout — or to remote
+// `ptguard worker -listen` endpoints over TCP — and each worker expands
 // the same declarative spec from the same campaign seed, so a job key
 // alone identifies the work and the merged report is byte-identical to
 // the in-process run at any worker/process count.

@@ -14,7 +14,7 @@ import (
 // our stdin, which lands here as io.EOF — the worker must die with it,
 // never linger as an orphan).
 //
-// Serve is the whole body of `ptguard-worker`: stdio mode passes
+// Serve is the whole body of `ptguard worker`: stdio mode passes
 // os.Stdin/os.Stdout, TCP mode passes the accepted connection.
 func Serve(r io.Reader, w io.Writer) error {
 	in := newFrameReader(r)

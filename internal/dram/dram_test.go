@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptguard/internal/mitigate"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
 )
@@ -15,6 +16,31 @@ func newTestDevice(tb testing.TB) *Device {
 		tb.Fatal(err)
 	}
 	return d
+}
+
+// trackedHammerer runs the named registry tracker ("trr" or "softtrr") over
+// d/h. TRR gets one sampler slot per row, so it never misses an aggressor:
+// the unlimited-capacity sampler these tests pin.
+func trackedHammerer(t *testing.T, d *Device, h *Hammerer, name string, sampler int) *MitigatedHammerer {
+	t.Helper()
+	cfg := trackerConfig(d, sampler)
+	cfg.TableSize = cfg.RowsPerBank
+	m, err := mitigate.New(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh, err := NewMitigatedHammerer(d, h, MitigationConfig{Mitigator: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mh
+}
+
+// registerPTERow marks the row holding addr as a page-table row for the
+// SoftTRR tracker behind mh, as the kernel would from its own allocations.
+func registerPTERow(d *Device, mh *MitigatedHammerer, addr uint64) {
+	loc := d.Locate(addr)
+	mh.cfg.Mitigator.(mitigate.RowRegistrar).RegisterRow(loc.Channel*d.Geometry().BanksPerChannel+loc.Bank, loc.Row)
 }
 
 func TestDefaultGeometryCapacity(t *testing.T) {
@@ -210,15 +236,12 @@ func TestTRRBlocksClassicHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trr, err := NewTRR(d, h, ThresholdDDR4/4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trr := trackedHammerer(t, d, h, "trr", ThresholdDDR4/4)
 	victim := d.AddrOfRow(5, 300, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(5, 299, 0)
-	flipped := trr.HammerWithTRR(agg, 10*ThresholdDDR4)
+	flipped := trr.Hammer(agg, 10*ThresholdDDR4)
 	for _, r := range flipped {
 		if r == 300 {
 			t.Fatal("TRR failed to protect the distance-1 victim")
@@ -243,16 +266,13 @@ func TestHalfDoubleDefeatsTRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trr, err := NewTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	trr := trackedHammerer(t, d, h, "trr", sampler)
 	// The true victim sits at distance 2 from the aggressor.
 	victim := d.AddrOfRow(5, 302, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(5, 300, 0)
-	flipped := trr.HammerWithTRR(agg, 2*sampler*flipThreshold)
+	flipped := trr.Hammer(agg, 2*sampler*flipThreshold)
 	hitVictim := false
 	for _, r := range flipped {
 		if r == 302 {
@@ -278,7 +298,7 @@ func TestHammererValidation(t *testing.T) {
 	if _, err := NewHammerer(d, HammerConfig{FlipProb: 1.5}); err == nil {
 		t.Error("flip prob > 1 accepted")
 	}
-	if _, err := NewTRR(d, nil, 10); err == nil {
+	if _, err := NewMitigatedHammerer(d, nil, MitigationConfig{}); err == nil {
 		t.Error("nil hammerer accepted")
 	}
 }
@@ -308,22 +328,19 @@ func TestSoftTRRProtectsRegisteredPTERow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := trackedHammerer(t, d, h, "softtrr", sampler)
 	pteRow := d.AddrOfRow(3, 400, 0)
 	var data pte.Line
 	d.WriteLine(pteRow, data)
-	st.RegisterPTERow(pteRow)
+	registerPTERow(d, st, pteRow)
 	agg := d.AddrOfRow(3, 399, 0)
-	flipped := st.HammerWithSoftTRR(agg, 5*flipThreshold)
+	flipped := st.Hammer(agg, 5*flipThreshold)
 	for _, r := range flipped {
 		if r == 400 {
 			t.Fatal("registered PTE row flipped despite SoftTRR")
 		}
 	}
-	if st.Mitigations() == 0 {
+	if st.Refreshes() == 0 {
 		t.Error("SoftTRR never mitigated")
 	}
 }
@@ -337,15 +354,12 @@ func TestSoftTRRIgnoresUnregisteredRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, flipThreshold/10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := trackedHammerer(t, d, h, "softtrr", flipThreshold/10)
 	victim := d.AddrOfRow(3, 500, 0)
 	var data pte.Line
 	d.WriteLine(victim, data)
 	agg := d.AddrOfRow(3, 499, 0)
-	flipped := st.HammerWithSoftTRR(agg, 2*flipThreshold)
+	flipped := st.Hammer(agg, 2*flipThreshold)
 	found := false
 	for _, r := range flipped {
 		if r == 500 {
@@ -369,19 +383,16 @@ func TestHalfDoubleDefeatsSoftTRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewSoftTRR(d, h, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := trackedHammerer(t, d, h, "softtrr", sampler)
 	near := d.AddrOfRow(4, 601, 0) // distance 1: registered and mitigated
 	far := d.AddrOfRow(4, 602, 0)  // distance 2: the Half-Double victim
 	var data pte.Line
 	d.WriteLine(near, data)
 	d.WriteLine(far, data)
-	st.RegisterPTERow(near)
-	st.RegisterPTERow(far)
+	registerPTERow(d, st, near)
+	registerPTERow(d, st, far)
 	agg := d.AddrOfRow(4, 600, 0)
-	flipped := st.HammerWithSoftTRR(agg, 2*sampler*flipThreshold)
+	flipped := st.Hammer(agg, 2*sampler*flipThreshold)
 	hitFar := false
 	for _, r := range flipped {
 		if r == 601 {
@@ -399,10 +410,10 @@ func TestHalfDoubleDefeatsSoftTRR(t *testing.T) {
 func TestSoftTRRValidation(t *testing.T) {
 	d := newTestDevice(t)
 	h, _ := NewHammerer(d, HammerConfig{Seed: 1})
-	if _, err := NewSoftTRR(nil, h, 10); err == nil {
+	if _, err := NewMitigatedHammerer(nil, h, MitigationConfig{}); err == nil {
 		t.Error("nil device accepted")
 	}
-	if _, err := NewSoftTRR(d, h, 0); err == nil {
+	if _, err := mitigate.New("softtrr", trackerConfig(d, 0)); err == nil {
 		t.Error("zero sampler accepted")
 	}
 }

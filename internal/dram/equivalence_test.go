@@ -170,11 +170,8 @@ func TestTRREquivalenceWithLegacy(t *testing.T) {
 					lt := &legacyTRR{dev: d, hmr: h, samplerThreshold: tc.sampler}
 					return lt.hammer(agg, tc.count), lt.refreshes, worldSnapshot(d)
 				}
-				trr, err := NewTRR(d, h, tc.sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return trr.HammerWithTRR(agg, tc.count), trr.Refreshes(), worldSnapshot(d)
+				trr := trackedHammerer(t, d, h, "trr", tc.sampler)
+				return trr.Hammer(agg, tc.count), trr.Refreshes(), worldSnapshot(d)
 			}
 			wantFlips, wantRefreshes, wantMem := run(true)
 			gotFlips, gotRefreshes, gotMem := run(false)
@@ -227,14 +224,11 @@ func TestSoftTRREquivalenceWithLegacy(t *testing.T) {
 					}
 					return ls.hammer(agg, tc.count), ls.mitigations, worldSnapshot(d)
 				}
-				st, err := NewSoftTRR(d, h, tc.sampler)
-				if err != nil {
-					t.Fatal(err)
-				}
+				st := trackedHammerer(t, d, h, "softtrr", tc.sampler)
 				for _, r := range tc.registered {
-					st.RegisterPTERow(d.AddrOfRow(4, r, 0))
+					registerPTERow(d, st, d.AddrOfRow(4, r, 0))
 				}
-				return st.HammerWithSoftTRR(agg, tc.count), st.Mitigations(), worldSnapshot(d)
+				return st.Hammer(agg, tc.count), st.Refreshes(), worldSnapshot(d)
 			}
 			wantFlips, wantMitigations, wantMem := run(true)
 			gotFlips, gotMitigations, gotMem := run(false)

@@ -112,6 +112,13 @@ func (s SlowdownSpec) withDefaults() SlowdownSpec {
 // Jobs expands the spec into one job per (MAC latency, workload).
 func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	s = s.withDefaults()
+	// The sim reads a zero latency as its 10-cycle default and a negative
+	// one as a MAC faster than free, so either would mislabel its table.
+	for _, lat := range s.MACLatencies {
+		if lat <= 0 {
+			return nil, fmt.Errorf("harness: MAC latency %d cycles must be positive", lat)
+		}
+	}
 	profs := workload.Profiles()
 	if len(s.Workloads) > 0 {
 		sel := make([]workload.Profile, 0, len(s.Workloads))
@@ -424,8 +431,8 @@ func (s AblationSpec) Jobs(campaignSeed uint64) ([]Job[AblationResult], error) {
 	return jobs, nil
 }
 
-// AblationTables aggregates ablation results into the three tables of
-// cmd/ptguard-ablation: strategy contributions, the k trade-off (with the
+// AblationTables aggregates ablation results into the three tables of the
+// sweep's ablation section: strategy contributions, the k trade-off (with the
 // analytic security column), and the MAC-width design point.
 func AblationTables(results []AblationResult, spec AblationSpec) ([]*report.Table, error) {
 	spec = spec.withDefaults()

@@ -102,6 +102,16 @@ func TestSlowdownSpecRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
+// The sim reads a zero MAC latency as its 10-cycle default and a negative
+// one as a MAC faster than free, so both must fail before any job runs.
+func TestSlowdownSpecRejectsNonPositiveMACLatency(t *testing.T) {
+	for _, lats := range [][]int{{0}, {-5}, {10, 0}} {
+		if _, err := (SlowdownSpec{Workloads: []string{"leela"}, MACLatencies: lats}).Jobs(1); err == nil {
+			t.Errorf("MAC latencies %v accepted", lats)
+		}
+	}
+}
+
 func TestMulticoreSpecJobsAndMixes(t *testing.T) {
 	spec := MulticoreSpec{SameMixes: 2, MixMixes: 3}
 	mixesA := spec.Mixes(7)

@@ -25,28 +25,37 @@ func mustChaos(t *testing.T, spec string, seed uint64) *chaos.Injector {
 	return in
 }
 
-func TestJournalV1BackwardCompat(t *testing.T) {
+func TestJournalV1RecordsQuarantined(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
-	// A v1 journal as PR-1 harnesses wrote it: plain JSONL, no CRC frames.
+	// A v1 journal: plain JSONL records with no CRC frames. Nothing vouches
+	// for their bytes, so each is quarantined and its job re-runs.
 	v1 := `{"journal":"ptguard-harness","version":1,"fingerprint":"spec-v1"}
-{"key":"a","result":101,"attempts":1,"elapsed_ms":1}
-{"key":"b","result":102,"attempts":2,"elapsed_ms":2}
+{"key":"a","result":999,"attempts":1,"elapsed_ms":1}
+{"key":"b","result":999,"attempts":2,"elapsed_ms":2}
 `
 	if err := os.WriteFile(journal, []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
-	jobs := []Job[int]{
-		intJob("a", 101), intJob("b", 102),
-		{Key: "c", Run: func(context.Context) (int, error) { ran.Add(1); return 103, nil }},
+	job := func(key string, v int) Job[int] {
+		return Job[int]{Key: key, Run: func(context.Context) (int, error) { ran.Add(1); return v, nil }}
 	}
+	jobs := []Job[int]{job("a", 101), job("b", 102), job("c", 103)}
 	opts := Options{JournalPath: journal, Fingerprint: "spec-v1"}
 	rep, err := Run(context.Background(), jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Metrics.FromJournal != 2 || ran.Load() != 1 {
-		t.Fatalf("metrics = %+v, c ran %d times", rep.Metrics, ran.Load())
+	if rep.Metrics.FromJournal != 0 || ran.Load() != 3 {
+		t.Fatalf("metrics = %+v, %d jobs ran", rep.Metrics, ran.Load())
+	}
+	if len(rep.Quarantined) != 2 {
+		t.Fatalf("quarantined = %v, want both v1 records", rep.Quarantined)
+	}
+	for i, q := range rep.Quarantined {
+		if want := []string{"a", "b"}[i]; q.Key != want || !strings.Contains(q.Reason, "not CRC-framed") {
+			t.Errorf("quarantine %d = %+v, want job %q not CRC-framed", i, q, want)
+		}
 	}
 	res, err := rep.Results()
 	if err != nil {
@@ -57,17 +66,13 @@ func TestJournalV1BackwardCompat(t *testing.T) {
 			t.Errorf("result %d = %d, want %d", i, res[i], want)
 		}
 	}
-	// Opening a v1 journal compacts it to v2: CRC-framed records and a
-	// version-2 header, rewritten atomically.
+	// The journal is compacted to v2: a version-2 header and CRC frames.
 	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"version":2`)) {
-		t.Errorf("journal not upgraded to v2:\n%s", data)
-	}
-	if !bytes.Contains(data, []byte(`"crc"`)) {
-		t.Errorf("compacted journal lacks CRC frames:\n%s", data)
+	if !bytes.Contains(data, []byte(`"version":2`)) || bytes.Contains(data, []byte("999")) {
+		t.Errorf("journal not compacted to clean v2:\n%s", data)
 	}
 }
 

@@ -35,12 +35,13 @@ func buildJournal(t testing.TB, fingerprint string, n int) []byte {
 
 // FuzzJournalLoad feeds arbitrary bytes to the journal loader. Properties:
 // it never panics, never errors except on a fingerprint mismatch, never
-// accepts a journal whose header names a different campaign, and its
+// accepts a journal whose header names a different campaign, never accepts
+// a record without a valid CRC frame (a v1 plain entry included), and its
 // surviving state round-trips exactly through an atomic compaction.
 func FuzzJournalLoad(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(buildJournal(f, "fp", 3))
-	f.Add([]byte(`{"journal":"ptguard-harness","version":1,"fingerprint":"fp"}` + "\n" +
+	f.Add([]byte(`{"journal":"ptguard-harness","version":1,"fingerprint":"fuzz-fingerprint"}` + "\n" +
 		`{"key":"a","result":1,"attempts":1,"elapsed_ms":0.5}` + "\n"))
 	f.Add([]byte(`{"journal":"ptguard-harness","version":2,"fingerprint":"other"}` + "\n"))
 	f.Add([]byte(`{"crc":"00000000","e":{"key":"a","result":1}}` + "\n"))
@@ -66,9 +67,21 @@ func FuzzJournalLoad(f *testing.F) {
 				t.Fatalf("accepted journal with foreign fingerprint %q", h.Fingerprint)
 			}
 		}
-		for key := range st.completed {
-			if key == "" {
-				t.Fatal("accepted record with empty key")
+		framed := make(map[string]bool)
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var fr journalFrame
+			if json.Unmarshal(trimEOL(line), &fr) == nil && len(fr.Entry) > 0 && fr.CRC == frameCRC(fr.Entry) {
+				framed[peekKey(fr.Entry)] = true
+			}
+		}
+		for _, accepted := range []map[string]journalEntry{st.completed, st.failures} {
+			for key := range accepted {
+				if key == "" {
+					t.Fatal("accepted record with empty key")
+				}
+				if !framed[key] {
+					t.Fatalf("accepted %q without a valid CRC frame", key)
+				}
 			}
 		}
 		// Compaction round-trip: rewriting the surviving state and loading
@@ -82,8 +95,8 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Fatalf("reload after compaction: %v", err)
 		}
 		if st2.dirty() {
-			t.Fatalf("compacted journal still dirty: %d quarantined, version %d, %d legacy, torn=%v",
-				len(st2.quarantined), st2.version, st2.legacy, st2.tornTail)
+			t.Fatalf("compacted journal still dirty: %d quarantined, version %d, torn=%v",
+				len(st2.quarantined), st2.version, st2.tornTail)
 		}
 		if len(st2.completed) != len(st.completed) || len(st2.failures) != len(st.failures) {
 			t.Fatalf("round-trip changed state: %d/%d completed, %d/%d failures",

@@ -14,7 +14,7 @@
 // journal so an interrupted campaign resumes by skipping work already
 // done. Every durability path carries a chaos fault-point hook
 // (internal/chaos), so kills, torn writes, and disk faults are first-class
-// test inputs — cmd/ptguard-soak runs that proof continuously.
+// test inputs — `ptguard soak` runs that proof continuously.
 package harness
 
 import (

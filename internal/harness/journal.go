@@ -26,9 +26,10 @@ import (
 // the CRC computed over the entry bytes: a torn trailing line from a
 // mid-write kill is skipped, and a corrupted mid-file record is
 // quarantined (reported, and its job re-run) instead of being silently
-// accepted or silently dropped. Version 1 journals (plain JSONL entries,
-// no CRC) still load; on open, a v1 or corrupted journal is compacted to
-// clean v2 via an atomic temp-file+rename rewrite.
+// accepted or silently dropped. An unframed (version 1) record is
+// quarantined like any other corruption and its job re-runs; on open, a
+// corrupted journal is compacted to clean v2 via an atomic
+// temp-file+rename rewrite.
 
 const (
 	journalMagic   = "ptguard-harness"
@@ -103,9 +104,6 @@ type journalState struct {
 	quarantined []QuarantinedRecord
 	// version is the header version (journalVersion when headerless).
 	version int
-	// legacy counts v1-framed (CRC-less) entries accepted via the
-	// backward-compat path.
-	legacy int
 	// tornTail marks a final line without a trailing newline that failed
 	// to parse: the benign signature of a mid-write kill.
 	tornTail bool
@@ -114,7 +112,7 @@ type journalState struct {
 // dirty reports whether the on-disk journal should be compacted to clean
 // v2 framing before appending resumes.
 func (st *journalState) dirty() bool {
-	return len(st.quarantined) > 0 || st.version < journalVersion || st.legacy > 0 || st.tornTail
+	return len(st.quarantined) > 0 || st.version < journalVersion || st.tornTail
 }
 
 // note records one rejected line.
@@ -195,47 +193,40 @@ func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 	return st, nil
 }
 
-// loadRecord classifies one non-empty journal line: a v2 CRC frame, a v1
-// plain entry, a benign torn tail, or a quarantined corruption.
+// loadRecord classifies one non-empty journal line: a v2 CRC frame, a
+// benign torn tail, or a quarantined corruption.
 func (st *journalState) loadRecord(line []byte, lineNo int, complete bool) {
 	var fr journalFrame
-	if err := json.Unmarshal(line, &fr); err == nil && len(fr.Entry) > 0 {
-		// v2 frame. From here on, every defect is a quarantine: the line was
-		// written as a framed record, so a mismatch means corruption.
-		if want := frameCRC(fr.Entry); fr.CRC != want {
-			if !complete {
-				return // torn mid-write tail: expected, not corruption
-			}
-			st.note(lineNo, peekKey(fr.Entry), "CRC mismatch (stored %s, computed %s)", fr.CRC, want)
-			return
+	err := json.Unmarshal(line, &fr)
+	if err != nil || len(fr.Entry) == 0 {
+		if !complete {
+			return // torn mid-write tail: expected, not corruption
 		}
-		var e journalEntry
-		if err := json.Unmarshal(fr.Entry, &e); err != nil {
-			st.note(lineNo, "", "framed entry is not valid JSON: %v", err)
-			return
+		if err != nil {
+			st.note(lineNo, "", "record is not valid JSON: %v", err)
+		} else {
+			st.note(lineNo, peekKey(line), "record is not CRC-framed")
 		}
-		if e.Key == "" {
-			st.note(lineNo, "", "framed entry has no job key")
-			return
-		}
-		st.add(e)
 		return
 	}
-
-	// v1 plain entry (no CRC protection).
-	var e journalEntry
-	if err := json.Unmarshal(line, &e); err != nil || e.Key == "" {
+	// From here on, every defect is a quarantine: the line was written as
+	// a framed record, so a mismatch means corruption.
+	if want := frameCRC(fr.Entry); fr.CRC != want {
 		if !complete {
 			return // torn mid-write tail
 		}
-		if err == nil {
-			st.note(lineNo, "", "record has no job key")
-		} else {
-			st.note(lineNo, "", "record is not valid JSON: %v", err)
-		}
+		st.note(lineNo, peekKey(fr.Entry), "CRC mismatch (stored %s, computed %s)", fr.CRC, want)
 		return
 	}
-	st.legacy++
+	var e journalEntry
+	if err := json.Unmarshal(fr.Entry, &e); err != nil {
+		st.note(lineNo, "", "framed entry is not valid JSON: %v", err)
+		return
+	}
+	if e.Key == "" {
+		st.note(lineNo, "", "framed entry has no job key")
+		return
+	}
 	st.add(e)
 }
 
@@ -273,8 +264,8 @@ type journal struct {
 // openJournal loads the journal state from path (if the file exists) and
 // opens the file for appending, writing the v2 header when the file is
 // new. A fingerprint mismatch between the header and the caller is an
-// error: the journal belongs to a different campaign. A v1, corrupted, or
-// torn journal is first compacted to clean v2 framing via an atomic
+// error: the journal belongs to a different campaign. A corrupted or torn
+// journal is first compacted to clean v2 framing via an atomic
 // temp-file+rename rewrite, so corruption is shed exactly once instead of
 // being re-skipped on every resume.
 func openJournal(path, fingerprint string, inj *chaos.Injector) (*journal, *journalState, error) {

@@ -32,7 +32,7 @@ func NewGraphene(cfg Config) (*Graphene, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := ValidateThreshold(cfg.Threshold); err != nil {
+	if err := validateThreshold(cfg.Threshold); err != nil {
 		return nil, err
 	}
 	if cfg.TableSize == 0 {

@@ -10,8 +10,7 @@
 // rows it wants refreshed. The physics — charge loss, the outward
 // disturbance of a mitigative refresh (the Half-Double lever), flip
 // injection — live in internal/dram's MitigatedHammerer, which drives any
-// Mitigator from this registry. That split lets internal/dram's TRR and
-// SoftTRR delegate their tracking decisions here without an import cycle.
+// Mitigator from this registry without an import cycle.
 package mitigate
 
 import (
@@ -108,10 +107,9 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ValidateThreshold is the shared sampler/threshold check that used to be
-// copy-pasted between dram.TRR and dram.SoftTRR: a mitigation threshold
-// must be positive to mean anything.
-func ValidateThreshold(threshold int) error {
+// validateThreshold is the sampler/threshold check the tracker plugins
+// share: a mitigation threshold must be positive to mean anything.
+func validateThreshold(threshold int) error {
 	if threshold <= 0 {
 		return errors.New("mitigate: sampler threshold must be positive")
 	}

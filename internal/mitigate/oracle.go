@@ -26,7 +26,7 @@ func NewOracle(cfg Config) (*Oracle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := ValidateThreshold(cfg.Threshold); err != nil {
+	if err := validateThreshold(cfg.Threshold); err != nil {
 		return nil, err
 	}
 	return &Oracle{cfg: cfg, counts: make(map[int]int32)}, nil

@@ -35,14 +35,14 @@ func NewTRRSampler(cfg Config) (*TRRSampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := ValidateThreshold(cfg.Threshold); err != nil {
+	if err := validateThreshold(cfg.Threshold); err != nil {
 		return nil, err
 	}
 	if cfg.TableSize == 0 {
 		cfg.TableSize = DefaultSamplerEntries
 	}
 	if cfg.TableSize < 0 {
-		return nil, ValidateThreshold(cfg.TableSize)
+		return nil, validateThreshold(cfg.TableSize)
 	}
 	return &TRRSampler{cfg: cfg, table: make(map[int]map[int]int)}, nil
 }
@@ -119,7 +119,7 @@ func NewSoftTRR(cfg Config) (*SoftTRR, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := ValidateThreshold(cfg.Threshold); err != nil {
+	if err := validateThreshold(cfg.Threshold); err != nil {
 		return nil, err
 	}
 	nRows := cfg.Banks * cfg.RowsPerBank

@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned ASCII tables, CSV,
-// and JSON, the output formats of every cmd/ binary and bench harness.
+// and JSON, the output formats of every ptguard subcommand and bench harness.
 package report
 
 import (
@@ -137,19 +137,6 @@ const (
 	FormatCSV   = "csv"
 	FormatJSON  = "json"
 )
-
-// Format maps the conventional -csv/-json CLI flag pair onto a format name
-// (the flags are mutually exclusive by construction: -json wins).
-func Format(csv, json bool) string {
-	switch {
-	case json:
-		return FormatJSON
-	case csv:
-		return FormatCSV
-	default:
-		return FormatTable
-	}
-}
 
 // Emit writes the table in the named format: "table" (aligned ASCII),
 // "csv", or "json". An empty format selects "table"; anything else is an

@@ -168,19 +168,6 @@ func TestRenderCSVEscapesNewlines(t *testing.T) {
 	}
 }
 
-func TestFormatFlagMapping(t *testing.T) {
-	if got := Format(false, false); got != FormatTable {
-		t.Errorf("Format(false,false) = %q", got)
-	}
-	if got := Format(true, false); got != FormatCSV {
-		t.Errorf("Format(true,false) = %q", got)
-	}
-	// -json wins over -csv.
-	if got := Format(true, true); got != FormatJSON {
-		t.Errorf("Format(true,true) = %q", got)
-	}
-}
-
 func TestEmitFormats(t *testing.T) {
 	tbl := New("T", "a", "b")
 	tbl.AddRow("1", "2")
