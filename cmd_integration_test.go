@@ -12,12 +12,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
 )
+
+// update rewrites the goldens instead of comparing against them:
+//
+//	go test -run TestCommandLineTools -update .
+var update = flag.Bool("update", false, "rewrite testdata/cli/*.golden from the current ptguard binary")
 
 func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
@@ -29,14 +35,10 @@ func TestCommandLineTools(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/ptguard: %v\n%s", err, out)
 	}
-	golden := func(t *testing.T, name string) []byte {
-		t.Helper()
-		want, err := os.ReadFile(filepath.Join("testdata", "cli", name+".golden"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return want
-	}
+	// rewritten records the goldens -update has written in this run: a
+	// golden shared by several cases is written by the first and compared
+	// by the rest, so the determinism cases still check under -update.
+	rewritten := map[string]bool{}
 	// matchGolden runs `ptguard args...` and requires its stdout to equal
 	// the named golden byte for byte.
 	matchGolden := func(t *testing.T, name string, args ...string) {
@@ -45,7 +47,19 @@ func TestCommandLineTools(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ptguard %v: %v", args, err)
 		}
-		if want := golden(t, name); !bytes.Equal(out, want) {
+		path := filepath.Join("testdata", "cli", name+".golden")
+		if *update && !rewritten[name] {
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rewritten[name] = true
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, want) {
 			t.Errorf("ptguard %v: stdout differs from testdata/cli/%s.golden:\n--- got\n%s\n--- want\n%s", args, name, out, want)
 		}
 	}

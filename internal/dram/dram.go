@@ -70,7 +70,11 @@ type Location struct {
 // in dense slices indexed by bank*RowsPerBank+row: the geometry is fixed at
 // construction, so a direct index replaces the map hashing that used to
 // dominate the activate path, and the refresh window resets in place
-// instead of reallocating.
+// instead of reallocating. The activation counters are allocated with the
+// device, because every access may activate a row. The flip counters are
+// allocated by the first injected flip: only hammer, fault and attack
+// campaigns inject flips, and a simulated machine that never does skips
+// zeroing a uint64 per row (4 MB at the default geometry).
 type Device struct {
 	geo    Geometry
 	timing Timing
@@ -95,8 +99,9 @@ type Device struct {
 	accessesSinceRef int
 
 	// flips attributes injected bit flips to their rowIndex, so fault
-	// campaigns can tell which rows and banks ate the faults; flipTouched
-	// lists the rows with at least one flip for iteration.
+	// campaigns can tell which rows and banks ate the faults; it is nil
+	// until the first flip. flipTouched lists the rows with at least one
+	// flip for iteration.
 	flips       []uint64
 	flipTouched []int32
 	flipsTotal  uint64
@@ -138,7 +143,6 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		lines:       make(map[uint64]pte.Line),
 		openRow:     open,
 		activations: make([]int32, nRows),
-		flips:       make([]uint64, nRows),
 	}, nil
 }
 
@@ -342,6 +346,9 @@ func (d *Device) recordFlips(addr uint64, n int) {
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
 	idx := d.rowIndex(bankIdx, loc.Row)
+	if d.flips == nil {
+		d.flips = make([]uint64, len(d.activations))
+	}
 	if d.flips[idx] == 0 && n != 0 {
 		d.flipTouched = append(d.flipTouched, idx)
 	}
@@ -390,6 +397,9 @@ func (d *Device) BankFlips() []uint64 {
 
 // RowFlips returns the flips attributed to the row containing addr.
 func (d *Device) RowFlips(addr uint64) uint64 {
+	if d.flips == nil {
+		return 0
+	}
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
 	return d.flips[d.rowIndex(bankIdx, loc.Row)]

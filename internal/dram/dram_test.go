@@ -450,3 +450,58 @@ func TestAutoRefreshBoundsHammering(t *testing.T) {
 	d.SetAutoRefresh(-5)
 	_ = h
 }
+
+// TestFlipAttributionBeforeAndAfterFirstFlip: a device that has only been
+// read and written reports no flips anywhere, and its first injected flip
+// is attributed to the right (bank, row) like every later one.
+func TestFlipAttributionBeforeAndAfterFirstFlip(t *testing.T) {
+	d := newTestDevice(t)
+	victim := d.AddrOfRow(3, 700, 5)
+	other := d.AddrOfRow(9, 12, 0)
+	for _, a := range []uint64{victim, other} {
+		d.WriteLine(a, pte.Line{})
+		d.Access(a, false)
+	}
+	if got := d.FlipCounts(); len(got) != 0 {
+		t.Errorf("FlipCounts = %v before any flip, want none", got)
+	}
+	for bank, n := range d.BankFlips() {
+		if n != 0 {
+			t.Errorf("bank %d has %d flips before any flip", bank, n)
+		}
+	}
+	if got := len(d.BankFlips()); got != d.Geometry().BanksPerChannel {
+		t.Errorf("BankFlips has %d banks, want %d", got, d.Geometry().BanksPerChannel)
+	}
+	if d.RowFlips(victim) != 0 || d.Stats().FlipsInjected != 0 {
+		t.Error("a row reports flips before any flip")
+	}
+
+	h, err := NewHammerer(d, HammerConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.FlipLineBits(victim, []int{1, 2, 300})
+	h.FlipLineBits(other, []int{7})
+	h.FlipLineBits(victim, []int{9})
+	want := []FlipCount{{Bank: 3, Row: 700, Flips: 4}, {Bank: 9, Row: 12, Flips: 1}}
+	got := d.FlipCounts()
+	if len(got) != len(want) {
+		t.Fatalf("FlipCounts = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("FlipCounts[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	banks := d.BankFlips()
+	if banks[3] != 4 || banks[9] != 1 {
+		t.Errorf("BankFlips = %v, want 4 in bank 3 and 1 in bank 9", banks)
+	}
+	if d.RowFlips(victim) != 4 || d.RowFlips(other) != 1 || d.RowFlips(d.AddrOfRow(3, 701, 0)) != 0 {
+		t.Errorf("RowFlips = %d/%d, want 4/1", d.RowFlips(victim), d.RowFlips(other))
+	}
+	if d.Stats().FlipsInjected != 5 {
+		t.Errorf("FlipsInjected = %d, want 5", d.Stats().FlipsInjected)
+	}
+}

@@ -359,4 +359,7 @@ func TestMapHugeValidation(t *testing.T) {
 	if err := pt.MapHuge(0x40_0000_0000, 0x40000, 0); err == nil {
 		t.Error("double huge map accepted")
 	}
+	if err := pt.Map(0x40_0000_0000+pte.PageSize, 0x123, 0); err == nil {
+		t.Error("4 KB map inside a huge mapping accepted")
+	}
 }

@@ -14,18 +14,32 @@ const tableLevels = 4
 // linesPerTable is the number of cachelines in one 4 KB table page.
 const linesPerTable = pte.PageSize / pte.LineBytes
 
+// tablePage is the content of one 4 KB table page, line by line.
+type tablePage [linesPerTable]pte.Line
+
+// pageBase returns the base address of the 4 KB page containing addr.
+func pageBase(addr uint64) uint64 { return addr &^ uint64(pte.PageSize-1) }
+
+// lineIndex returns the index, within its page, of the line containing addr.
+func lineIndex(addr uint64) int { return int(addr % pte.PageSize / pte.LineBytes) }
+
 // PageTables builds and holds one process's 4-level x86_64 page tables in a
 // shadow store of 64-byte lines, exactly as the trusted kernel would write
 // them to memory (unused PFN bits and reserved bits zeroed, so PT-Guard's
 // bit-pattern match succeeds on every table line).
+//
+// The shadow is stored per table page: one *[64]pte.Line per allocated page,
+// keyed by the page's base address. An entry read or write is one map
+// lookup plus an array index, Lines sorts page bases rather than line
+// addresses, and RemapTablePage moves one pointer.
 // Not safe for concurrent use.
 type PageTables struct {
 	alloc *FrameAllocator
 	root  uint64 // physical address of the PML4 page
 
-	// lines maps line-aligned physical addresses to table content for
-	// every allocated table page.
-	lines map[uint64]pte.Line
+	// pages maps the base address of every allocated table page to its
+	// 64 lines of content.
+	pages map[uint64]*tablePage
 	// tablePages records allocated table page frames per level for
 	// profiling and teardown; tablePages[3] are leaf PT pages.
 	tablePages [tableLevels][]uint64
@@ -49,7 +63,7 @@ func NewPageTables(alloc *FrameAllocator) (*PageTables, error) {
 	}
 	p := &PageTables{
 		alloc:   alloc,
-		lines:   make(map[uint64]pte.Line),
+		pages:   make(map[uint64]*tablePage),
 		parents: make(map[uint64]uint64),
 	}
 	rootPFN, err := p.allocTable(0)
@@ -89,23 +103,24 @@ func (p *PageTables) allocTable(level int) (uint64, error) {
 		return 0, err
 	}
 	base := pfn << pte.PageShift
-	for i := 0; i < linesPerTable; i++ {
-		p.lines[base+uint64(i*pte.LineBytes)] = pte.Line{}
-	}
+	p.pages[base] = new(tablePage)
 	p.tablePages[level] = append(p.tablePages[level], base)
 	return pfn, nil
 }
 
+// entry returns the entry at ea, zero when ea is not in a table page.
 func (p *PageTables) entry(ea uint64) pte.Entry {
-	line := p.lines[ea&^uint64(pte.LineBytes-1)]
-	return line[ea/8%pte.PTEsPerLine]
+	page := p.pages[pageBase(ea)]
+	if page == nil {
+		return 0
+	}
+	return page[lineIndex(ea)][ea/8%pte.PTEsPerLine]
 }
 
+// setEntry stores e at ea, which must lie in a table page: every caller
+// reaches ea through an entry that points at one.
 func (p *PageTables) setEntry(ea uint64, e pte.Entry) {
-	key := ea &^ uint64(pte.LineBytes-1)
-	line := p.lines[key]
-	line[ea/8%pte.PTEsPerLine] = e
-	p.lines[key] = line
+	p.pages[pageBase(ea)][lineIndex(ea)][ea/8%pte.PTEsPerLine] = e
 }
 
 func entryAddress(tableBase, vaddr uint64, level int) uint64 {
@@ -137,6 +152,8 @@ func (p *PageTables) Map(vaddr, pfn uint64, flags pte.Entry) error {
 			e = tableFlags.WithPFN(newPFN)
 			p.setEntry(ea, e)
 			p.parents[newPFN<<pte.PageShift] = ea
+		} else if e.Bit(pte.BitHugePage) {
+			return fmt.Errorf("ostable: vaddr %#x already mapped by a huge page", vaddr)
 		}
 		base = e.PFN() << pte.PageShift
 	}
@@ -233,8 +250,11 @@ func (p *PageTables) Remap(vaddr, newPFN uint64) (uint64, error) {
 // LineAt returns the architectural content of the table cacheline at addr,
 // ok=false when addr is not a table line of this process.
 func (p *PageTables) LineAt(addr uint64) (pte.Line, bool) {
-	line, ok := p.lines[addr&^uint64(pte.LineBytes-1)]
-	return line, ok
+	page := p.pages[pageBase(addr)]
+	if page == nil {
+		return pte.Line{}, false
+	}
+	return page[lineIndex(addr)], true
 }
 
 // LeafEntryAddr returns the physical address of the leaf PTE mapping vaddr,
@@ -258,24 +278,27 @@ func (p *PageTables) LeafEntryAddr(vaddr uint64) (uint64, bool) {
 // controller, which embeds the MACs; the deterministic order keeps DRAM
 // row-buffer state reproducible across runs.
 func (p *PageTables) Lines(fn func(addr uint64, line pte.Line)) {
-	addrs := make([]uint64, 0, len(p.lines))
-	for addr := range p.lines {
-		addrs = append(addrs, addr)
+	for _, base := range p.TablePages() {
+		p.PageLines(base, fn)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		fn(addr, p.lines[addr])
+}
+
+// TablePages returns the base address of every table page, in address
+// order.
+func (p *PageTables) TablePages() []uint64 {
+	bases := make([]uint64, 0, len(p.pages))
+	for base := range p.pages {
+		bases = append(bases, base)
 	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	return bases
 }
 
 // LeafLines calls fn for every cacheline of every leaf PT page in address
 // order: the PTE lines whose locality Fig. 8 profiles and Fig. 9 corrupts.
 func (p *PageTables) LeafLines(fn func(addr uint64, line pte.Line)) {
-	for _, page := range p.LeafTablePages() {
-		for i := 0; i < linesPerTable; i++ {
-			addr := page + uint64(i*pte.LineBytes)
-			fn(addr, p.lines[addr])
-		}
+	for _, base := range p.LeafTablePages() {
+		p.PageLines(base, fn)
 	}
 }
 
@@ -301,19 +324,21 @@ func (p *PageTables) Free() {
 		_ = p.alloc.FreeOrder(pfn, 0)
 	}
 	p.owned = nil
-	p.lines = make(map[uint64]pte.Line)
+	p.pages = make(map[uint64]*tablePage)
 }
 
 // PageLines calls fn for each of the 64 cachelines of the table page at
-// base, in address order. Recovery uses it to re-flush a migrated page
-// through the memory controller.
+// base, in address order, and not at all when base is not a table page.
+// Recovery uses it to re-flush a migrated page through the memory
+// controller.
 func (p *PageTables) PageLines(base uint64, fn func(addr uint64, line pte.Line)) {
-	base &^= uint64(pte.PageSize - 1)
-	for i := 0; i < linesPerTable; i++ {
-		addr := base + uint64(i*pte.LineBytes)
-		if line, ok := p.lines[addr]; ok {
-			fn(addr, line)
-		}
+	base = pageBase(base)
+	page := p.pages[base]
+	if page == nil {
+		return
+	}
+	for i, line := range page {
+		fn(base+uint64(i*pte.LineBytes), line)
 	}
 }
 
@@ -332,7 +357,7 @@ func (p *PageTables) ParentEntryAddr(base uint64) (uint64, bool) {
 // re-flush the process's table lines to memory and shoot down stale TLB/MMU
 // cache state.
 func (p *PageTables) RemapTablePage(oldPage uint64) (uint64, error) {
-	oldPage &^= uint64(pte.PageSize - 1)
+	oldPage = pageBase(oldPage)
 	parentEA, ok := p.parents[oldPage]
 	if !ok {
 		return 0, fmt.Errorf("ostable: %#x is not a remappable table page", oldPage)
@@ -342,12 +367,9 @@ func (p *PageTables) RemapTablePage(oldPage uint64) (uint64, error) {
 		return 0, err
 	}
 	newPage := newPFN << pte.PageShift
-	// Move the 64 cachelines of content.
-	for i := 0; i < linesPerTable; i++ {
-		off := uint64(i * pte.LineBytes)
-		p.lines[newPage+off] = p.lines[oldPage+off]
-		delete(p.lines, oldPage+off)
-	}
+	// Move the page's content.
+	p.pages[newPage] = p.pages[oldPage]
+	delete(p.pages, oldPage)
 	// Repoint the parent entry.
 	parent := p.entry(parentEA)
 	p.setEntry(parentEA, parent.WithPFN(newPFN))

@@ -46,6 +46,42 @@ func TestResetStatsClearsRecoveryAndWalkTrace(t *testing.T) {
 	if res.Recovery.Raised != 0 {
 		t.Errorf("measured region inherited recovery events: %+v", res.Recovery)
 	}
+
+	// Page walks and churns are measurement counters too: a one-instruction
+	// measured region after a churning warm-up reports at most one walk and
+	// no churn, in the Result and in the published obs counters alike.
+	o := obs.New(obs.Options{})
+	c, err := NewSystem(Config{Mode: PTGuard, Seed: 11, ChurnEvery: 500, Obs: o},
+		testProfile(t, "xalancbmk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := c.Run(50_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.PageWalks == 0 || warm.Churns == 0 {
+		t.Fatalf("warm-up had %d walks and %d churns; the reset has nothing to prove",
+			warm.PageWalks, warm.Churns)
+	}
+	c.ResetStats()
+	one, err := c.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Instructions != 1 || one.PageWalks > 1 || one.Churns != 0 {
+		t.Errorf("measured region of 1 instruction reports %d instructions, %d walks, %d churns",
+			one.Instructions, one.PageWalks, one.Churns)
+	}
+	ctr := o.Registry().Snapshot().Counters
+	if ctr["sim.page_walks"] != one.PageWalks || ctr["walker.walks"] != one.PageWalks {
+		t.Errorf("obs page walks sim=%d walker=%d, want %d",
+			ctr["sim.page_walks"], ctr["walker.walks"], one.PageWalks)
+	}
+	if ctr["sim.churns"] != 0 || ctr["walker.mem_accesses"] > 4 {
+		t.Errorf("obs counters kept warm-up activity: churns=%d walker.mem_accesses=%d",
+			ctr["sim.churns"], ctr["walker.mem_accesses"])
+	}
 }
 
 // TestObservedRunCollectsMetrics wires an Observer through a full run and

@@ -295,13 +295,31 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 		}
 		remaining -= cluster
 	}
-	var flushErr error
-	s.tables.Lines(func(addr uint64, line pte.Line) {
-		if _, werr := s.ctrl.WriteLine(addr, line); werr != nil && flushErr == nil {
-			flushErr = werr
+	return s.flushTables()
+}
+
+// flushTables writes every table line to DRAM in ascending address order,
+// one table page per WriteLinesBatch call: the guard MACs a page's 64 lines
+// in at most four full sliced-kernel passes, and its batch scratch stays
+// one page long. Like a per-line WriteLine loop, it writes past an error
+// and returns the first one.
+func (s *System) flushTables() error {
+	var (
+		addrs [pte.PageSize / pte.LineBytes]uint64
+		lines [len(addrs)]pte.Line
+		err   error
+	)
+	for _, base := range s.tables.TablePages() {
+		n := 0
+		s.tables.PageLines(base, func(addr uint64, line pte.Line) {
+			addrs[n], lines[n] = addr, line
+			n++
+		})
+		if _, werr := s.ctrl.WriteLinesBatch(addrs[:n], lines[:n]); werr != nil && err == nil {
+			err = werr
 		}
-	})
-	return flushErr
+	}
+	return err
 }
 
 // mapHuge backs the footprint with 2 MB pages. Huge frames come from
@@ -567,18 +585,22 @@ func (s *System) Run(n int) (Result, error) {
 	return res, nil
 }
 
-// ResetStats zeroes every measurement counter while keeping caches, TLB and
-// DRAM state warm. Measurements follow the paper's methodology of fast-
-// forwarding to a representative region (§III): run a warm-up, reset, then
-// measure.
+// ResetStats zeroes every measurement counter (core, caches, TLB, page
+// walker, controller, guard, check failures, churns, recovery and the walk
+// trace) while keeping caches, TLB and DRAM state warm. The DRAM device's
+// own counters stay whole-run. Measurements follow the paper's methodology
+// of fast-forwarding to a representative region (§III): run a warm-up,
+// reset, then measure.
 func (s *System) ResetStats() {
 	s.core.ResetStats()
 	s.l1d.ResetStats()
 	s.l2.ResetStats()
 	s.l3.ResetStats()
 	s.tlb.ResetStats()
+	s.walker.ResetStats()
 	s.ctrl.ResetStats()
 	s.checkFails = 0
+	s.churns = 0
 	s.recovery = RecoveryStats{}
 	s.walkTrace = nil
 	if g := s.ctrl.Guard(); g != nil {

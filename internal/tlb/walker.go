@@ -184,6 +184,13 @@ func (w *Walker) Stats() WalkerStats {
 	}
 }
 
+// ResetStats zeroes the walk counters but keeps the MMU cache contents
+// (used after a warm-up phase).
+func (w *Walker) ResetStats() {
+	w.walks, w.memAccesses, w.mmuHits, w.checkFailures = 0, 0, 0, 0
+	w.mmu.ResetStats()
+}
+
 // PublishObs feeds the walker counters into the metric registry under
 // "walker." (the obs snapshot path; a nil registry is a no-op).
 func (w *Walker) PublishObs(r *obs.Registry) {
