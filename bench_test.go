@@ -227,12 +227,41 @@ func BenchmarkGuardWrite(b *testing.B) {
 	}
 }
 
+// walkReadLines is the number of protected lines BenchmarkGuardWalkRead
+// cycles through: four times the guard's MAC memo, so every read misses it
+// and computes a MAC.
+const walkReadLines = 4096
+
 // BenchmarkGuardWalkRead measures the verification path charged on every
-// page-table walk (the 10-cycle MAC unit's software stand-in).
+// page-table walk (the 10-cycle MAC unit's software stand-in): the reads
+// cycle through walkReadLines lines, so each one misses the MAC memo and
+// runs the cipher.
 func BenchmarkGuardWalkRead(b *testing.B) {
 	g := benchGuard(b)
 	line := benchPTELine()
-	res, err := g.OnWrite(line, 0x4000)
+	images := make([]pte.Line, walkReadLines)
+	for i := range images {
+		res, err := g.OnWrite(line, uint64(i)<<6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		images[i] = res.Line
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % walkReadLines
+		if rd := g.OnRead(images[k], uint64(k)<<6, true); rd.CheckFailed {
+			b.Fatal("clean line failed")
+		}
+	}
+}
+
+// BenchmarkGuardWalkReadRepeat re-verifies one line on every iteration:
+// the MAC memo's hit path.
+func BenchmarkGuardWalkReadRepeat(b *testing.B) {
+	g := benchGuard(b)
+	res, err := g.OnWrite(benchPTELine(), 0x4000)
 	if err != nil {
 		b.Fatal(err)
 	}

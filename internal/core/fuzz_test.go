@@ -31,7 +31,9 @@ func fuzzGuard(tb testing.TB) (*Guard, pte.Format) {
 //  2. the unmodified DRAM image verifies and strips back to the original;
 //  3. a single flip in any MAC-covered bit is detected (correction off);
 //  4. a flip confined to uncovered bits (accessed, identifier field) passes
-//     and never corrupts the protected payload.
+//     and never corrupts the protected payload;
+//  5. every read gives the same ReadResult on a fresh guard with no MAC
+//     memo history, so the memo never changes a verdict.
 func FuzzMACEmbedVerifyStrip(f *testing.F) {
 	f.Add(make([]byte, pte.LineBytes), uint16(0), uint64(0x1000))
 	typical := pte.Line{0x8000000000025067, 0x8000000000026067, 0, 0x25063, 0, 0, 0x7FFF067, 0}
@@ -51,6 +53,14 @@ func FuzzMACEmbedVerifyStrip(f *testing.F) {
 			line[i] = pte.Entry(uint64(line[i]) &^ format.MACMask)
 		}
 		addr &^= pte.LineBytes - 1
+		// Invariant 5: replay a read on a fresh guard and compare.
+		replay := func(img pte.Line, got ReadResult) {
+			t.Helper()
+			fresh, _ := fuzzGuard(t)
+			if want := fresh.OnRead(img, addr, true); got != want {
+				t.Fatalf("read depends on memo history:\n memoized %+v\n fresh    %+v", got, want)
+			}
+		}
 
 		w, err := g.OnWrite(line, addr)
 		if err != nil {
@@ -62,6 +72,7 @@ func FuzzMACEmbedVerifyStrip(f *testing.F) {
 
 		// Invariant 2: clean roundtrip.
 		r := g.OnRead(w.Line, addr, true)
+		replay(w.Line, r)
 		if r.CheckFailed {
 			t.Fatal("clean DRAM image failed verification")
 		}
@@ -78,6 +89,7 @@ func FuzzMACEmbedVerifyStrip(f *testing.F) {
 		flipped[bit/64] = pte.Entry(uint64(flipped[bit/64]) ^ 1<<uint(bit%64))
 		covered := (format.ProtectedMask|format.MACMask)>>uint(bit%64)&1 == 1
 		r2 := g.OnRead(flipped, addr, true)
+		replay(flipped, r2)
 		if covered && !r2.CheckFailed {
 			t.Fatalf("flip of covered bit %d passed verification", bit)
 		}

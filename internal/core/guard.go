@@ -106,12 +106,16 @@ func (c Config) withDefaults() Config {
 // Counters aggregates the Guard's observable activity, consumed by the
 // timing model and the experiment harnesses.
 type Counters struct {
-	Writes            uint64 // DRAM writes observed
-	Reads             uint64 // DRAM reads observed
-	ProtectedWrites   uint64 // writes that matched the pattern (MAC embedded)
-	WriteMACComputes  uint64 // MAC computations on the write path
-	ReadMACComputes   uint64 // MAC computations on the read path
-	ChunkEncrypts     uint64 // cipher chunk encryptions (4 per full QARMA-128 MAC, 8 per QARMA-64; correction guesses re-encipher only dirty chunks)
+	Writes           uint64 // DRAM writes observed
+	Reads            uint64 // DRAM reads observed
+	ProtectedWrites  uint64 // writes that matched the pattern (MAC embedded)
+	WriteMACComputes uint64 // MAC computations on the write path
+	ReadMACComputes  uint64 // MAC computations on the read path
+	// ChunkEncrypts counts the modelled MAC unit's cipher chunk
+	// encryptions: 4 per full QARMA-128 MAC, 8 per QARMA-64; correction
+	// guesses re-encipher only dirty chunks. MAC memo hits do not reduce
+	// it: the memo saves host time, not modelled MAC-unit work.
+	ChunkEncrypts     uint64
 	PTEWalkChecks     uint64 // page-table-walk integrity checks
 	VerifyFailures    uint64 // uncorrectable integrity failures
 	Corrections       uint64 // successful best-effort corrections
@@ -150,6 +154,12 @@ type Guard struct {
 	batchHist *obs.Histogram
 	// bs is the reusable batch-marshalling scratch (see batch.go).
 	bs batchScratch
+
+	// memo is the scalar path's MAC memo (see memo.go), allocated on the
+	// first scalar MAC; memoHits and memoMisses count its lookups. They
+	// are host-side telemetry, kept out of Counters so no result moves.
+	memo                 *[memoSlots]memoSlot
+	memoHits, memoMisses uint64
 }
 
 // NewGuard validates cfg and builds a Guard.
@@ -203,8 +213,12 @@ func (g *Guard) Config() Config { return g.cfg }
 // Counters returns a snapshot of the activity counters.
 func (g *Guard) Counters() Counters { return g.ctr }
 
-// ResetCounters zeroes the activity counters.
-func (g *Guard) ResetCounters() { g.ctr = Counters{} }
+// ResetCounters zeroes the activity counters and the MAC memo's hit and
+// miss counts (the memo's contents stay warm).
+func (g *Guard) ResetCounters() {
+	g.ctr = Counters{}
+	g.memoHits, g.memoMisses = 0, 0
+}
 
 // SetObserver attaches the observability subsystem; MAC and CTB activity
 // emit trace events through it, and the batch engine records its
@@ -240,6 +254,8 @@ func (g *Guard) PublishObs(r *obs.Registry) {
 	r.SetCounter("guard.collisions_tracked", g.ctr.CollisionsTracked)
 	r.SetCounter("guard.mac_batches", g.ctr.MACBatches)
 	r.SetCounter("guard.batched_mac_computes", g.ctr.BatchedMACComputes)
+	r.SetCounter("guard.mac_memo_hits", g.memoHits)
+	r.SetCounter("guard.mac_memo_misses", g.memoMisses)
 	r.SetGauge("guard.ctb_occupancy", float64(g.ctb.len()))
 }
 
@@ -304,14 +320,8 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag) (WriteResult, 
 			tag = g.zeroTag
 			g.ctr.ZeroFastPathHits++
 		} else {
-			if pre != nil {
-				tag = *pre
-				g.ctr.BatchedMACComputes++
-			} else {
-				tag = g.auth.Compute(maskedImage(line, f.ProtectedMask), addr)
-			}
+			tag = g.lineMAC(line, addr, pre)
 			g.ctr.WriteMACComputes++
-			g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
 			res.MACComputed = true
 			g.o.Emit("mac", "embed", uint64(g.cfg.MACLatencyCycles))
 		}
@@ -340,15 +350,8 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag) (WriteResult, 
 	}
 	res := WriteResult{Line: line}
 	if collisionPossible {
-		var tag mac.Tag
-		if pre != nil {
-			tag = *pre
-			g.ctr.BatchedMACComputes++
-		} else {
-			tag = g.auth.Compute(maskedImage(line, f.ProtectedMask), addr)
-		}
+		tag := g.lineMAC(line, addr, pre)
 		g.ctr.WriteMACComputes++
-		g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
 		res.MACComputed = true
 		n := gatherFieldInto(&buf, line, f.MACMask)
 		raw := tag.Raw()
@@ -425,15 +428,8 @@ func (g *Guard) readPTE(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 		return ReadResult{Line: g.strip(line), Stripped: true}
 	}
 
-	var computed mac.Tag
-	if pre != nil {
-		computed = *pre
-		g.ctr.BatchedMACComputes++
-	} else {
-		computed = g.auth.Compute(maskedImage(line, f.ProtectedMask), addr)
-	}
+	computed := g.lineMAC(line, addr, pre)
 	g.ctr.ReadMACComputes++
-	g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
 	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
 	res := ReadResult{MACComputed: true}
 	if computed.Equal(stored) {
@@ -484,15 +480,8 @@ func (g *Guard) readData(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 		g.o.Emit("mac", "zero", 0)
 		return ReadResult{Line: g.strip(line), Stripped: true}
 	}
-	var computed mac.Tag
-	if pre != nil {
-		computed = *pre
-		g.ctr.BatchedMACComputes++
-	} else {
-		computed = g.auth.Compute(maskedImage(line, f.ProtectedMask), addr)
-	}
+	computed := g.lineMAC(line, addr, pre)
 	g.ctr.ReadMACComputes++
-	g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
 	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
 	res := ReadResult{MACComputed: true}
 	if computed.Equal(stored) {

@@ -160,11 +160,19 @@ func TestReadPTERoundTripProperty(t *testing.T) {
 func TestDetectionOfEveryProtectedBitFlip(t *testing.T) {
 	// §IV-G invariant: no tampered PTE line is ever consumed. Flip each
 	// protected bit and each MAC bit in turn; every one must be detected.
+	// A clean walk read first puts the line's MAC in the memo, so the
+	// flips are checked against a memoized tag too.
 	g := newTestGuard(t, nil)
 	line := makePTELine(0xABC00, testFlags, 8)
 	w, err := g.OnWrite(line, 0x7000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rd := g.OnRead(w.Line, 0x7000, true); rd.CheckFailed || rd.Line != line {
+		t.Fatal("clean walk read failed")
+	}
+	if g.memoHits != 1 {
+		t.Fatalf("clean read after write: %d memo hits, want 1", g.memoHits)
 	}
 	f := g.cfg.Format
 	for i := 0; i < pte.PTEsPerLine; i++ {
@@ -183,6 +191,9 @@ func TestDetectionOfEveryProtectedBitFlip(t *testing.T) {
 	}
 	if got := g.Counters().VerifyFailures; got == 0 {
 		t.Error("VerifyFailures counter not incremented")
+	}
+	if rd := g.OnRead(w.Line, 0x7000, true); rd.CheckFailed || rd.Line != line {
+		t.Error("clean image failed verification after the tampered reads")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
 	"ptguard/internal/mac"
+	"ptguard/internal/obs"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
 )
@@ -218,6 +219,17 @@ func TestRekeyPreservesProtectionAndData(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldImage := c.Device().ReadLine(0x1000)
+	// A walk read re-verifies the line just written, so the old guard
+	// serves its MAC from the memo; the stale old-key image below must
+	// still fail under the new guard.
+	if got, _, ok := c.ReadLine(0x1000, true); !ok || got != pteL {
+		t.Fatal("walk read under the old key failed")
+	}
+	reg := obs.NewRegistry()
+	c.PublishObs(reg)
+	if hits := reg.Snapshot().Counters["guard.mac_memo_hits"]; hits != 1 {
+		t.Fatalf("old guard memo hits = %d, want 1", hits)
+	}
 
 	newKey := make([]byte, mac.KeySize)
 	r := stats.NewRNG(0xFEED)

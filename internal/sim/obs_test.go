@@ -207,3 +207,43 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 		run(b, func() *obs.Observer { return obs.New(obs.Options{SnapshotEvery: 5_000}) })
 	})
 }
+
+// TestMACMemoReconciles checks the guard's published MAC-memo lookups
+// against its MAC counters on a PT-Guard run with correction off: every
+// scalar MAC computation is exactly one memo lookup, and the batch
+// engine's MACs (the table flush) never touch the memo. The identity holds
+// over the warm-up, which includes the table flush, and again after
+// ResetStats zeroes both sides.
+func TestMACMemoReconciles(t *testing.T) {
+	o := obs.New(obs.Options{})
+	s, err := NewSystem(Config{Mode: PTGuard, Seed: 11, ChurnEvery: 2_000, Obs: o},
+		testProfile(t, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, needBatched bool) {
+		t.Helper()
+		c := o.Registry().Snapshot().Counters
+		hits, misses := c["guard.mac_memo_hits"], c["guard.mac_memo_misses"]
+		scalar := c["guard.write_mac_computes"] + c["guard.read_mac_computes"] - c["guard.batched_mac_computes"]
+		if hits+misses != scalar {
+			t.Errorf("%s: memo hits %d + misses %d = %d, want scalar MACs %d",
+				stage, hits, misses, hits+misses, scalar)
+		}
+		if hits == 0 || misses == 0 {
+			t.Errorf("%s: memo hits %d, misses %d; want both > 0", stage, hits, misses)
+		}
+		if needBatched && c["guard.batched_mac_computes"] == 0 {
+			t.Errorf("%s: no batched MACs; the identity's subtraction is untested", stage)
+		}
+	}
+	if _, err := s.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	check("warm-up", true)
+	s.ResetStats()
+	if _, err := s.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	check("measured", false)
+}

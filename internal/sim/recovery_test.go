@@ -83,6 +83,36 @@ func TestRecoveryRebuild(t *testing.T) {
 	}
 }
 
+// TestFlushCachesReachesUpperLevelTables is the regression test for a
+// FlushCaches that left the walker's MMU cache warm: a fault injected into
+// an upper-level (PD) table line after warm-up must be fetched from DRAM,
+// verified and recovered, not served from the MMU cache.
+func TestFlushCachesReachesUpperLevelTables(t *testing.T) {
+	s, err := NewSystem(Config{Mode: PTGuard, Seed: 11, EnableRecovery: true}, testProfile(t, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(5000); err != nil {
+		t.Fatal(err)
+	}
+	leafPage := leafLineOf(t, s, s.vbase) &^ uint64(pte.PageSize-1)
+	pdEntry, ok := s.tables.ParentEntryAddr(leafPage)
+	if !ok {
+		t.Fatal("leaf table page has no parent entry")
+	}
+	corruptLine(t, s, pdEntry&^uint64(pte.LineBytes-1))
+	s.FlushCaches()
+	s.ResetStats()
+	res, err := s.Run(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Recovery
+	if st.Raised != 1 || st.Rebuilds != 1 || st.Recovered != 1 || st.Fatal != 0 {
+		t.Fatalf("recovery after PD-line fault = %+v, want raised=1 rebuilds=1 recovered=1", st)
+	}
+}
+
 // TestRecoveryDisabledStillFails pins the default behaviour: without
 // EnableRecovery the same fault aborts the walk (§IV-F).
 func TestRecoveryDisabledStillFails(t *testing.T) {
