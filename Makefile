@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare
+.PHONY: ci fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare bench-record-check
 
 # ci is the gate every change must pass.
-ci: vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke
+ci: fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke bench-record-check
+
+# fmt fails when any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -86,3 +90,9 @@ bench-compare:
 # full timings: 1-iteration run, baseline written to a throwaway dir.
 bench-json-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . | $(GO) run ./cmd/ptguard bench -out $$(mktemp -d)
+
+# bench-record-check vets and tests the benchmark of record (benchmark/, its
+# own module), which compiles against internal/dist and internal/harness but
+# is outside ./... here.
+bench-record-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -11,6 +11,7 @@ import (
 
 	"ptguard/internal/attack"
 	"ptguard/internal/core"
+	"ptguard/internal/harness"
 	"ptguard/internal/obs"
 	"ptguard/internal/pte"
 	"ptguard/internal/report"
@@ -44,7 +45,7 @@ func attackCmd(fs *flag.FlagSet) func() error {
 		// so far.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		var runs []labelledRun
+		var runs []harness.LabelledRun
 		err = runScenarios(ctx, *seed, *format, o, &runs)
 		return errors.Join(err, o.writeObsOutputs(runs))
 	}
@@ -52,7 +53,7 @@ func attackCmd(fs *flag.FlagSet) func() error {
 
 // runScenarios plays every scenario on a fresh world and, when an obs
 // output is set, appends each world's final metrics to runs.
-func runScenarios(ctx context.Context, seed uint64, format string, o *obsFlags, runs *[]labelledRun) error {
+func runScenarios(ctx context.Context, seed uint64, format string, o *obsFlags, runs *[]harness.LabelledRun) error {
 	tbl := report.New("Rowhammer exploit scenarios (end to end)",
 		"scenario", "system", "exploit succeeded", "detected", "notes")
 
@@ -67,7 +68,7 @@ func runScenarios(ctx context.Context, seed uint64, format string, o *obsFlags, 
 		return func(label string) {
 			w.PublishObs(ob.Registry())
 			ob.Snapshot(ob.Now(), 0)
-			*runs = append(*runs, labelledRun{label, ob.RunMetrics(o.traceOut != "")})
+			*runs = append(*runs, harness.LabelledRun{Label: label, Metrics: ob.RunMetrics(o.traceOut != "")})
 		}
 	}
 

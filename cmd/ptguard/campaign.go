@@ -11,7 +11,6 @@ import (
 	"ptguard/internal/dist"
 	"ptguard/internal/harness"
 	"ptguard/internal/obs"
-	"ptguard/internal/report"
 )
 
 // campaignRun is what one invocation's campaigns share: harness options
@@ -55,21 +54,18 @@ func (c *campaignFlags) open(kind string, spec any, debugAddr string) (*campaign
 	}}, nil
 }
 
-// runCampaign expands one campaign into jobs, runs them through the
-// harness — sharded over a fresh coordinator when -backend selects proc or
-// tcp — and renders the results, in job order, into tables. kind names the
-// spec to the workers, which expand the identical job set from (kind,
-// spec, seed).
-func runCampaign[R any](r *campaignRun, kind string, spec any,
-	jobs func(uint64) ([]harness.Job[R], error),
-	render func([]R) ([]*report.Table, error),
-) ([]*report.Table, error) {
-	js, err := jobs(r.seed)
+// run runs one campaign through the harness — sharded over a fresh
+// coordinator when -backend selects proc or tcp, whose workers expand the
+// identical job set from (spec.Kind(), spec, seed) — and returns its
+// rendered report. The spec is expanded before any worker starts, so an
+// invalid one fails first.
+func (r *campaignRun) run(spec harness.Spec) (*harness.Output, error) {
+	plan, err := harness.Prepare(spec, r.seed)
 	if err != nil {
 		return nil, err
 	}
 	opts := r.opts
-	co, err := r.dist.Start(dist.Campaign{Kind: kind, Spec: spec, Seed: r.seed}, &opts, opts.Chaos)
+	co, err := r.dist.Start(dist.Campaign{Kind: spec.Kind(), Spec: spec, Seed: r.seed}, &opts, opts.Chaos)
 	if err != nil {
 		return nil, err
 	}
@@ -80,44 +76,24 @@ func runCampaign[R any](r *campaignRun, kind string, spec any,
 			co.Close()
 		}()
 	}
-	rep, err := harness.Run(r.ctx, js, opts)
-	if err != nil {
-		return nil, err
-	}
-	results, err := rep.Results()
-	if err != nil {
-		return nil, err
-	}
-	return render(results)
-}
-
-// oneTable adapts a single-table aggregator to runCampaign's render.
-func oneTable(t *report.Table, err error) ([]*report.Table, error) {
-	return []*report.Table{t}, err
-}
-
-// labelledRun is one run's observability data under its series/track
-// label.
-type labelledRun struct {
-	label string
-	rm    *obs.RunMetrics
+	return plan(r.ctx, opts)
 }
 
 // writeObsOutputs merges labelled runs into the -metrics-out time series and
 // the -trace-out Chrome trace, one series/track per run.
-func (o *obsFlags) writeObsOutputs(runs []labelledRun) error {
+func (o *obsFlags) writeObsOutputs(runs []harness.LabelledRun) error {
 	var points []obs.SeriesPoint
 	var tracks []obs.TraceTrack
 	for _, r := range runs {
-		if r.rm == nil {
+		if r.Metrics == nil {
 			continue
 		}
-		for _, p := range r.rm.Series {
-			p.Job = r.label
+		for _, p := range r.Metrics.Series {
+			p.Job = r.Label
 			points = append(points, p)
 		}
-		if len(r.rm.Trace) > 0 {
-			tracks = append(tracks, obs.TraceTrack{Name: r.label, Events: r.rm.Trace})
+		if len(r.Metrics.Trace) > 0 {
+			tracks = append(tracks, obs.TraceTrack{Name: r.Label, Events: r.Metrics.Trace})
 		}
 	}
 	if o.metricsOut != "" {

@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"ptguard/internal/dist"
 	"ptguard/internal/fault"
 	"ptguard/internal/harness"
 	"ptguard/internal/report"
@@ -51,21 +50,14 @@ func faultsCmd(fs *flag.FlagSet) func() error {
 			return err
 		}
 		defer r.close()
-		var runs []labelledRun
-		tables, err := runCampaign(r, dist.KindFaults, spec, spec.Jobs,
-			func(rs []fault.CampaignResult) ([]*report.Table, error) {
-				for _, res := range rs {
-					runs = append(runs, labelledRun{res.Model + "/" + res.Mode, res.Obs})
-				}
-				return harness.FaultTables(rs, spec)
-			})
+		out, err := r.run(spec)
 		if err != nil {
 			return err
 		}
-		if err := o.writeObsOutputs(runs); err != nil {
+		if err := o.writeObsOutputs(out.Runs); err != nil {
 			return err
 		}
-		return report.EmitAll(os.Stdout, tables, *format)
+		return report.EmitAll(os.Stdout, out.Tables, *format)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"ptguard/internal/attack"
-	"ptguard/internal/dist"
 	"ptguard/internal/dram"
 	"ptguard/internal/harness"
 	"ptguard/internal/mitigate"
@@ -64,13 +62,10 @@ func mitigateCmd(fs *flag.FlagSet) func() error {
 			return err
 		}
 		defer r.close()
-		tables, err := runCampaign(r, dist.KindMitigate, spec, spec.Jobs,
-			func(rs []attack.MitigationTrialResult) ([]*report.Table, error) {
-				return harness.MitigateTables(rs, spec)
-			})
+		out, err := r.run(spec)
 		if err != nil {
 			return err
 		}
-		return report.EmitAll(os.Stdout, tables, *format)
+		return report.EmitAll(os.Stdout, out.Tables, *format)
 	}
 }

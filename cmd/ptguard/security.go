@@ -107,17 +107,8 @@ func exposureTable(mitigation string, seed uint64) (*report.Table, error) {
 			if protected {
 				guard = "on"
 			}
-			verdict := "defended"
-			switch {
-			case res.Silent > 0:
-				verdict = "DEFEATED"
-			case res.Faulted > 0:
-				verdict = "crashed"
-			case res.RowsFlipped == 0:
-				verdict = "no flips"
-			}
 			tbl.AddRow(res.Pattern, guard, report.I(res.RowsFlipped),
-				report.I(res.Detected), report.I(res.Faulted), report.I(res.Silent), verdict)
+				report.I(res.Detected), report.I(res.Faulted), report.I(res.Silent), res.Verdict(res.RowsFlipped))
 		}
 	}
 	return tbl, nil

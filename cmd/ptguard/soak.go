@@ -191,16 +191,12 @@ func (c soakConfig) leg(journal string, inj *chaos.Injector) (*campaignRun, erro
 // report runs the leg and renders the canonical report bytes every leg is
 // compared by.
 func (c soakConfig) report(r *campaignRun) ([]byte, error) {
-	spec := c.spec()
-	tables, err := runCampaign(r, dist.KindCorrection, spec, spec.Jobs,
-		func(rs []harness.CorrectionPoint) ([]*report.Table, error) {
-			return oneTable(harness.CorrectionTable(rs, spec))
-		})
+	out, err := r.run(c.spec())
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := report.EmitAll(&buf, tables, report.FormatTable); err != nil {
+	if err := report.EmitAll(&buf, out.Tables, report.FormatTable); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

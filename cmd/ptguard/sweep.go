@@ -4,14 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
+	"slices"
 
-	"ptguard/internal/attack"
-	"ptguard/internal/dist"
 	"ptguard/internal/harness"
 	"ptguard/internal/report"
-	"ptguard/internal/sim"
 )
 
 // sweepCmd runs the paper's evaluation campaign — the Fig. 6/7 slowdown
@@ -78,73 +74,35 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 				Mitigations: splitCSV(*mitigation), Trials: *mitTrials, Acts: *mitActs,
 			},
 		}
+		// Resolve every section before any campaign starts, so a typo
+		// fails before work (and before the journal is created).
+		known := []harness.Spec{specs.Slowdown, specs.Multicore, specs.Ablation, specs.Correction, specs.Mitigate}
+		var selected []harness.Spec
+		for _, section := range splitCSV(*sections) {
+			i := slices.IndexFunc(known, func(s harness.Spec) bool { return s.Kind() == section })
+			if i < 0 {
+				return fmt.Errorf("unknown section %q (want slowdown, multicore, ablation, correction or mitigate)", section)
+			}
+			selected = append(selected, known[i])
+		}
 		r, err := camp.open("sweep-v2", specs, o.debugAddr)
 		if err != nil {
 			return err
 		}
 		defer r.close()
 
-		var runs []labelledRun
-		var tables []*report.Table
-		for _, section := range strings.Split(*sections, ",") {
-			var got []*report.Table
-			switch section = strings.TrimSpace(section); section {
-			case "":
-				continue
-			case "slowdown":
-				got, err = runCampaign(r, dist.KindSlowdown, specs.Slowdown, specs.Slowdown.Jobs,
-					func(rs []harness.SlowdownResult) ([]*report.Table, error) {
-						runs = slowdownRuns(rs)
-						return harness.SlowdownTables(rs, nil)
-					})
-			case "multicore":
-				got, err = runCampaign(r, dist.KindMulticore, specs.Multicore, specs.Multicore.Jobs,
-					func(rs []sim.MulticoreResult) ([]*report.Table, error) {
-						return oneTable(harness.MulticoreTable(rs))
-					})
-			case "ablation":
-				got, err = runCampaign(r, dist.KindAblation, specs.Ablation, specs.Ablation.Jobs,
-					func(rs []harness.AblationResult) ([]*report.Table, error) {
-						return harness.AblationTables(rs, specs.Ablation)
-					})
-			case "correction":
-				got, err = runCampaign(r, dist.KindCorrection, specs.Correction, specs.Correction.Jobs,
-					func(rs []harness.CorrectionPoint) ([]*report.Table, error) {
-						return oneTable(harness.CorrectionTable(rs, specs.Correction))
-					})
-			case "mitigate":
-				got, err = runCampaign(r, dist.KindMitigate, specs.Mitigate, specs.Mitigate.Jobs,
-					func(rs []attack.MitigationTrialResult) ([]*report.Table, error) {
-						return harness.MitigateTables(rs, specs.Mitigate)
-					})
-			default:
-				return fmt.Errorf("unknown section %q (want slowdown, multicore, ablation, correction or mitigate)", section)
-			}
+		var all harness.Output
+		for _, spec := range selected {
+			out, err := r.run(spec)
 			if err != nil {
-				return fmt.Errorf("section %s: %w", section, err)
+				return fmt.Errorf("section %s: %w", spec.Kind(), err)
 			}
-			tables = append(tables, got...)
+			all.Tables = append(all.Tables, out.Tables...)
+			all.Runs = append(all.Runs, out.Runs...)
 		}
-		if err := o.writeObsOutputs(runs); err != nil {
+		if err := o.writeObsOutputs(all.Runs); err != nil {
 			return err
 		}
-		return report.EmitAll(os.Stdout, tables, *format)
+		return report.EmitAll(os.Stdout, all.Tables, *format)
 	}
-}
-
-// slowdownRuns labels each slowdown job's per-mode observability data as
-// workload/macN/mode.
-func slowdownRuns(results []harness.SlowdownResult) []labelledRun {
-	var runs []labelledRun
-	for _, r := range results {
-		modes := make([]string, 0, len(r.Obs))
-		for m := range r.Obs {
-			modes = append(modes, m)
-		}
-		sort.Strings(modes)
-		for _, m := range modes {
-			runs = append(runs, labelledRun{fmt.Sprintf("%s/mac%d/%s", r.Comparison.Workload, r.MACLatency, m), r.Obs[m]})
-		}
-	}
-	return runs
 }

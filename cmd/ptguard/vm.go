@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"ptguard/internal/attack"
-	"ptguard/internal/dist"
 	"ptguard/internal/harness"
 	"ptguard/internal/report"
 	"ptguard/internal/virt"
@@ -62,20 +61,13 @@ func vmCmd(fs *flag.FlagSet) func() error {
 			return err
 		}
 		defer r.close()
-		var runs []labelledRun
-		tables, err := runCampaign(r, dist.KindVirt, spec, spec.Jobs,
-			func(rs []attack.VMTrialResult) ([]*report.Table, error) {
-				for _, res := range rs {
-					runs = append(runs, labelledRun{fmt.Sprintf("t%03d/%s/%s", res.Tenants, res.Target, res.Placement), res.Obs})
-				}
-				return harness.VirtTables(rs, spec)
-			})
+		out, err := r.run(spec)
 		if err != nil {
 			return err
 		}
-		if err := o.writeObsOutputs(runs); err != nil {
+		if err := o.writeObsOutputs(out.Runs); err != nil {
 			return err
 		}
-		return report.EmitAll(os.Stdout, tables, *format)
+		return report.EmitAll(os.Stdout, out.Tables, *format)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"ptguard/internal/dist"
+	"ptguard/internal/harness"
 )
 
 // workerCmd is the execution half of the distributed campaign backend: a
@@ -28,7 +29,7 @@ func workerCmd(fs *flag.FlagSet) func() error {
 
 	return func() error {
 		if *listKinds {
-			for _, k := range dist.Kinds() {
+			for _, k := range harness.Kinds() {
 				fmt.Println(k)
 			}
 			return nil

@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -168,6 +169,29 @@ func TestCommandLineTools(t *testing.T) {
 		if err := exec.Command(bin, args...).Run(); err == nil {
 			t.Errorf("ptguard %v exited 0", args)
 		}
+	}
+
+	// Fail before work: an unknown sweep section fails before the valid
+	// section listed ahead of it runs, so no journal is written.
+	journal := filepath.Join(t.TempDir(), "sections.jsonl")
+	args := []string{"sweep", "-sections", "correction,bogus", "-correction-lines", "20", "-quiet", "-journal", journal}
+	if err := exec.Command(bin, args...).Run(); err == nil {
+		t.Errorf("ptguard %v exited 0", args)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("ptguard %v left a journal behind (stat: %v)", args, err)
+	}
+	// An invalid spec fails before any worker process starts.
+	args = []string{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0",
+		"-backend", "proc", "-dist-workers", "2"}
+	var stderr bytes.Buffer
+	probe := exec.Command(bin, args...)
+	probe.Stderr = &stderr
+	if err := probe.Run(); err == nil {
+		t.Errorf("ptguard %v exited 0", args)
+	}
+	if strings.Contains(stderr.String(), "ptguard worker:") {
+		t.Errorf("ptguard %v started a worker before rejecting the spec:\n%s", args, stderr.String())
 	}
 
 	// Inter-VM kill-resume determinism: SIGKILL a journaled vm campaign

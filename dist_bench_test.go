@@ -74,7 +74,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("proc/workers=%d", workers), func(b *testing.B) {
 			co, err := dist.Start(
-				dist.Campaign{Kind: dist.KindSynthetic, Spec: spec, Seed: seed},
+				dist.Campaign{Kind: spec.Kind(), Spec: spec, Seed: seed},
 				dist.Options{
 					Workers:       workers,
 					WorkerCommand: []string{os.Args[0]},

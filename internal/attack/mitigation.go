@@ -96,18 +96,13 @@ func (c MitigationTrialConfig) withDefaults() MitigationTrialConfig {
 	return c
 }
 
-// MitigationTrialResult is one matrix cell's outcome.
-type MitigationTrialResult struct {
-	// Mitigation, Pattern, Protected echo the trial configuration.
-	Mitigation string
-	Pattern    string
-	Protected  bool
-	// RowsFlipped counts flip bursts into rows holding victim PTE lines.
-	RowsFlipped int
+// WalkTally classifies the victim page walks taken after an attack, the
+// taxonomy every head-to-head trial reports in.
+type WalkTally struct {
 	// WalksChecked is the number of victim pages walked post-attack.
 	WalksChecked int
-	// Detected counts walks that raised PTECheckFailed (PT-Guard caught
-	// the corruption before the translation was consumed).
+	// Detected counts walks PT-Guard aborted with an integrity exception
+	// before the translation was consumed.
 	Detected int
 	// Faulted counts walks that hit a non-present entry (corruption
 	// visible as a crash, not an exploit).
@@ -117,21 +112,69 @@ type MitigationTrialResult struct {
 	Silent int
 	// Intact counts walks that returned the original translation.
 	Intact int
-	// Stats is the mitigation engine's counter snapshot (refreshes,
-	// tracker table activity, budget starvation).
-	Stats dram.MitigationStats
 }
 
-// Defeated reports the attacker got at least one silent corruption.
-func (r MitigationTrialResult) Defeated() bool { return r.Silent > 0 }
+// Classify counts one walk.
+func (t *WalkTally) Classify(checkFailed, faulted, tampered bool) {
+	t.WalksChecked++
+	switch {
+	case checkFailed:
+		t.Detected++
+	case faulted:
+		t.Faulted++
+	case tampered:
+		t.Silent++
+	default:
+		t.Intact++
+	}
+}
+
+// Add sums another tally into t.
+func (t *WalkTally) Add(o WalkTally) {
+	t.WalksChecked += o.WalksChecked
+	t.Detected += o.Detected
+	t.Faulted += o.Faulted
+	t.Silent += o.Silent
+	t.Intact += o.Intact
+}
 
 // CoveragePct is the share of corrupted walks PT-Guard caught.
-func (r MitigationTrialResult) CoveragePct() float64 {
-	bad := r.Detected + r.Silent
+func (t WalkTally) CoveragePct() float64 {
+	bad := t.Detected + t.Silent
 	if bad == 0 {
 		return 100
 	}
-	return 100 * float64(r.Detected) / float64(bad)
+	return 100 * float64(t.Detected) / float64(bad)
+}
+
+// Verdict names the defense outcome of walks taken after rowsFlipped
+// rows took flips: DEFEATED on any silent corruption, else crashed on any
+// fault, else no flips or defended.
+func (t WalkTally) Verdict(rowsFlipped int) string {
+	switch {
+	case t.Silent > 0:
+		return "DEFEATED"
+	case t.Faulted > 0:
+		return "crashed"
+	case rowsFlipped == 0:
+		return "no flips"
+	}
+	return "defended"
+}
+
+// MitigationTrialResult is one matrix cell's outcome.
+type MitigationTrialResult struct {
+	// Mitigation, Pattern, Protected echo the trial configuration.
+	Mitigation string
+	Pattern    string
+	Protected  bool
+	// RowsFlipped counts flip bursts into rows holding victim PTE lines.
+	RowsFlipped int
+	// WalkTally classifies the victim's post-attack page walks.
+	WalkTally
+	// Stats is the mitigation engine's counter snapshot (refreshes,
+	// tracker table activity, budget starvation).
+	Stats dram.MitigationStats
 }
 
 // RunMitigationTrial plays one attack pattern against one mitigation with
@@ -220,18 +263,8 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (MitigationTrialResult, error
 		if !ok {
 			continue
 		}
-		res.WalksChecked++
 		walk := w.Walker.Walk(w.Tables.Root(), vaddr)
-		switch {
-		case walk.CheckFailed:
-			res.Detected++
-		case walk.Fault:
-			res.Faulted++
-		case walk.PFN != want:
-			res.Silent++
-		default:
-			res.Intact++
-		}
+		res.Classify(walk.CheckFailed, walk.Fault, walk.PFN != want)
 	}
 	if cfg.Obs != nil {
 		mh.PublishObs(cfg.Obs)

@@ -88,19 +88,12 @@ type VMTrialResult struct {
 	// many took at least one flip.
 	RowsHammered int
 	RowsFlipped  int
-	// WalksChecked is the number of victim pages translated post-attack.
-	WalksChecked int
-	// Detected counts walks aborted by a PT-Guard integrity exception;
-	// DetectedStage2 is the subset caught in the stage-2 dimension.
-	Detected       int
+	// WalkTally classifies the victim's post-attack 2-D walks; a silent
+	// walk consumed a tampered host frame, the cross-VM win condition.
+	WalkTally
+	// DetectedStage2 is the subset of detected walks caught in the
+	// stage-2 dimension.
 	DetectedStage2 int
-	// Faulted counts walks that hit a non-present entry (a crash).
-	Faulted int
-	// Silent counts walks that consumed a tampered host frame — the
-	// attacker's cross-VM win condition.
-	Silent int
-	// Intact counts walks that returned the pristine translation.
-	Intact int
 	// MaxWalkAccesses is the costliest 2-D walk observed (≤ 24).
 	MaxWalkAccesses int
 	// TableAudit is the post-hammer batch integrity audit of the victim's
@@ -111,18 +104,6 @@ type VMTrialResult struct {
 	// Obs carries the trial's observability data when the config asked for
 	// it (metrics, time series, trace).
 	Obs *obs.RunMetrics `json:"obs,omitempty"`
-}
-
-// Defeated reports the attacker got at least one silent corruption.
-func (r VMTrialResult) Defeated() bool { return r.Silent > 0 }
-
-// CoveragePct is the share of corrupted walks PT-Guard caught.
-func (r VMTrialResult) CoveragePct() float64 {
-	bad := r.Detected + r.Silent
-	if bad == 0 {
-		return 100
-	}
-	return 100 * float64(r.Detected) / float64(bad)
 }
 
 // RunVMTrial plays one inter-VM Rowhammer scenario: build a multi-tenant
@@ -228,23 +209,13 @@ func RunVMTrial(cfg VMTrialConfig) (VMTrialResult, error) {
 		if !ok {
 			continue
 		}
-		res.WalksChecked++
 		tr, terr := host.Translate(victim, vaddr)
 		if terr != nil {
 			return VMTrialResult{}, terr
 		}
-		switch {
-		case tr.CheckFailed:
-			res.Detected++
-			if tr.Stage2 {
-				res.DetectedStage2++
-			}
-		case tr.Fault:
-			res.Faulted++
-		case tr.HostPFN != want:
-			res.Silent++
-		default:
-			res.Intact++
+		res.Classify(tr.CheckFailed, tr.Fault, tr.HostPFN != want)
+		if tr.CheckFailed && tr.Stage2 {
+			res.DetectedStage2++
 		}
 		if tr.MemAccesses > res.MaxWalkAccesses {
 			res.MaxWalkAccesses = tr.MemAccesses

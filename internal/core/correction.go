@@ -32,12 +32,8 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 	// guesses) by roughly 4x versus a full 4-chunk MAC per guess. Every
 	// guess still counts as one ReadMACCompute (one logical verification);
 	// ChunkEncrypts carries the honest cipher-work accounting.
-	incremental := !g.cfg.DisableIncrementalMAC
-	var cc mac.ChunkCache
-	if incremental {
-		cc = g.auth.Precompute(maskedImage(line, f.ProtectedMask), addr)
-		g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
-	}
+	cc := g.auth.Precompute(maskedImage(line, f.ProtectedMask), addr)
+	g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
 
 	check := func(cand pte.Line) bool {
 		guesses++
@@ -45,15 +41,8 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 			return true
 		}
 		img := maskedImage(cand, f.ProtectedMask)
-		var computed mac.Tag
-		if incremental {
-			var enc int
-			computed, enc = g.auth.ComputeDelta(&cc, &img)
-			g.ctr.ChunkEncrypts += uint64(enc)
-		} else {
-			computed = g.auth.Compute(img, addr)
-			g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
-		}
+		computed, enc := g.auth.ComputeDelta(&cc, &img)
+		g.ctr.ChunkEncrypts += uint64(enc)
 		g.ctr.ReadMACComputes++
 		ok, err := computed.SoftMatch(stored, k)
 		return err == nil && ok
@@ -66,28 +55,12 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 
 	// Step 2: flip and check every protected bit (single bit-flip in the
 	// payload, possibly alongside MAC-bit faults absorbed by soft match).
-	// This is the bulk of the search (ProtectedBits x 8 candidates); on the
-	// incremental path the candidates are scored in waves of 64 through
-	// ComputeDeltaBatch, pooling their dirty chunks into shared sliced
-	// cipher passes.
+	// This is the bulk of the search (ProtectedBits x 8 candidates): the
+	// candidates are scored in waves of 64 through ComputeDeltaBatch,
+	// pooling their dirty chunks into shared sliced cipher passes.
 	if !g.cfg.DisableFlipAndCheck {
-		if incremental {
-			if cand, ok := g.flipAndCheckBatched(line, &cc, stored, k, &guesses); ok {
-				return cand, guesses, true
-			}
-		} else {
-			for i := 0; i < pte.PTEsPerLine; i++ {
-				m := f.ProtectedMask
-				for m != 0 {
-					b := bits.TrailingZeros64(m)
-					m &= m - 1
-					cand := line
-					cand[i] = pte.Entry(uint64(cand[i]) ^ 1<<uint(b))
-					if check(cand) {
-						return cand, guesses, true
-					}
-				}
-			}
+		if cand, ok := g.flipAndCheckBatched(line, &cc, stored, k, &guesses); ok {
+			return cand, guesses, true
 		}
 	}
 
@@ -162,15 +135,13 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 // 64-lane sliced kernel exactly once.
 const flipWave = 64
 
-// flipAndCheckBatched is the batched form of the step-2 search: candidates
-// are generated in the same (PTE, bit) order as the scalar loop, scored in
-// waves through ComputeDeltaBatch, and then *consumed sequentially* — each
-// candidate charges CorrectionGuesses/ReadMACComputes/ChunkEncrypts exactly
-// as the scalar check() would, and consumption stops at the first match. A
-// wave's remaining lanes are speculative cipher work the hardware analog
-// performs in parallel; the counters keep the sequential model's honest
-// accounting, so batched and scalar searches are counter-identical (pinned
-// by the equivalence tests).
+// flipAndCheckBatched is the step-2 search: candidates are generated in
+// (PTE, bit) order, scored in waves through ComputeDeltaBatch, and then
+// *consumed sequentially* — each candidate charges
+// CorrectionGuesses/ReadMACComputes/ChunkEncrypts exactly as check() would,
+// and consumption stops at the first match. A wave's remaining lanes are
+// speculative cipher work the hardware analog performs in parallel; the
+// counters keep the sequential model's honest accounting.
 func (g *Guard) flipAndCheckBatched(line pte.Line, cc *mac.ChunkCache, stored mac.Tag, k int, guesses *int) (pte.Line, bool) {
 	f := g.cfg.Format
 	var cands [flipWave]pte.Line

@@ -71,11 +71,6 @@ type Config struct {
 	DisableZeroReset    bool
 	DisableFlagVote     bool
 	DisableContiguity   bool
-	// DisableIncrementalMAC makes every correction guess recompute the
-	// full line MAC instead of riding the per-chunk cipher cache (the
-	// reference path the equivalence tests compare against; also useful
-	// to measure the incremental search's cipher-work saving).
-	DisableIncrementalMAC bool
 	// CTBEntries sizes the Collision Tracking Buffer; 0 selects 4.
 	CTBEntries int
 	// MACLatencyCycles is the MAC computation delay used by the timing

@@ -116,7 +116,7 @@ func TestProcBackendDeterminismFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := runCampaign(t, jobs, harness.Options{Workers: 2})
-	co := startProc(t, Campaign{Kind: KindFaults, Spec: spec, Seed: seed}, 4, nil)
+	co := startProc(t, Campaign{Kind: spec.Kind(), Spec: spec, Seed: seed}, 4, nil)
 	got := runCampaign(t, jobs, procOpts(co))
 	if string(got) != string(local) {
 		t.Errorf("proc results diverge from local:\nlocal: %.200s\nproc:  %.200s", local, got)
@@ -144,7 +144,7 @@ func TestWorkerKillRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := startProc(t, Campaign{Kind: KindSynthetic, Spec: spec, Seed: seed}, 2, inj)
+	co := startProc(t, Campaign{Kind: spec.Kind(), Spec: spec, Seed: seed}, 2, inj)
 	opts := procOpts(co)
 	opts.Retries = 0
 	got := runCampaign(t, jobs, opts)
@@ -194,7 +194,7 @@ func TestTCPBackend(t *testing.T) {
 	local := runCampaign(t, jobs, harness.Options{Workers: 2})
 
 	addr := ln.Addr().String()
-	co, err := Start(Campaign{Kind: KindSynthetic, Spec: spec, Seed: seed},
+	co, err := Start(Campaign{Kind: spec.Kind(), Spec: spec, Seed: seed},
 		Options{Connect: []string{addr, addr, addr}})
 	if err != nil {
 		t.Fatalf("Start tcp: %v", err)
@@ -246,7 +246,7 @@ func TestJournalResumeAcrossBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	co := startProc(t, Campaign{Kind: KindCorrection, Spec: spec, Seed: seed}, 2, nil)
+	co := startProc(t, Campaign{Kind: spec.Kind(), Spec: spec, Seed: seed}, 2, nil)
 	opts := procOpts(co)
 	opts.JournalPath = journal
 	opts.Fingerprint = fp

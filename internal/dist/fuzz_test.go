@@ -12,7 +12,7 @@ import (
 // as trusted, so acceptance has to imply integrity).
 func FuzzDistFrame(f *testing.F) {
 	seedMsgs := []Message{
-		{Type: MsgHello, Magic: Magic, Version: Version, Kind: KindCorrection,
+		{Type: MsgHello, Magic: Magic, Version: Version, Kind: KindSlowdown,
 			Spec: json.RawMessage(`{"Lines":10}`), Seed: 42, HeartbeatMS: 200},
 		{Type: MsgJob, Key: "correction/p0"},
 		{Type: MsgResult, Key: "correction/p0", Result: json.RawMessage(`{"x":1}`), ElapsedMS: 2.5},

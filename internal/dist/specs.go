@@ -9,31 +9,11 @@ import (
 	"ptguard/internal/stats"
 )
 
-// The spec-kind catalog: every harness campaign a CLI can run is
-// registered here, so any of them can be handed to a worker process by
-// name. The kind strings are part of the wire protocol and of journal
-// fingerprints — never reuse or rename one.
-const (
-	KindSlowdown   = "slowdown"
-	KindMulticore  = "multicore"
-	KindAblation   = "ablation"
-	KindCorrection = "correction"
-	KindFaults     = "faults"
-	KindMitigate   = "mitigate"
-	KindVirt       = "virt"
-	KindSynthetic  = "synthetic"
-)
+// KindSlowdown names the Fig. 6/7 campaign kind, for callers that start a
+// coordinator on a harness.SlowdownSpec.
+var KindSlowdown = harness.SlowdownSpec{}.Kind()
 
-func init() {
-	register(KindSlowdown, harness.SlowdownSpec.Jobs)
-	register(KindMulticore, harness.MulticoreSpec.Jobs)
-	register(KindAblation, harness.AblationSpec.Jobs)
-	register(KindCorrection, harness.CorrectionSpec.Jobs)
-	register(KindFaults, harness.FaultSpec.Jobs)
-	register(KindMitigate, harness.MitigateSpec.Jobs)
-	register(KindVirt, harness.VirtSpec.Jobs)
-	register(KindSynthetic, SyntheticSpec.Jobs)
-}
+func init() { harness.Register[SyntheticSpec, SyntheticResult]() }
 
 // SyntheticSpec is a fixed-cost calibration campaign: each job sleeps
 // CostMS and returns a seed-derived token. Because the per-job cost is
@@ -47,6 +27,9 @@ type SyntheticSpec struct {
 	// CostMS is the fixed wall-clock cost per job; 0 selects 10ms.
 	CostMS int `json:"cost_ms"`
 }
+
+// Kind names the synthetic calibration campaign.
+func (SyntheticSpec) Kind() string { return "synthetic" }
 
 // SyntheticResult is one synthetic job's output; Token is a pure
 // function of (campaign seed, job key), so cross-backend determinism
@@ -85,4 +68,10 @@ func (s SyntheticSpec) Jobs(campaignSeed uint64) ([]harness.Job[SyntheticResult]
 		})
 	}
 	return jobs, nil
+}
+
+// Report renders nothing: the synthetic campaign exists to time backends,
+// and its callers compare results directly.
+func (SyntheticSpec) Report([]SyntheticResult) (*harness.Output, error) {
+	return &harness.Output{}, nil
 }

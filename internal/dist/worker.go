@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime/debug"
 	"time"
+
+	"ptguard/internal/harness"
 )
 
 // Serve runs one worker session over a byte stream pair: handshake,
@@ -30,12 +32,12 @@ func Serve(r io.Reader, w io.Writer) error {
 		out.Write(Message{Type: MsgError, Error: err.Error()})
 		return err
 	}
-	js, err := expand(hello.Kind, hello.Spec, hello.Seed)
+	js, err := harness.Expand(hello.Kind, hello.Spec, hello.Seed)
 	if err != nil {
 		out.Write(Message{Type: MsgError, Error: err.Error()})
 		return err
 	}
-	if err := out.Write(Message{Type: MsgReady, Magic: Magic, Version: Version, Jobs: len(js.keys)}); err != nil {
+	if err := out.Write(Message{Type: MsgReady, Magic: Magic, Version: Version, Jobs: len(js.Keys)}); err != nil {
 		return fmt.Errorf("dist: worker handshake write: %w", err)
 	}
 
@@ -79,12 +81,7 @@ func checkHello(m Message) error {
 // runs. A panic inside the job becomes a job error on the result frame
 // (mirroring the local pool's recover), so a poisoned job burns harness
 // retries instead of killing the worker.
-func runJob(js *jobSet, key string, out *frameWriter, heartbeat time.Duration) Message {
-	run, ok := js.run[key]
-	if !ok {
-		return Message{Type: MsgResult, Key: key, Error: fmt.Sprintf("dist: unknown job key %q", key)}
-	}
-
+func runJob(js *harness.JobSet, key string, out *frameWriter, heartbeat time.Duration) Message {
 	stop := make(chan struct{})
 	beatDone := make(chan struct{})
 	go func() {
@@ -113,7 +110,7 @@ func runJob(js *jobSet, key string, out *frameWriter, heartbeat time.Duration) M
 				err = fmt.Errorf("dist: job %q panicked: %v\n%s", key, r, debug.Stack())
 			}
 		}()
-		return run(context.Background())
+		return js.Run(context.Background(), key)
 	}()
 	close(stop)
 	<-beatDone

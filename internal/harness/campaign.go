@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"ptguard/internal/attack"
 	"ptguard/internal/mac"
@@ -93,6 +94,11 @@ type SlowdownResult struct {
 	Obs        map[string]*obs.RunMetrics `json:"obs,omitempty"`
 }
 
+func init() { Register[SlowdownSpec, SlowdownResult]() }
+
+// Kind names the Fig. 6/7 campaign.
+func (SlowdownSpec) Kind() string { return "slowdown" }
+
 func (s SlowdownSpec) withDefaults() SlowdownSpec {
 	if len(s.Modes) == 0 {
 		s.Modes = []sim.Mode{sim.PTGuard, sim.PTGuardOptimized}
@@ -156,13 +162,13 @@ func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	return jobs, nil
 }
 
-// SlowdownTables aggregates grid results into one Fig. 6-style table per
-// MAC latency (several latencies form the Fig. 7 sweep), each with the
-// AMEAN / GMEAN-IPC / WORST summary rows.
-func SlowdownTables(results []SlowdownResult, modes []sim.Mode) ([]*report.Table, error) {
-	if len(modes) == 0 {
-		modes = []sim.Mode{sim.PTGuard, sim.PTGuardOptimized}
-	}
+// Report aggregates grid results into one Fig. 6-style table per MAC
+// latency (several latencies form the Fig. 7 sweep), each with the
+// AMEAN / GMEAN-IPC / WORST summary rows. Each mode's observability data
+// is labelled workload/macN/mode.
+func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
+	modes := s.withDefaults().Modes
+	out := &Output{}
 	var order []int
 	byLat := make(map[int][]sim.Comparison)
 	for _, r := range results {
@@ -170,12 +176,19 @@ func SlowdownTables(results []SlowdownResult, modes []sim.Mode) ([]*report.Table
 			order = append(order, r.MACLatency)
 		}
 		byLat[r.MACLatency] = append(byLat[r.MACLatency], r.Comparison)
+		names := make([]string, 0, len(r.Obs))
+		for m := range r.Obs {
+			names = append(names, m)
+		}
+		sort.Strings(names)
+		for _, m := range names {
+			out.Runs = append(out.Runs, LabelledRun{fmt.Sprintf("%s/mac%d/%s", r.Comparison.Workload, r.MACLatency, m), r.Obs[m]})
+		}
 	}
 	headers := []string{"workload", "suite", "LLC MPKI"}
 	for _, m := range modes {
 		headers = append(headers, m.String()+" slowdown")
 	}
-	var tables []*report.Table
 	for _, lat := range order {
 		cmps := byLat[lat]
 		tbl := report.New(
@@ -207,9 +220,9 @@ func SlowdownTables(results []SlowdownResult, modes []sim.Mode) ([]*report.Table
 		tbl.AddRow(amean...)
 		tbl.AddRow(gmean...)
 		tbl.AddRow(worst...)
-		tables = append(tables, tbl)
+		out.Tables = append(out.Tables, tbl)
 	}
-	return tables, nil
+	return out, nil
 }
 
 func suiteOf(name string) string {
@@ -238,6 +251,11 @@ type MulticoreSpec struct {
 	// queueing delay).
 	Model string
 }
+
+func init() { Register[MulticoreSpec, sim.MulticoreResult]() }
+
+// Kind names the §VII-C campaign.
+func (MulticoreSpec) Kind() string { return "multicore" }
 
 func (s MulticoreSpec) withDefaults() MulticoreSpec {
 	if s.Warmup == 0 {
@@ -307,8 +325,8 @@ func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], er
 	return jobs, nil
 }
 
-// MulticoreTable aggregates mix results with AVERAGE and WORST rows.
-func MulticoreTable(results []sim.MulticoreResult) (*report.Table, error) {
+// Report aggregates mix results with AVERAGE and WORST rows.
+func (MulticoreSpec) Report(results []sim.MulticoreResult) (*Output, error) {
 	if len(results) == 0 {
 		return nil, errors.New("harness: no multicore results")
 	}
@@ -329,7 +347,7 @@ func MulticoreTable(results []sim.MulticoreResult) (*report.Table, error) {
 	}
 	tbl.AddRow("AVERAGE", report.Pct(mean))
 	tbl.AddRow("WORST ("+worstName+")", report.Pct(worst))
-	return tbl, nil
+	return &Output{Tables: []*report.Table{tbl}}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +395,11 @@ var strategyAblations = []struct {
 	{name: "without flag majority vote", mutate: func(c *attack.CorrectionConfig) { c.DisableFlagVote = true }},
 	{name: "without PFN contiguity", mutate: func(c *attack.CorrectionConfig) { c.DisableContiguity = true }},
 }
+
+func init() { Register[AblationSpec, AblationResult]() }
+
+// Kind names the ablation campaign.
+func (AblationSpec) Kind() string { return "ablation" }
 
 func (s AblationSpec) withDefaults() AblationSpec {
 	if s.Lines == 0 {
@@ -431,13 +454,13 @@ func (s AblationSpec) Jobs(campaignSeed uint64) ([]Job[AblationResult], error) {
 	return jobs, nil
 }
 
-// AblationTables aggregates ablation results into the three tables of the
-// sweep's ablation section: strategy contributions, the k trade-off (with the
+// Report aggregates ablation results into the three tables of the sweep's
+// ablation section: strategy contributions, the k trade-off (with the
 // analytic security column), and the MAC-width design point.
-func AblationTables(results []AblationResult, spec AblationSpec) ([]*report.Table, error) {
-	spec = spec.withDefaults()
+func (s AblationSpec) Report(results []AblationResult) (*Output, error) {
+	s = s.withDefaults()
 	steps := report.New(
-		fmt.Sprintf("Correction guess strategies (p=%.5f, %d lines)", spec.FlipProb, spec.Lines),
+		fmt.Sprintf("Correction guess strategies (p=%.5f, %d lines)", s.FlipProb, s.Lines),
 		"configuration", "corrected %", "coverage %")
 	kTbl := report.New("Soft-match budget k trade-off",
 		"k", "corrected %", "effective MAC bits", "attack years")
@@ -464,7 +487,7 @@ func AblationTables(results []AblationResult, spec AblationSpec) ([]*report.Tabl
 			return nil, fmt.Errorf("harness: unknown ablation kind %q", r.Kind)
 		}
 	}
-	return []*report.Table{steps, kTbl, wTbl}, nil
+	return &Output{Tables: []*report.Table{steps, kTbl, wTbl}}, nil
 }
 
 // CorrectionSpec declares the Fig. 9 sweep: correction rate vs per-bit
@@ -482,6 +505,11 @@ type CorrectionPoint struct {
 	FlipProb float64                 `json:"flip_prob"`
 	Result   attack.CorrectionResult `json:"result"`
 }
+
+func init() { Register[CorrectionSpec, CorrectionPoint]() }
+
+// Kind names the Fig. 9 campaign.
+func (CorrectionSpec) Kind() string { return "correction" }
 
 func (s CorrectionSpec) withDefaults() CorrectionSpec {
 	if s.Lines == 0 {
@@ -514,16 +542,15 @@ func (s CorrectionSpec) Jobs(campaignSeed uint64) ([]Job[CorrectionPoint], error
 	return jobs, nil
 }
 
-// CorrectionTable aggregates the Fig. 9 sweep.
-func CorrectionTable(results []CorrectionPoint, spec CorrectionSpec) (*report.Table, error) {
-	spec = spec.withDefaults()
+// Report aggregates the Fig. 9 sweep.
+func (s CorrectionSpec) Report(results []CorrectionPoint) (*Output, error) {
 	tbl := report.New(
-		fmt.Sprintf("Fig. 9 — correction vs per-bit flip probability (%d lines)", spec.Lines),
+		fmt.Sprintf("Fig. 9 — correction vs per-bit flip probability (%d lines)", s.withDefaults().Lines),
 		"p", "erroneous", "corrected %", "coverage %", "miscorrected")
 	for _, r := range results {
 		tbl.AddRow(fmt.Sprintf("%.5f", r.FlipProb), report.I(r.Result.Erroneous),
 			report.Pct(r.Result.CorrectedPct()), report.Pct(r.Result.CoveragePct()),
 			report.I(r.Result.Miscorrected))
 	}
-	return tbl, nil
+	return &Output{Tables: []*report.Table{tbl}}, nil
 }

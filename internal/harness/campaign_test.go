@@ -25,12 +25,12 @@ func renderSlowdown(t *testing.T, rep *Report[SlowdownResult]) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := SlowdownTables(results, nil)
+	out, err := smallSlowdown.Report(results)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	for _, tbl := range tables {
+	for _, tbl := range out.Tables {
 		if err := tbl.Render(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -153,10 +153,11 @@ func TestAblationTablesAggregation(t *testing.T) {
 	results = append(results,
 		AblationResult{Kind: AblationSoftK, Label: "k=4", SoftK: 4, Correction: fake},
 		AblationResult{Kind: AblationWidth, Label: "96-bit", TagBits: 96, Correction: fake})
-	tables, err := AblationTables(results, spec)
+	out, err := spec.Report(results)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := out.Tables
 	if len(tables) != 3 {
 		t.Fatalf("got %d tables, want 3", len(tables))
 	}
@@ -164,7 +165,7 @@ func TestAblationTablesAggregation(t *testing.T) {
 		t.Errorf("row split = %d/%d/%d, want 2/1/1",
 			len(tables[0].Rows), len(tables[1].Rows), len(tables[2].Rows))
 	}
-	if _, err := AblationTables([]AblationResult{{Kind: "mystery"}}, spec); err == nil {
+	if _, err := spec.Report([]AblationResult{{Kind: "mystery"}}); err == nil {
 		t.Error("unknown ablation kind accepted")
 	}
 }
@@ -177,14 +178,14 @@ func TestCorrectionSpecDefaultsToFig9Probs(t *testing.T) {
 	if len(jobs) != len(attack.Fig9FlipProbs) {
 		t.Fatalf("got %d jobs, want %d", len(jobs), len(attack.Fig9FlipProbs))
 	}
-	tbl, err := CorrectionTable([]CorrectionPoint{
+	out, err := CorrectionSpec{}.Report([]CorrectionPoint{
 		{FlipProb: 1.0 / 512, Result: attack.CorrectionResult{Erroneous: 5, Corrected: 5}},
-	}, CorrectionSpec{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
+	if err := out.Tables[0].Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Fig. 9", "corrected %", "100.00%"} {
@@ -195,7 +196,7 @@ func TestCorrectionSpecDefaultsToFig9Probs(t *testing.T) {
 }
 
 func TestMulticoreTableSummaryRows(t *testing.T) {
-	tbl, err := MulticoreTable([]sim.MulticoreResult{
+	rendered, err := MulticoreSpec{}.Report([]sim.MulticoreResult{
 		{Mix: "a-SAME", SlowdownPct: 1.5},
 		{Mix: "MIX-01", SlowdownPct: 3.5},
 	})
@@ -203,7 +204,7 @@ func TestMulticoreTableSummaryRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
+	if err := rendered.Tables[0].Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -212,7 +213,7 @@ func TestMulticoreTableSummaryRows(t *testing.T) {
 			t.Errorf("multicore table missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := MulticoreTable(nil); err == nil {
+	if _, err := (MulticoreSpec{}).Report(nil); err == nil {
 		t.Error("empty result set accepted")
 	}
 }

@@ -40,6 +40,11 @@ type FaultSpec struct {
 	Obs *ObsSpec
 }
 
+func init() { Register[FaultSpec, fault.CampaignResult]() }
+
+// Kind names the fault-model taxonomy campaign.
+func (FaultSpec) Kind() string { return "faults" }
+
 func (s FaultSpec) withDefaults() FaultSpec {
 	if len(s.Modes) == 0 {
 		s.Modes = []string{FaultModeDetect, FaultModeCorrect}
@@ -109,16 +114,17 @@ func (s FaultSpec) Jobs(campaignSeed uint64) ([]Job[fault.CampaignResult], error
 	return jobs, nil
 }
 
-// FaultTables aggregates campaign results into the confusion-matrix table
-// (one row per model and mode, with a TOTAL row) and a flip-attribution
-// table showing where the injected faults landed in DRAM.
-func FaultTables(results []fault.CampaignResult, spec FaultSpec) ([]*report.Table, error) {
+// Report aggregates campaign results into the confusion-matrix table (one
+// row per model and mode, with a TOTAL row) and a flip-attribution table
+// showing where the injected faults landed in DRAM. Each campaign's
+// observability data is labelled model/mode.
+func (s FaultSpec) Report(results []fault.CampaignResult) (*Output, error) {
 	if len(results) == 0 {
 		return nil, errors.New("harness: no fault campaign results")
 	}
-	spec = spec.withDefaults()
+	out := &Output{}
 	matrix := report.New(
-		fmt.Sprintf("Fault-model taxonomy — Guard confusion matrix (%d faulty lines per cell)", spec.Lines),
+		fmt.Sprintf("Fault-model taxonomy — Guard confusion matrix (%d faulty lines per cell)", s.withDefaults().Lines),
 		"model", "mode", "flips", "faulty", "detected", "corrected",
 		"miscorrected", "silent", "corrected %", "coverage %", "guesses")
 	var total fault.Matrix
@@ -133,6 +139,7 @@ func FaultTables(results []fault.CampaignResult, spec FaultSpec) ([]*report.Tabl
 			report.U(r.Guesses))
 		total.Add(m)
 		totalGuesses += r.Guesses
+		out.Runs = append(out.Runs, LabelledRun{r.Model + "/" + r.Mode, r.Obs})
 	}
 	matrix.AddRow("TOTAL", "",
 		report.U(total.FlipsInjected), report.U(total.Faulty()),
@@ -153,5 +160,6 @@ func FaultTables(results []fault.CampaignResult, spec FaultSpec) ([]*report.Tabl
 		}
 		attr.AddRow(r.Model, r.Mode, report.U(r.Device.FlipsInjected), strings.Join(hot, " "))
 	}
-	return []*report.Table{matrix, attr}, nil
+	out.Tables = []*report.Table{matrix, attr}
+	return out, nil
 }

@@ -46,6 +46,11 @@ type MitigateSpec struct {
 	BudgetPerWindow int
 }
 
+func init() { Register[MitigateSpec, attack.MitigationTrialResult]() }
+
+// Kind names the mitigation head-to-head campaign.
+func (MitigateSpec) Kind() string { return "mitigate" }
+
 func (s MitigateSpec) withDefaults() MitigateSpec {
 	if len(s.Mitigations) == 0 {
 		s.Mitigations = mitigate.Names()
@@ -129,31 +134,23 @@ type mitigateCell struct {
 	res     attack.MitigationTrialResult
 	trials  int
 	flips   int
-	walks   int
-	detect  int
-	fault   int
-	silent  int
+	walks   attack.WalkTally
 	refresh uint64
 	dropped uint64
 	starved uint64
 }
 
-// MitigateTables aggregates trial results into the head-to-head matrix:
-// one row per (mitigation, pattern, guard) with trial-summed outcome
-// counts, the defense verdict, and the mitigation cost columns.
-func MitigateTables(results []attack.MitigationTrialResult, spec MitigateSpec) ([]*report.Table, error) {
+// Report aggregates trial results into the head-to-head matrix: one row
+// per (mitigation, pattern, guard) with trial-summed outcome counts, the
+// defense verdict, and the mitigation cost columns.
+func (s MitigateSpec) Report(results []attack.MitigationTrialResult) (*Output, error) {
 	if len(results) == 0 {
 		return nil, errors.New("harness: no mitigation trial results")
 	}
-	spec = spec.withDefaults()
 	cells := make(map[string]*mitigateCell)
 	var order []string
 	for _, r := range results {
-		guard := GuardOff
-		if r.Protected {
-			guard = GuardOn
-		}
-		key := r.Mitigation + "/" + r.Pattern + "/" + guard
+		key := r.Mitigation + "/" + r.Pattern + "/" + guardMode(r.Protected)
 		c := cells[key]
 		if c == nil {
 			c = &mitigateCell{res: r}
@@ -162,10 +159,7 @@ func MitigateTables(results []attack.MitigationTrialResult, spec MitigateSpec) (
 		}
 		c.trials++
 		c.flips += r.RowsFlipped
-		c.walks += r.WalksChecked
-		c.detect += r.Detected
-		c.fault += r.Faulted
-		c.silent += r.Silent
+		c.walks.Add(r.WalkTally)
 		c.refresh += r.Stats.RefreshesIssued
 		c.dropped += r.Stats.RefreshesDropped
 		c.starved += r.Stats.Budget.StarvedWindows
@@ -173,34 +167,25 @@ func MitigateTables(results []attack.MitigationTrialResult, spec MitigateSpec) (
 
 	matrix := report.New(
 		fmt.Sprintf("Mitigation head-to-head — %d trials per cell, %d victim pages walked per trial",
-			spec.Trials, attack.VictimPages),
+			s.withDefaults().Trials, attack.VictimPages),
 		"mitigation", "pattern", "guard", "trials", "row flips",
 		"detected", "faulted", "silent", "coverage %", "verdict",
 		"refreshes", "dropped", "starved wins")
 	for _, key := range order {
 		c := cells[key]
-		coverage := 100.0
-		if bad := c.detect + c.silent; bad > 0 {
-			coverage = 100 * float64(c.detect) / float64(bad)
-		}
-		verdict := "defended"
-		switch {
-		case c.silent > 0:
-			verdict = "DEFEATED"
-		case c.fault > 0:
-			verdict = "crashed"
-		case c.flips == 0:
-			verdict = "no flips"
-		}
-		guard := GuardOff
-		if c.res.Protected {
-			guard = GuardOn
-		}
-		matrix.AddRow(c.res.Mitigation, c.res.Pattern, guard,
+		matrix.AddRow(c.res.Mitigation, c.res.Pattern, guardMode(c.res.Protected),
 			report.I(c.trials), report.I(c.flips),
-			report.I(c.detect), report.I(c.fault), report.I(c.silent),
-			report.Pct(coverage), verdict,
+			report.I(c.walks.Detected), report.I(c.walks.Faulted), report.I(c.walks.Silent),
+			report.Pct(c.walks.CoveragePct()), c.walks.Verdict(c.flips),
 			report.U(c.refresh), report.U(c.dropped), report.U(c.starved))
 	}
-	return []*report.Table{matrix}, nil
+	return &Output{Tables: []*report.Table{matrix}}, nil
+}
+
+// guardMode names a trial's PT-Guard setting.
+func guardMode(protected bool) string {
+	if protected {
+		return GuardOn
+	}
+	return GuardOff
 }

@@ -51,12 +51,12 @@ func TestMitigateCampaignDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := MitigateTables(results, spec)
+		out, err := spec.Report(results)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		if err := tables[0].RenderCSV(&sb); err != nil {
+		if err := out.Tables[0].RenderCSV(&sb); err != nil {
 			t.Fatal(err)
 		}
 		return strings.Split(sb.String(), "\n")

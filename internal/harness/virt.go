@@ -40,6 +40,11 @@ type VirtSpec struct {
 	Obs *ObsSpec
 }
 
+func init() { Register[VirtSpec, attack.VMTrialResult]() }
+
+// Kind names the inter-VM campaign.
+func (VirtSpec) Kind() string { return "virt" }
+
 func (s VirtSpec) withDefaults() VirtSpec {
 	if len(s.Tenants) == 0 {
 		s.Tenants = []int{4}
@@ -127,27 +132,25 @@ type virtCell struct {
 	res    attack.VMTrialResult
 	trials int
 	flips  int
-	walks  int
-	detect int
+	walks  attack.WalkTally
 	s2det  int
-	fault  int
-	silent int
-	intact int
 	maxAcc int
 }
 
-// VirtTables aggregates trial results into the inter-VM matrix: one row per
+// Report aggregates trial results into the inter-VM matrix: one row per
 // (tenants, target, placement) with trial-summed outcome counts, PT-Guard
-// coverage, and the defense verdict.
-func VirtTables(results []attack.VMTrialResult, spec VirtSpec) ([]*report.Table, error) {
+// coverage, and the defense verdict. Each trial's observability data is
+// labelled tNNN/target/placement.
+func (s VirtSpec) Report(results []attack.VMTrialResult) (*Output, error) {
 	if len(results) == 0 {
 		return nil, errors.New("harness: no inter-VM trial results")
 	}
-	spec = spec.withDefaults()
+	out := &Output{}
 	cells := make(map[string]*virtCell)
 	var order []string
 	for _, r := range results {
 		key := fmt.Sprintf("t%03d/%s/%s", r.Tenants, r.Target, r.Placement)
+		out.Runs = append(out.Runs, LabelledRun{key, r.Obs})
 		c := cells[key]
 		if c == nil {
 			c = &virtCell{res: r}
@@ -156,42 +159,24 @@ func VirtTables(results []attack.VMTrialResult, spec VirtSpec) ([]*report.Table,
 		}
 		c.trials++
 		c.flips += r.RowsFlipped
-		c.walks += r.WalksChecked
-		c.detect += r.Detected
+		c.walks.Add(r.WalkTally)
 		c.s2det += r.DetectedStage2
-		c.fault += r.Faulted
-		c.silent += r.Silent
-		c.intact += r.Intact
-		if r.MaxWalkAccesses > c.maxAcc {
-			c.maxAcc = r.MaxWalkAccesses
-		}
+		c.maxAcc = max(c.maxAcc, r.MaxWalkAccesses)
 	}
 
 	matrix := report.New(
-		fmt.Sprintf("Inter-VM Rowhammer — %d trials per cell, victim pages walked post-attack", spec.Trials),
+		fmt.Sprintf("Inter-VM Rowhammer — %d trials per cell, victim pages walked post-attack", s.withDefaults().Trials),
 		"tenants", "target", "placement", "trials", "row flips", "walks",
 		"detected", "s2 det", "faulted", "silent", "intact",
 		"coverage %", "max walk", "verdict")
 	for _, key := range order {
 		c := cells[key]
-		coverage := 100.0
-		if bad := c.detect + c.silent; bad > 0 {
-			coverage = 100 * float64(c.detect) / float64(bad)
-		}
-		verdict := "defended"
-		switch {
-		case c.silent > 0:
-			verdict = "DEFEATED"
-		case c.fault > 0:
-			verdict = "crashed"
-		case c.flips == 0:
-			verdict = "no flips"
-		}
 		matrix.AddRow(report.I(c.res.Tenants), c.res.Target, c.res.Placement,
-			report.I(c.trials), report.I(c.flips), report.I(c.walks),
-			report.I(c.detect), report.I(c.s2det), report.I(c.fault),
-			report.I(c.silent), report.I(c.intact),
-			report.Pct(coverage), report.I(c.maxAcc), verdict)
+			report.I(c.trials), report.I(c.flips), report.I(c.walks.WalksChecked),
+			report.I(c.walks.Detected), report.I(c.s2det), report.I(c.walks.Faulted),
+			report.I(c.walks.Silent), report.I(c.walks.Intact),
+			report.Pct(c.walks.CoveragePct()), report.I(c.maxAcc), c.walks.Verdict(c.flips))
 	}
-	return []*report.Table{matrix}, nil
+	out.Tables = []*report.Table{matrix}
+	return out, nil
 }

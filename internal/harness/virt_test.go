@@ -62,10 +62,11 @@ func TestVirtCampaignEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := VirtTables(results, spec)
+	out, err := spec.Report(results)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := out.Tables
 	if len(tables) != 1 {
 		t.Fatalf("got %d tables, want 1", len(tables))
 	}

@@ -22,16 +22,6 @@ const (
 	deltaGroup = 64
 )
 
-// BatchGroupLines returns how many lines fill one sliced cipher pass — the
-// natural batch granularity callers should aim for (multiples of it keep
-// every pass full).
-func (a *Authenticator) BatchGroupLines() int {
-	if a.cipher64 != nil {
-		return groupLines64
-	}
-	return groupLines128
-}
-
 // ComputeBatch computes dst[i] = Compute(lines[i], addrs[i]) for every i
 // through the sliced kernel. The three slices must have equal length.
 func (a *Authenticator) ComputeBatch(dst []Tag, lines [][LineBytes]byte, addrs []uint64) {
@@ -112,70 +102,6 @@ func marshalChunks64(src, tw *[64]uint64, k int, line *[LineBytes]byte, addr uin
 		chunkAddr := addr + uint64(i*qarma.Block64Size)
 		src[k+i] = chunk ^ chunkAddr
 		tw[k+i] = chunkAddr
-	}
-}
-
-// VerifyBatch sets ok[i] to whether want[i] equals the freshly computed MAC
-// of lines[i] at addrs[i]. All four slices must have equal length.
-func (a *Authenticator) VerifyBatch(ok []bool, want []Tag, lines [][LineBytes]byte, addrs []uint64) {
-	if len(ok) != len(lines) || len(want) != len(lines) || len(addrs) != len(lines) {
-		panic("mac: VerifyBatch slice lengths differ")
-	}
-	var tags [64]Tag
-	for base := 0; base < len(lines); base += len(tags) {
-		n := len(lines) - base
-		if n > len(tags) {
-			n = len(tags)
-		}
-		a.ComputeBatch(tags[:n], lines[base:base+n], addrs[base:base+n])
-		for j := 0; j < n; j++ {
-			ok[base+j] = want[base+j].Equal(tags[j])
-		}
-	}
-}
-
-// PrecomputeBatch primes dst[i] with the chunk cache of lines[i] at
-// addrs[i] — batch-enciphered, otherwise identical to per-line Precompute.
-func (a *Authenticator) PrecomputeBatch(dst []ChunkCache, lines [][LineBytes]byte, addrs []uint64) {
-	if len(dst) != len(lines) || len(addrs) != len(lines) {
-		panic("mac: PrecomputeBatch slice lengths differ")
-	}
-	use64 := a.cipher64 != nil
-	var src, tw [64]qarma.Block
-	var src64, tw64 [64]uint64
-	group := groupLines128
-	if use64 {
-		group = groupLines64
-	}
-	for base := 0; base < len(lines); base += group {
-		n := len(lines) - base
-		if n > group {
-			n = group
-		}
-		if use64 {
-			nb := n * chunks64
-			for j := 0; j < n; j++ {
-				marshalChunks64(&src64, &tw64, j*chunks64, &lines[base+j], addrs[base+j])
-			}
-			a.cipher64.EncryptBlocks(src64[:nb], src64[:nb], tw64[:nb])
-		} else {
-			nb := n * chunks128
-			for j := 0; j < n; j++ {
-				marshalChunks128(&src, &tw, j*chunks128, &lines[base+j], addrs[base+j])
-			}
-			a.cipher.EncryptBlocks(src[:nb], src[:nb], tw[:nb])
-		}
-		for j := 0; j < n; j++ {
-			cc := &dst[base+j]
-			cc.base = lines[base+j]
-			cc.addr = addrs[base+j]
-			cc.use64 = use64
-			if use64 {
-				copy(cc.out64[:], src64[j*chunks64:(j+1)*chunks64])
-			} else {
-				copy(cc.out[:], src[j*chunks128:(j+1)*chunks128])
-			}
-		}
 	}
 }
 

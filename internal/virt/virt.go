@@ -146,8 +146,8 @@ type Host struct {
 	Alloc      *ostable.FrameAllocator
 	GuestAlloc *ostable.FrameAllocator
 	TLB        *tlb.TLB
-	Walker    *tlb.NestedWalker
-	VMs       []*VM
+	Walker     *tlb.NestedWalker
+	VMs        []*VM
 
 	cfg Config
 }
