@@ -81,8 +81,8 @@ bench-json:
 	$(GO) test -bench=. -benchmem -run=^$$ . | $(GO) run ./cmd/ptguard bench -out .
 
 # bench-compare diffs the two newest committed baselines and fails when any
-# shared benchmark's ns/op regressed by more than 10% (tune with
-# `ptguard bench -threshold`).
+# shared benchmark's ns/op, B/op or allocs/op rose, or a */sec throughput
+# fell, by more than 10% (tune with `ptguard bench -threshold`).
 bench-compare:
 	$(GO) run ./cmd/ptguard bench -compare $$(ls BENCH_*.json | sort -t_ -k2 -n | tail -2 | paste -sd, -)
 

@@ -20,7 +20,7 @@ func benchCmd(fs *flag.FlagSet) func() error {
 	in := fs.String("in", "-", "benchmark output to parse ('-' for stdin)")
 	out := fs.String("out", ".", "directory to write the next BENCH_<n>.json into")
 	compare := fs.String("compare", "", "two BENCH_*.json files, comma-separated: print before->after table instead of ingesting")
-	threshold := fs.Float64("threshold", 10, "with -compare: fail (exit non-zero) when any shared benchmark's ns/op rises, or a */sec throughput metric drops, by more than this percentage")
+	threshold := fs.Float64("threshold", 10, "with -compare: fail (exit non-zero) when any shared benchmark's ns/op, B/op or allocs/op rises, or a */sec throughput metric drops, by more than this percentage")
 
 	return func() error {
 		if *compare != "" {
@@ -88,7 +88,7 @@ func runCompare(spec string, thresholdPct float64) error {
 	}
 	for _, r := range regs {
 		// Pct is normalised so that bigger is always worse; spell out the
-		// direction per unit family (ns/op rose, throughput fell).
+		// direction per unit family (costs rose, throughput fell).
 		dir := "+"
 		if strings.HasSuffix(r.Unit, "/sec") {
 			dir = "-"

@@ -71,10 +71,10 @@ func (r CorrectionResult) CoveragePct() float64 {
 }
 
 // RunCorrection reproduces the Fig. 9 methodology: synthesise page tables
-// with realistic value locality (§VI-B), protect them through the memory
-// controller, flip each bit of each PTE cacheline with probability
-// FlipProb, and replay page-table walks through the correction-enabled
-// guard.
+// with realistic value locality (§VI-B), protect the sampled PTE
+// cachelines through the memory controller, flip each of their bits with
+// probability FlipProb, and replay page-table walks through the
+// correction-enabled guard.
 //
 // The trial loop is sharded across GOMAXPROCS goroutines: each trial draws
 // its faults from an RNG seeded by DeriveSeed(Seed, trial index) and runs
@@ -87,90 +87,13 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if cfg.Lines <= 0 {
 		return CorrectionResult{}, errors.New("attack: Lines must be positive")
 	}
-	k := cfg.SoftMatchK
-	if k == 0 {
-		k = 4
-	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	guardCfg, err := cfg.guardConfig()
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	format, err := pte.FormatX86(40)
+	pool, protected, err := samplePool(guardCfg, cfg.Seed, cfg.Lines)
 	if err != nil {
 		return CorrectionResult{}, err
-	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
-	guardCfg := core.Config{
-		Format:              format,
-		Key:                 key,
-		TagBits:             cfg.TagBits,
-		EnableCorrection:    true,
-		SoftMatchK:          k,
-		DisableFlipAndCheck: cfg.DisableFlipAndCheck,
-		DisableZeroReset:    cfg.DisableZeroReset,
-		DisableFlagVote:     cfg.DisableFlagVote,
-		DisableContiguity:   cfg.DisableContiguity,
-	}
-	guard, err := core.NewGuard(guardCfg)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	ctrl, err := memctrl.New(dev, guard, 0)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	pop, err := ostable.NewPopulation(popConfig(cfg.Seed), alloc)
-	if err != nil {
-		return CorrectionResult{}, err
-	}
-	// Build a fixed pool of protected PTE lines from several synthetic
-	// processes, so every flip probability is evaluated over the same
-	// line population (no sample-composition bias between sweep points).
-	type pooled struct {
-		addr      uint64
-		arch      pte.Line
-		protected pte.Line
-	}
-	const poolProcesses = 6
-	var pool []pooled
-	for p := 0; p < poolProcesses; p++ {
-		tables, serr := pop.SynthesizeProcess()
-		if serr != nil {
-			return CorrectionResult{}, serr
-		}
-		var flushAddrs []uint64
-		var flushLines []pte.Line
-		tables.Lines(func(addr uint64, line pte.Line) {
-			flushAddrs = append(flushAddrs, addr)
-			flushLines = append(flushLines, line)
-		})
-		if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-			return CorrectionResult{}, werr
-		}
-		tables.LeafLines(func(addr uint64, archLine pte.Line) {
-			pool = append(pool, pooled{addr: addr, arch: archLine, protected: dev.ReadLine(addr)})
-		})
-		// Keep tables alive: freeing would recycle frames and alias
-		// pool addresses across processes.
-	}
-	if len(pool) == 0 {
-		return CorrectionResult{}, errors.New("attack: empty line pool")
-	}
-	// Shuffle deterministically (independent of FlipProb) so small runs
-	// sample a representative mix of zero-heavy and dense lines, and all
-	// sweep points visit the same lines in the same order.
-	shuf := stats.NewRNG(cfg.Seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
-		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
 	}
 
 	// Sharded trial loop. Each trial is a pure function of (pool entry,
@@ -181,16 +104,16 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	trials, err := stats.ShardTrials(cfg.Lines,
 		func() (*core.Guard, error) { return core.NewGuard(guardCfg) },
 		func(g *core.Guard, t int) (trialVerdict, error) {
-			entry := pool[t%len(pool)]
+			i := t % len(pool)
 			rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "fig9/trial/"+strconv.Itoa(t)))
-			faulty := flipLineBernoulli(entry.protected, cfg.FlipProb, rng)
+			faulty := flipLineBernoulli(protected[i], cfg.FlipProb, rng)
 			before := g.Counters().CorrectionGuesses
-			rd := g.OnRead(faulty, entry.addr, true)
+			rd := g.OnRead(faulty, pool[i].Addr, true)
 			v := trialVerdict{guesses: g.Counters().CorrectionGuesses - before}
 			switch {
 			case rd.CheckFailed:
 				v.detected = true
-			case payloadMatches(rd.Line, entry.arch, format):
+			case payloadMatches(rd.Line, pool[i].Line, guardCfg.Format):
 				v.corrected = true
 			}
 			return v, nil
@@ -211,6 +134,79 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// guardConfig returns the correction-enabled guard configuration of the
+// experiment, keyed from Seed.
+func (cfg CorrectionConfig) guardConfig() (core.Config, error) {
+	k := cfg.SoftMatchK
+	if k == 0 {
+		k = 4
+	}
+	format, err := pte.FormatX86(40)
+	if err != nil {
+		return core.Config{}, err
+	}
+	key := make([]byte, mac.KeySize)
+	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
+	for i := range key {
+		key[i] = byte(kr.Uint64())
+	}
+	return core.Config{
+		Format:              format,
+		Key:                 key,
+		TagBits:             cfg.TagBits,
+		EnableCorrection:    true,
+		SoftMatchK:          k,
+		DisableFlipAndCheck: cfg.DisableFlipAndCheck,
+		DisableZeroReset:    cfg.DisableZeroReset,
+		DisableFlagVote:     cfg.DisableFlagVote,
+		DisableContiguity:   cfg.DisableContiguity,
+	}, nil
+}
+
+// samplePool builds the shuffled line pool for seed, so every flip
+// probability is evaluated over the same line population, and protects
+// its first min(lines, len(pool)) entries, the only ones the trials visit,
+// through a memory controller guarded by guardCfg. It returns the pool and
+// those entries' protected images. A protected line's image depends on
+// nothing but the key, format, tag width, address and line — the guard's
+// write path reads no other state for it — so each is the image a flush of
+// every table line would have stored.
+func samplePool(guardCfg core.Config, seed uint64, lines int) ([]ostable.PoolLine, []pte.Line, error) {
+	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	if err != nil {
+		return nil, nil, err
+	}
+	guard, err := core.NewGuard(guardCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctrl, err := memctrl.New(dev, guard, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, pool, err := ostable.SynthesizePool(alloc, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := min(lines, len(pool))
+	addrs := make([]uint64, n)
+	protected := make([]pte.Line, n)
+	for i, entry := range pool[:n] {
+		addrs[i], protected[i] = entry.Addr, entry.Line
+	}
+	if _, err := ctrl.WriteLinesBatch(addrs, protected); err != nil {
+		return nil, nil, err
+	}
+	for i, addr := range addrs {
+		protected[i] = dev.ReadLine(addr)
+	}
+	return pool, protected, nil
 }
 
 // trialVerdict is one Fig. 9 trial's classification.
@@ -237,12 +233,6 @@ func flipLineBernoulli(line pte.Line, p float64, rng *stats.RNG) pte.Line {
 			return out
 		}
 	}
-}
-
-func popConfig(seed uint64) ostable.SynthConfig {
-	c := ostable.DefaultSynthConfig()
-	c.Seed = seed
-	return c
 }
 
 // payloadMatches compares the MAC-covered bits of the served line against

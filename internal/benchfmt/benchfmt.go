@@ -171,24 +171,25 @@ func Decode(r io.Reader) (*File, error) {
 type Regression struct {
 	// Name is the (suffix-stripped) benchmark name.
 	Name string
-	// Unit is the metric that regressed: "ns/op", or a throughput unit
-	// ending in "/sec" (e.g. "campaign-jobs/sec").
+	// Unit is the metric that regressed: "ns/op", "B/op", "allocs/op", or
+	// a throughput unit ending in "/sec" (e.g. "campaign-jobs/sec").
 	Unit string
 	// Before and After are the metric's values in the two runs.
 	Before, After float64
 	// Pct is the regression size in percent of the before value: an
-	// increase for ns/op, a decrease for "/sec" metrics.
+	// increase for ns/op, B/op and allocs/op, a decrease for "/sec"
+	// metrics.
 	Pct float64
 }
 
 // Regressions returns the benchmarks present in both runs with a metric
 // that worsened by more than thresholdPct percent, in after-file order.
-// Two metric families are gated, with opposite polarity: ns/op (lower is
-// better — an increase regresses) and custom "/sec" throughput metrics
-// such as the campaign-jobs/sec scaling benchmarks (higher is better — a
-// decrease regresses). Benchmarks missing from either file, or metrics
-// without a positive value in both, are skipped — the gate judges only
-// what both baselines measured.
+// Two metric families are gated, with opposite polarity: the cost metrics
+// ns/op, B/op and allocs/op (lower is better — an increase regresses) and
+// custom "/sec" throughput metrics such as the campaign-jobs/sec scaling
+// benchmarks (higher is better — a decrease regresses). Benchmarks missing
+// from either file, or metrics without a positive value in both, are
+// skipped — the gate judges only what both baselines measured.
 func Regressions(before, after *File, thresholdPct float64) []Regression {
 	var out []Regression
 	for _, ar := range after.Results {
@@ -198,7 +199,7 @@ func Regressions(before, after *File, thresholdPct float64) []Regression {
 		}
 		units := make([]string, 0, len(ar.Metrics))
 		for u := range ar.Metrics {
-			if u == "ns/op" || strings.HasSuffix(u, "/sec") {
+			if u == "ns/op" || u == "B/op" || u == "allocs/op" || strings.HasSuffix(u, "/sec") {
 				units = append(units, u)
 			}
 		}

@@ -199,3 +199,41 @@ func TestRegressionsMixedUnitsOneBenchmark(t *testing.T) {
 		t.Errorf("units flagged: %v", units)
 	}
 }
+
+func TestRegressionsMemoryMetrics(t *testing.T) {
+	// B/op and allocs/op are costs, like ns/op: a rise past the threshold
+	// regresses, a fall never does, and a metric missing from either run
+	// is not judged.
+	before, err := Parse(strings.NewReader(
+		"BenchmarkGrow-8 5 1000 ns/op 1000 B/op 10 allocs/op\n" +
+			"BenchmarkShrink-8 5 1000 ns/op 1000 B/op 10 allocs/op\n" +
+			"BenchmarkEdge-8 5 1000 ns/op 1000 B/op 10 allocs/op\n" +
+			"BenchmarkNoMem-8 5 1000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Parse(strings.NewReader(
+		"BenchmarkGrow-8 5 1000 ns/op 1200 B/op 15 allocs/op\n" + // +20%, +50%
+			"BenchmarkShrink-8 5 1000 ns/op 300 B/op 1 allocs/op\n" + // improved: never flagged
+			"BenchmarkEdge-8 5 1000 ns/op 1100 B/op 11 allocs/op\n" + // exactly +10%: not past it
+			"BenchmarkNoMem-8 5 1000 ns/op 9999 B/op 99 allocs/op\n")) // no before value
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := Regressions(before, after, 10)
+	if len(regs) != 2 {
+		t.Fatalf("Regressions = %+v, want BenchmarkGrow's B/op and allocs/op", regs)
+	}
+	want := []Regression{
+		{Name: "BenchmarkGrow", Unit: "B/op", Before: 1000, After: 1200, Pct: 20},
+		{Name: "BenchmarkGrow", Unit: "allocs/op", Before: 10, After: 15, Pct: 50},
+	}
+	for i, r := range regs {
+		if r != want[i] {
+			t.Errorf("regression %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+	if regs := Regressions(before, after, 5); len(regs) != 4 {
+		t.Errorf("5%% threshold flags %+v, want Grow and Edge on both metrics", regs)
+	}
+}

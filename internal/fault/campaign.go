@@ -129,12 +129,6 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	synth := ostable.DefaultSynthConfig()
-	synth.Seed = cfg.Seed
-	pop, err := ostable.NewPopulation(synth, alloc)
-	if err != nil {
-		return CampaignResult{}, err
-	}
 	hmr, err := dram.NewHammerer(dev, dram.HammerConfig{
 		Model: cfg.Model,
 		Seed:  cfg.Seed ^ 0xFA17,
@@ -146,59 +140,42 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	oracle := NewOracle(format)
 	hmr.SetObserver(oracle.RecordFlip)
 
-	// Fixed pool of protected PTE lines from several synthetic processes,
-	// as in attack.RunCorrection: every model sees the same population.
-	type pooled struct {
-		addr      uint64
-		protected pte.Line
+	// The same shuffled line pool as attack.RunCorrection: every model
+	// sees the same population. Every table line of every process is
+	// flushed, in process order, so the device and controller counters in
+	// the report cover the whole population.
+	tables, pool, err := ostable.SynthesizePool(alloc, cfg.Seed)
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	const poolProcesses = 6
-	var pool []pooled
-	for p := 0; p < poolProcesses; p++ {
-		tables, serr := pop.SynthesizeProcess()
-		if serr != nil {
-			return CampaignResult{}, serr
-		}
-		var flushAddrs []uint64
-		var flushLines []pte.Line
-		tables.Lines(func(addr uint64, line pte.Line) {
+	var flushAddrs []uint64
+	var flushLines []pte.Line
+	for _, pt := range tables {
+		flushAddrs, flushLines = flushAddrs[:0], flushLines[:0]
+		pt.Lines(func(addr uint64, line pte.Line) {
 			flushAddrs = append(flushAddrs, addr)
 			flushLines = append(flushLines, line)
 		})
 		if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
 			return CampaignResult{}, werr
 		}
-		tables.LeafLines(func(addr uint64, archLine pte.Line) {
-			oracle.Expect(addr, archLine)
-			pool = append(pool, pooled{addr: addr, protected: dev.ReadLine(addr)})
-		})
-		// Keep tables alive: freeing would recycle frames and alias pool
-		// addresses across processes.
 	}
-	if len(pool) == 0 {
-		return CampaignResult{}, errors.New("fault: empty line pool")
+	addrs := make([]uint64, len(pool))
+	protected := make([]pte.Line, len(pool))
+	for i, entry := range pool {
+		oracle.Expect(entry.Addr, entry.Line)
+		addrs[i], protected[i] = entry.Addr, dev.ReadLine(entry.Addr)
 	}
 	// Ground-truth sanity: before any fault is injected, every pooled line
 	// must batch-audit clean — a dirty line here means the pool snapshot and
 	// the stored state already disagree, which would corrupt every verdict
 	// the oracle hands out below.
-	auditAddrs := make([]uint64, len(pool))
-	auditLines := make([]pte.Line, len(pool))
-	for i, entry := range pool {
-		auditAddrs[i] = entry.addr
-		auditLines[i] = entry.protected
-	}
 	auditOK := make([]bool, len(pool))
-	guard.AuditBatch(auditOK, auditLines, auditAddrs)
+	guard.AuditBatch(auditOK, protected, addrs)
 	for i, clean := range auditOK {
 		if !clean {
-			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", auditAddrs[i])
+			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", addrs[i])
 		}
-	}
-	shuf := stats.NewRNG(cfg.Seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
-		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
 	}
 
 	res := CampaignResult{Model: cfg.Model.Name(), Mode: modeName(cfg.EnableCorrection)}
@@ -206,17 +183,17 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		if trial >= cfg.MaxTrials {
 			break // model too weak to reach Lines faulty trials; report what we have
 		}
-		entry := pool[trial%len(pool)]
-		dev.WriteLine(entry.addr, entry.protected)
-		hmr.InjectFaults(entry.addr)
+		i := trial % len(pool)
+		dev.WriteLine(addrs[i], protected[i])
+		hmr.InjectFaults(addrs[i])
 
 		before := guard.Counters()
-		got, _, ok := ctrl.ReadLine(entry.addr, true)
+		got, _, ok := ctrl.ReadLine(addrs[i], true)
 		after := guard.Counters()
 		res.Guesses += after.CorrectionGuesses - before.CorrectionGuesses
 		claimed := after.Corrections > before.Corrections
 
-		if _, jerr := oracle.Judge(entry.addr, got, !ok, claimed); jerr != nil {
+		if _, jerr := oracle.Judge(addrs[i], got, !ok, claimed); jerr != nil {
 			return CampaignResult{}, jerr
 		}
 		res.Trials++
@@ -225,7 +202,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 			observer.Snapshot(observer.Now(), uint64(res.Trials))
 		}
 		// Restore the pristine protected image for the next pass.
-		dev.WriteLine(entry.addr, entry.protected)
+		dev.WriteLine(addrs[i], protected[i])
 	}
 
 	res.Matrix = oracle.Matrix()

@@ -9,6 +9,7 @@
 package mac
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -115,10 +116,20 @@ func TagFromBytes(raw []byte, width int) (Tag, error) {
 	return t, nil
 }
 
+// maskTail clears every bit at or beyond width in a little-endian tag
+// image, one 64-bit word at a time.
 func maskTail(data *[16]byte, width int) {
-	for i := width; i < MaxTagBits; i++ {
-		data[i/8] &^= 1 << (i % 8)
+	lo := binary.LittleEndian.Uint64(data[:8])
+	hi := binary.LittleEndian.Uint64(data[8:])
+	switch {
+	case width < 64:
+		lo &= 1<<uint(width) - 1
+		hi = 0
+	case width < MaxTagBits:
+		hi &= 1<<uint(width-64) - 1
 	}
+	binary.LittleEndian.PutUint64(data[:8], lo)
+	binary.LittleEndian.PutUint64(data[8:], hi)
 }
 
 // Authenticator computes line MACs with a fixed secret key.

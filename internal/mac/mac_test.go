@@ -218,6 +218,28 @@ func TestTagFromBytesMasksHighBits(t *testing.T) {
 	}
 }
 
+// TestMaskTailMatchesBitLoop checks the word-mask maskTail against the
+// bit-at-a-time loop it replaced, over random images at every tag width.
+func TestMaskTailMatchesBitLoop(t *testing.T) {
+	r := stats.NewRNG(0x7A11)
+	for width := 1; width <= MaxTagBits; width++ {
+		for trial := 0; trial < 64; trial++ {
+			var got [16]byte
+			for i := range got {
+				got[i] = byte(r.Uint64())
+			}
+			want := got
+			for i := width; i < MaxTagBits; i++ {
+				want[i/8] &^= 1 << (i % 8)
+			}
+			maskTail(&got, width)
+			if got != want {
+				t.Fatalf("width %d: maskTail = %x, bit loop = %x", width, got, want)
+			}
+		}
+	}
+}
+
 func TestFlipBitRoundTrip(t *testing.T) {
 	f := func(raw [12]byte, bit uint8) bool {
 		tag, err := TagFromBytes(raw[:], 96)

@@ -202,3 +202,54 @@ func (p *Population) scatterFrame() (uint64, error) {
 	p.scatter = p.scatter[:len(p.scatter)-1]
 	return pfn, nil
 }
+
+// PoolLine is one leaf PTE cacheline of a line pool: its physical address
+// and architectural content.
+type PoolLine struct {
+	Addr uint64
+	Line pte.Line
+}
+
+// poolProcesses is the number of synthetic processes behind a line pool.
+const poolProcesses = 6
+
+// SynthesizePool builds the line pool the correction and fault campaigns
+// sample (§VI-F): six processes synthesised over alloc from the default
+// population seeded with seed. It returns the processes' tables, in
+// synthesis order, and every leaf line of every process, shuffled by an
+// RNG seeded with seed^0x5F0F. The shuffle is independent of everything a
+// campaign sweeps, so every sweep point visits the same lines in the same
+// order, and a small run samples a representative mix of zero-heavy and
+// dense lines. The tables stay allocated: freeing them would recycle
+// frames and alias pool addresses across processes.
+func SynthesizePool(alloc *FrameAllocator, seed uint64) ([]*PageTables, []PoolLine, error) {
+	cfg := DefaultSynthConfig()
+	cfg.Seed = seed
+	pop, err := NewPopulation(cfg, alloc)
+	if err != nil {
+		return nil, nil, err
+	}
+	tables := make([]*PageTables, poolProcesses)
+	n := 0
+	for p := range tables {
+		if tables[p], err = pop.SynthesizeProcess(); err != nil {
+			return nil, nil, err
+		}
+		n += len(tables[p].tablePages[tableLevels-1]) * linesPerTable
+	}
+	if n == 0 {
+		return nil, nil, errors.New("ostable: empty line pool")
+	}
+	pool := make([]PoolLine, 0, n)
+	for _, pt := range tables {
+		pt.LeafLines(func(addr uint64, line pte.Line) {
+			pool = append(pool, PoolLine{Addr: addr, Line: line})
+		})
+	}
+	shuf := stats.NewRNG(seed ^ 0x5F0F)
+	for i := len(pool) - 1; i > 0; i-- {
+		j := shuf.Intn(i + 1)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	return tables, pool, nil
+}
