@@ -33,18 +33,21 @@ var (
 	MMUConfig = Config{Name: "MMU", SizeBytes: 8 << 10, Ways: 4}
 )
 
-type way struct {
-	lineAddr uint64
-	valid    bool
-	dirty    bool
-	lastUse  uint64
-}
-
 // Cache is one set-associative level. Not safe for concurrent use.
+//
+// The ways live in flat arrays: way w of set i sits at i*ways+w. A tag
+// holds lineAddr+1, so 0 marks an invalid way, and an invalid way's stamp
+// is 0 while every valid way's stamp is at least 1 (the clock is bumped
+// before each use and only Reset zeroes it). The victim, the first way with
+// the lowest stamp, is therefore the first invalid way when there is one,
+// else the least recently used way.
 type Cache struct {
-	cfg   Config
-	sets  [][]way
-	clock uint64
+	cfg     Config
+	setMask uint64
+	tags    []uint64
+	stamps  []uint64
+	dirty   []bool
+	clock   uint64
 
 	accesses, hits, misses, evictions, writebacks uint64
 }
@@ -62,11 +65,28 @@ func New(cfg Config) (*Cache, error) {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nSets)
 	}
-	sets := make([][]way, nSets)
-	for i := range sets {
-		sets[i] = make([]way, cfg.Ways)
+	return &Cache{
+		cfg:     cfg,
+		setMask: uint64(nSets - 1),
+		tags:    make([]uint64, lines),
+		stamps:  make([]uint64, lines),
+		dirty:   make([]bool, lines),
+	}, nil
+}
+
+// find returns the flat index of lineAddr's set and the way holding it
+// (-1 when absent). Tags are unique within a set, so the scan runs every
+// way without an early exit.
+func (c *Cache) find(lineAddr uint64) (base, way int) {
+	base = int(lineAddr&c.setMask) * c.cfg.Ways
+	tag := lineAddr + 1
+	way = -1
+	for w, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			way = w
+		}
 	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	return base, way
 }
 
 // Result describes one access.
@@ -93,74 +113,54 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	c.clock++
 	c.accesses++
 	lineAddr := addr / pte.LineBytes
-	set := c.sets[lineAddr%uint64(len(c.sets))]
-
-	for i := range set {
-		if set[i].valid && set[i].lineAddr == lineAddr {
-			c.hits++
-			set[i].lastUse = c.clock
-			if write {
-				set[i].dirty = true
-			}
-			return Result{Hit: true}
+	base, way := c.find(lineAddr)
+	if way >= 0 {
+		c.hits++
+		c.stamps[base+way] = c.clock
+		if write {
+			c.dirty[base+way] = true
 		}
+		return Result{Hit: true}
 	}
 	c.misses++
 
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
+	v, oldest := base, c.stamps[base]
+	for w, s := range c.stamps[base : base+c.cfg.Ways] {
+		if s < oldest {
+			v, oldest = base+w, s
 		}
 	}
 	res := Result{}
-	if set[victim].valid {
+	if t := c.tags[v]; t != 0 {
 		c.evictions++
-		res.Evicted = set[victim].lineAddr * pte.LineBytes
+		res.Evicted = (t - 1) * pte.LineBytes
 		res.EvValid = true
-		if set[victim].dirty {
+		if c.dirty[v] {
 			c.writebacks++
-			res.Writeback = set[victim].lineAddr * pte.LineBytes
+			res.Writeback = res.Evicted
 			res.WBValid = true
 		}
 	}
-	set[victim] = way{lineAddr: lineAddr, valid: true, dirty: write, lastUse: c.clock}
+	c.tags[v], c.stamps[v], c.dirty[v] = lineAddr+1, c.clock, write
 	return res
-}
-
-// Probe reports whether addr is present without disturbing LRU state.
-func (c *Cache) Probe(addr uint64) bool {
-	lineAddr := addr / pte.LineBytes
-	set := c.sets[lineAddr%uint64(len(c.sets))]
-	for i := range set {
-		if set[i].valid && set[i].lineAddr == lineAddr {
-			return true
-		}
-	}
-	return false
 }
 
 // Invalidate drops addr if present, returning a writeback address for a
 // dirty line. Used when PT-Guard refuses to forward a faulty PTE line.
 func (c *Cache) Invalidate(addr uint64) Result {
 	lineAddr := addr / pte.LineBytes
-	set := c.sets[lineAddr%uint64(len(c.sets))]
-	for i := range set {
-		if set[i].valid && set[i].lineAddr == lineAddr {
-			res := Result{}
-			if set[i].dirty {
-				res.Writeback = lineAddr * pte.LineBytes
-				res.WBValid = true
-			}
-			set[i] = way{}
-			return res
-		}
+	base, way := c.find(lineAddr)
+	if way < 0 {
+		return Result{}
 	}
-	return Result{}
+	v := base + way
+	res := Result{}
+	if c.dirty[v] {
+		res.Writeback = lineAddr * pte.LineBytes
+		res.WBValid = true
+	}
+	c.tags[v], c.stamps[v], c.dirty[v] = 0, 0, false
+	return res
 }
 
 // Stats summarises cache activity.
@@ -195,11 +195,9 @@ func (c *Cache) PublishObs(r *obs.Registry) {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.dirty)
 	c.clock, c.accesses, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0, 0
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptguard/internal/pte"
+	"ptguard/internal/stats"
 )
 
 func mustCache(tb testing.TB, cfg Config) *Cache {
@@ -13,6 +14,12 @@ func mustCache(tb testing.TB, cfg Config) *Cache {
 		tb.Fatal(err)
 	}
 	return c
+}
+
+// probe reports whether addr is present without disturbing LRU state.
+func probe(c *Cache, addr uint64) bool {
+	_, way := c.find(addr / pte.LineBytes)
+	return way >= 0
 }
 
 func TestNewValidation(t *testing.T) {
@@ -66,10 +73,10 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(0, false) // refresh line 0
 	// Fifth distinct line evicts the LRU: line 1.
 	c.Access(4*64, false)
-	if !c.Probe(0) {
+	if !probe(c, 0) {
 		t.Error("recently used line evicted")
 	}
-	if c.Probe(1 * 64) {
+	if probe(c, 1*64) {
 		t.Error("LRU line survived")
 	}
 }
@@ -99,7 +106,7 @@ func TestInvalidate(t *testing.T) {
 	if !res.WBValid || res.Writeback != 0x2000 {
 		t.Errorf("dirty invalidate = %+v", res)
 	}
-	if c.Probe(0x2000) {
+	if probe(c, 0x2000) {
 		t.Error("line still present after invalidate")
 	}
 	if c.Invalidate(0x9999000).WBValid {
@@ -124,7 +131,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("misses = %d, want 100 (one cold miss per line)", s.Misses)
 	}
 	c.Reset()
-	if c.Stats().Accesses != 0 || c.Probe(0) {
+	if c.Stats().Accesses != 0 || probe(c, 0) {
 		t.Error("Reset left residue")
 	}
 }
@@ -141,5 +148,168 @@ func TestWorkingSetLargerThanCacheThrashes(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 0 {
 		t.Errorf("streaming pattern got %d hits, want 0", s.Hits)
+	}
+}
+
+// refCache is the set-of-structs cache the flat arrays replaced, kept as
+// the reference model: one way struct per line, a modulo set index, an
+// early-exit hit scan, and the victim taken as the first invalid way, else
+// the lowest stamp.
+type refCache struct {
+	cfg   Config
+	sets  [][]refWay
+	clock uint64
+
+	accesses, hits, misses, evictions, writebacks uint64
+}
+
+type refWay struct {
+	lineAddr uint64
+	valid    bool
+	dirty    bool
+	lastUse  uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := make([][]refWay, cfg.SizeBytes/pte.LineBytes/cfg.Ways)
+	for i := range sets {
+		sets[i] = make([]refWay, cfg.Ways)
+	}
+	return &refCache{cfg: cfg, sets: sets}
+}
+
+func (c *refCache) access(addr uint64, write bool) Result {
+	c.clock++
+	c.accesses++
+	lineAddr := addr / pte.LineBytes
+	set := c.sets[lineAddr%uint64(len(c.sets))]
+	for i := range set {
+		if set[i].valid && set[i].lineAddr == lineAddr {
+			c.hits++
+			set[i].lastUse = c.clock
+			if write {
+				set[i].dirty = true
+			}
+			return Result{Hit: true}
+		}
+	}
+	c.misses++
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lastUse < set[victim].lastUse {
+			victim = i
+		}
+	}
+	res := Result{}
+	if set[victim].valid {
+		c.evictions++
+		res.Evicted = set[victim].lineAddr * pte.LineBytes
+		res.EvValid = true
+		if set[victim].dirty {
+			c.writebacks++
+			res.Writeback = set[victim].lineAddr * pte.LineBytes
+			res.WBValid = true
+		}
+	}
+	set[victim] = refWay{lineAddr: lineAddr, valid: true, dirty: write, lastUse: c.clock}
+	return res
+}
+
+func (c *refCache) invalidate(addr uint64) Result {
+	lineAddr := addr / pte.LineBytes
+	set := c.sets[lineAddr%uint64(len(c.sets))]
+	for i := range set {
+		if set[i].valid && set[i].lineAddr == lineAddr {
+			res := Result{}
+			if set[i].dirty {
+				res.Writeback = lineAddr * pte.LineBytes
+				res.WBValid = true
+			}
+			set[i] = refWay{}
+			return res
+		}
+	}
+	return Result{}
+}
+
+func (c *refCache) probe(addr uint64) bool {
+	lineAddr := addr / pte.LineBytes
+	for _, w := range c.sets[lineAddr%uint64(len(c.sets))] {
+		if w.valid && w.lineAddr == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) stats() Stats {
+	return Stats{
+		Name:     c.cfg.Name,
+		Accesses: c.accesses, Hits: c.hits, Misses: c.misses,
+		Evictions: c.evictions, Writebacks: c.writebacks,
+	}
+}
+
+func (c *refCache) reset() {
+	for i := range c.sets {
+		for j := range c.sets[i] {
+			c.sets[i][j] = refWay{}
+		}
+	}
+	c.clock, c.accesses, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0, 0
+}
+
+func (c *refCache) resetStats() {
+	c.accesses, c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0, 0
+}
+
+// TestMatchesReferenceModel drives the cache and the reference model with
+// the same random Access/Invalidate/Reset/ResetStats sequence: every Result,
+// every presence probe and the final Stats must match. Addresses come from
+// a pool of four lines per way of each set (plus offsets inside the line),
+// so sets fill, evict, and see invalidations of present and absent lines.
+func TestMatchesReferenceModel(t *testing.T) {
+	configs := []Config{
+		{Name: "tiny", SizeBytes: 4 * 2 * 64, Ways: 2},
+		{Name: "direct", SizeBytes: 8 * 64, Ways: 1},
+		L1Config, L2Config, L3Config, MMUConfig,
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c, ref := mustCache(t, cfg), newRefCache(cfg)
+			rng := stats.NewRNG(uint64(cfg.SizeBytes) ^ uint64(cfg.Ways))
+			lines := 4 * cfg.SizeBytes / pte.LineBytes
+			steps := max(20_000, 8*lines)
+			for i := 0; i < steps; i++ {
+				addr := uint64(rng.Intn(lines))*pte.LineBytes + uint64(rng.Intn(pte.LineBytes))
+				switch op := rng.Intn(1000); {
+				case op == 0:
+					c.Reset()
+					ref.reset()
+				case op == 1:
+					c.ResetStats()
+					ref.resetStats()
+				case op < 100:
+					if got, want := c.Invalidate(addr), ref.invalidate(addr); got != want {
+						t.Fatalf("step %d: Invalidate(%#x) = %+v, want %+v", i, addr, got, want)
+					}
+				default:
+					write := rng.Intn(3) == 0
+					if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+						t.Fatalf("step %d: Access(%#x, %v) = %+v, want %+v", i, addr, write, got, want)
+					}
+				}
+				if got, want := probe(c, addr), ref.probe(addr); got != want {
+					t.Fatalf("step %d: probe(%#x) = %v, want %v", i, addr, got, want)
+				}
+			}
+			if got, want := c.Stats(), ref.stats(); got != want {
+				t.Errorf("stats = %+v, want %+v", got, want)
+			}
+		})
 	}
 }

@@ -62,16 +62,22 @@ type Location struct {
 	Column  int
 }
 
+// actChunkRows is the number of rows whose activation counters are
+// allocated together (4 KB of int32 counters).
+const actChunkRows = 1024
+
 // Device is a DRAM module: sparse line storage plus per-bank row-buffer
 // state and per-row activation counters for the Rowhammer model.
 // Device is not safe for concurrent use.
 //
-// The per-row bookkeeping (activation counters, flip attribution) is held
-// in dense slices indexed by bank*RowsPerBank+row: the geometry is fixed at
-// construction, so a direct index replaces the map hashing that used to
-// dominate the activate path, and the refresh window resets in place
-// instead of reallocating. The activation counters are allocated with the
-// device, because every access may activate a row. The flip counters are
+// The per-row bookkeeping (activation counters, flip attribution) is
+// indexed by bank*RowsPerBank+row: the geometry is fixed at construction,
+// so a direct index replaces the map hashing that used to dominate the
+// activate path, and the refresh window resets in place instead of
+// reallocating. The activation counters are allocated a chunk of
+// actChunkRows rows at a time, on the first activation of one of its rows:
+// a simulated machine activates a few hundred rows, and skips zeroing an
+// int32 per row (2 MB at the default geometry). The flip counters are
 // allocated by the first injected flip: only hammer, fault and attack
 // campaigns inject flips, and a simulated machine that never does skips
 // zeroing a uint64 per row (4 MB at the default geometry).
@@ -85,12 +91,14 @@ type Device struct {
 	// precharged). Indexed by channel*BanksPerChannel+bank.
 	openRow []int
 
-	// activations counts row activations since the last refresh window,
-	// indexed by rowIndex. actTouched lists the indices with a non-zero
-	// count so RefreshWindow clears only what was touched (O(hot rows),
-	// allocation-free) instead of zeroing the whole module.
-	activations []int32
-	actTouched  []int32
+	// actChunks counts row activations since the last refresh window:
+	// row rowIndex's counter sits at index rowIndex%actChunkRows of chunk
+	// rowIndex/actChunkRows, nil until one of its rows is activated.
+	// actTouched lists the indices with a non-zero count so RefreshWindow
+	// clears only what was touched (O(hot rows), allocation-free) instead
+	// of zeroing the whole module.
+	actChunks  []*[actChunkRows]int32
+	actTouched []int32
 
 	// autoRefreshEvery, when positive, clears activation counters after
 	// that many accesses: the periodic auto-refresh (tREFW) that bounds
@@ -138,11 +146,11 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	}
 	nRows := nBanks * geo.RowsPerBank
 	return &Device{
-		geo:         geo,
-		timing:      timing,
-		lines:       make(map[uint64]pte.Line),
-		openRow:     open,
-		activations: make([]int32, nRows),
+		geo:       geo,
+		timing:    timing,
+		lines:     make(map[uint64]pte.Line),
+		openRow:   open,
+		actChunks: make([]*[actChunkRows]int32, (nRows+actChunkRows-1)/actChunkRows),
 	}, nil
 }
 
@@ -227,9 +235,6 @@ func (d *Device) SetAutoRefresh(accesses int) {
 	d.autoRefreshEvery = accesses
 }
 
-// RefreshWindows returns how many refresh windows have elapsed.
-func (d *Device) RefreshWindows() uint64 { return d.refreshWindows }
-
 func (d *Device) activate(bankIdx, row int) {
 	d.addActivations(bankIdx, row, 1)
 	if d.o != nil {
@@ -240,22 +245,37 @@ func (d *Device) activate(bankIdx, row int) {
 
 // addActivations bumps a row's activation counter, registering the row in
 // the touched list on its first activation of the window, and returns the
-// new count. It is the single mutation point for the dense counters.
+// new count. It is the single mutation point for the counters.
 func (d *Device) addActivations(bankIdx, row, count int) int {
 	idx := d.rowIndex(bankIdx, row)
-	if d.activations[idx] == 0 && count != 0 {
+	n := d.actCounter(idx)
+	if *n == 0 && count != 0 {
 		d.actTouched = append(d.actTouched, idx)
 	}
-	d.activations[idx] += int32(count)
-	return int(d.activations[idx])
+	*n += int32(count)
+	return int(*n)
+}
+
+// actCounter returns row idx's activation counter, allocating its chunk on
+// the chunk's first use.
+func (d *Device) actCounter(idx int32) *int32 {
+	c := d.actChunks[idx/actChunkRows]
+	if c == nil {
+		c = new([actChunkRows]int32)
+		d.actChunks[idx/actChunkRows] = c
+	}
+	return &c[idx%actChunkRows]
 }
 
 // Activations returns the activation count of the row containing addr since
 // the last refresh window.
 func (d *Device) Activations(addr uint64) int {
 	loc := d.Locate(addr)
-	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
-	return int(d.activations[d.rowIndex(bankIdx, loc.Row)])
+	idx := d.rowIndex(loc.Channel*d.geo.BanksPerChannel+loc.Bank, loc.Row)
+	if c := d.actChunks[idx/actChunkRows]; c != nil {
+		return int(c[idx%actChunkRows])
+	}
+	return 0
 }
 
 // RefreshWindow models the periodic auto-refresh: activation counters reset
@@ -265,7 +285,7 @@ func (d *Device) Activations(addr uint64) int {
 // (BenchmarkRefreshWindow pins this).
 func (d *Device) RefreshWindow() {
 	for _, idx := range d.actTouched {
-		d.activations[idx] = 0
+		d.actChunks[idx/actChunkRows][idx%actChunkRows] = 0
 	}
 	d.actTouched = d.actTouched[:0]
 	for i := range d.openRow {
@@ -347,7 +367,7 @@ func (d *Device) recordFlips(addr uint64, n int) {
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
 	idx := d.rowIndex(bankIdx, loc.Row)
 	if d.flips == nil {
-		d.flips = make([]uint64, len(d.activations))
+		d.flips = make([]uint64, d.geo.Channels*d.geo.BanksPerChannel*d.geo.RowsPerBank)
 	}
 	if d.flips[idx] == 0 && n != 0 {
 		d.flipTouched = append(d.flipTouched, idx)
@@ -383,24 +403,4 @@ func (d *Device) FlipCounts() []FlipCount {
 		})
 	}
 	return out
-}
-
-// BankFlips returns per-bank flip totals, indexed by the global bank index
-// (channel*BanksPerChannel + bank).
-func (d *Device) BankFlips() []uint64 {
-	out := make([]uint64, d.geo.Channels*d.geo.BanksPerChannel)
-	for _, idx := range d.flipTouched {
-		out[int(idx)/d.geo.RowsPerBank] += d.flips[idx]
-	}
-	return out
-}
-
-// RowFlips returns the flips attributed to the row containing addr.
-func (d *Device) RowFlips(addr uint64) uint64 {
-	if d.flips == nil {
-		return 0
-	}
-	loc := d.Locate(addr)
-	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
-	return d.flips[d.rowIndex(bankIdx, loc.Row)]
 }

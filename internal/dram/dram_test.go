@@ -18,6 +18,25 @@ func newTestDevice(tb testing.TB) *Device {
 	return d
 }
 
+// rowFlips returns the flips attributed to the row containing addr.
+func rowFlips(d *Device, addr uint64) uint64 {
+	if d.flips == nil {
+		return 0
+	}
+	loc := d.Locate(addr)
+	return d.flips[d.rowIndex(loc.Channel*d.geo.BanksPerChannel+loc.Bank, loc.Row)]
+}
+
+// bankFlips returns per-bank flip totals, indexed by the global bank index
+// (channel*BanksPerChannel + bank).
+func bankFlips(d *Device) []uint64 {
+	out := make([]uint64, d.geo.Channels*d.geo.BanksPerChannel)
+	for _, idx := range d.flipTouched {
+		out[int(idx)/d.geo.RowsPerBank] += d.flips[idx]
+	}
+	return out
+}
+
 // trackedHammerer runs the named registry tracker ("trr" or "softtrr") over
 // d/h. TRR gets one sampler slot per row, so it never misses an aggressor:
 // the unlimited-capacity sampler these tests pin.
@@ -440,7 +459,7 @@ func TestAutoRefreshBoundsHammering(t *testing.T) {
 	if got := d.Activations(agg); got >= 1000 {
 		t.Errorf("activations = %d, refresh never bounded them", got)
 	}
-	if d.RefreshWindows() == 0 {
+	if d.refreshWindows == 0 {
 		t.Error("no refresh windows elapsed")
 	}
 	if d.ReadLine(victim) != data {
@@ -465,15 +484,15 @@ func TestFlipAttributionBeforeAndAfterFirstFlip(t *testing.T) {
 	if got := d.FlipCounts(); len(got) != 0 {
 		t.Errorf("FlipCounts = %v before any flip, want none", got)
 	}
-	for bank, n := range d.BankFlips() {
+	for bank, n := range bankFlips(d) {
 		if n != 0 {
 			t.Errorf("bank %d has %d flips before any flip", bank, n)
 		}
 	}
-	if got := len(d.BankFlips()); got != d.Geometry().BanksPerChannel {
-		t.Errorf("BankFlips has %d banks, want %d", got, d.Geometry().BanksPerChannel)
+	if got := len(bankFlips(d)); got != d.Geometry().BanksPerChannel {
+		t.Errorf("bankFlips has %d banks, want %d", got, d.Geometry().BanksPerChannel)
 	}
-	if d.RowFlips(victim) != 0 || d.Stats().FlipsInjected != 0 {
+	if rowFlips(d, victim) != 0 || d.Stats().FlipsInjected != 0 {
 		t.Error("a row reports flips before any flip")
 	}
 
@@ -494,12 +513,12 @@ func TestFlipAttributionBeforeAndAfterFirstFlip(t *testing.T) {
 			t.Errorf("FlipCounts[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	banks := d.BankFlips()
+	banks := bankFlips(d)
 	if banks[3] != 4 || banks[9] != 1 {
-		t.Errorf("BankFlips = %v, want 4 in bank 3 and 1 in bank 9", banks)
+		t.Errorf("bankFlips = %v, want 4 in bank 3 and 1 in bank 9", banks)
 	}
-	if d.RowFlips(victim) != 4 || d.RowFlips(other) != 1 || d.RowFlips(d.AddrOfRow(3, 701, 0)) != 0 {
-		t.Errorf("RowFlips = %d/%d, want 4/1", d.RowFlips(victim), d.RowFlips(other))
+	if rowFlips(d, victim) != 4 || rowFlips(d, other) != 1 || rowFlips(d, d.AddrOfRow(3, 701, 0)) != 0 {
+		t.Errorf("RowFlips = %d/%d, want 4/1", rowFlips(d, victim), rowFlips(d, other))
 	}
 	if d.Stats().FlipsInjected != 5 {
 		t.Errorf("FlipsInjected = %d, want 5", d.Stats().FlipsInjected)

@@ -14,7 +14,8 @@ import (
 // regime is the meaningful one — sampler threshold below the flip
 // threshold — which both legacy models assumed.
 
-// legacyTRR is the pre-refactor dram.TRR, verbatim.
+// legacyTRR is the pre-refactor dram.TRR, verbatim except that counter
+// resets go through actCounter, the paged counters' accessor.
 type legacyTRR struct {
 	dev              *Device
 	hmr              *Hammerer
@@ -32,7 +33,7 @@ func (t *legacyTRR) hammer(aggressorAddr uint64, count int) []int {
 		if t.dev.addActivations(bankIdx, loc.Row, 1) < t.samplerThreshold {
 			continue
 		}
-		t.dev.activations[agg] = 0
+		*t.dev.actCounter(agg) = 0
 		for _, d := range []int{-1, +1} {
 			victim := loc.Row + d
 			if victim < 0 || victim >= t.dev.geo.RowsPerBank {
@@ -48,7 +49,7 @@ func (t *legacyTRR) hammer(aggressorAddr uint64, count int) []int {
 				if t.hmr.disturbRow(loc.Channel, loc.Bank, far) > 0 {
 					flipped = append(flipped, far)
 				}
-				t.dev.activations[v] = 0
+				*t.dev.actCounter(v) = 0
 			}
 		}
 	}

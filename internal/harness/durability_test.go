@@ -71,7 +71,9 @@ func TestJournalV1RecordsQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(data, []byte(`"version":2`)) || bytes.Contains(data, []byte("999")) {
+	// Only the stale v1 records carry "result":999; a bare 999 could also
+	// appear in a fresh record's elapsed_ms.
+	if !bytes.Contains(data, []byte(`"version":2`)) || bytes.Contains(data, []byte(`"result":999`)) {
 		t.Errorf("journal not compacted to clean v2:\n%s", data)
 	}
 }

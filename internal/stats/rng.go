@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // RNG is a small, deterministic pseudo-random number generator
 // (xoshiro256** by Blackman & Vigna) used by every stochastic component of
 // the simulation. A dedicated implementation keeps experiment results
@@ -41,20 +43,16 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Intn returns a uniform value in [0, n). n must be positive.
+// Intn returns a uniform value in [0, n). n must be positive. A power of
+// two masks instead of dividing: x % 2^k == x & (2^k-1).
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Uint64n returns a uniform value in [0, n). n must be positive.
-func (r *RNG) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		return 0
+	if n&(n-1) == 0 {
+		return int(r.Uint64() & uint64(n-1))
 	}
-	return r.Uint64() % n
+	return int(r.Uint64() % uint64(n))
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -65,6 +63,30 @@ func (r *RNG) Float64() float64 {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// Threshold converts a probability into the integer threshold Below takes,
+// so a caller drawing many times at one p compares integers instead of
+// converting and comparing floats: Below(Threshold(p)) consumes the same
+// draw and returns the same value as Bernoulli(p) for every p. Float64 is
+// x/2^53 for the integer x = Uint64()>>11 < 2^53, so x/2^53 < p holds
+// exactly when x < p·2^53, and, x being an integer, when x < ceil(p·2^53).
+// Scaling by 2^53 is exact, and so is ceil. p ≤ 0 and NaN never succeed
+// (threshold 0); p ≥ 1 always does (threshold 2^53).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws x = Uint64()>>11, uniform in [0, 2^53), and reports x < t;
+// with t = Threshold(p) it is Bernoulli(p).
+func (r *RNG) Below(t uint64) bool {
+	return r.Uint64()>>11 < t
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -228,3 +228,71 @@ func TestRNGIntnBounds(t *testing.T) {
 		t.Error("Intn(0) should return 0")
 	}
 }
+
+// thresholdProbes are the probabilities the Threshold tests pin: the
+// clamps, the smallest subnormal, the grid 2^-53 and its neighbours, grid
+// points k/2^53 one ulp either side, the workload profiles' fractions, and
+// values just below 1.
+func thresholdProbes() []float64 {
+	ps := []float64{
+		0, math.SmallestNonzeroFloat64, 0x1p-53, 0.35, 0.3, 0.25, 1 - 0x1p-53,
+		1, 1.5, -0.1, math.Inf(1), math.Inf(-1), math.NaN(),
+		1 - 0.8/350, 1 - 29.0/350,
+	}
+	for _, k := range []float64{1, 2, 3, 12345, 1 << 40, 1<<52 + 1, 1<<53 - 1} {
+		p := k * 0x1p-53
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	return ps
+}
+
+// TestThresholdExact checks the Threshold argument directly at its edge:
+// for each probe p, the draws x just below, at and above Threshold(p) must
+// satisfy x < Threshold(p) exactly when Float64's value x/2^53 < p.
+func TestThresholdExact(t *testing.T) {
+	for _, p := range thresholdProbes() {
+		th := Threshold(p)
+		if th > 1<<53 {
+			t.Fatalf("Threshold(%v) = %d above 2^53", p, th)
+		}
+		for _, x := range []uint64{0, th - 2, th - 1, th, th + 1, 1<<53 - 1} {
+			if x >= 1<<53 {
+				continue
+			}
+			if got, want := x < th, float64(x)/(1<<53) < p; got != want {
+				t.Errorf("p=%v x=%d: x < Threshold = %v, x/2^53 < p = %v", p, x, got, want)
+			}
+		}
+	}
+}
+
+// TestBelowMatchesBernoulli: on identical streams, Below(Threshold(p))
+// returns what Bernoulli(p) returns, draw for draw, and leaves the streams
+// in step.
+func TestBelowMatchesBernoulli(t *testing.T) {
+	for _, p := range thresholdProbes() {
+		a, b := NewRNG(5), NewRNG(5)
+		th := Threshold(p)
+		for i := 0; i < 20_000; i++ {
+			if got, want := a.Below(th), b.Bernoulli(p); got != want {
+				t.Fatalf("p=%v draw %d: Below = %v, Bernoulli = %v", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v: streams out of step", p)
+		}
+	}
+}
+
+// TestIntnPowerOfTwoMatchesModulo: the masked power-of-two path returns
+// Uint64() % 2^k, and the modulo path is unchanged for other n.
+func TestIntnPowerOfTwoMatchesModulo(t *testing.T) {
+	for _, n := range []int{1, 2, 8, 64, 1 << 20, 1 << 62, 3, 17, 1000} {
+		a, b := NewRNG(9), NewRNG(9)
+		for i := 0; i < 10_000; i++ {
+			if got, want := a.Intn(n), int(b.Uint64()%uint64(n)); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", n, i, got, want)
+			}
+		}
+	}
+}

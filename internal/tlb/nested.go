@@ -201,13 +201,6 @@ func (w *NestedWalker) Flush() {
 	w.s2.Flush()
 }
 
-// CachedValues returns the number of guest-dimension entry values backing
-// MMU-cache presence (the stage-2 dimension reports its own via Stage2()).
-func (w *NestedWalker) CachedValues() int { return len(w.values) }
-
-// Stage2 exposes the stage-2 dimension's 1-D walker (stats, invalidation).
-func (w *NestedWalker) Stage2() *Walker { return w.s2 }
-
 // NestedStats summarises 2-D walker activity.
 type NestedStats struct {
 	// Walks counts nested translations; GuestAccesses and S2Accesses count

@@ -83,12 +83,12 @@ func TestWalkerValuesBounded(t *testing.T) {
 			// Distinct roots spread walks over distinct table lines.
 			cr3 := uint64(cycle*walksPerCycle+i+1) * pte.PageSize
 			w.Walk(cr3, uint64(i)*pte.PageSize)
-			if got := w.CachedValues(); got > bound {
+			if got := len(w.values); got > bound {
 				t.Fatalf("cycle %d walk %d: %d cached values, bound %d", cycle, i, got, bound)
 			}
 		}
 		w.Flush()
-		if got := w.CachedValues(); got != 0 {
+		if got := len(w.values); got != 0 {
 			t.Fatalf("cycle %d: %d cached values after Flush, want 0", cycle, got)
 		}
 	}
@@ -111,7 +111,7 @@ func TestWalkerValuesTrimmedOnEviction(t *testing.T) {
 		t.Fatalf("walks = %d, want %d", st.Walks, walks)
 	}
 	bound := lines * pte.PTEsPerLine
-	if got := w.CachedValues(); got > bound {
+	if got := len(w.values); got > bound {
 		t.Fatalf("%d cached values after %d walks, bound %d", got, walks, bound)
 	}
 }

@@ -22,11 +22,23 @@ type tlbEntry struct {
 	lastUse uint64
 }
 
+// hintSlots is the number of lookup hints, indexed by vpn mod hintSlots.
+const hintSlots = 256
+
 // TLB is a fully-associative, LRU translation lookaside buffer.
 // Not safe for concurrent use.
 type TLB struct {
 	entries []tlbEntry
 	clock   uint64
+
+	// hint names, per vpn slot, the entry that last served or installed a
+	// page of that slot. LookupVM takes the hinted entry when it matches
+	// and overlap is false: no two valid entries of one VMID then cover a
+	// common page, so at most one entry matches, and it is the one the
+	// first-match scan would return. An insert that overlaps a live entry
+	// of its VMID sets overlap; Flush clears it.
+	hint    [hintSlots]int
+	overlap bool
 
 	hits, misses uint64
 }
@@ -52,16 +64,37 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) { return t.LookupVM(0, vp
 // cross-VM flushes — and never alias.
 func (t *TLB) LookupVM(vmid int, vpn uint64) (pfn uint64, ok bool) {
 	t.clock++
+	slot := &t.hint[vpn%hintSlots]
+	if e := &t.entries[*slot]; !t.overlap && e.matches(vmid, vpn) {
+		return t.hit(e, vpn), true
+	}
 	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.vmid == vmid && vpn-e.vpn < e.span {
-			e.lastUse = t.clock
-			t.hits++
-			return e.pfn + (vpn - e.vpn), true
+		if e := &t.entries[i]; e.matches(vmid, vpn) {
+			*slot = i
+			return t.hit(e, vpn), true
 		}
 	}
 	t.misses++
 	return 0, false
+}
+
+// matches reports whether the entry translates vpn in vmid's address space.
+func (e *tlbEntry) matches(vmid int, vpn uint64) bool {
+	return e.valid && e.vmid == vmid && vpn-e.vpn < e.span
+}
+
+// overlaps reports whether the entry shares a page with the span of pages
+// [vpn, vpn+span) in vmid's address space. Spans compare modulo 2^64, as in
+// matches: two spans share a page exactly when one starts inside the other.
+func (e *tlbEntry) overlaps(vmid int, vpn, span uint64) bool {
+	return e.valid && e.vmid == vmid && (vpn-e.vpn < e.span || e.vpn-vpn < span)
+}
+
+// hit charges a hit to e and returns vpn's frame.
+func (t *TLB) hit(e *tlbEntry, vpn uint64) uint64 {
+	e.lastUse = t.clock
+	t.hits++
+	return e.pfn + (vpn - e.vpn)
 }
 
 // Insert installs a 4 KB translation, evicting the LRU entry if full.
@@ -76,22 +109,34 @@ func (t *TLB) InsertSpan(vpn, pfn, span uint64) { t.InsertSpanVM(0, vpn, pfn, sp
 
 // InsertSpanVM installs a VMID-tagged translation covering span consecutive
 // pages, evicting the LRU entry if full.
+//
+// One pass picks the victim and finds the live entries the new one
+// overlaps. Invalid entries are zero, so their lastUse is 0, while a valid
+// entry's is at least 1 (the clock is bumped before each use): the first
+// entry with the lowest lastUse is the first invalid entry when there is
+// one, else the least recently used.
 func (t *TLB) InsertSpanVM(vmid int, vpn, pfn, span uint64) {
 	if span == 0 {
 		span = 1
 	}
 	t.clock++
-	victim := 0
+	victim, oldest := 0, t.entries[0].lastUse
+	overlaps, overlapAt := 0, 0
 	for i := range t.entries {
-		if !t.entries[i].valid {
-			victim = i
-			break
+		e := &t.entries[i]
+		if e.lastUse < oldest {
+			victim, oldest = i, e.lastUse
 		}
-		if t.entries[i].lastUse < t.entries[victim].lastUse {
-			victim = i
+		if e.overlaps(vmid, vpn, span) {
+			overlaps, overlapAt = overlaps+1, i
 		}
 	}
+	// The victim's own overlap goes with it.
+	if overlaps > 1 || overlaps == 1 && overlapAt != victim {
+		t.overlap = true
+	}
 	t.entries[victim] = tlbEntry{vmid: vmid, vpn: vpn, pfn: pfn, span: span, valid: true, lastUse: t.clock}
+	t.hint[vpn%hintSlots] = victim
 }
 
 // Flush invalidates every entry (context switch / shootdown).
@@ -99,6 +144,7 @@ func (t *TLB) Flush() {
 	for i := range t.entries {
 		t.entries[i] = tlbEntry{}
 	}
+	t.overlap = false
 }
 
 // FlushVM invalidates only the given VM's entries (the targeted shootdown a

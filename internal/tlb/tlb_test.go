@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptguard/internal/pte"
+	"ptguard/internal/stats"
 )
 
 func TestTLBHitMiss(t *testing.T) {
@@ -246,5 +247,155 @@ func TestTLBSpannedEntry(t *testing.T) {
 	tl.InsertSpan(0x900, 0x1, 0)
 	if _, ok := tl.Lookup(0x900); !ok {
 		t.Error("zero-span insert unusable")
+	}
+}
+
+// refTLB is the scan-only TLB the hinted lookup replaced, kept as the
+// reference model: every lookup returns the first matching entry.
+type refTLB struct {
+	entries      []tlbEntry
+	clock        uint64
+	hits, misses uint64
+}
+
+func (t *refTLB) lookupVM(vmid int, vpn uint64) (uint64, bool) {
+	t.clock++
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid && e.vmid == vmid && vpn-e.vpn < e.span {
+			e.lastUse = t.clock
+			t.hits++
+			return e.pfn + (vpn - e.vpn), true
+		}
+	}
+	t.misses++
+	return 0, false
+}
+
+func (t *refTLB) insertSpanVM(vmid int, vpn, pfn, span uint64) {
+	if span == 0 {
+		span = 1
+	}
+	t.clock++
+	victim := 0
+	for i := range t.entries {
+		if !t.entries[i].valid {
+			victim = i
+			break
+		}
+		if t.entries[i].lastUse < t.entries[victim].lastUse {
+			victim = i
+		}
+	}
+	t.entries[victim] = tlbEntry{vmid: vmid, vpn: vpn, pfn: pfn, span: span, valid: true, lastUse: t.clock}
+}
+
+func (t *refTLB) flush() {
+	for i := range t.entries {
+		t.entries[i] = tlbEntry{}
+	}
+}
+
+func (t *refTLB) flushVM(vmid int) {
+	for i := range t.entries {
+		if t.entries[i].valid && t.entries[i].vmid == vmid {
+			t.entries[i] = tlbEntry{}
+		}
+	}
+}
+
+// TestMatchesReferenceModel drives the TLB and the reference model with the
+// same random LookupVM/InsertSpanVM/Flush/FlushVM sequence over three VMIDs.
+// The vpns crowd a small range, spans run from 0 (one page) to 64, and
+// inserts ignore what is already resident, so entries of one VMID overlap
+// and the first-match order matters. Every (pfn, ok) and the final Stats
+// must match. The disjoint case inserts only after a miss and only 4 KB
+// pages, as the simulator does, so the hint stays in use throughout.
+func TestMatchesReferenceModel(t *testing.T) {
+	cases := []struct {
+		name     string
+		capacity int
+		overlap  bool
+	}{
+		{"disjoint-64", 0, false},
+		{"overlapping-64", 0, true},
+		{"overlapping-8", 8, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tl, err := New(tc.capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refTLB{entries: make([]tlbEntry, len(tl.entries))}
+			rng := stats.NewRNG(uint64(tc.capacity) + 1)
+			// lookups and hinted count the lookups made with and without
+			// overlapping entries present: each case must cover the
+			// regimes it claims.
+			lookups, hinted := 0, 0
+			for i := 0; i < 200_000; i++ {
+				vmid := rng.Intn(3)
+				vpn := uint64(rng.Intn(1024))
+				switch op := rng.Intn(1000); {
+				case op == 0:
+					tl.Flush()
+					ref.flush()
+				case op < 3:
+					tl.FlushVM(vmid)
+					ref.flushVM(vmid)
+				case tc.overlap && op < 150:
+					span := uint64(rng.Intn(65))
+					pfn := rng.Uint64() >> 20
+					tl.InsertSpanVM(vmid, vpn, pfn, span)
+					ref.insertSpanVM(vmid, vpn, pfn, span)
+				default:
+					lookups++
+					if !tl.overlap {
+						hinted++
+					}
+					pfn, ok := tl.LookupVM(vmid, vpn)
+					wantPFN, wantOK := ref.lookupVM(vmid, vpn)
+					if pfn != wantPFN || ok != wantOK {
+						t.Fatalf("step %d: LookupVM(%d, %#x) = %#x,%v, want %#x,%v", i, vmid, vpn, pfn, ok, wantPFN, wantOK)
+					}
+					if !ok && !tc.overlap {
+						tl.InsertVM(vmid, vpn, vpn^0xABC)
+						ref.insertSpanVM(vmid, vpn, vpn^0xABC, 1)
+					}
+				}
+			}
+			if got, want := tl.Stats(), (Stats{Hits: ref.hits, Misses: ref.misses}); got != want {
+				t.Errorf("stats = %+v, want %+v", got, want)
+			}
+			if hinted == 0 || (hinted == lookups) == tc.overlap {
+				t.Errorf("%d of %d lookups ran with no overlapping entries", hinted, lookups)
+			}
+		})
+	}
+}
+
+// TestOverlapFlag: only an insert that shares a page with another live entry
+// of its VMID disables the hint; replacing the overlapping entry itself, or
+// another VMID's entry, does not, and Flush re-enables it.
+func TestOverlapFlag(t *testing.T) {
+	one, _ := New(1)
+	one.InsertSpan(0x200, 0x80000, 512)
+	one.Insert(0x300, 1) // evicts the span it lies in
+	if one.overlap {
+		t.Error("replacing the only entry set the overlap flag")
+	}
+	tl, _ := New(4)
+	tl.InsertSpan(0x200, 0x80000, 512)
+	tl.InsertVM(1, 0x300, 1)
+	if tl.overlap {
+		t.Error("another VMID's entry set the overlap flag")
+	}
+	tl.Insert(0x3FF, 2)
+	if !tl.overlap {
+		t.Fatal("a page inside a live span did not set the overlap flag")
+	}
+	tl.Flush()
+	if tl.overlap {
+		t.Error("Flush kept the overlap flag")
 	}
 }

@@ -152,11 +152,6 @@ func dropLineValues(values map[uint64]pte.Entry, lineAddr uint64) {
 	}
 }
 
-// CachedValues returns the number of entry values backing MMU-cache
-// presence: bounded by the cache's line capacity, a bound the leak
-// regression test pins.
-func (w *Walker) CachedValues() int { return len(w.values) }
-
 // InvalidateEntry drops a cached upper-level entry (e.g. after the OS
 // rewrites a page table).
 func (w *Walker) InvalidateEntry(ea uint64) {

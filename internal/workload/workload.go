@@ -118,8 +118,13 @@ type Generator struct {
 	rng  *stats.RNG
 	// VBase is the virtual base of the workload's data region.
 	vbase uint64
-	// streamPos walks the footprint for the streaming share.
-	streamPos uint64
+	// memRefT, writeT and hotT are the stats.Threshold forms of MemRefFrac,
+	// WriteFrac and HotFraction: each draw compares integers, with the
+	// outcome rng.Bernoulli would give.
+	memRefT, writeT, hotT uint64
+	// lines is the footprint in lines; streamPos walks it for the
+	// streaming share, kept in [0, lines).
+	lines, streamPos uint64
 }
 
 // NewGenerator builds a generator; vbase is the virtual base address of the
@@ -134,7 +139,15 @@ func NewGenerator(prof Profile, vbase uint64, seed uint64) (*Generator, error) {
 	if prof.MemRefFrac <= 0 || prof.MemRefFrac > 1 {
 		return nil, errors.New("workload: MemRefFrac outside (0, 1]")
 	}
-	return &Generator{prof: prof, rng: stats.NewRNG(seed ^ 0x9E3779B9), vbase: vbase}, nil
+	return &Generator{
+		prof:    prof,
+		rng:     stats.NewRNG(seed ^ 0x9E3779B9),
+		vbase:   vbase,
+		memRefT: stats.Threshold(prof.MemRefFrac),
+		writeT:  stats.Threshold(prof.WriteFrac),
+		hotT:    stats.Threshold(prof.HotFraction),
+		lines:   uint64(prof.FootprintPages) * (pte.PageSize / pte.LineBytes),
+	}, nil
 }
 
 // Profile returns the generator's workload profile.
@@ -146,22 +159,25 @@ func (g *Generator) FootprintBytes() uint64 {
 }
 
 // IsMemRef decides whether the next instruction references memory.
-func (g *Generator) IsMemRef() bool { return g.rng.Bernoulli(g.prof.MemRefFrac) }
+func (g *Generator) IsMemRef() bool { return g.rng.Below(g.memRefT) }
 
 // Next produces the next memory reference: with probability HotFraction a
 // random line in the hot region (high cache-hit share), otherwise the next
 // line of a random-stride sweep over the full footprint (capacity misses).
 func (g *Generator) Next() Ref {
-	write := g.rng.Bernoulli(g.prof.WriteFrac)
-	if g.rng.Bernoulli(g.prof.HotFraction) {
+	write := g.rng.Below(g.writeT)
+	if g.rng.Below(g.hotT) {
 		page := uint64(g.rng.Intn(g.prof.HotPages))
 		off := uint64(g.rng.Intn(pte.PageSize/pte.LineBytes)) * pte.LineBytes
 		return Ref{VAddr: g.vbase + page*pte.PageSize + off, Write: write}
 	}
 	// Streaming share: jump a pseudo-random number of lines forward so
-	// both spatial reuse and capacity pressure appear.
+	// both spatial reuse and capacity pressure appear. A step of at most
+	// 8 lines never exceeds the footprint's 64 or more, so one subtraction
+	// wraps the position.
 	g.streamPos += uint64(1 + g.rng.Intn(8))
-	lines := uint64(g.prof.FootprintPages) * (pte.PageSize / pte.LineBytes)
-	pos := g.streamPos % lines
-	return Ref{VAddr: g.vbase + pos*pte.LineBytes, Write: write}
+	if g.streamPos >= g.lines {
+		g.streamPos -= g.lines
+	}
+	return Ref{VAddr: g.vbase + g.streamPos*pte.LineBytes, Write: write}
 }

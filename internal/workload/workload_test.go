@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ptguard/internal/pte"
+	"ptguard/internal/stats"
 )
 
 func TestProfilesMatchPaperRoster(t *testing.T) {
@@ -155,5 +156,53 @@ func TestGeneratorDeterministicPerSeed(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical streams")
+	}
+}
+
+// refGenerator is the float-compare generator the integer thresholds
+// replaced, kept as the reference model: Bernoulli draws, and the stream
+// position reduced modulo the footprint on every reference.
+type refGenerator struct {
+	prof      Profile
+	rng       *stats.RNG
+	vbase     uint64
+	streamPos uint64
+}
+
+func (g *refGenerator) isMemRef() bool { return g.rng.Bernoulli(g.prof.MemRefFrac) }
+
+func (g *refGenerator) next() Ref {
+	write := g.rng.Bernoulli(g.prof.WriteFrac)
+	if g.rng.Bernoulli(g.prof.HotFraction) {
+		page := uint64(g.rng.Intn(g.prof.HotPages))
+		off := uint64(g.rng.Intn(pte.PageSize/pte.LineBytes)) * pte.LineBytes
+		return Ref{VAddr: g.vbase + page*pte.PageSize + off, Write: write}
+	}
+	g.streamPos += uint64(1 + g.rng.Intn(8))
+	lines := uint64(g.prof.FootprintPages) * (pte.PageSize / pte.LineBytes)
+	pos := g.streamPos % lines
+	return Ref{VAddr: g.vbase + pos*pte.LineBytes, Write: write}
+}
+
+// TestGeneratorMatchesReferenceModel: every profile, plus a one-page
+// footprint whose 64 lines the stream wraps every few references, yields
+// the reference model's instruction and reference stream exactly.
+func TestGeneratorMatchesReferenceModel(t *testing.T) {
+	tiny := Profile{Name: "tiny", MemRefFrac: 0.5, FootprintPages: 1, HotFraction: 0.1, HotPages: 1, WriteFrac: 0.3}
+	for _, prof := range append(Profiles(), tiny) {
+		const vbase, seed = 0x10_0000_0000, 21
+		g, err := NewGenerator(prof, vbase, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &refGenerator{prof: prof, rng: stats.NewRNG(seed ^ 0x9E3779B9), vbase: vbase}
+		for i := 0; i < 50_000; i++ {
+			if got, want := g.IsMemRef(), ref.isMemRef(); got != want {
+				t.Fatalf("%s step %d: IsMemRef = %v, want %v", prof.Name, i, got, want)
+			}
+			if got, want := g.Next(), ref.next(); got != want {
+				t.Fatalf("%s step %d: Next = %+v, want %+v", prof.Name, i, got, want)
+			}
+		}
 	}
 }
