@@ -61,11 +61,6 @@ type Matrix struct {
 	FlipsInjected uint64 `json:"flips_injected"`
 }
 
-// Judged returns the total number of classified reads.
-func (m Matrix) Judged() uint64 {
-	return m.CleanPasses + m.FalseAlarms + m.Detected + m.Corrected + m.Miscorrected + m.Silent
-}
-
 // Faulty returns the number of reads that had at least one net flip.
 func (m Matrix) Faulty() uint64 {
 	return m.Detected + m.Corrected + m.Miscorrected + m.Silent
@@ -146,15 +141,9 @@ func (o *Oracle) RecordFlip(addr uint64, bit int) {
 }
 
 // PendingFlips returns the number of net (odd-parity) flips recorded for
-// the line at addr since the last Judge or ClearFlips.
+// the line at addr since the last Judge.
 func (o *Oracle) PendingFlips(addr uint64) int {
 	return len(o.flips[addr/pte.LineBytes*pte.LineBytes])
-}
-
-// ClearFlips forgets the recorded flips for addr (the campaign restored the
-// pristine image without a judgement).
-func (o *Oracle) ClearFlips(addr uint64) {
-	delete(o.flips, addr/pte.LineBytes*pte.LineBytes)
 }
 
 // Judge classifies one read of the line at addr: served is the line the

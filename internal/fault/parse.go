@@ -35,15 +35,6 @@ func Parse(spec string) (dram.FlipModel, error) {
 	return m, nil
 }
 
-// MustParse is Parse for static specs; it panics on error.
-func MustParse(spec string) dram.FlipModel {
-	m, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Specs lists the supported model names for CLI help.
 func Specs() []string {
 	return []string{

@@ -79,14 +79,8 @@ func (a *Authenticator) computeBatch64(dst []Tag, lines [][LineBytes]byte, addrs
 // lanes k..k+3, matching encryptChunk's input construction.
 func marshalChunks128(src, tw *[64]qarma.Block, k int, line *[LineBytes]byte, addr uint64) {
 	for i := 0; i < chunks128; i++ {
-		chunkAddr := addr + uint64(i*qarma.BlockSize)
-		var tweak qarma.Block
-		for b := 0; b < 8; b++ {
-			tweak[b] = byte(chunkAddr >> (8 * b))
-		}
-		var chunk qarma.Block
-		copy(chunk[:], line[i*qarma.BlockSize:(i+1)*qarma.BlockSize])
-		src[k+i] = xorBlock(chunk, tweak)
+		tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
+		src[k+i] = chunkInput(line, i, tweak)
 		tw[k+i] = tweak
 	}
 }
@@ -178,14 +172,8 @@ func (a *Authenticator) ComputeDeltaBatch(dst []Tag, enc []int, cc *ChunkCache, 
 					acc[j] = xorBlock(acc[j], cc.out[i])
 					continue
 				}
-				chunkAddr := cc.addr + uint64(i*qarma.BlockSize)
-				var tweak qarma.Block
-				for b := 0; b < 8; b++ {
-					tweak[b] = byte(chunkAddr >> (8 * b))
-				}
-				var chunk qarma.Block
-				copy(chunk[:], cand[i*qarma.BlockSize:(i+1)*qarma.BlockSize])
-				src[m] = xorBlock(chunk, tweak)
+				tweak := chunkTweak(cc.addr + uint64(i*qarma.BlockSize))
+				src[m] = chunkInput(cand, i, tweak)
 				tw[m] = tweak
 				owner[m] = uint8(j)
 				m++

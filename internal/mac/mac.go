@@ -138,6 +138,10 @@ type Authenticator struct {
 	cipher   *qarma.Cipher
 	cipher64 *qarma.Cipher64
 	tagBits  int
+	// chunkStep[i-1] turns the tweak expansion of chunk i-1 of a line into
+	// that of chunk i when their addresses differ only in the chunk index
+	// bits (see encryptLine).
+	chunkStep [chunks128 - 1]qarma.Tweakey
 }
 
 // Option configures an Authenticator.
@@ -202,7 +206,12 @@ func New(key []byte, opts ...Option) (*Authenticator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Authenticator{cipher: c, tagBits: cfg.tagBits}, nil
+	a := &Authenticator{cipher: c, tagBits: cfg.tagBits}
+	for i := 1; i < chunks128; i++ {
+		prev, next := uint64((i-1)*qarma.BlockSize), uint64(i*qarma.BlockSize)
+		c.TweakDelta(&a.chunkStep[i-1], chunkTweak(prev^next))
+	}
+	return a, nil
 }
 
 // TagBits returns the configured MAC width.
@@ -223,18 +232,51 @@ const (
 	chunks64  = LineBytes / qarma.Block64Size // 8 chunks of 8 bytes
 )
 
+// chunkTweak is the QARMA-128 tweak of the chunk at physical address
+// chunkAddr: the address little-endian in the low eight bytes.
+func chunkTweak(chunkAddr uint64) qarma.Block {
+	var tweak qarma.Block
+	binary.LittleEndian.PutUint64(tweak[:8], chunkAddr)
+	return tweak
+}
+
+// chunkInput is the cipher input of 16-byte chunk i: the chunk XORed with
+// its tweak.
+func chunkInput(line *[LineBytes]byte, i int, tweak qarma.Block) qarma.Block {
+	var chunk qarma.Block
+	copy(chunk[:], line[i*qarma.BlockSize:(i+1)*qarma.BlockSize])
+	return xorBlock(chunk, tweak)
+}
+
 // encryptChunk enciphers 16-byte chunk i of the line image at addr under
 // QARMA-128. A_i is the chunk's own 16-byte-aligned physical address, which
 // both binds the MAC to its location (§IV-G) and makes the chunk inputs
 // distinct.
 func (a *Authenticator) encryptChunk(line *[LineBytes]byte, addr uint64, i int) qarma.Block {
-	var chunk, tweak qarma.Block
-	copy(chunk[:], line[i*qarma.BlockSize:(i+1)*qarma.BlockSize])
-	chunkAddr := addr + uint64(i*qarma.BlockSize)
-	for b := 0; b < 8; b++ {
-		tweak[b] = byte(chunkAddr >> (8 * b))
+	tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
+	return a.cipher.Encrypt(chunkInput(line, i, tweak), tweak)
+}
+
+// encryptLine enciphers all four chunks of a line image at addr into out,
+// bit-identical to four encryptChunk calls: the line-level entry point of
+// Compute and Precompute. The tweak expansion is linear in the tweak, so
+// when adding 16i to addr carries nothing out of the chunk index bits
+// (always, for a line-aligned address) chunk i's tweak is chunk i-1's
+// XORed with a constant and its expansion follows from one XOR with
+// chunkStep: the address is expanded once per line. Other addresses
+// expand every chunk's tweak.
+func (a *Authenticator) encryptLine(out *[chunks128]qarma.Block, line *[LineBytes]byte, addr uint64) {
+	var tk qarma.Tweakey
+	noCarry := addr&uint64((chunks128-1)*qarma.BlockSize) == 0
+	for i := range out {
+		tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
+		if i > 0 && noCarry {
+			tk.Xor(&a.chunkStep[i-1])
+		} else {
+			a.cipher.ExpandTweak(&tk, tweak)
+		}
+		out[i] = a.cipher.EncryptExpanded(chunkInput(line, i, tweak), &tk)
 	}
-	return a.cipher.Encrypt(xorBlock(chunk, tweak), tweak)
 }
 
 // encryptChunk64 enciphers 8-byte chunk i under QARMA-64, bound to the
@@ -279,9 +321,11 @@ func (a *Authenticator) Compute(line [LineBytes]byte, addr uint64) Tag {
 		}
 		return a.tagFromUint64(acc)
 	}
-	var acc qarma.Block
-	for i := 0; i < chunks128; i++ {
-		acc = xorBlock(acc, a.encryptChunk(&line, addr, i))
+	var out [chunks128]qarma.Block
+	a.encryptLine(&out, &line, addr)
+	acc := out[0]
+	for i := 1; i < chunks128; i++ {
+		acc = xorBlock(acc, out[i])
 	}
 	return a.tagFromBlock(acc)
 }
@@ -313,9 +357,7 @@ func (a *Authenticator) Precompute(line [LineBytes]byte, addr uint64) ChunkCache
 		}
 		return cc
 	}
-	for i := 0; i < chunks128; i++ {
-		cc.out[i] = a.encryptChunk(&cc.base, addr, i)
-	}
+	a.encryptLine(&cc.out, &cc.base, addr)
 	return cc
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptguard/internal/qarma"
 	"ptguard/internal/stats"
 )
 
@@ -330,6 +331,30 @@ func TestAttackYearsPaperClaims(t *testing.T) {
 	// §VI-C: 66-bit effective MAC → >1e4 years.
 	if y := AttackYears(66, 50); y < 1e4 {
 		t.Errorf("66-bit attack time = %.3g years, want > 1e4", y)
+	}
+}
+
+// TestEncryptLineMatchesChunks: the line-level entry point, which expands
+// the address once and steps to the other chunks by XOR when no chunk
+// address carries, must match four independent chunk encryptions at every
+// address, aligned or not, including lines that wrap past 2^64.
+func TestEncryptLineMatchesChunks(t *testing.T) {
+	for _, rounds := range []int{4, qarma.DefaultRounds, qarma.MaxRounds} {
+		a := testAuth(t, WithRounds(rounds))
+		if err := quick.Check(func(seed, addr uint64, low uint8) bool {
+			line := randLine(stats.NewRNG(seed))
+			addr = addr&^0x3F | uint64(low&0x3F)
+			var out [chunks128]qarma.Block
+			a.encryptLine(&out, &line, addr)
+			for i := range out {
+				if out[i] != a.encryptChunk(&line, addr, i) {
+					return false
+				}
+			}
+			return true
+		}, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("rounds=%d: encryptLine != encryptChunk: %v", rounds, err)
+		}
 	}
 }
 

@@ -87,12 +87,11 @@ var _alpha = Block{0xc0, 0xac, 0x29, 0xb7, 0xc9, 0x7c, 0x50, 0xdd, 0x3f, 0x84, 0
 // Cipher is an instance of the tweakable block cipher with a fixed key.
 // It is safe for concurrent use: all methods are read-only on the receiver.
 type Cipher struct {
-	w0, w1, k0, kAlpha Block
-	// Per-round tweakeys k0^c[i] and kAlpha^c[i], folded once at key setup
-	// so each round mixes a single precomputed block instead of XORing the
-	// key and round constant separately on every call.
-	kRC, kaRC [MaxRounds]Block
-	rounds    int
+	w0, w1, k0 Block
+	rounds     int
+	// enc and dec are the key halves of the table kernel's round tweakeys
+	// (qarma_fast.go), folded through the linear layers once at key setup.
+	enc, dec keySchedule
 	// sk is the plane-mask key expansion consumed by the bit-sliced
 	// EncryptBlocks kernel, built once at key setup.
 	sk *slicedKeys128
@@ -111,82 +110,25 @@ func NewCipher(key []byte, rounds int) (*Cipher, error) {
 	copy(c.w0[:], key[:16])
 	copy(c.k0[:], key[16:])
 	c.w1 = ortho(c.w0)
-	c.kAlpha = xorBlocks(c.k0, _alpha)
-	for i := 0; i < rounds; i++ {
-		c.kRC[i] = xorBlocks(c.k0, _roundConsts[i])
-		c.kaRC[i] = xorBlocks(c.kAlpha, _roundConsts[i])
-	}
+	kAlpha := xorBlocks(c.k0, _alpha)
+	c.enc = newKeySchedule(rounds, c.w0, c.k0, mixColumns(c.w1), kAlpha, c.w1)
+	c.dec = newKeySchedule(rounds, c.w1, kAlpha, c.w1, c.k0, c.w0)
 	c.sk = newSlicedKeys128(c)
 	return c, nil
 }
 
 // Encrypt returns the encryption of block p under tweak t.
 func (c *Cipher) Encrypt(p, t Block) Block {
-	tweaks := c.tweakSchedule(t)
-	s := p
-	xorInPlace(&s, &c.w0)
-	for i := 0; i < c.rounds; i++ {
-		xor3InPlace(&s, &c.kRC[i], &tweaks[i])
-		if i > 0 {
-			mixShuffled(&s)
-		}
-		subCellsInPlace(&s)
-	}
-	// Central involutory pseudo-reflector.
-	s = shuffle(s, _tau)
-	xorInPlace(&s, &c.w1)
-	mixColumnsInPlace(&s)
-	s = shuffle(s, _tauInv)
-	// Mirrored backward rounds.
-	for i := c.rounds - 1; i >= 0; i-- {
-		subCellsInPlace(&s)
-		if i > 0 {
-			shuffleInvMixed(&s)
-		}
-		xor3InPlace(&s, &c.kaRC[i], &tweaks[i])
-	}
-	xorInPlace(&s, &c.w1)
-	return s
+	var tk Tweakey
+	c.expand(&tk, t, &c.enc)
+	return c.run(p, &tk)
 }
 
 // Decrypt inverts Encrypt for the same tweak.
 func (c *Cipher) Decrypt(ct, t Block) Block {
-	tweaks := c.tweakSchedule(t)
-	s := ct
-	xorInPlace(&s, &c.w1)
-	for i := 0; i < c.rounds; i++ {
-		xor3InPlace(&s, &c.kaRC[i], &tweaks[i])
-		if i > 0 {
-			mixShuffled(&s)
-		}
-		subCellsInPlace(&s)
-	}
-	s = shuffle(s, _tau)
-	mixColumnsInPlace(&s)
-	xorInPlace(&s, &c.w1)
-	s = shuffle(s, _tauInv)
-	for i := c.rounds - 1; i >= 0; i-- {
-		subCellsInPlace(&s)
-		if i > 0 {
-			shuffleInvMixed(&s)
-		}
-		xor3InPlace(&s, &c.kRC[i], &tweaks[i])
-	}
-	xorInPlace(&s, &c.w0)
-	return s
-}
-
-// tweakSchedule precomputes the per-round tweak values. It returns a
-// fixed-size array (only the first c.rounds entries are meaningful) so the
-// schedule lives on the caller's stack: the cipher is the innermost loop of
-// every MAC verify and correction guess, and a per-call heap allocation
-// here dominates the whole hot path.
-func (c *Cipher) tweakSchedule(t Block) (tweaks [MaxRounds]Block) {
-	for i := 0; i < c.rounds; i++ {
-		tweaks[i] = t
-		advanceTweakInPlace(&t)
-	}
-	return tweaks
+	var tk Tweakey
+	c.expand(&tk, t, &c.dec)
+	return c.run(ct, &tk)
 }
 
 // subCells applies the involutory S-box to each cell, nibble-wise.

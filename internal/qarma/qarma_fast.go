@@ -2,13 +2,63 @@ package qarma
 
 import "encoding/binary"
 
-// This file holds the SWAR fast path behind Encrypt/Decrypt. The reference
-// cell-wise primitives (subCells, mixColumns, shuffle, advanceTweak) stay in
-// qarma.go as the readable specification; TestFastPrimitivesMatchReference
-// pins the two bit-for-bit. The fast path views the 16-cell state as two
-// little-endian uint64 lanes for key/tweak mixing and as four uint32 rows
-// for the Almost-MDS diffusion, turning 16 byte-wise operations into a
-// handful of word operations per step.
+// This file holds the table-driven kernel behind Encrypt, Decrypt and
+// EncryptExpanded. The reference cell-wise primitives (subCells,
+// mixColumns, shuffle, advanceTweak) stay in qarma.go as the readable
+// specification; TestFastPrimitivesMatchReference and TestKnownAnswers pin
+// the kernel to them bit for bit.
+//
+// In a forward round the work between two S-box layers is σ, add the
+// round tweakey k, then the linear layer L = M∘τ. Because L is linear over
+// GF(2), L(σ(x) ⊕ k) = L(σ(x)) ⊕ L(k): the tweakey is mapped through L
+// once per tweak, and what is left, M∘σ after a cell gather, is a sum of
+// one term per input cell. _te tabulates those terms (the AES T-table
+// construction), so a round is sixteen table loads gathered through τ or
+// τ⁻¹ plus one precomputed tweakey.
+//
+// The state stays in four uint32 column words (see cols). The backward
+// rounds keep it un-shuffled: the τ⁻¹ that ends each backward round is
+// folded into the next round's gather, so their tweakeys are mapped through
+// τ instead of M∘τ. The r forward rounds, the reflector and the r backward
+// rounds of the reference become 2r−1 table rounds and one plain σ:
+//
+//   - r−1 forward rounds, gather τ, tweakey M(τ(k0 ⊕ c_i ⊕ T_i));
+//   - the reflector, gather τ, tweakey M(w1) (w1 when decrypting);
+//   - r−1 backward rounds, gather τ⁻¹, tweakey τ(kα ⊕ c_i ⊕ T_i);
+//   - σ through τ⁻¹, then kα ⊕ c_0 ⊕ T_0 ⊕ w1.
+//
+// Decryption has the same shape with the whitening keys and the two round
+// key sequences swapped (keySchedule). The tweak schedule T_i = h-shuffle
+// then ω-LFSR applied i times is linear too, so the whole expansion of a
+// tweak is linear in it: Expand(t ⊕ d) = Expand(t) ⊕ TweakDelta(d), where
+// TweakDelta does not depend on the key. A MAC over the four chunks of a
+// line uses this to expand its address once.
+
+// cols is a 16-cell block in column words: word c holds column c of the
+// 4x4 cell matrix, byte r being cell 4r+c. The kernel's state and every
+// expanded tweakey use this layout.
+type cols [4]uint32
+
+func toCols(b Block) (s cols) {
+	for c := range s {
+		s[c] = uint32(b[c]) | uint32(b[c+4])<<8 | uint32(b[c+8])<<16 | uint32(b[c+12])<<24
+	}
+	return s
+}
+
+func (s cols) block() (b Block) {
+	for c, w := range s {
+		b[c], b[c+4], b[c+8], b[c+12] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+	}
+	return b
+}
+
+func (s *cols) xor(a *cols) {
+	s[0] ^= a[0]
+	s[1] ^= a[1]
+	s[2] ^= a[2]
+	s[3] ^= a[3]
+}
 
 // _sigma0b is the S-box applied to a whole 8-bit cell (sigma0 on each
 // nibble), so substitution is one table load per cell instead of two
@@ -20,137 +70,167 @@ var _sigma0b = func() (t [256]byte) {
 	return t
 }()
 
-// _lfsrT tabulates the tweak LFSR omega: x -> x<<1 | (x7^x5^x4^x3).
-var _lfsrT = func() (t [256]byte) {
-	for v := 0; v < 256; v++ {
-		x := byte(v)
-		fb := (x>>7 ^ x>>5 ^ x>>4 ^ x>>3) & 1
-		t[v] = x<<1 | fb
+// _te[r][v] is the column M adds to its output for a cell of value σ(v)
+// in row r of its input, probed from the reference mixColumns.
+var _te = func() (t [4][256]uint32) {
+	for r := range t {
+		for v := range t[r] {
+			var in Block
+			in[4*r] = _sigma0b[v]
+			t[r][v] = toCols(mixColumns(in))[0]
+		}
 	}
 	return t
 }()
 
-// Byte-typed copies of the cell permutations: indexing a [16]byte with a
-// byte avoids the int conversions of the reference tables in the hot loop.
-var (
-	_tauB    = toBytePerm(_tau)
-	_tauInvB = toBytePerm(_tauInv)
-	_hB      = toBytePerm(_h)
-)
-
-func toBytePerm(p [16]int) (b [16]byte) {
-	for i, v := range p {
-		b[i] = byte(v)
-	}
-	return b
+// advanceWords is advanceTweak on the tweak held as two little-endian
+// words (cells 0-7 in lo, 8-15 in hi): the h gather as shifts and masks,
+// then the ω LFSR on cells 0, 1, 3 and 4 as one masked word operation.
+func advanceWords(lo, hi uint64) (uint64, uint64) {
+	nlo := lo>>48&0xff | lo>>40&0xff<<8 | hi>>48&0xff<<16 | hi>>56<<24 | lo<<32
+	nhi := lo>>56 | hi>>32&0xffff<<8 | lo>>32&0xff<<24 | hi<<32
+	const cells = 0x000000ff_ff00ffff // cells 0, 1, 3 and 4
+	x := nlo & cells
+	fb := (x>>7 ^ x>>5 ^ x>>4 ^ x>>3) & (cells & 0x01010101_01010101)
+	return nlo&^cells | x<<1&(cells&0xfefefefe_fefefefe) | fb, nhi
 }
 
-// xorInPlace computes s ^= a over two 64-bit lanes.
-func xorInPlace(s, a *Block) {
-	binary.LittleEndian.PutUint64(s[0:8],
-		binary.LittleEndian.Uint64(s[0:8])^binary.LittleEndian.Uint64(a[0:8]))
-	binary.LittleEndian.PutUint64(s[8:16],
-		binary.LittleEndian.Uint64(s[8:16])^binary.LittleEndian.Uint64(a[8:16]))
-}
-
-// xor3InPlace computes s ^= a ^ b in one pass: the round-tweakey mix.
-func xor3InPlace(s, a, b *Block) {
-	binary.LittleEndian.PutUint64(s[0:8],
-		binary.LittleEndian.Uint64(s[0:8])^
-			binary.LittleEndian.Uint64(a[0:8])^
-			binary.LittleEndian.Uint64(b[0:8]))
-	binary.LittleEndian.PutUint64(s[8:16],
-		binary.LittleEndian.Uint64(s[8:16])^
-			binary.LittleEndian.Uint64(a[8:16])^
-			binary.LittleEndian.Uint64(b[8:16]))
-}
-
-// subCellsInPlace applies the cell S-box via the 256-entry table.
-func subCellsInPlace(s *Block) {
-	for i, v := range s {
-		s[i] = _sigma0b[v]
-	}
-}
-
-// rotl8x4 rotates each of the four 8-bit lanes of x left by k. Shifted-out
-// bits that cross a lane boundary are masked off and re-inserted from the
-// opposing shift, the standard SWAR per-lane rotate.
-func rotl8x4(x uint32, k uint) uint32 {
-	return x<<k&(0x01010101*uint32(0xFF<<k&0xFF)) |
-		x>>(8-k)&(0x01010101*uint32(0xFF>>(8-k)))
-}
-
-// mixRows is M = circ(0, rho^1, rho^4, rho^5) applied to all four columns at
-// once: row i holds cells 4i..4i+3, so each circulant entry becomes one
-// four-lane rotate and the column loop disappears.
-func mixRows(r0, r1, r2, r3 uint32) (o0, o1, o2, o3 uint32) {
-	a1, a4, a5 := rotl8x4(r0, 1), rotl8x4(r0, 4), rotl8x4(r0, 5)
-	b1, b4, b5 := rotl8x4(r1, 1), rotl8x4(r1, 4), rotl8x4(r1, 5)
-	c1, c4, c5 := rotl8x4(r2, 1), rotl8x4(r2, 4), rotl8x4(r2, 5)
-	d1, d4, d5 := rotl8x4(r3, 1), rotl8x4(r3, 4), rotl8x4(r3, 5)
-	o0 = b1 ^ c4 ^ d5
-	o1 = c1 ^ d4 ^ a5
-	o2 = d1 ^ a4 ^ b5
-	o3 = a1 ^ b4 ^ c5
+// tauWords returns shuffle(t, τ) in column words for a tweak held as two
+// little-endian words: row r of column c is cell τ[4r+c], the gather of
+// the forward table rounds.
+func tauWords(lo, hi uint64) (b0, b1, b2, b3 uint32) {
+	b0 = uint32(lo&0xff) | uint32(hi>>16&0xff)<<8 | uint32(lo>>40&0xff)<<16 | uint32(hi>>56)<<24
+	b1 = uint32(hi>>24&0xff) | uint32(lo>>8&0xff)<<8 | uint32(hi>>48&0xff)<<16 | uint32(lo>>32&0xff)<<24
+	b2 = uint32(lo>>48&0xff) | uint32(hi>>32&0xff)<<8 | uint32(lo>>24&0xff)<<16 | uint32(hi>>8&0xff)<<24
+	b3 = uint32(hi>>40&0xff) | uint32(lo>>56)<<8 | uint32(hi&0xff)<<16 | uint32(lo>>16&0xff)<<24
 	return
 }
 
-// mixColumnsInPlace is the in-place SWAR form of mixColumns.
-func mixColumnsInPlace(s *Block) {
-	o0, o1, o2, o3 := mixRows(
-		binary.LittleEndian.Uint32(s[0:4]),
-		binary.LittleEndian.Uint32(s[4:8]),
-		binary.LittleEndian.Uint32(s[8:12]),
-		binary.LittleEndian.Uint32(s[12:16]))
-	binary.LittleEndian.PutUint32(s[0:4], o0)
-	binary.LittleEndian.PutUint32(s[4:8], o1)
-	binary.LittleEndian.PutUint32(s[8:12], o2)
-	binary.LittleEndian.PutUint32(s[12:16], o3)
+// mixWord applies M to one column word through the round tables: σ is an
+// involution, so _te[r][σ(v)] is the plain linear term of v.
+func mixWord(w uint32) uint32 {
+	return _te[0][_sigma0b[byte(w)]] ^ _te[1][_sigma0b[byte(w>>8)]] ^
+		_te[2][_sigma0b[byte(w>>16)]] ^ _te[3][_sigma0b[byte(w>>24)]]
 }
 
-// mixShuffled computes s = mixColumns(shuffle(s, tau)) in one pass: the tau
-// gather feeds the rows directly, so the shuffled state is never
-// materialised.
-func mixShuffled(s *Block) {
-	r0 := uint32(s[_tauB[0]]) | uint32(s[_tauB[1]])<<8 | uint32(s[_tauB[2]])<<16 | uint32(s[_tauB[3]])<<24
-	r1 := uint32(s[_tauB[4]]) | uint32(s[_tauB[5]])<<8 | uint32(s[_tauB[6]])<<16 | uint32(s[_tauB[7]])<<24
-	r2 := uint32(s[_tauB[8]]) | uint32(s[_tauB[9]])<<8 | uint32(s[_tauB[10]])<<16 | uint32(s[_tauB[11]])<<24
-	r3 := uint32(s[_tauB[12]]) | uint32(s[_tauB[13]])<<8 | uint32(s[_tauB[14]])<<16 | uint32(s[_tauB[15]])<<24
-	o0, o1, o2, o3 := mixRows(r0, r1, r2, r3)
-	binary.LittleEndian.PutUint32(s[0:4], o0)
-	binary.LittleEndian.PutUint32(s[4:8], o1)
-	binary.LittleEndian.PutUint32(s[8:12], o2)
-	binary.LittleEndian.PutUint32(s[12:16], o3)
+// keySchedule is the key half of every round tweakey of one direction,
+// already mapped through its round's linear layer; fwd[i] and bwd[i]
+// serve round i (1 <= i < rounds).
+type keySchedule struct {
+	in, refl, out cols
+	fwd, bwd      [MaxRounds]cols
 }
 
-// shuffleInvMixed computes s = shuffle(mixColumns(s), tauInv): the mirrored
-// backward-round diffusion. The mixed rows land in a temporary and the
-// inverse gather writes the final cell order.
-func shuffleInvMixed(s *Block) {
-	var tmp Block
-	o0, o1, o2, o3 := mixRows(
-		binary.LittleEndian.Uint32(s[0:4]),
-		binary.LittleEndian.Uint32(s[4:8]),
-		binary.LittleEndian.Uint32(s[8:12]),
-		binary.LittleEndian.Uint32(s[12:16]))
-	binary.LittleEndian.PutUint32(tmp[0:4], o0)
-	binary.LittleEndian.PutUint32(tmp[4:8], o1)
-	binary.LittleEndian.PutUint32(tmp[8:12], o2)
-	binary.LittleEndian.PutUint32(tmp[12:16], o3)
-	for i := range s {
-		s[i] = tmp[_tauInvB[i]]
+// newKeySchedule builds the schedule that whitens with wIn, runs the
+// forward rounds under kIn, reflects with refl (given in M's output) and
+// runs the backward rounds under kOut before whitening with wOut.
+func newKeySchedule(rounds int, wIn, kIn, refl, kOut, wOut Block) keySchedule {
+	ks := keySchedule{
+		in:   toCols(xorBlocks(wIn, xorBlocks(kIn, _roundConsts[0]))),
+		refl: toCols(refl),
+		out:  toCols(xorBlocks(wOut, xorBlocks(kOut, _roundConsts[0]))),
+	}
+	for i := 1; i < rounds; i++ {
+		ks.fwd[i] = toCols(mixColumns(shuffle(xorBlocks(kIn, _roundConsts[i]), _tau)))
+		ks.bwd[i] = toCols(shuffle(xorBlocks(kOut, _roundConsts[i]), _tau))
+	}
+	return ks
+}
+
+// zeroSchedule has no key material: expanding under it gives the linear
+// part of a tweak expansion alone.
+var zeroSchedule keySchedule
+
+// Tweakey is one tweak expanded for the table kernel: the whitening and
+// round tweakeys of a single encryption, each mapped through its round's
+// linear layer. A Tweakey is built by ExpandTweak or TweakDelta and is only
+// meaningful to the Cipher that built it.
+type Tweakey struct {
+	n       int // live round tweakeys: 2*rounds - 1
+	in, out cols
+	rk      [2*MaxRounds - 1]cols
+}
+
+// Xor adds d into tk: ExpandTweak(t) followed by Xor(TweakDelta(d)) is
+// ExpandTweak(t ^ d). Both must come from the same Cipher.
+func (tk *Tweakey) Xor(d *Tweakey) {
+	tk.in.xor(&d.in)
+	tk.out.xor(&d.out)
+	rk, dk := tk.rk[:tk.n], d.rk[:tk.n]
+	for i := range rk {
+		rk[i].xor(&dk[i])
 	}
 }
 
-// advanceTweakInPlace is advanceTweak without the intermediate copies: one
-// h gather plus four LFSR table loads.
-func advanceTweakInPlace(t *Block) {
-	tmp := *t
-	for i := range t {
-		t[i] = tmp[_hB[i]]
+// ExpandTweak sets *tk to the expansion of tweak t for encryption, so that
+// EncryptExpanded(p, tk) equals Encrypt(p, t).
+func (c *Cipher) ExpandTweak(tk *Tweakey, t Block) { c.expand(tk, t, &c.enc) }
+
+// TweakDelta sets *tk to the expansion of d with no key material. The
+// expansion is linear in the tweak, so XORing TweakDelta(d) into
+// ExpandTweak(t) gives ExpandTweak(t ^ d) without re-running the schedule.
+// The result depends on the round count but not on the key.
+func (c *Cipher) TweakDelta(tk *Tweakey, d Block) { c.expand(tk, d, &zeroSchedule) }
+
+// EncryptExpanded returns Encrypt(p, t) for the tweak t that tk expands.
+func (c *Cipher) EncryptExpanded(p Block, tk *Tweakey) Block { return c.run(p, tk) }
+
+// expand fills tk with the round tweakeys of tweak t under key schedule ks.
+func (c *Cipher) expand(tk *Tweakey, t Block, ks *keySchedule) {
+	r := c.rounds
+	tk.n = 2*r - 1
+	tc := toCols(t)
+	tk.in, tk.out = ks.in, ks.out
+	tk.in.xor(&tc)
+	tk.out.xor(&tc)
+	tk.rk[r-1] = ks.refl
+	lo, hi := binary.LittleEndian.Uint64(t[:8]), binary.LittleEndian.Uint64(t[8:])
+	for i := 1; i < r; i++ {
+		lo, hi = advanceWords(lo, hi)
+		// Backward tweakey τ(T_i), forward tweakey M(τ(T_i)).
+		b0, b1, b2, b3 := tauWords(lo, hi)
+		kf, kb := &ks.fwd[i], &ks.bwd[i]
+		tk.rk[i-1] = cols{mixWord(b0) ^ kf[0], mixWord(b1) ^ kf[1], mixWord(b2) ^ kf[2], mixWord(b3) ^ kf[3]}
+		tk.rk[2*r-1-i] = cols{b0 ^ kb[0], b1 ^ kb[1], b2 ^ kb[2], b3 ^ kb[3]}
 	}
-	t[0] = _lfsrT[t[0]]
-	t[1] = _lfsrT[t[1]]
-	t[3] = _lfsrT[t[3]]
-	t[4] = _lfsrT[t[4]]
+}
+
+// run is the kernel: it enciphers p through the 2r−1 table rounds and the
+// closing σ under the expanded tweak tk. The gathers below are τ and τ⁻¹
+// written out per column word.
+func (c *Cipher) run(p Block, tk *Tweakey) Block {
+	in := toCols(p)
+	s0, s1, s2, s3 := in[0]^tk.in[0], in[1]^tk.in[1], in[2]^tk.in[2], in[3]^tk.in[3]
+	t0, t1, t2, t3 := &_te[0], &_te[1], &_te[2], &_te[3]
+	// Forward rounds and the reflector: input row r of column c is cell
+	// τ[4r+c].
+	fwd := tk.rk[:c.rounds]
+	for i := range fwd {
+		k := &fwd[i]
+		s0, s1, s2, s3 =
+			t0[byte(s0)]^t1[byte(s2>>16)]^t2[byte(s1>>8)]^t3[byte(s3>>24)]^k[0],
+			t0[byte(s3>>16)]^t1[byte(s1)]^t2[byte(s2>>24)]^t3[byte(s0>>8)]^k[1],
+			t0[byte(s2>>8)]^t1[byte(s0>>24)]^t2[byte(s3)]^t3[byte(s1>>16)]^k[2],
+			t0[byte(s1>>24)]^t1[byte(s3>>8)]^t2[byte(s0>>16)]^t3[byte(s2)]^k[3]
+	}
+	// Backward rounds: input row r of column c is cell τ⁻¹[4r+c].
+	bwd := tk.rk[c.rounds:tk.n]
+	for i := range bwd {
+		k := &bwd[i]
+		s0, s1, s2, s3 =
+			t0[byte(s0)]^t1[byte(s1>>24)]^t2[byte(s3>>16)]^t3[byte(s2>>8)]^k[0],
+			t0[byte(s1>>8)]^t1[byte(s0>>16)]^t2[byte(s2>>24)]^t3[byte(s3)]^k[1],
+			t0[byte(s3>>24)]^t1[byte(s2)]^t2[byte(s0>>8)]^t3[byte(s1>>16)]^k[2],
+			t0[byte(s2>>16)]^t1[byte(s3>>8)]^t2[byte(s1)]^t3[byte(s0>>24)]^k[3]
+	}
+	// Closing σ through the same τ⁻¹ gather.
+	sb := &_sigma0b
+	out := cols{
+		uint32(sb[byte(s0)]) | uint32(sb[byte(s1>>24)])<<8 | uint32(sb[byte(s3>>16)])<<16 | uint32(sb[byte(s2>>8)])<<24,
+		uint32(sb[byte(s1>>8)]) | uint32(sb[byte(s0>>16)])<<8 | uint32(sb[byte(s2>>24)])<<16 | uint32(sb[byte(s3)])<<24,
+		uint32(sb[byte(s3>>24)]) | uint32(sb[byte(s2)])<<8 | uint32(sb[byte(s0>>8)])<<16 | uint32(sb[byte(s1>>16)])<<24,
+		uint32(sb[byte(s2>>16)]) | uint32(sb[byte(s3>>8)])<<8 | uint32(sb[byte(s1)])<<16 | uint32(sb[byte(s0>>24)])<<24,
+	}
+	out.xor(&tk.out)
+	return out.block()
 }

@@ -22,10 +22,11 @@ const slicedLanes = 64
 // minSliced128 and minSliced64 are the batch sizes below which the scalar
 // loop beats the sliced kernel (a sliced pass costs the same regardless of
 // how many of its 64 lanes are live). Crossovers measured by
-// BenchmarkEncryptBlocks; the exact value is not load-bearing for
+// BenchmarkEncryptBlocks128 and BenchmarkEncryptBlocks64 (EXPERIMENTS.md
+// has the 128-bit table); the exact value is not load-bearing for
 // correctness (EncryptBlocks is bit-identical either way).
 const (
-	minSliced128 = 8
+	minSliced128 = 40
 	minSliced64  = 4
 )
 
@@ -192,8 +193,8 @@ func expandMask64(v uint64, m *[64]uint64) {
 
 // slicedKeys128 is the plane-mask expansion of one QARMA-128 key schedule,
 // built once at NewCipher so EncryptBlocks performs zero allocations and no
-// per-call mask expansion. Backward rounds derive kaRC from kRC by XORing
-// the alpha mask (kaRC[i] = kRC[i] ^ alpha).
+// per-call mask expansion. Backward rounds derive the kα ⊕ c[i] masks from
+// kRCm (k0 ⊕ c[i]) by XORing the alpha mask.
 type slicedKeys128 struct {
 	w0m, w1m, alm [128]uint64
 	kRCm          [MaxRounds][128]uint64
@@ -205,7 +206,7 @@ func newSlicedKeys128(c *Cipher) *slicedKeys128 {
 	expandMask128(c.w1, &k.w1m)
 	expandMask128(_alpha, &k.alm)
 	for i := 0; i < c.rounds; i++ {
-		expandMask128(c.kRC[i], &k.kRCm[i])
+		expandMask128(xorBlocks(c.k0, _roundConsts[i]), &k.kRCm[i])
 	}
 	return k
 }

@@ -1,6 +1,7 @@
 package qarma
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -153,33 +154,38 @@ func TestEncryptBlocks64MatchesScalar(t *testing.T) {
 	}
 }
 
+// BenchmarkEncryptBlocks128 times one group of n blocks on each path: one
+// sliced pass (whose cost barely depends on n) against n scalar Encrypt
+// calls. The smallest n where the sliced pass wins sets minSliced128.
 func BenchmarkEncryptBlocks128(b *testing.B) {
 	c, err := NewCipher(make([]byte, KeySize), DefaultRounds)
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(3))
-	src := make([]Block, 64)
-	tweaks := make([]Block, 64)
-	dst := make([]Block, 64)
+	src := make([]Block, slicedLanes)
+	tweaks := make([]Block, slicedLanes)
+	dst := make([]Block, slicedLanes)
 	for i := range src {
 		r.Read(src[i][:])
 		r.Read(tweaks[i][:])
 	}
-	b.Run("sliced64lanes", func(b *testing.B) {
-		b.SetBytes(int64(64 * BlockSize))
-		for i := 0; i < b.N; i++ {
-			c.EncryptBlocks(dst, src, tweaks)
-		}
-	})
-	b.Run("scalar64calls", func(b *testing.B) {
-		b.SetBytes(int64(64 * BlockSize))
-		for i := 0; i < b.N; i++ {
-			for j := range src {
-				dst[j] = c.Encrypt(src[j], tweaks[j])
+	for _, n := range []int{4, 8, 16, 24, 28, 32, 36, 40, 44, 48, 56, 64} {
+		b.Run(fmt.Sprintf("sliced/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * BlockSize))
+			for i := 0; i < b.N; i++ {
+				c.encryptSliced128(dst[:n], src[:n], tweaks[:n])
 			}
-		}
-	})
+		})
+		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(n * BlockSize))
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < n; j++ {
+					dst[j] = c.Encrypt(src[j], tweaks[j])
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkEncryptBlocks64(b *testing.B) {
