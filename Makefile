@@ -23,8 +23,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz runs of the pack/unpack, MAC roundtrip and cipher-kernel
-# targets; go test accepts one -fuzz target per invocation.
+# Short fuzz runs of the pack/unpack, MAC roundtrip, cipher-kernel and
+# page-table mapping targets; go test accepts one -fuzz target per
+# invocation.
 fuzz-smoke:
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzLineBytesRoundtrip -fuzztime=5s
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzEntryFieldOps -fuzztime=5s
@@ -35,6 +36,7 @@ fuzz-smoke:
 	$(GO) test ./internal/virt -run=^$$ -fuzz=FuzzNestedWalk -fuzztime=5s
 	$(GO) test ./internal/mac -run=^$$ -fuzz=FuzzBatchMAC -fuzztime=5s
 	$(GO) test ./internal/qarma -run=^$$ -fuzz=FuzzEncryptMatchesReference -fuzztime=5s
+	$(GO) test ./internal/ostable -run=^$$ -fuzz=FuzzMapRange -fuzztime=5s
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzDistFrame -fuzztime=5s
 
 # chaos-smoke: one soak round over the full fault-point catalog — real

@@ -312,11 +312,18 @@ func (d *Device) WriteLine(addr uint64, line pte.Line) {
 	d.lines[addr/pte.LineBytes*pte.LineBytes] = line
 }
 
-// Lines calls fn for every stored line, in unspecified order. Used by the
-// full-memory re-key sweep (§VII-B). fn must not mutate the device.
+// Lines calls fn for every stored line in ascending address order. The
+// full-memory re-key sweep (§VII-B) uses it, so its batches, CTB inserts
+// and trace events follow the same order on every run. fn must not mutate
+// the device.
 func (d *Device) Lines(fn func(addr uint64, line pte.Line)) {
-	for addr, line := range d.lines {
-		fn(addr, line)
+	addrs := make([]uint64, 0, len(d.lines))
+	for addr := range d.lines {
+		addrs = append(addrs, addr)
+	}
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	for _, addr := range addrs {
+		fn(addr, d.lines[addr])
 	}
 }
 

@@ -150,6 +150,41 @@ func TestLineStorageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLinesAscendingWhateverTheWriteOrder writes the same 200 lines to two
+// devices in different orders: Lines must visit both in the same, ascending
+// sequence, so the re-key sweep is reproducible.
+func TestLinesAscendingWhateverTheWriteOrder(t *testing.T) {
+	r := stats.NewRNG(5)
+	addrs := make([]uint64, 200)
+	for i := range addrs {
+		addrs[i] = r.Uint64() >> 30 &^ (pte.LineBytes - 1)
+	}
+	a, b := newTestDevice(t), newTestDevice(t)
+	for i, addr := range addrs {
+		a.WriteLine(addr, pte.Line{pte.Entry(addr)})
+		b.WriteLine(addrs[len(addrs)-1-i], pte.Line{pte.Entry(addrs[len(addrs)-1-i])})
+	}
+	var seqA, seqB []uint64
+	a.Lines(func(addr uint64, line pte.Line) {
+		if line[0] != pte.Entry(addr) {
+			t.Fatalf("line %#x visited with the content of %#x", addr, uint64(line[0]))
+		}
+		seqA = append(seqA, addr)
+	})
+	b.Lines(func(addr uint64, _ pte.Line) { seqB = append(seqB, addr) })
+	if len(seqA) != a.StoredLines() || len(seqA) != len(seqB) {
+		t.Fatalf("visited %d and %d lines, stored %d", len(seqA), len(seqB), a.StoredLines())
+	}
+	for i := range seqA {
+		if seqA[i] != seqB[i] {
+			t.Fatalf("visit %d: %#x on one device, %#x on the other", i, seqA[i], seqB[i])
+		}
+		if i > 0 && seqA[i] <= seqA[i-1] {
+			t.Fatalf("visit %d at %#x after %#x", i, seqA[i], seqA[i-1])
+		}
+	}
+}
+
 func TestHammerBelowThresholdNoFlips(t *testing.T) {
 	d := newTestDevice(t)
 	h, err := NewHammerer(d, HammerConfig{Threshold: 1000, FlipProb: 1, Seed: 1})

@@ -68,16 +68,6 @@ func (t Tag) Bit(i int) uint64 {
 	return uint64(t.data[i/8] >> (i % 8) & 1)
 }
 
-// FlipBit returns a copy of t with bit i inverted (used by fault injection).
-func (t Tag) FlipBit(i int) Tag {
-	if i < 0 || i >= t.bits {
-		return t
-	}
-	out := t
-	out.data[i/8] ^= 1 << (i % 8)
-	return out
-}
-
 // Equal reports whether two tags match exactly.
 func (t Tag) Equal(o Tag) bool { return t.bits == o.bits && t.data == o.data }
 

@@ -241,6 +241,16 @@ func TestMaskTailMatchesBitLoop(t *testing.T) {
 	}
 }
 
+// FlipBit returns a copy of t with bit i inverted.
+func (t Tag) FlipBit(i int) Tag {
+	if i < 0 || i >= t.bits {
+		return t
+	}
+	out := t
+	out.data[i/8] ^= 1 << (i % 8)
+	return out
+}
+
 func TestFlipBitRoundTrip(t *testing.T) {
 	f := func(raw [12]byte, bit uint8) bool {
 		tag, err := TagFromBytes(raw[:], 96)

@@ -126,12 +126,6 @@ func (a *FrameAllocator) index(block uint64, o int) uint64 { return (block - a.o
 
 func (a *FrameAllocator) insert(block uint64, o int) { a.free[o].add(a.index(block, o)) }
 
-// FreeFrames returns the number of unallocated frames.
-func (a *FrameAllocator) FreeFrames() uint64 { return a.frames - a.used }
-
-// UsedFrames returns the number of allocated frames.
-func (a *FrameAllocator) UsedFrames() uint64 { return a.used }
-
 // AllocOrder allocates a 2^order-frame block, returning its base PFN.
 func (a *FrameAllocator) AllocOrder(order int) (uint64, error) {
 	if order < 0 || order > MaxOrder {

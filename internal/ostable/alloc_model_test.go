@@ -7,6 +7,12 @@ import (
 	"testing"
 )
 
+// FreeFrames returns the number of unallocated frames.
+func (a *FrameAllocator) FreeFrames() uint64 { return a.frames - a.used }
+
+// UsedFrames returns the number of allocated frames.
+func (a *FrameAllocator) UsedFrames() uint64 { return a.used }
+
 // refAllocator is the reference model for FrameAllocator: the original
 // buddy allocator, whose free lists are Go maps scanned for their lowest
 // block. It carries the same double-free check, made frame by frame, so

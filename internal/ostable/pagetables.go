@@ -14,6 +14,9 @@ const tableLevels = 4
 // linesPerTable is the number of cachelines in one 4 KB table page.
 const linesPerTable = pte.PageSize / pte.LineBytes
 
+// entriesPerTable is the number of 8-byte entries in one 4 KB table page.
+const entriesPerTable = linesPerTable * pte.PTEsPerLine
+
 // tablePage is the content of one 4 KB table page, line by line.
 type tablePage [linesPerTable]pte.Line
 
@@ -137,33 +140,65 @@ var tableFlags = pte.Entry(0).
 // Map installs vaddr -> pfn with the given leaf entry flags, creating
 // intermediate tables on demand.
 func (p *PageTables) Map(vaddr, pfn uint64, flags pte.Entry) error {
+	return p.MapRange(vaddr, pfn, 1, flags)
+}
+
+// MapRange installs vaddr+i*4 KB -> pfn+i for each i < n with the given
+// leaf entry flags, creating intermediate tables on demand. It walks the
+// upper three levels once per leaf table it fills, and its result —
+// allocations, table contents and the error — is that of n Map calls in
+// order, stopping at the first failure.
+func (p *PageTables) MapRange(vaddr, pfn uint64, n int, flags pte.Entry) error {
 	if vaddr%pte.PageSize != 0 {
 		return fmt.Errorf("ostable: unaligned vaddr %#x", vaddr)
 	}
+	if n < 1 {
+		return fmt.Errorf("ostable: MapRange of %d pages", n)
+	}
+	leaf := flags.SetBit(pte.BitPresent, true)
+	for n > 0 {
+		base, err := p.walk(vaddr, tableLevels-1)
+		if err != nil {
+			return err
+		}
+		page := p.pages[base]
+		for i := vaddr >> pte.PageShift % entriesPerTable; i < entriesPerTable && n > 0; i++ {
+			e := &page[i/pte.PTEsPerLine][i%pte.PTEsPerLine]
+			if e.Present() {
+				return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
+			}
+			*e = leaf.WithPFN(pfn)
+			p.mapped++
+			vaddr += pte.PageSize
+			pfn++
+			n--
+		}
+	}
+	return nil
+}
+
+// walk returns the base address of the table at level depth on vaddr's
+// path, creating missing tables above it. A huge page above depth is an
+// error.
+func (p *PageTables) walk(vaddr uint64, depth int) (uint64, error) {
 	base := p.root
-	for level := 0; level < tableLevels-1; level++ {
+	for level := 0; level < depth; level++ {
 		ea := entryAddress(base, vaddr, level)
 		e := p.entry(ea)
 		if !e.Present() {
 			newPFN, err := p.allocTable(level + 1)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			e = tableFlags.WithPFN(newPFN)
 			p.setEntry(ea, e)
 			p.parents[newPFN<<pte.PageShift] = ea
 		} else if e.Bit(pte.BitHugePage) {
-			return fmt.Errorf("ostable: vaddr %#x already mapped by a huge page", vaddr)
+			return 0, fmt.Errorf("ostable: vaddr %#x already mapped by a huge page", vaddr)
 		}
 		base = e.PFN() << pte.PageShift
 	}
-	leafEA := entryAddress(base, vaddr, tableLevels-1)
-	if p.entry(leafEA).Present() {
-		return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
-	}
-	p.setEntry(leafEA, flags.SetBit(pte.BitPresent, true).WithPFN(pfn))
-	p.mapped++
-	return nil
+	return base, nil
 }
 
 // HugePageSize is the 2 MB large-page size (PDE with the PS bit set).
@@ -182,20 +217,9 @@ func (p *PageTables) MapHuge(vaddr, pfn uint64, flags pte.Entry) error {
 	if pfn%hugePFNSpan != 0 {
 		return fmt.Errorf("ostable: unaligned huge pfn %#x", pfn)
 	}
-	base := p.root
-	for level := 0; level < tableLevels-2; level++ {
-		ea := entryAddress(base, vaddr, level)
-		e := p.entry(ea)
-		if !e.Present() {
-			newPFN, err := p.allocTable(level + 1)
-			if err != nil {
-				return err
-			}
-			e = tableFlags.WithPFN(newPFN)
-			p.setEntry(ea, e)
-			p.parents[newPFN<<pte.PageShift] = ea
-		}
-		base = e.PFN() << pte.PageShift
+	base, err := p.walk(vaddr, tableLevels-2)
+	if err != nil {
+		return err
 	}
 	pdEA := entryAddress(base, vaddr, tableLevels-2)
 	if p.entry(pdEA).Present() {

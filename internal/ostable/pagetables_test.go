@@ -1,9 +1,12 @@
 package ostable
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ptguard/internal/pte"
+	"ptguard/internal/stats"
 )
 
 // synthProcess builds one synthetic process over a fresh 4 GB allocator.
@@ -163,6 +166,198 @@ func TestRemapTablePageMovesLines(t *testing.T) {
 			t.Fatalf("page %d leaf entry at %#x, want in %#x", i, ea, fresh)
 		}
 	}
+}
+
+// refMap is the per-page Map that MapRange replaced, kept as the reference
+// model: a full four-level walk, creating tables on demand, for every page.
+func refMap(p *PageTables, vaddr, pfn uint64, flags pte.Entry) error {
+	if vaddr%pte.PageSize != 0 {
+		return fmt.Errorf("ostable: unaligned vaddr %#x", vaddr)
+	}
+	base := p.root
+	for level := 0; level < tableLevels-1; level++ {
+		ea := entryAddress(base, vaddr, level)
+		e := p.entry(ea)
+		if !e.Present() {
+			newPFN, err := p.allocTable(level + 1)
+			if err != nil {
+				return err
+			}
+			e = tableFlags.WithPFN(newPFN)
+			p.setEntry(ea, e)
+			p.parents[newPFN<<pte.PageShift] = ea
+		} else if e.Bit(pte.BitHugePage) {
+			return fmt.Errorf("ostable: vaddr %#x already mapped by a huge page", vaddr)
+		}
+		base = e.PFN() << pte.PageShift
+	}
+	leafEA := entryAddress(base, vaddr, tableLevels-1)
+	if p.entry(leafEA).Present() {
+		return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
+	}
+	p.setEntry(leafEA, flags.SetBit(pte.BitPresent, true).WithPFN(pfn))
+	p.mapped++
+	return nil
+}
+
+// mapRangeCase is one MapRange call and the state it runs on: a fresh
+// allocator of frames frames, the 2 MB pages huge and then the 4 KB pages
+// pre mapped first, then vaddr+i*4 KB -> pfn+i for i < n. A set-up map
+// may fail (an overlap or an exhausted allocator); its error is ignored
+// because both runs of a case build the same set-up and fail alike.
+type mapRangeCase struct {
+	vaddr, pfn uint64
+	n          int
+	flags      pte.Entry
+	frames     uint64
+	huge, pre  []uint64
+}
+
+// run builds the case's starting state and maps its range with MapRange,
+// or with n refMap calls when ref is set.
+func (c mapRangeCase) run(tb testing.TB, ref bool) (*PageTables, error) {
+	tb.Helper()
+	a, err := NewFrameAllocator(0x100, c.frames)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pt, err := NewPageTables(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, v := range c.huge {
+		_ = pt.MapHuge(v, 0x40000, c.flags)
+	}
+	for i, v := range c.pre {
+		_ = refMap(pt, v, 0x9000+uint64(i), c.flags)
+	}
+	if !ref {
+		return pt, pt.MapRange(c.vaddr, c.pfn, c.n, c.flags)
+	}
+	for i := 0; i < c.n; i++ {
+		if err := refMap(pt, c.vaddr+uint64(i)*pte.PageSize, c.pfn+uint64(i), c.flags); err != nil {
+			return pt, err
+		}
+	}
+	return pt, nil
+}
+
+// checkMapRange fails tb unless MapRange leaves exactly the state and
+// error of the per-page reference walk: the same table lines, table pages
+// per level in allocation order, parent entries, mapped-page count and
+// allocator, which therefore hands out the same next frame.
+func checkMapRange(tb testing.TB, c mapRangeCase) {
+	tb.Helper()
+	got, gotErr := c.run(tb, false)
+	want, wantErr := c.run(tb, true)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		tb.Fatalf("%+v: error %v, reference %v", c, gotErr, wantErr)
+	}
+	if len(got.pages) != len(want.pages) {
+		tb.Fatalf("%+v: %d table pages, reference %d", c, len(got.pages), len(want.pages))
+	}
+	for base, page := range want.pages {
+		if g := got.pages[base]; g == nil || *g != *page {
+			tb.Fatalf("%+v: table page %#x differs from the reference", c, base)
+		}
+	}
+	if !reflect.DeepEqual(got.tablePages, want.tablePages) {
+		tb.Fatalf("%+v: table pages %#x, reference %#x", c, got.tablePages, want.tablePages)
+	}
+	if !reflect.DeepEqual(got.parents, want.parents) {
+		tb.Fatalf("%+v: parent entries differ from the reference", c)
+	}
+	if got.MappedPages() != want.MappedPages() {
+		tb.Fatalf("%+v: %d mapped pages, reference %d", c, got.MappedPages(), want.MappedPages())
+	}
+	if !reflect.DeepEqual(got.alloc, want.alloc) {
+		tb.Fatalf("%+v: allocator state differs from the reference", c)
+	}
+	gf, gerr := got.alloc.AllocFrame()
+	wf, werr := want.alloc.AllocFrame()
+	if gf != wf || gerr != werr {
+		tb.Fatalf("%+v: next frame %#x,%v, reference %#x,%v", c, gf, gerr, wf, werr)
+	}
+}
+
+// randomMapRangeCase draws a range that often crosses a 2 MB, 1 GB or
+// 512 GB table boundary, with pre-mapped pages in and around it, at times
+// a huge page in the way, and at times an allocator too small to finish.
+func randomMapRangeCase(r *stats.RNG) mapRangeCase {
+	c := mapRangeCase{
+		n:      1 + r.Intn(1100),
+		pfn:    r.Uint64() >> 24,
+		flags:  pte.Entry(r.Uint64()),
+		frames: 1 << 12,
+	}
+	if r.Bernoulli(0.2) {
+		c.vaddr = r.Uint64() &^ (pte.PageSize - 1)
+	} else {
+		boundary := uint64(HugePageSize) << (9 * uint(r.Intn(3)))
+		c.vaddr = boundary*uint64(1+r.Intn(1000)) - uint64(r.Intn(c.n+8))*pte.PageSize
+	}
+	if r.Bernoulli(0.2) {
+		c.frames = uint64(1 + r.Intn(12))
+	}
+	if r.Bernoulli(0.15) {
+		c.huge = append(c.huge, (c.vaddr+uint64(r.Intn(c.n))*pte.PageSize)&^(HugePageSize-1))
+	}
+	if r.Bernoulli(0.3) {
+		for k := 1 + r.Intn(4); k > 0; k-- {
+			c.pre = append(c.pre, c.vaddr+uint64(r.Intn(c.n+8))*pte.PageSize-4*pte.PageSize)
+		}
+	}
+	return c
+}
+
+func TestMapRangeMatchesMap(t *testing.T) {
+	r := stats.NewRNG(19)
+	for i := 0; i < 1500; i++ {
+		checkMapRange(t, randomMapRangeCase(r))
+	}
+}
+
+func TestMapRangeRejectsEmptyRange(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		pt, err := NewPageTables(testAlloc(t, 1<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pt.MapRange(0x4000_0000_0000, 0x800, n, 0); err == nil {
+			t.Errorf("MapRange of %d pages accepted", n)
+		}
+		if pt.MappedPages() != 0 || len(pt.pages) != 1 {
+			t.Errorf("MapRange of %d pages changed the tables", n)
+		}
+	}
+}
+
+// FuzzMapRange checks MapRange against the per-page reference walk for an
+// arbitrary base address, length, set of pre-mapped pages (one per set bit
+// of pre, spread over and just past the range), optional huge page in the
+// way and allocator size.
+func FuzzMapRange(f *testing.F) {
+	f.Add(uint64(0x4000_001F_E000), uint16(40), uint64(0), false, uint16(4096))
+	f.Add(uint64(0x7FFF_FFF0_0000), uint16(1099), uint64(1<<63|1<<5), true, uint16(7))
+	f.Add(uint64(0x1234_5678_9000), uint16(513), uint64(0xF0F0), false, uint16(3))
+	f.Fuzz(func(t *testing.T, vaddr uint64, n uint16, pre uint64, huge bool, frames uint16) {
+		c := mapRangeCase{
+			vaddr:  vaddr &^ (pte.PageSize - 1),
+			pfn:    0x800,
+			n:      1 + int(n%1100),
+			flags:  pte.Entry(0).SetBit(pte.BitWritable, true),
+			frames: 1 + uint64(frames%4096),
+		}
+		if huge {
+			c.huge = []uint64{(c.vaddr + uint64(c.n/2)*pte.PageSize) &^ (HugePageSize - 1)}
+		}
+		for b := uint64(0); b < 64; b++ {
+			if pre>>b&1 != 0 {
+				c.pre = append(c.pre, c.vaddr+b*uint64(c.n+4)/64*pte.PageSize)
+			}
+		}
+		checkMapRange(t, c)
+	})
 }
 
 // BenchmarkSynthesizeProcess times building one synthetic process's page

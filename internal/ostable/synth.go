@@ -170,12 +170,10 @@ func (p *Population) populateVMA(pt *PageTables, base uint64, pages int, flags p
 			return err
 		}
 		pt.Own(pfn, cluster)
-		for i := 0; i < cluster; i++ {
-			if err := pt.Map(vaddr, pfn+uint64(i), flags); err != nil {
-				return err
-			}
-			vaddr += pte.PageSize
+		if err := pt.MapRange(vaddr, pfn, cluster, flags); err != nil {
+			return err
 		}
+		vaddr += uint64(cluster) * pte.PageSize
 		remaining -= cluster
 	}
 	return nil

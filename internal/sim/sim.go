@@ -252,9 +252,11 @@ func buildGuard(cfg Config) (*core.Guard, error) {
 	return core.NewGuard(gcfg)
 }
 
-// attachWorkload maps the workload footprint with buddy-allocated clusters
-// and flushes the page tables to DRAM through the controller, embedding
-// MACs in every table line under the PT-Guard modes.
+// attachWorkload maps the workload footprint with buddy-allocated clusters,
+// one MapRange per cluster, and flushes the page tables to DRAM through the
+// controller, embedding MACs in every table line under the PT-Guard modes.
+// A machine's tables are never freed, so its data frames are not recorded
+// with PageTables.Own.
 func (s *System) attachWorkload(prof workload.Profile) error {
 	gen, err := workload.NewGenerator(prof, s.vbase, s.cfg.Seed)
 	if err != nil {
@@ -286,13 +288,10 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 		if aerr != nil {
 			return aerr
 		}
-		s.tables.Own(pfn, cluster)
-		for i := 0; i < cluster; i++ {
-			if merr := s.tables.Map(vaddr, pfn+uint64(i), flags); merr != nil {
-				return merr
-			}
-			vaddr += pte.PageSize
+		if merr := s.tables.MapRange(vaddr, pfn, cluster, flags); merr != nil {
+			return merr
 		}
+		vaddr += uint64(cluster) * pte.PageSize
 		remaining -= cluster
 	}
 	return s.flushTables()
@@ -332,7 +331,6 @@ func (s *System) mapHuge(pages int, flags pte.Entry) error {
 		if err != nil {
 			return err
 		}
-		s.tables.Own(pfn, framesPerHuge)
 		if err := s.tables.MapHuge(vaddr, pfn, flags); err != nil {
 			return err
 		}
@@ -535,7 +533,6 @@ func (s *System) churnOnePage() {
 		_ = s.alloc.FreeOrder(newPFN, 0)
 		return
 	}
-	s.tables.Own(newPFN, 1)
 	arch, _ := s.tables.LineAt(lineAddr)
 	if _, err := s.ctrl.WriteLine(lineAddr, arch); err != nil {
 		s.checkFails++
