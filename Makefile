@@ -23,9 +23,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz runs of the pack/unpack, MAC roundtrip, cipher-kernel and
-# page-table mapping targets; go test accepts one -fuzz target per
-# invocation.
+# Short fuzz runs of the pack/unpack, MAC roundtrip, cipher-kernel,
+# page-table mapping and seal-on-first-read targets; go test accepts one
+# -fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzLineBytesRoundtrip -fuzztime=5s
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzEntryFieldOps -fuzztime=5s
@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test ./internal/qarma -run=^$$ -fuzz=FuzzEncryptMatchesReference -fuzztime=5s
 	$(GO) test ./internal/ostable -run=^$$ -fuzz=FuzzMapRange -fuzztime=5s
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzDistFrame -fuzztime=5s
+	$(GO) test ./internal/memctrl -run=^$$ -fuzz=FuzzSealOnRead -fuzztime=5s
 
 # chaos-smoke: one soak round over the full fault-point catalog — real
 # process kills, torn journal writes, fsync/disk faults, worker panics, hung

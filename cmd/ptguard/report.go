@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"ptguard/internal/baseline"
 	"ptguard/internal/core"
 	"ptguard/internal/mac"
 	"ptguard/internal/pte"
@@ -126,6 +127,6 @@ func storage() error {
 	t := report.New("§V-E — storage budget", "design", "SRAM bytes", "DRAM overhead")
 	t.AddRow("PT-Guard", report.I(base.SRAMBytes()), "0")
 	t.AddRow("Optimized PT-Guard", report.I(opt.SRAMBytes()), "0")
-	t.AddRow("conventional MAC region (§II-F)", "-", "12.5% of memory")
+	t.AddRow("conventional MAC region (§II-F)", "-", fmt.Sprintf("%g%% of memory", baseline.StorageOverheadPct))
 	return t.Render(os.Stdout)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ptguard/internal/mac"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
 )
@@ -101,37 +100,6 @@ func TestMonotonicPointersMissesMetadata(t *testing.T) {
 	}
 }
 
-func TestSGXStyleMACDetectsButCostsAccess(t *testing.T) {
-	key := make([]byte, mac.KeySize)
-	s, err := NewSGXStyleMAC(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var line pte.Line
-	line[0] = pte.Entry(0xABC).WithPFN(0x123)
-	s.Write(line, 0x1000)
-
-	ok, extra, err := s.Read(line, 0x1000)
-	if err != nil || !ok {
-		t.Fatalf("clean read failed: %v", err)
-	}
-	if extra != 1 {
-		t.Errorf("extra accesses = %d, want 1 (the separate MAC fetch)", extra)
-	}
-	tampered := line
-	tampered[0] = pte.Entry(uint64(tampered[0]) ^ 1<<2)
-	ok, _, err = s.Read(tampered, 0x1000)
-	if err != nil || ok {
-		t.Error("tampered line passed the SGX-style check")
-	}
-	if _, _, err := s.Read(line, 0x9999); err == nil {
-		t.Error("read without a stored MAC accepted")
-	}
-	if s.MACRegionBytes() != 8 {
-		t.Errorf("MAC region = %d bytes, want 8", s.MACRegionBytes())
-	}
-}
-
 func TestSECDEDRoundTrip(t *testing.T) {
 	var s SECDED
 	f := func(data uint64) bool {
@@ -215,56 +183,5 @@ func TestCodewordFlipBounds(t *testing.T) {
 	}
 	if HammingDistance(cw, cw.Flip(7)) != 1 {
 		t.Error("HammingDistance wrong")
-	}
-}
-
-func TestEncryptedMemoryRoundTrip(t *testing.T) {
-	m, err := NewEncryptedMemory(make([]byte, mac.KeySize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var line pte.Line
-	for i := range line {
-		line[i] = pte.Entry(0xAA00 + uint64(i)).WithPFN(0x1234 + uint64(i))
-	}
-	ct := m.Encrypt(line, 0x4000)
-	if ct == line {
-		t.Error("ciphertext equals plaintext")
-	}
-	if got := m.Decrypt(ct, 0x4000); got != line {
-		t.Error("decrypt(encrypt) != identity")
-	}
-	// Address-bound: relocation garbles.
-	if m.Decrypt(ct, 0x5000) == line {
-		t.Error("ciphertext valid at a different address")
-	}
-}
-
-func TestEncryptedMemoryCannotDetectTampering(t *testing.T) {
-	// §VII-A: encryption provides no authentication — a single ciphertext
-	// flip decrypts to pseudo-random garbage that is silently consumed.
-	m, err := NewEncryptedMemory(make([]byte, mac.KeySize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var line pte.Line
-	line[0] = pte.Entry(0x107).WithPFN(0x4444)
-	ct := m.Encrypt(line, 0x8000)
-	r := stats.NewRNG(5)
-	garbageTranslations := 0
-	const trials = 100
-	for i := 0; i < trials; i++ {
-		tampered := ct
-		bit := r.Intn(128) // flip inside the first chunk
-		tampered[bit/64] = pte.Entry(uint64(tampered[bit/64]) ^ 1<<uint(bit%64))
-		got := m.Decrypt(tampered, 0x8000)
-		// No error signal exists; the only question is how wrong the
-		// consumed PTE is.
-		if got[0] != line[0] {
-			garbageTranslations++
-		}
-	}
-	if garbageTranslations != trials {
-		t.Errorf("only %d/%d flips corrupted the PTE; expected all (full-block diffusion)", garbageTranslations, trials)
 	}
 }

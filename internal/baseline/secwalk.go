@@ -1,8 +1,7 @@
 // Package baseline implements the prior page-table protections PT-Guard is
 // compared against (§II-E, §VIII): SecWalk-style error-detection codes,
-// monotonic pointers, SGX-style MACs in a separate memory region, and
-// SECDED ECC. Each exposes the hooks the attack experiments need to show
-// where the defense holds and where it breaks.
+// monotonic pointers and SECDED ECC. Each exposes the hooks the attack
+// experiments need to show where the defense holds and where it breaks.
 package baseline
 
 import (
@@ -11,6 +10,11 @@ import (
 
 	"ptguard/internal/pte"
 )
+
+// StorageOverheadPct is the memory share of the conventional integrity
+// design PT-Guard avoids (§II-F, §VIII-D): a 64-bit MAC per 64-byte line
+// kept in a separate memory region, 8 bytes per 64.
+const StorageOverheadPct = 12.5
 
 // EDCBits is SecWalk's per-PTE error-detection-code width (§II-E: "with
 // limited space within a PTE, SecWalk is only able to store a 25-bit EDC").

@@ -11,17 +11,28 @@ import (
 // the bit-sliced qarma.EncryptBlocks kernel) amortises the cipher across up
 // to 64 lanes per pass.
 //
-// Equivalence contract: OnWriteBatch and OnReadBatch are bit-identical to
-// calling OnWrite/OnRead sequentially — same results, same counters, same
-// CTB state, same trace events. The design that makes this safe is a
-// two-pass structure:
+// Equivalence contract: OnReadBatch is bit-identical to calling OnRead
+// sequentially — same results, same counters, same CTB state, same trace
+// events. OnWriteBatch is too, with one difference: it returns each
+// protected line unsealed (WriteResult.Deferred), and Seal(addr, Line) is
+// the image OnWrite would have returned. A protected line's stored image
+// is a pure function of the key, format, tag width, identifier, address and
+// line, and the write path reads no other guard state, so the host can
+// compute it whenever something first reads the stored bytes (dram.Device
+// seals on first read). Most flushed table lines are never read, so most
+// of their MACs are never computed on the host; the modelled MAC unit is
+// still charged at write time.
+//
+// The design that makes this safe is a two-pass structure:
 //
 //  1. classify every line and batch-compute the MACs the scalar path would
-//     compute. Whether a line needs the MAC unit depends only on the line's
-//     own content (bit-pattern match, identifier match, zero fast path) and,
-//     for reads, on CTB membership — never on what an *earlier line in the
-//     batch* did: writes decide before any CTB mutation, and reads never
-//     mutate the CTB at all.
+//     compute (for writes, only the collision-check MACs of unprotected
+//     lines, which decide the CTB state at write time). Whether a line
+//     needs the MAC unit depends only on the line's own content
+//     (bit-pattern match, identifier match, zero fast path) and, for reads,
+//     on CTB membership — never on what an *earlier line in the batch* did:
+//     writes decide before any CTB mutation, and reads never mutate the CTB
+//     at all.
 //  2. replay the scalar path per line in order, handing each its
 //     precomputed tag. All state mutations (counters, CTB add/remove, trace
 //     events) happen here, in the sequential order.
@@ -81,11 +92,13 @@ func (g *Guard) batchMAC() {
 }
 
 // OnWriteBatch processes many lines through the DRAM write path in one
-// call, MAC'ing them through the batch engine. res, lines and addrs must
-// have equal length. It is bit-identical to calling OnWrite per line in
-// order; the returned error is the first per-line error (sequential
-// callers' flush loops keep writing past an error, and so does this), and
-// failed counts the lines that would have returned one.
+// call. res, lines and addrs must have equal length. It charges exactly
+// what calling OnWrite per line in order charges, returns protected lines
+// unsealed for the caller to store and Seal on first read, and MACs the
+// collision checks of unprotected lines through the batch engine. The
+// returned error is the first per-line error (sequential callers' flush
+// loops keep writing past an error, and so does this), and failed counts
+// the lines that would have returned one.
 func (g *Guard) OnWriteBatch(res []WriteResult, lines []pte.Line, addrs []uint64) (failed int, err error) {
 	if len(res) != len(lines) || len(addrs) != len(lines) {
 		panic("core: OnWriteBatch slice lengths differ")
@@ -94,19 +107,12 @@ func (g *Guard) OnWriteBatch(res []WriteResult, lines []pte.Line, addrs []uint64
 	s := &g.bs
 	s.reset()
 
-	// Pass 1: classify. The write path runs the MAC unit for protected
-	// non-zero lines and for unprotected lines whose bits could collide
-	// with a stored MAC — both content-only decisions.
+	// Pass 1: classify. Only an unprotected line whose bits could collide
+	// with a stored MAC needs its MAC now — a content-only decision.
 	var buf [pte.LineBytes]byte
 	for i := range lines {
-		pattern := fieldIsZero(lines[i], f.MACMask)
-		if g.cfg.OptIdentifier {
-			pattern = pattern && fieldIsZero(lines[i], f.IdentifierMask)
-		}
-		need := true
-		if pattern {
-			need = !(g.cfg.OptZeroMAC && lineIsZero(lines[i]))
-		} else if g.cfg.OptIdentifier {
+		need := !g.matchesPattern(lines[i])
+		if need && g.cfg.OptIdentifier {
 			n := gatherFieldInto(&buf, lines[i], f.IdentifierMask)
 			need = bytesEqual(buf[:n], g.ident)
 		}
@@ -120,7 +126,7 @@ func (g *Guard) OnWriteBatch(res []WriteResult, lines []pte.Line, addrs []uint64
 
 	// Pass 2: sequential replay with precomputed tags.
 	for i := range lines {
-		r, werr := g.onWrite(lines[i], addrs[i], s.pre(i))
+		r, werr := g.onWrite(lines[i], addrs[i], s.pre(i), true)
 		res[i] = r
 		if werr != nil {
 			failed++

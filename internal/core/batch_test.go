@@ -100,11 +100,22 @@ var batchConfigs = []struct {
 	}},
 }
 
+// sealDeferred returns a batch write result as the eager scalar path
+// would have returned it: a deferred protected line sealed with Seal.
+func sealDeferred(g *Guard, r WriteResult, addr uint64) WriteResult {
+	if r.Deferred {
+		r.Line, r.Deferred = g.Seal(addr, r.Line), false
+	}
+	return r
+}
+
 // TestBatchMatchesScalarGuard is the Guard-level equivalence property:
 // OnWriteBatch and OnReadBatch must be bit-identical to sequential
 // OnWrite/OnRead — results, errors, counters (minus batch telemetry) and
 // CTB state — across optimization configs, both ciphers, corrupted lines
 // that trigger the correction search, colliding lines and CTB overflow.
+// OnWriteBatch returns exactly the protected lines unsealed, and sealing
+// one gives OnWrite's image.
 func TestBatchMatchesScalarGuard(t *testing.T) {
 	for _, tc := range batchConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,8 +154,11 @@ func TestBatchMatchesScalarGuard(t *testing.T) {
 				t.Fatal("workload did not overflow the CTB; colliding mix broken")
 			}
 			for i := range sres {
-				if sres[i] != bres[i] {
-					t.Fatalf("write %d: batch %+v != scalar %+v", i, bres[i], sres[i])
+				if bres[i].Deferred != bres[i].Protected {
+					t.Fatalf("write %d: deferred %v, protected %v", i, bres[i].Deferred, bres[i].Protected)
+				}
+				if got := sealDeferred(gb, bres[i], addrs[i]); got != sres[i] {
+					t.Fatalf("write %d: sealed batch %+v != scalar %+v", i, got, sres[i])
 				}
 			}
 			if gs.CTBLen() != gb.CTBLen() {
@@ -336,7 +350,7 @@ func TestGuardBatchZeroAlloc(t *testing.T) {
 	}
 	stored := make([]pte.Line, n)
 	for i := range stored {
-		stored[i] = wres[i].Line
+		stored[i] = g.Seal(addrs[i], wres[i].Line)
 	}
 	rres := make([]ReadResult, n)
 	ok := make([]bool, n)
@@ -362,20 +376,43 @@ func TestGuardBatchZeroAlloc(t *testing.T) {
 
 // TestBatchObservability: with an observer attached, batch passes must feed
 // the lines-per-batch histogram and the published batch counters — the
-// -metrics-out view of batching traffic.
+// -metrics-out view of batching traffic — and the deferred write MACs of
+// protected lines must be published beside them. The batch engine serves
+// only the collision checks of unprotected lines; protected lines come
+// back unsealed, and sealing one gives the per-line OnWrite image.
 func TestBatchObservability(t *testing.T) {
 	g := newTestGuard(t, nil)
+	ref := newTestGuard(t, nil)
 	g.SetObserver(obs.New(obs.Options{}))
-	const n = 10
-	lines := make([]pte.Line, n)
-	addrs := make([]uint64, n)
-	for i := range lines {
-		lines[i] = makePTELine(0x5000+uint64(i)*8, testFlags, 8)
-		addrs[i] = uint64(0x60000 + i*0x40)
+	const protected, data = 10, 6
+	r := stats.NewRNG(0x0B5)
+	var lines []pte.Line
+	var addrs []uint64
+	for i := 0; i < protected+data; i++ {
+		l := makePTELine(0x5000+uint64(i)*8, testFlags, 8)
+		if i >= protected {
+			for k := range l {
+				l[k] = pte.Entry(r.Uint64() | pte.MaskMAC)
+			}
+		}
+		lines = append(lines, l)
+		addrs = append(addrs, uint64(0x60000+i*0x40))
 	}
-	res := make([]WriteResult, n)
+	res := make([]WriteResult, len(lines))
 	if _, err := g.OnWriteBatch(res, lines, addrs); err != nil {
 		t.Fatal(err)
+	}
+	for i := range lines {
+		want, err := ref.OnWrite(lines[i], addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Deferred != (i < protected) {
+			t.Errorf("line %d: deferred %v, want %v", i, res[i].Deferred, i < protected)
+		}
+		if got := sealDeferred(g, res[i], addrs[i]); got != want {
+			t.Errorf("line %d: sealed batch %+v != OnWrite %+v", i, got, want)
+		}
 	}
 	reg := obs.NewRegistry()
 	g.PublishObs(reg)
@@ -383,11 +420,14 @@ func TestBatchObservability(t *testing.T) {
 	if got := snap.Counters["guard.mac_batches"]; got != 1 {
 		t.Errorf("guard.mac_batches = %d, want 1", got)
 	}
-	if got := snap.Counters["guard.batched_mac_computes"]; got != n {
-		t.Errorf("guard.batched_mac_computes = %d, want %d", got, n)
+	if got := snap.Counters["guard.batched_mac_computes"]; got != data {
+		t.Errorf("guard.batched_mac_computes = %d, want %d", got, data)
+	}
+	if got := snap.Counters["guard.deferred_write_macs"]; got != protected {
+		t.Errorf("guard.deferred_write_macs = %d, want %d", got, protected)
 	}
 	hist := g.batchHist.Snapshot()
-	if hist.Count != 1 || hist.Sum != n {
-		t.Errorf("guard.batch_lines histogram = %+v, want one observation of %d", hist, n)
+	if hist.Count != 1 || hist.Sum != data {
+		t.Errorf("guard.batch_lines histogram = %+v, want one observation of %d", hist, data)
 	}
 }

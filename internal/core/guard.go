@@ -151,10 +151,13 @@ type Guard struct {
 	bs batchScratch
 
 	// memo is the scalar path's MAC memo (see memo.go), allocated on the
-	// first scalar MAC; memoHits and memoMisses count its lookups. They
-	// are host-side telemetry, kept out of Counters so no result moves.
+	// first scalar MAC; memoHits and memoMisses count its lookups.
+	// deferredMACs counts the write MACs OnWriteBatch charged but left to
+	// Seal (see batch.go). All three are host-side telemetry, kept out of
+	// Counters so no result moves.
 	memo                 *[memoSlots]memoSlot
 	memoHits, memoMisses uint64
+	deferredMACs         uint64
 }
 
 // NewGuard validates cfg and builds a Guard.
@@ -208,11 +211,11 @@ func (g *Guard) Config() Config { return g.cfg }
 // Counters returns a snapshot of the activity counters.
 func (g *Guard) Counters() Counters { return g.ctr }
 
-// ResetCounters zeroes the activity counters and the MAC memo's hit and
-// miss counts (the memo's contents stay warm).
+// ResetCounters zeroes the activity counters, the MAC memo's hit and miss
+// counts (the memo's contents stay warm) and the deferred-MAC count.
 func (g *Guard) ResetCounters() {
 	g.ctr = Counters{}
-	g.memoHits, g.memoMisses = 0, 0
+	g.memoHits, g.memoMisses, g.deferredMACs = 0, 0, 0
 }
 
 // SetObserver attaches the observability subsystem; MAC and CTB activity
@@ -251,6 +254,7 @@ func (g *Guard) PublishObs(r *obs.Registry) {
 	r.SetCounter("guard.batched_mac_computes", g.ctr.BatchedMACComputes)
 	r.SetCounter("guard.mac_memo_hits", g.memoHits)
 	r.SetCounter("guard.mac_memo_misses", g.memoMisses)
+	r.SetCounter("guard.deferred_write_macs", g.deferredMACs)
 	r.SetGauge("guard.ctb_occupancy", float64(g.ctb.len()))
 }
 
@@ -276,11 +280,14 @@ func (g *Guard) SRAMBytes() int {
 // WriteResult describes what the Guard did to a line on the DRAM write path.
 type WriteResult struct {
 	// Line is the image actually written to DRAM (MAC embedded if
-	// Protected).
+	// Protected), or the line as given if Deferred.
 	Line pte.Line
-	// Protected reports that the bit-pattern matched and a MAC (and
-	// identifier, if enabled) was embedded.
+	// Protected reports that the bit-pattern matched, so the stored image
+	// carries a MAC (and identifier, if enabled).
 	Protected bool
+	// Deferred reports a protected line returned unsealed by
+	// OnWriteBatch: Seal(addr, Line) is the image to store.
+	Deferred bool
 	// MACComputed reports that the write path ran the MAC unit.
 	MACComputed bool
 	// CollisionTracked reports the line was a colliding line and entered
@@ -291,44 +298,76 @@ type WriteResult struct {
 // OnWrite processes a 64-byte line on its way to DRAM (§IV-B, §IV-D).
 // It returns ErrCTBFull if a colliding line cannot be tracked.
 func (g *Guard) OnWrite(line pte.Line, addr uint64) (WriteResult, error) {
-	return g.onWrite(line, addr, nil)
+	return g.onWrite(line, addr, nil, false)
 }
 
-// onWrite is the write path proper. pre, when non-nil, is the line's MAC as
-// precomputed by the batch engine (tag over maskedImage at addr — the one
-// value both the embed and the collision-check branches need); the path
-// still charges the same counters, so batched and scalar writes account
-// identically.
-func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag) (WriteResult, error) {
+// Seal returns the image the write path stores for the protected line at
+// addr: its MAC (MAC-zero for an all-zero line under §V-B) and, if
+// enabled, the identifier embedded. It is a pure function of the guard's
+// configuration, addr and line: it charges no counter, emits no event and
+// touches neither the CTB nor the MAC memo, so a line may be sealed any
+// time after OnWriteBatch charged its write (see batch.go).
+func (g *Guard) Seal(addr uint64, line pte.Line) pte.Line {
+	if g.cfg.OptZeroMAC && lineIsZero(line) {
+		return g.embed(line, g.zeroTag)
+	}
+	return g.embed(line, g.auth.Compute(maskedImage(line, g.cfg.Format.ProtectedMask), addr))
+}
+
+// embed writes tag into the line's MAC field and, if enabled, the
+// identifier into its identifier field.
+func (g *Guard) embed(line pte.Line, tag mac.Tag) pte.Line {
+	raw := tag.Raw()
+	out := scatterField(line, g.cfg.Format.MACMask, raw[:tag.SizeBytes()])
+	if g.cfg.OptIdentifier {
+		out = scatterField(out, g.cfg.Format.IdentifierMask, g.ident)
+	}
+	return out
+}
+
+// matchesPattern reports whether the write path protects line: its MAC
+// field (and, under §V-A, its identifier field) is all zero.
+func (g *Guard) matchesPattern(line pte.Line) bool {
+	f := g.cfg.Format
+	return fieldIsZero(line, f.MACMask) &&
+		(!g.cfg.OptIdentifier || fieldIsZero(line, f.IdentifierMask))
+}
+
+// onWrite is the write path proper. pre, when non-nil, is the line's
+// collision-check MAC as precomputed by the batch engine. deferSeal returns
+// a protected line unsealed (WriteResult.Deferred) after charging exactly
+// what the eager path charges; the caller stores it for Seal to finish.
+func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag, deferSeal bool) (WriteResult, error) {
 	g.ctr.Writes++
 	f := g.cfg.Format
 
-	pattern := fieldIsZero(line, f.MACMask)
-	if g.cfg.OptIdentifier {
-		pattern = pattern && fieldIsZero(line, f.IdentifierMask)
-	}
-
-	if pattern {
+	if g.matchesPattern(line) {
 		res := WriteResult{Protected: true}
-		var tag mac.Tag
-		if g.cfg.OptZeroMAC && lineIsZero(line) {
-			tag = g.zeroTag
+		zero := g.cfg.OptZeroMAC && lineIsZero(line)
+		if zero {
 			g.ctr.ZeroFastPathHits++
 		} else {
-			tag = g.lineMAC(line, addr, pre)
 			g.ctr.WriteMACComputes++
 			res.MACComputed = true
 			g.o.Emit("mac", "embed", uint64(g.cfg.MACLatencyCycles))
 		}
-		raw := tag.Raw()
-		out := scatterField(line, f.MACMask, raw[:tag.SizeBytes()])
-		if g.cfg.OptIdentifier {
-			out = scatterField(out, f.IdentifierMask, g.ident)
+		switch {
+		case deferSeal:
+			// The modelled MAC unit runs now; only the host's
+			// computation of the tag waits for the line's first read.
+			if !zero {
+				g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
+				g.deferredMACs++
+			}
+			res.Line, res.Deferred = line, true
+		case zero:
+			res.Line = g.embed(line, g.zeroTag)
+		default:
+			res.Line = g.embed(line, g.lineMAC(line, addr, nil))
 		}
 		// A previously colliding address overwritten by a protected
 		// line is no longer colliding.
 		g.ctb.remove(addr)
-		res.Line = out
 		g.ctr.ProtectedWrites++
 		return res, nil
 	}

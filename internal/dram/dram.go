@@ -85,7 +85,19 @@ type Device struct {
 	geo    Geometry
 	timing Timing
 
+	// lines maps each stored line's address to its image. A line written
+	// by WriteUnsealed is keyed by its address with the low bits set to
+	// one plus the index of the sealer that owes its seal (line addresses
+	// are 64-byte aligned, so six bits are free); its first read seals it
+	// in place under the plain address. An address has at most one key,
+	// so len(lines) counts stored lines, sealed or not, and reading a
+	// sealed line stays one lookup.
 	lines map[uint64]pte.Line
+	// sealers[i] owes pending[i] unsealed lines (nil when it owes none);
+	// unsealed is their sum.
+	sealers  []Sealer
+	pending  []int
+	unsealed int
 
 	// openRow tracks the row latched in each bank's row buffer (-1 when
 	// precharged). Indexed by channel*BanksPerChannel+bank.
@@ -295,31 +307,154 @@ func (d *Device) RefreshWindow() {
 	d.refreshWindows++
 }
 
-// ReadLine returns the stored line image (zero if never written).
+// Sealer finishes a line stored by WriteUnsealed: Seal returns the image
+// to store for line at addr. It must be a pure function of its receiver's
+// fixed state, addr and line, so sealing a line later yields the image
+// sealing it at write time would have. *core.Guard implements it.
+type Sealer interface {
+	Seal(addr uint64, line pte.Line) pte.Line
+}
+
+// lineOffsetMask selects the offset bits below a line address, which tag
+// unsealed keys; it also caps the number of sealers owed lines at once.
+const lineOffsetMask = pte.LineBytes - 1
+
+// ReadLine returns the stored line image (zero if never written), sealing
+// an unsealed line in place first.
 func (d *Device) ReadLine(addr uint64) pte.Line {
-	return d.lines[addr/pte.LineBytes*pte.LineBytes]
+	key := addr &^ lineOffsetMask
+	if l, ok := d.lines[key]; ok || d.unsealed == 0 {
+		return l
+	}
+	if i := d.pendingSlot(key); i >= 0 {
+		return d.seal(key, i)
+	}
+	return pte.Line{}
 }
 
 // Contains reports whether the line at addr has ever been written,
-// distinguishing a stored all-zero line from untouched memory.
+// distinguishing a stored all-zero line from untouched memory. It counts
+// unsealed lines and seals nothing.
 func (d *Device) Contains(addr uint64) bool {
-	_, ok := d.lines[addr/pte.LineBytes*pte.LineBytes]
-	return ok
+	key := addr &^ lineOffsetMask
+	if _, ok := d.lines[key]; ok {
+		return true
+	}
+	return d.unsealed != 0 && d.pendingSlot(key) >= 0
 }
 
-// WriteLine stores a line image.
+// WriteLine stores a line image, dropping any seal owed on the line it
+// replaces.
 func (d *Device) WriteLine(addr uint64, line pte.Line) {
-	d.lines[addr/pte.LineBytes*pte.LineBytes] = line
+	key := addr &^ lineOffsetMask
+	d.dropPending(key)
+	d.lines[key] = line
 }
 
-// Lines calls fn for every stored line in ascending address order. The
-// full-memory re-key sweep (§VII-B) uses it, so its batches, CTB inserts
-// and trace events follow the same order on every run. fn must not mutate
-// the device.
+// WriteUnsealed stores line at addr with its seal owed by s: the first
+// ReadLine, Lines visit or flip injection of the line replaces it with
+// s.Seal(addr, line). Each line remembers its own sealer, so lines of
+// controllers sharing the device, or written before a re-key, seal under
+// the guard that wrote them. s is typically the writing *core.Guard,
+// passed as is: a method value would allocate on every call.
+func (d *Device) WriteUnsealed(addr uint64, line pte.Line, s Sealer) {
+	key := addr &^ lineOffsetMask
+	d.dropPending(key)
+	i := d.sealerSlot(s)
+	if i < 0 {
+		// Every tag is owed lines: seal now.
+		d.lines[key] = s.Seal(key, line)
+		return
+	}
+	delete(d.lines, key)
+	d.lines[key|uint64(i+1)] = line
+	d.pending[i]++
+	d.unsealed++
+}
+
+// sealerSlot returns s's slot, binding s to a free one if it owes no line
+// yet, or -1 when every tag is taken.
+func (d *Device) sealerSlot(s Sealer) int {
+	free := -1
+	for i, t := range d.sealers {
+		if t == s {
+			return i
+		}
+		if t == nil && free < 0 {
+			free = i
+		}
+	}
+	if free < 0 && len(d.sealers) < lineOffsetMask {
+		d.sealers = append(d.sealers, nil)
+		d.pending = append(d.pending, 0)
+		free = len(d.sealers) - 1
+	}
+	if free >= 0 {
+		d.sealers[free] = s
+	}
+	return free
+}
+
+// pendingSlot returns the slot of the sealer owing the line at key, or -1
+// when the line is sealed or absent.
+func (d *Device) pendingSlot(key uint64) int {
+	for i, s := range d.sealers {
+		if s == nil {
+			continue
+		}
+		if _, ok := d.lines[key|uint64(i+1)]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// seal seals the line at key owed by slot i in place and returns its
+// image.
+func (d *Device) seal(key uint64, i int) pte.Line {
+	tagged := key | uint64(i+1)
+	l := d.sealers[i].Seal(key, d.lines[tagged])
+	delete(d.lines, tagged)
+	d.lines[key] = l
+	d.release(i)
+	return l
+}
+
+// dropPending forgets the seal owed on the line at key, if any.
+func (d *Device) dropPending(key uint64) {
+	if d.unsealed == 0 {
+		return
+	}
+	if i := d.pendingSlot(key); i >= 0 {
+		delete(d.lines, key|uint64(i+1))
+		d.release(i)
+	}
+}
+
+// release records that slot i owes one line fewer, freeing the slot (and
+// the reference to its sealer) when it owes none.
+func (d *Device) release(i int) {
+	d.unsealed--
+	d.pending[i]--
+	if d.pending[i] == 0 {
+		d.sealers[i] = nil
+	}
+}
+
+// Lines calls fn for every stored line in ascending address order,
+// sealing every unsealed line first. The full-memory re-key sweep
+// (§VII-B) uses it, so its batches, CTB inserts and trace events follow
+// the same order on every run. fn must not mutate the device.
 func (d *Device) Lines(fn func(addr uint64, line pte.Line)) {
 	addrs := make([]uint64, 0, len(d.lines))
-	for addr := range d.lines {
-		addrs = append(addrs, addr)
+	for key := range d.lines {
+		addrs = append(addrs, key)
+	}
+	for j, key := range addrs {
+		if tag := key & lineOffsetMask; tag != 0 {
+			addrs[j] = key &^ lineOffsetMask
+			d.seal(addrs[j], int(tag-1))
+		}
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, addr := range addrs {

@@ -209,8 +209,8 @@ func (h *Hammerer) applyFlips(addr uint64, bitPositions []int) int {
 	if len(bitPositions) == 0 {
 		return 0
 	}
-	key := addr / pte.LineBytes * pte.LineBytes
-	line := h.dev.lines[key]
+	key := addr &^ lineOffsetMask
+	line := h.dev.ReadLine(key) // seals an unsealed line before flipping it
 	flipped := 0
 	for _, bit := range bitPositions {
 		if bit < 0 || bit >= pte.LineBytes*8 {

@@ -331,3 +331,65 @@ func TestDeriveSeedIsStableAndSpread(t *testing.T) {
 		t.Errorf("collisions in 1000 derived seeds: %d distinct", len(seen))
 	}
 }
+
+// TestMetricsCounterIdentity checks the campaign counters against each
+// other: in any run that is not cancelled every job is executed, failed or
+// restored from the journal exactly once, and only a failed job can be
+// quarantined. It covers a fresh run, a run resumed from its journal and a
+// run with a poison job.
+func TestMetricsCounterIdentity(t *testing.T) {
+	check := func(stage string, m Metrics, total int) {
+		t.Helper()
+		if m.Total != total {
+			t.Errorf("%s: total %d, want %d", stage, m.Total, total)
+		}
+		if m.Executed+m.Failed+m.FromJournal != m.Total {
+			t.Errorf("%s: executed %d + failed %d + from journal %d != total %d",
+				stage, m.Executed, m.Failed, m.FromJournal, m.Total)
+		}
+		if m.Quarantined > m.Failed {
+			t.Errorf("%s: quarantined %d > failed %d", stage, m.Quarantined, m.Failed)
+		}
+	}
+	var failing atomic.Bool
+	mkJobs := func() []Job[int] {
+		var jobs []Job[int]
+		for i := 0; i < 8; i++ {
+			jobs = append(jobs, intJob(fmt.Sprintf("job-%d", i), i))
+		}
+		jobs = append(jobs, Job[int]{Key: "poison", Run: func(context.Context) (int, error) {
+			if failing.Load() {
+				panic("poison job")
+			}
+			return 8, nil
+		}})
+		return jobs
+	}
+	opts := Options{Workers: 3, Retries: 1, JournalPath: filepath.Join(t.TempDir(), "campaign.jsonl")}
+
+	rep, err := Run(context.Background(), mkJobs(), Options{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh", rep.Metrics, 9)
+
+	failing.Store(true)
+	rep, err = Run(context.Background(), mkJobs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics.Failed != 1 || rep.Metrics.Quarantined != 1 {
+		t.Errorf("poison run metrics = %+v, want one failed, quarantined job", rep.Metrics)
+	}
+	check("poison", rep.Metrics, 9)
+
+	failing.Store(false)
+	rep, err = Run(context.Background(), mkJobs(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Metrics.FromJournal != 8 || rep.Metrics.Executed != 1 {
+		t.Errorf("resumed run metrics = %+v, want 8 from journal and 1 executed", rep.Metrics)
+	}
+	check("resumed", rep.Metrics, 9)
+}

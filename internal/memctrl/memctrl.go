@@ -143,12 +143,15 @@ func (c *Controller) WriteLine(addr uint64, line pte.Line) (latency int, err err
 }
 
 // WriteLinesBatch stores many lines in one call — the campaign setup /
-// table-flush path. The guard MACs the whole population through its batch
-// engine (one bit-sliced cipher pass per 64 lanes) instead of line-at-a-time;
-// stats, stored bytes and the returned error are identical to calling
-// WriteLine per element in order, and the returned latency is the sum of the
-// per-line latencies. On error the remaining lines are still written (flush
-// loops keep going); err is the first per-line error.
+// table-flush path. The guard charges each write as WriteLine would, MACs
+// the collision checks through its batch engine, and hands back protected
+// lines unsealed: they are stored owed to the guard, which seals each on
+// its first read (dram.Device.WriteUnsealed), so a table line no walk ever
+// fetches never has its MAC computed on the host. Stats, the bytes any read
+// observes and the returned error are identical to calling WriteLine per
+// element in order, and the returned latency is the sum of the per-line
+// latencies. On error the remaining lines are still written (flush loops
+// keep going); err is the first per-line error.
 func (c *Controller) WriteLinesBatch(addrs []uint64, lines []pte.Line) (latency int, err error) {
 	if len(addrs) != len(lines) {
 		panic("memctrl: WriteLinesBatch slice lengths differ")
@@ -173,7 +176,7 @@ func (c *Controller) WriteLinesBatch(addrs []uint64, lines []pte.Line) (latency 
 			lat += macLat
 			c.stats.WriteMACCycles += uint64(macLat)
 		}
-		c.dev.WriteLine(addrs[i], res[i].Line)
+		store(c.dev, c.guard, addrs[i], res[i])
 		c.stats.TotalWriteCycles += uint64(lat)
 		c.writeHist.Observe(uint64(lat))
 		latency += lat
@@ -184,6 +187,16 @@ func (c *Controller) WriteLinesBatch(addrs []uint64, lines []pte.Line) (latency 
 		c.stats.CollisionErrors += uint64(failed)
 	}
 	return latency, werr
+}
+
+// store writes a write-path result to dev: a deferred protected line goes
+// in unsealed, owed to the guard g that wrote it.
+func store(dev *dram.Device, g *core.Guard, addr uint64, res core.WriteResult) {
+	if res.Deferred {
+		dev.WriteUnsealed(addr, res.Line, g)
+	} else {
+		dev.WriteLine(addr, res.Line)
+	}
 }
 
 func max(a, b int) int {

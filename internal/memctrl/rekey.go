@@ -41,9 +41,10 @@ func (c *Controller) Rekey(newKey []byte) (RekeyStats, error) {
 	}
 
 	// Collect the stored population first: the sweep touches every line, so
-	// both the old-key reads and the new-key writes ride the guard's batch
-	// MAC engine instead of running the cipher line-at-a-time. (This is a
-	// cold path; the collection slices are throwaway.)
+	// the old-key reads ride the guard's batch MAC engine instead of running
+	// the cipher line-at-a-time, and the new-key writes store protected
+	// lines owed to the new guard, sealed when next read. (This is a cold
+	// path; the collection slices are throwaway.)
 	var addrs []uint64
 	var lines []pte.Line
 	c.dev.Lines(func(addr uint64, line pte.Line) {
@@ -76,7 +77,7 @@ func (c *Controller) Rekey(newKey []byte) (RekeyStats, error) {
 		if rres[i].Stripped && wres[i].Protected {
 			stats.Remacced++
 		}
-		c.dev.WriteLine(addrs[i], wres[i].Line)
+		store(c.dev, next, addrs[i], wres[i])
 	}
 	c.guard = next
 	return stats, nil

@@ -210,10 +210,10 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 
 // TestMACMemoReconciles checks the guard's published MAC-memo lookups
 // against its MAC counters on a PT-Guard run with correction off: every
-// scalar MAC computation is exactly one memo lookup, and the batch
-// engine's MACs (the table flush) never touch the memo. The identity holds
-// over the warm-up, which includes the table flush, and again after
-// ResetStats zeroes both sides.
+// scalar MAC computation is exactly one memo lookup, while the batch
+// engine's MACs and the write MACs the table flush defers to the first
+// read never touch the memo. The identity holds over the warm-up, which
+// includes the table flush, and again after ResetStats zeroes both sides.
 func TestMACMemoReconciles(t *testing.T) {
 	o := obs.New(obs.Options{})
 	s, err := NewSystem(Config{Mode: PTGuard, Seed: 11, ChurnEvery: 2_000, Obs: o},
@@ -221,11 +221,12 @@ func TestMACMemoReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(stage string, needBatched bool) {
+	check := func(stage string, needDeferred bool) {
 		t.Helper()
 		c := o.Registry().Snapshot().Counters
 		hits, misses := c["guard.mac_memo_hits"], c["guard.mac_memo_misses"]
-		scalar := c["guard.write_mac_computes"] + c["guard.read_mac_computes"] - c["guard.batched_mac_computes"]
+		scalar := c["guard.write_mac_computes"] + c["guard.read_mac_computes"] -
+			c["guard.batched_mac_computes"] - c["guard.deferred_write_macs"]
 		if hits+misses != scalar {
 			t.Errorf("%s: memo hits %d + misses %d = %d, want scalar MACs %d",
 				stage, hits, misses, hits+misses, scalar)
@@ -233,8 +234,8 @@ func TestMACMemoReconciles(t *testing.T) {
 		if hits == 0 || misses == 0 {
 			t.Errorf("%s: memo hits %d, misses %d; want both > 0", stage, hits, misses)
 		}
-		if needBatched && c["guard.batched_mac_computes"] == 0 {
-			t.Errorf("%s: no batched MACs; the identity's subtraction is untested", stage)
+		if needDeferred && c["guard.deferred_write_macs"] == 0 {
+			t.Errorf("%s: no deferred write MACs; the identity's subtraction is untested", stage)
 		}
 	}
 	if _, err := s.Run(20_000); err != nil {
