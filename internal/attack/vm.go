@@ -96,7 +96,7 @@ type VMTrialResult struct {
 	DetectedStage2 int
 	// MaxWalkAccesses is the costliest 2-D walk observed (≤ 24).
 	MaxWalkAccesses int
-	// TableAudit is the post-hammer batch integrity audit of the victim's
+	// TableAudit is the post-hammer integrity audit of the victim's
 	// stored table lines in both layers (virt.Host.AuditTables), taken
 	// before the walk classification touches — and possibly corrects — the
 	// tables: Dirty counts lines a guarded layer would flag on a walk.
@@ -196,7 +196,7 @@ func RunVMTrial(cfg VMTrialConfig) (VMTrialResult, error) {
 	// hypervisor's next scheduling tick would.
 	host.FlushAll()
 
-	// Batch-audit the victim's stored tables before any walk can correct
+	// Audit the victim's stored tables before any walk can correct
 	// them: the guard-side ground truth the per-walk classification below is
 	// compared against.
 	if res.TableAudit, err = host.AuditTables(victim); err != nil {

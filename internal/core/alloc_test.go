@@ -49,6 +49,30 @@ func TestGuardWriteUnprotectedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGuardUnsealedWriteAndAuditZeroAlloc gates the table-flush write and
+// the audit scrub.
+func TestGuardUnsealedWriteAndAuditZeroAlloc(t *testing.T) {
+	g := newTestGuard(t, nil)
+	line := makePTELine(0xBEEF00, testFlags, pte.PTEsPerLine)
+	protected := writePTE(t, g, line, 0x4000)
+	if n := testing.AllocsPerRun(200, func() {
+		w, err := g.OnWriteUnsealed(line, 0x4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkWrite = w
+	}); n != 0 {
+		t.Errorf("OnWriteUnsealed allocates %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if !g.Audit(protected, 0x4000) {
+			t.Fatal("clean line failed the audit")
+		}
+	}); n != 0 {
+		t.Errorf("Audit allocates %.1f objects/op, want 0", n)
+	}
+}
+
 func TestGuardWalkReadZeroAlloc(t *testing.T) {
 	g := newTestGuard(t, nil)
 	line := makePTELine(0xBEEF00, testFlags, pte.PTEsPerLine)

@@ -67,14 +67,6 @@ func batchWorkload(g *Guard, r *stats.RNG) (lines []pte.Line, addrs []uint64) {
 	return lines, addrs
 }
 
-// stripBatchTelemetry zeroes the counters the batch engine adds on top of
-// the scalar path; everything else must match bit-for-bit.
-func stripBatchTelemetry(c Counters) Counters {
-	c.MACBatches = 0
-	c.BatchedMACComputes = 0
-	return c
-}
-
 var batchConfigs = []struct {
 	name   string
 	mutate func(*Config)
@@ -100,8 +92,8 @@ var batchConfigs = []struct {
 	}},
 }
 
-// sealDeferred returns a batch write result as the eager scalar path
-// would have returned it: a deferred protected line sealed with Seal.
+// sealDeferred returns an OnWriteUnsealed result as OnWrite would have
+// returned it: a deferred protected line sealed with Seal.
 func sealDeferred(g *Guard, r WriteResult, addr uint64) WriteResult {
 	if r.Deferred {
 		r.Line, r.Deferred = g.Seal(addr, r.Line), false
@@ -109,64 +101,56 @@ func sealDeferred(g *Guard, r WriteResult, addr uint64) WriteResult {
 	return r
 }
 
-// TestBatchMatchesScalarGuard is the Guard-level equivalence property:
-// OnWriteBatch and OnReadBatch must be bit-identical to sequential
-// OnWrite/OnRead — results, errors, counters (minus batch telemetry) and
-// CTB state — across optimization configs, both ciphers, corrupted lines
-// that trigger the correction search, colliding lines and CTB overflow.
-// OnWriteBatch returns exactly the protected lines unsealed, and sealing
-// one gives OnWrite's image.
+// TestBatchMatchesScalarGuard is the Guard-level equivalence property of
+// the table-flush path: per-line OnWriteUnsealed, each deferred line sealed
+// with Seal, must be bit-identical to OnWrite — results, errors and CTB
+// state — across optimization configs, both ciphers, colliding lines and
+// CTB overflow, and it must return exactly the protected lines unsealed.
+// Reading the sealed images back through OnRead, a quarter of them
+// corrupted, must then leave both guards with identical results and full
+// Counters; only the correction configs run candidate waves, so only they
+// charge the batch telemetry.
 func TestBatchMatchesScalarGuard(t *testing.T) {
 	for _, tc := range batchConfigs {
 		t.Run(tc.name, func(t *testing.T) {
-			gs := newTestGuard(t, tc.mutate) // scalar reference
-			gb := newTestGuard(t, tc.mutate) // batched
+			gs := newTestGuard(t, tc.mutate) // eager reference
+			gu := newTestGuard(t, tc.mutate) // unsealed writes
 
 			lines, addrs := batchWorkload(gs, stats.NewRNG(0xBA7C11))
 			n := len(lines)
 
 			// Writes.
 			sres := make([]WriteResult, n)
-			sfailed := 0
-			var serr error
+			failed := 0
 			for i := range lines {
-				r, err := gs.OnWrite(lines[i], addrs[i])
-				sres[i] = r
-				if err != nil {
-					sfailed++
-					if serr == nil {
-						serr = err
-					}
+				want, werr := gs.OnWrite(lines[i], addrs[i])
+				got, gerr := gu.OnWriteUnsealed(lines[i], addrs[i])
+				if !errors.Is(gerr, werr) {
+					t.Fatalf("write %d: err = %v, OnWrite %v", i, gerr, werr)
 				}
-			}
-			bres := make([]WriteResult, n)
-			bfailed, berr := gb.OnWriteBatch(bres, lines, addrs)
-			if bfailed != sfailed {
-				t.Fatalf("failed = %d, scalar %d", bfailed, sfailed)
-			}
-			if !errors.Is(berr, serr) {
-				t.Fatalf("err = %v, scalar %v", berr, serr)
+				if werr != nil {
+					failed++
+				}
+				if got.Deferred != got.Protected {
+					t.Fatalf("write %d: deferred %v, protected %v", i, got.Deferred, got.Protected)
+				}
+				if sealed := sealDeferred(gu, got, addrs[i]); sealed != want {
+					t.Fatalf("write %d: sealed %+v != OnWrite %+v", i, sealed, want)
+				}
+				sres[i] = want
 			}
 			// Crafted collisions only register when the tag fills the MAC
 			// field: with 64-bit tags in the 96-bit x86 field the stored
 			// bytes can never equal the (shorter) tag, in either path.
-			if sfailed == 0 && gs.cfg.TagBits == bits.OnesCount64(gs.cfg.Format.MACMask)*pte.PTEsPerLine {
+			if failed == 0 && gs.cfg.TagBits == bits.OnesCount64(gs.cfg.Format.MACMask)*pte.PTEsPerLine {
 				t.Fatal("workload did not overflow the CTB; colliding mix broken")
 			}
-			for i := range sres {
-				if bres[i].Deferred != bres[i].Protected {
-					t.Fatalf("write %d: deferred %v, protected %v", i, bres[i].Deferred, bres[i].Protected)
-				}
-				if got := sealDeferred(gb, bres[i], addrs[i]); got != sres[i] {
-					t.Fatalf("write %d: sealed batch %+v != scalar %+v", i, got, sres[i])
-				}
-			}
-			if gs.CTBLen() != gb.CTBLen() {
-				t.Fatalf("CTB len = %d, scalar %d", gb.CTBLen(), gs.CTBLen())
+			if gs.CTBLen() != gu.CTBLen() {
+				t.Fatalf("CTB len = %d, OnWrite %d", gu.CTBLen(), gs.CTBLen())
 			}
 
-			// Reads of the stored images, a quarter corrupted with 1-2
-			// protected-bit flips (exercising verify failures and, when
+			// Reads of the stored images, a quarter corrupted with one
+			// protected-bit flip (exercising verify failures and, when
 			// enabled, the wave-batched correction search), under both
 			// request types.
 			r := stats.NewRNG(0xC0DE)
@@ -181,36 +165,31 @@ func TestBatchMatchesScalarGuard(t *testing.T) {
 				}
 			}
 			for _, isPTE := range []bool{true, false} {
-				srd := make([]ReadResult, n)
 				for i := range stored {
-					srd[i] = gs.OnRead(stored[i], addrs[i], isPTE)
-				}
-				brd := make([]ReadResult, n)
-				gb.OnReadBatch(brd, stored, addrs, isPTE)
-				for i := range srd {
-					if srd[i] != brd[i] {
-						t.Fatalf("read %d (isPTE=%v): batch %+v != scalar %+v",
-							i, isPTE, brd[i], srd[i])
+					want := gs.OnRead(stored[i], addrs[i], isPTE)
+					if got := gu.OnRead(stored[i], addrs[i], isPTE); got != want {
+						t.Fatalf("read %d (isPTE=%v): %+v != eager %+v", i, isPTE, got, want)
 					}
 				}
 			}
 
-			cs := stripBatchTelemetry(gs.Counters())
-			cb := stripBatchTelemetry(gb.Counters())
-			if cs != cb {
-				t.Fatalf("counters diverge:\nbatch  %+v\nscalar %+v", cb, cs)
+			cs, cu := gs.Counters(), gu.Counters()
+			if cs != cu {
+				t.Fatalf("counters diverge:\nunsealed %+v\neager    %+v", cu, cs)
 			}
-			if gb.Counters().MACBatches == 0 || gb.Counters().BatchedMACComputes == 0 {
-				t.Error("batch telemetry counters never charged")
+			on := gu.cfg.EnableCorrection
+			if (cu.MACBatches != 0) != on || (cu.BatchedMACComputes != 0) != on {
+				t.Errorf("batch telemetry %d waves, %d MACs; want nonzero iff correction is on (%v)",
+					cu.MACBatches, cu.BatchedMACComputes, on)
 			}
 		})
 	}
 }
 
-// TestAuditBatch: the pure batch verifier must flag exactly the corrupted
-// lines, treat CTB-tracked and zero-protected lines as clean, and leave
-// Guard state untouched.
-func TestAuditBatch(t *testing.T) {
+// TestAudit: the pure verifier must flag exactly the corrupted lines, treat
+// CTB-tracked and zero-protected lines as clean, and leave Guard state
+// untouched: no counter moves and the MAC memo is neither read nor filled.
+func TestAudit(t *testing.T) {
 	g := newTestGuard(t, func(c *Config) { c.OptZeroMAC = true })
 	var lines []pte.Line
 	var addrs []uint64
@@ -236,17 +215,22 @@ func TestAuditBatch(t *testing.T) {
 	lines[3][0] = pte.Entry(uint64(lines[3][0]) ^ 1<<20)
 	lines[7][5] = pte.Entry(uint64(lines[7][5]) ^ 1<<13)
 
-	before := g.Counters()
-	ok := make([]bool, len(lines))
-	g.AuditBatch(ok, lines, addrs)
-	if g.Counters() != before {
-		t.Error("AuditBatch perturbed Guard counters")
-	}
-	for i, clean := range ok {
+	before, hits, misses, memo := g.Counters(), g.memoHits, g.memoMisses, *g.memo
+	for i := range lines {
 		want := i != 3 && i != 7
-		if clean != want {
+		if clean := g.Audit(lines[i], addrs[i]); clean != want {
 			t.Errorf("line %d: audit clean=%v, want %v", i, clean, want)
 		}
+	}
+	if g.Counters() != before {
+		t.Error("Audit perturbed Guard counters")
+	}
+	if g.memoHits != hits || g.memoMisses != misses {
+		t.Errorf("Audit looked up the MAC memo: hits %d -> %d, misses %d -> %d",
+			hits, g.memoHits, misses, g.memoMisses)
+	}
+	if *g.memo != memo {
+		t.Error("Audit filled the MAC memo")
 	}
 }
 
@@ -333,56 +317,13 @@ func TestGatherScatterRunsMatchRef(t *testing.T) {
 	}
 }
 
-// TestGuardBatchZeroAlloc: steady-state batch write, read and audit passes
-// must not allocate — the scratch grows once and is reused.
-func TestGuardBatchZeroAlloc(t *testing.T) {
-	g := newTestGuard(t, nil)
-	const n = 64
-	lines := make([]pte.Line, n)
-	addrs := make([]uint64, n)
-	for i := range lines {
-		lines[i] = makePTELine(0x11000+uint64(i)*8, testFlags, 8)
-		addrs[i] = uint64(0x40000 + i*0x40)
-	}
-	wres := make([]WriteResult, n)
-	if _, err := g.OnWriteBatch(wres, lines, addrs); err != nil {
-		t.Fatal(err)
-	}
-	stored := make([]pte.Line, n)
-	for i := range stored {
-		stored[i] = g.Seal(addrs[i], wres[i].Line)
-	}
-	rres := make([]ReadResult, n)
-	ok := make([]bool, n)
-
-	if a := testing.AllocsPerRun(20, func() {
-		if _, err := g.OnWriteBatch(wres, lines, addrs); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Errorf("OnWriteBatch allocates %.1f objects/op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		g.OnReadBatch(rres, stored, addrs, true)
-	}); a != 0 {
-		t.Errorf("OnReadBatch allocates %.1f objects/op, want 0", a)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		g.AuditBatch(ok, stored, addrs)
-	}); a != 0 {
-		t.Errorf("AuditBatch allocates %.1f objects/op, want 0", a)
-	}
-}
-
-// TestBatchObservability: with an observer attached, batch passes must feed
-// the lines-per-batch histogram and the published batch counters — the
-// -metrics-out view of batching traffic — and the deferred write MACs of
-// protected lines must be published beside them. The batch engine serves
-// only the collision checks of unprotected lines; protected lines come
-// back unsealed, and sealing one gives the per-line OnWrite image.
+// TestBatchObservability: flush writes publish their deferred write MACs
+// and run no candidate wave; one corrupted walk read with correction on
+// then publishes exactly its flip-and-check waves as guard.mac_batches,
+// guard.batched_mac_computes and the guard.batch_lines histogram.
 func TestBatchObservability(t *testing.T) {
-	g := newTestGuard(t, nil)
-	ref := newTestGuard(t, nil)
+	g := correctionGuard(t, nil)
+	ref := correctionGuard(t, nil)
 	g.SetObserver(obs.New(obs.Options{}))
 	const protected, data = 10, 6
 	r := stats.NewRNG(0x0B5)
@@ -398,36 +339,71 @@ func TestBatchObservability(t *testing.T) {
 		lines = append(lines, l)
 		addrs = append(addrs, uint64(0x60000+i*0x40))
 	}
-	res := make([]WriteResult, len(lines))
-	if _, err := g.OnWriteBatch(res, lines, addrs); err != nil {
-		t.Fatal(err)
-	}
+	sealed := make([]pte.Line, len(lines))
 	for i := range lines {
+		res, err := g.OnWriteUnsealed(lines[i], addrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := ref.OnWrite(lines[i], addrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[i].Deferred != (i < protected) {
-			t.Errorf("line %d: deferred %v, want %v", i, res[i].Deferred, i < protected)
+		if res.Deferred != (i < protected) {
+			t.Errorf("line %d: deferred %v, want %v", i, res.Deferred, i < protected)
 		}
-		if got := sealDeferred(g, res[i], addrs[i]); got != want {
-			t.Errorf("line %d: sealed batch %+v != OnWrite %+v", i, got, want)
+		got := sealDeferred(g, res, addrs[i])
+		if got != want {
+			t.Errorf("line %d: sealed %+v != OnWrite %+v", i, got, want)
 		}
+		sealed[i] = got.Line
 	}
-	reg := obs.NewRegistry()
-	g.PublishObs(reg)
-	snap := reg.Snapshot()
-	if got := snap.Counters["guard.mac_batches"]; got != 1 {
-		t.Errorf("guard.mac_batches = %d, want 1", got)
+	published := func() map[string]uint64 {
+		reg := obs.NewRegistry()
+		g.PublishObs(reg)
+		return reg.Snapshot().Counters
 	}
-	if got := snap.Counters["guard.batched_mac_computes"]; got != data {
-		t.Errorf("guard.batched_mac_computes = %d, want %d", got, data)
-	}
-	if got := snap.Counters["guard.deferred_write_macs"]; got != protected {
+	c := published()
+	if got := c["guard.deferred_write_macs"]; got != protected {
 		t.Errorf("guard.deferred_write_macs = %d, want %d", got, protected)
 	}
-	hist := g.batchHist.Snapshot()
-	if hist.Count != 1 || hist.Sum != data {
-		t.Errorf("guard.batch_lines histogram = %+v, want one observation of %d", hist, data)
+	if c["guard.mac_batches"] != 0 || c["guard.batched_mac_computes"] != 0 || g.batchHist.Snapshot().Count != 0 {
+		t.Errorf("writes ran candidate waves: mac_batches %d, batched_mac_computes %d",
+			c["guard.mac_batches"], c["guard.batched_mac_computes"])
+	}
+
+	// Flip protected bit rank 5 of PTE 2: flip-and-check consumes its
+	// candidates in (PTE, bit) order, so the match is candidate idx.
+	f := g.cfg.Format
+	perPTE := bits.OnesCount64(f.ProtectedMask)
+	const entry, rank = 2, 5
+	m := f.ProtectedMask
+	for i := 0; i < rank; i++ {
+		m &= m - 1
+	}
+	bad := sealed[0]
+	bad[entry] = pte.Entry(uint64(bad[entry]) ^ 1<<uint(bits.TrailingZeros64(m)))
+	rd := g.OnRead(bad, addrs[0], true)
+	if !rd.Corrected || rd.Line != lines[0] {
+		t.Fatalf("walk read of the flipped line: %+v, want corrected to the written line", rd)
+	}
+	idx := entry*perPTE + rank
+	if want := 1 + idx + 1; rd.Guesses != want {
+		t.Fatalf("guesses = %d, want %d (soft retry + candidates 0..%d)", rd.Guesses, want, idx)
+	}
+	waves := idx/flipWave + 1
+	lanes := 0
+	for w := 0; w < waves; w++ {
+		lanes += min(flipWave, perPTE*pte.PTEsPerLine-w*flipWave)
+	}
+	c = published()
+	if got := c["guard.mac_batches"]; got != uint64(waves) {
+		t.Errorf("guard.mac_batches = %d, want %d waves", got, waves)
+	}
+	if got := c["guard.batched_mac_computes"]; got != uint64(idx+1) {
+		t.Errorf("guard.batched_mac_computes = %d, want %d consumed candidates", got, idx+1)
+	}
+	if hist := g.batchHist.Snapshot(); hist.Count != uint64(waves) || hist.Sum != uint64(lanes) {
+		t.Errorf("guard.batch_lines histogram = %+v, want %d waves of %d candidates in all", hist, waves, lanes)
 	}
 }

@@ -130,9 +130,9 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 }
 
 // flipWave is the candidate wave size of the batched flip-and-check: it
-// matches the batch MAC engine's candidate pooling group, and each step-2
-// candidate dirties exactly one cipher chunk, so a full wave fills the
-// 64-lane sliced kernel exactly once.
+// matches ComputeDeltaBatch's candidate group, and each step-2 candidate
+// dirties exactly one cipher chunk, so a full wave fills the 64-lane sliced
+// kernel exactly once.
 const flipWave = 64
 
 // flipAndCheckBatched is the step-2 search: candidates are generated in

@@ -120,12 +120,10 @@ type Counters struct {
 	ZeroFastPathHits  uint64 // MAC computations avoided via MAC-zero
 	CollisionsTracked uint64 // colliding lines inserted into the CTB
 
-	// Batch-engine telemetry (the perf path, not part of the mechanism):
-	// MACBatches counts sliced-kernel batch passes (OnWriteBatch/OnReadBatch
-	// calls that ran the MAC unit, plus correction-search candidate waves);
-	// BatchedMACComputes counts the MAC computations those passes served — a
-	// subset of WriteMACComputes+ReadMACComputes, splitting MAC traffic into
-	// batched vs scalar.
+	// Correction-search telemetry (host-side batching, not part of the
+	// mechanism): MACBatches counts the flip-and-check candidate waves
+	// scored through the sliced cipher kernel; BatchedMACComputes counts the
+	// MAC computations those waves served, a subset of ReadMACComputes.
 	MACBatches         uint64
 	BatchedMACComputes uint64
 }
@@ -144,17 +142,16 @@ type Guard struct {
 	// o, when set, receives MAC embed/verify/strip and CTB hit/insert/full
 	// trace events (nil = observability disabled; every emit is nil-safe).
 	o *obs.Observer
-	// batchHist records lines-per-batch for every sliced MAC pass (nil when
-	// observability is off; Observe on a nil histogram is a no-op).
+	// batchHist records candidates-per-wave for every flip-and-check wave
+	// (nil when observability is off; Observe on a nil histogram is a
+	// no-op).
 	batchHist *obs.Histogram
-	// bs is the reusable batch-marshalling scratch (see batch.go).
-	bs batchScratch
 
-	// memo is the scalar path's MAC memo (see memo.go), allocated on the
-	// first scalar MAC; memoHits and memoMisses count its lookups.
-	// deferredMACs counts the write MACs OnWriteBatch charged but left to
-	// Seal (see batch.go). All three are host-side telemetry, kept out of
-	// Counters so no result moves.
+	// memo is the MAC memo (see memo.go), allocated on the first MAC
+	// through lineMAC; memoHits and memoMisses count its lookups.
+	// deferredMACs counts the write MACs OnWriteUnsealed charged but left
+	// to Seal. All three are host-side telemetry, kept out of Counters so
+	// no result moves.
 	memo                 *[memoSlots]memoSlot
 	memoHits, memoMisses uint64
 	deferredMACs         uint64
@@ -219,8 +216,8 @@ func (g *Guard) ResetCounters() {
 }
 
 // SetObserver attaches the observability subsystem; MAC and CTB activity
-// emit trace events through it, and the batch engine records its
-// lines-per-batch histogram. A nil observer detaches.
+// emit trace events through it, and the correction search records its
+// candidates-per-wave histogram. A nil observer detaches.
 func (g *Guard) SetObserver(o *obs.Observer) {
 	g.o = o
 	if r := o.Registry(); r != nil {
@@ -286,7 +283,7 @@ type WriteResult struct {
 	// carries a MAC (and identifier, if enabled).
 	Protected bool
 	// Deferred reports a protected line returned unsealed by
-	// OnWriteBatch: Seal(addr, Line) is the image to store.
+	// OnWriteUnsealed: Seal(addr, Line) is the image to store.
 	Deferred bool
 	// MACComputed reports that the write path ran the MAC unit.
 	MACComputed bool
@@ -298,7 +295,22 @@ type WriteResult struct {
 // OnWrite processes a 64-byte line on its way to DRAM (§IV-B, §IV-D).
 // It returns ErrCTBFull if a colliding line cannot be tracked.
 func (g *Guard) OnWrite(line pte.Line, addr uint64) (WriteResult, error) {
-	return g.onWrite(line, addr, nil, false)
+	return g.onWrite(line, addr, false)
+}
+
+// OnWriteUnsealed is OnWrite for a line whose first read may come much
+// later, such as a page-table flush: it charges exactly what OnWrite
+// charges (counters, trace events, CTB updates) but returns a protected
+// line unsealed (WriteResult.Deferred), for the caller to store and Seal
+// when something first reads it (dram.Device.WriteUnsealed). This is sound
+// because a protected line's stored image is a pure function of the key,
+// format, tag width, identifier, address and line: the write path reads no
+// other guard state, so Seal computes the same image at any later time.
+// Most flushed table lines are never read, so most of their MACs are never
+// computed on the host; the modelled MAC unit is still charged at write
+// time.
+func (g *Guard) OnWriteUnsealed(line pte.Line, addr uint64) (WriteResult, error) {
+	return g.onWrite(line, addr, true)
 }
 
 // Seal returns the image the write path stores for the protected line at
@@ -306,7 +318,7 @@ func (g *Guard) OnWrite(line pte.Line, addr uint64) (WriteResult, error) {
 // enabled, the identifier embedded. It is a pure function of the guard's
 // configuration, addr and line: it charges no counter, emits no event and
 // touches neither the CTB nor the MAC memo, so a line may be sealed any
-// time after OnWriteBatch charged its write (see batch.go).
+// time after OnWriteUnsealed charged its write.
 func (g *Guard) Seal(addr uint64, line pte.Line) pte.Line {
 	if g.cfg.OptZeroMAC && lineIsZero(line) {
 		return g.embed(line, g.zeroTag)
@@ -333,11 +345,10 @@ func (g *Guard) matchesPattern(line pte.Line) bool {
 		(!g.cfg.OptIdentifier || fieldIsZero(line, f.IdentifierMask))
 }
 
-// onWrite is the write path proper. pre, when non-nil, is the line's
-// collision-check MAC as precomputed by the batch engine. deferSeal returns
-// a protected line unsealed (WriteResult.Deferred) after charging exactly
-// what the eager path charges; the caller stores it for Seal to finish.
-func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag, deferSeal bool) (WriteResult, error) {
+// onWrite is the write path proper. deferSeal returns a protected line
+// unsealed (WriteResult.Deferred) after charging exactly what the eager
+// path charges; the caller stores it for Seal to finish.
+func (g *Guard) onWrite(line pte.Line, addr uint64, deferSeal bool) (WriteResult, error) {
 	g.ctr.Writes++
 	f := g.cfg.Format
 
@@ -363,7 +374,7 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag, deferSeal bool
 		case zero:
 			res.Line = g.embed(line, g.zeroTag)
 		default:
-			res.Line = g.embed(line, g.lineMAC(line, addr, nil))
+			res.Line = g.embed(line, g.lineMAC(line, addr))
 		}
 		// A previously colliding address overwritten by a protected
 		// line is no longer colliding.
@@ -384,7 +395,7 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, pre *mac.Tag, deferSeal bool
 	}
 	res := WriteResult{Line: line}
 	if collisionPossible {
-		tag := g.lineMAC(line, addr, pre)
+		tag := g.lineMAC(line, addr)
 		g.ctr.WriteMACComputes++
 		res.MACComputed = true
 		n := gatherFieldInto(&buf, line, f.MACMask)
@@ -428,12 +439,6 @@ type ReadResult struct {
 // request-bus bit set for page-table walks (§IV-F); such reads always
 // verify integrity. Regular reads identify and strip embedded MACs.
 func (g *Guard) OnRead(line pte.Line, addr uint64, isPTE bool) ReadResult {
-	return g.onRead(line, addr, isPTE, nil)
-}
-
-// onRead is the read path proper; pre, when non-nil, is the line's MAC as
-// precomputed by the batch engine.
-func (g *Guard) onRead(line pte.Line, addr uint64, isPTE bool, pre *mac.Tag) ReadResult {
 	g.ctr.Reads++
 	if g.ctb.contains(addr) {
 		// Colliding line: forward unmodified, no MAC check (§IV-D).
@@ -441,13 +446,13 @@ func (g *Guard) onRead(line pte.Line, addr uint64, isPTE bool, pre *mac.Tag) Rea
 		return ReadResult{Line: line}
 	}
 	if isPTE {
-		return g.readPTE(line, addr, pre)
+		return g.readPTE(line, addr)
 	}
-	return g.readData(line, addr, pre)
+	return g.readData(line, addr)
 }
 
 // readPTE is the page-table-walk path: verify, then strip (§IV-C).
-func (g *Guard) readPTE(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
+func (g *Guard) readPTE(line pte.Line, addr uint64) ReadResult {
 	g.ctr.PTEWalkChecks++
 	f := g.cfg.Format
 	var buf [pte.LineBytes]byte
@@ -462,7 +467,7 @@ func (g *Guard) readPTE(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 		return ReadResult{Line: g.strip(line), Stripped: true}
 	}
 
-	computed := g.lineMAC(line, addr, pre)
+	computed := g.lineMAC(line, addr)
 	g.ctr.ReadMACComputes++
 	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
 	res := ReadResult{MACComputed: true}
@@ -494,7 +499,7 @@ func (g *Guard) readPTE(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 
 // readData is the regular-data path: detect an embedded MAC and remove it;
 // otherwise forward the line untouched (§IV-C, §IV-E).
-func (g *Guard) readData(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
+func (g *Guard) readData(line pte.Line, addr uint64) ReadResult {
 	f := g.cfg.Format
 	var buf [pte.LineBytes]byte
 	if g.cfg.OptIdentifier {
@@ -514,7 +519,7 @@ func (g *Guard) readData(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 		g.o.Emit("mac", "zero", 0)
 		return ReadResult{Line: g.strip(line), Stripped: true}
 	}
-	computed := g.lineMAC(line, addr, pre)
+	computed := g.lineMAC(line, addr)
 	g.ctr.ReadMACComputes++
 	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
 	res := ReadResult{MACComputed: true}
@@ -530,6 +535,28 @@ func (g *Guard) readData(line pte.Line, addr uint64, pre *mac.Tag) ReadResult {
 	// no worse than an unprotected baseline (§IV-E).
 	res.Line = line
 	return res
+}
+
+// Audit reports whether the stored line image at addr would pass the
+// page-table-walk integrity check without correction: a CTB-tracked
+// colliding line audits clean, since the read path forwards it unchecked,
+// and so do a zero-protected line and a line whose embedded MAC matches.
+// It is a pure integrity scrub: it charges no counter, emits no event,
+// touches neither the CTB nor the MAC memo and runs no correction, so a
+// campaign can sweep a whole table population without perturbing the
+// measured state.
+func (g *Guard) Audit(line pte.Line, addr uint64) bool {
+	if g.ctb.contains(addr) {
+		return true
+	}
+	f := g.cfg.Format
+	var buf [pte.LineBytes]byte
+	n := gatherFieldInto(&buf, line, f.MACMask)
+	stored, _ := mac.TagFromBytes(buf[:n], g.cfg.TagBits)
+	if g.cfg.OptZeroMAC && g.isZeroProtected(line, stored, 0) {
+		return true
+	}
+	return g.auth.Compute(maskedImage(line, f.ProtectedMask), addr).Equal(stored)
 }
 
 // isZeroProtected reports whether the line is an all-zero payload carrying

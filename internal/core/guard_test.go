@@ -291,7 +291,8 @@ func craftCollidingLine(g *Guard, seed, addr uint64) pte.Line {
 	}
 	f := g.cfg.Format
 	tag := g.auth.Compute(maskedImage(line, f.ProtectedMask), addr)
-	line = scatterField(line, f.MACMask, tag.Bytes())
+	raw := tag.Raw()
+	line = scatterField(line, f.MACMask, raw[:tag.SizeBytes()])
 	if g.cfg.OptIdentifier {
 		line = scatterField(line, f.IdentifierMask, g.ident)
 	}

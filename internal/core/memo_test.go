@@ -80,7 +80,7 @@ func TestLineMACMatchesCompute(t *testing.T) {
 				shadow[slot] = key{addr, img}
 
 				before := g.memoHits
-				got := g.lineMAC(line, addr, nil)
+				got := g.lineMAC(line, addr)
 				if want := g.auth.Compute(img, addr); !got.Equal(want) {
 					t.Fatalf("op %d: memo tag %x at %#x, Compute gives %x", i, got.Raw(), addr, want.Raw())
 				}

@@ -443,8 +443,8 @@ func (d *Device) release(i int) {
 
 // Lines calls fn for every stored line in ascending address order,
 // sealing every unsealed line first. The full-memory re-key sweep
-// (§VII-B) uses it, so its batches, CTB inserts and trace events follow
-// the same order on every run. fn must not mutate the device.
+// (§VII-B) uses it, so its CTB inserts and trace events follow the same
+// order on every run. fn must not mutate the device.
 func (d *Device) Lines(fn func(addr uint64, line pte.Line)) {
 	addrs := make([]uint64, 0, len(d.lines))
 	for key := range d.lines {

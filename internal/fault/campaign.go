@@ -167,13 +167,11 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		addrs[i], protected[i] = entry.Addr, dev.ReadLine(entry.Addr)
 	}
 	// Ground-truth sanity: before any fault is injected, every pooled line
-	// must batch-audit clean — a dirty line here means the pool snapshot and
-	// the stored state already disagree, which would corrupt every verdict
-	// the oracle hands out below.
-	auditOK := make([]bool, len(pool))
-	guard.AuditBatch(auditOK, protected, addrs)
-	for i, clean := range auditOK {
-		if !clean {
+	// must audit clean — a dirty line here means the pool snapshot and the
+	// stored state already disagree, which would corrupt every verdict the
+	// oracle hands out below.
+	for i := range pool {
+		if !guard.Audit(protected[i], addrs[i]) {
 			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", addrs[i])
 		}
 	}

@@ -2,74 +2,9 @@ package mac
 
 import (
 	"testing"
-	"testing/quick"
 
-	"ptguard/internal/qarma"
 	"ptguard/internal/stats"
 )
-
-// batchAuth builds an Authenticator from a derived key for the batch
-// equivalence properties.
-func batchAuth(tb testing.TB, seed uint64, opts ...Option) *Authenticator {
-	tb.Helper()
-	key := make([]byte, KeySize)
-	r := stats.NewRNG(seed)
-	for i := range key {
-		key[i] = byte(r.Uint64())
-	}
-	a, err := New(key, opts...)
-	if err != nil {
-		tb.Fatalf("New: %v", err)
-	}
-	return a
-}
-
-// TestBatchMatchesScalarQuick is the batch/scalar equivalence property:
-// ComputeBatch must match Compute bit-for-bit across tag widths
-// (64/96/128), round counts, both ciphers, and ragged batch tails
-// (1..lanes-1 lines as well as multi-group lengths).
-func TestBatchMatchesScalarQuick(t *testing.T) {
-	prop := func(seed uint64, nSel, use64Sel, roundSel, widthSel uint8) bool {
-		use64 := use64Sel&1 == 1
-		var opts []Option
-		if use64 {
-			opts = append(opts, WithQARMA64(),
-				WithRounds(4+int(roundSel)%(qarma.MaxRounds64-3)),
-				WithTagBits(64))
-		} else {
-			widths := []int{64, 96, 128}
-			opts = append(opts,
-				WithRounds(4+int(roundSel)%(qarma.MaxRounds-3)),
-				WithTagBits(widths[int(widthSel)%len(widths)]))
-		}
-		a := batchAuth(t, seed|1, opts...)
-
-		// Sweep the ragged range around one sliced group (64 cipher lanes)
-		// plus a tail.
-		lanes := 64 / a.Chunks()
-		n := 1 + int(nSel)%(2*lanes+3)
-		r := stats.NewRNG(seed ^ 0xBA7C4)
-		lines := make([][LineBytes]byte, n)
-		addrs := make([]uint64, n)
-		for i := range lines {
-			lines[i] = randLine(r)
-			addrs[i] = r.Uint64() &^ 0x3F
-		}
-
-		tags := make([]Tag, n)
-		a.ComputeBatch(tags, lines, addrs)
-		for i := range lines {
-			if !tags[i].Equal(a.Compute(lines[i], addrs[i])) {
-				t.Logf("ComputeBatch line %d/%d diverges from Compute", i, n)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestComputeDeltaBatchMatchesScalar: pooled candidate scoring must return
 // the same tags and per-candidate encryption counts as sequential
@@ -122,7 +57,7 @@ func TestComputeDeltaBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// Zero-allocation gates for both batch entry points, both ciphers.
+// Zero-allocation gate for the batch entry point, both ciphers.
 func TestBatchZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -135,24 +70,16 @@ func TestBatchZeroAlloc(t *testing.T) {
 			a := testAuth(t, tc.opts...)
 			r := stats.NewRNG(0xA110C)
 			const n = 40 // two-and-a-half sliced groups under QARMA-128
-			lines := make([][LineBytes]byte, n)
-			addrs := make([]uint64, n)
-			for i := range lines {
-				lines[i] = randLine(r)
-				addrs[i] = r.Uint64() &^ 0x3F
-			}
-			tags := make([]Tag, n)
+			base := randLine(r)
 			cands := make([][LineBytes]byte, n)
 			for i := range cands {
-				cands[i] = lines[0]
+				cands[i] = base
 				cands[i][i%LineBytes] ^= 0x40
 			}
+			tags := make([]Tag, n)
 			enc := make([]int, n)
-			cc := a.Precompute(lines[0], addrs[0])
+			cc := a.Precompute(base, r.Uint64()&^0x3F)
 
-			if g := testing.AllocsPerRun(50, func() { a.ComputeBatch(tags, lines, addrs) }); g != 0 {
-				t.Errorf("ComputeBatch allocates %.1f objects/op, want 0", g)
-			}
 			if g := testing.AllocsPerRun(50, func() { a.ComputeDeltaBatch(tags, enc, &cc, cands) }); g != 0 {
 				t.Errorf("ComputeDeltaBatch allocates %.1f objects/op, want 0", g)
 			}
@@ -160,7 +87,7 @@ func TestBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBatchMAC cross-checks the whole batch engine against the scalar path
+// FuzzBatchMAC cross-checks the batch entry point against the scalar path
 // on fuzzer-chosen line content, addresses, batch sizes and cipher configs.
 func FuzzBatchMAC(f *testing.F) {
 	f.Add(uint64(1), uint8(1), false, []byte{0})
@@ -182,55 +109,46 @@ func FuzzBatchMAC(f *testing.F) {
 			t.Fatal(err)
 		}
 		n := 1 + int(nRaw)%80
-		lines := make([][LineBytes]byte, n)
-		addrs := make([]uint64, n)
-		for i := range lines {
-			lines[i] = randLine(r)
+		cands := make([][LineBytes]byte, n)
+		for i := range cands {
+			cands[i] = randLine(r)
 			// Mix fuzzer bytes into the line so the corpus drives content.
 			for k, b := range data {
-				lines[i][(k+i)%LineBytes] ^= b
-			}
-			addrs[i] = r.Uint64() &^ 0x3F
-		}
-		tags := make([]Tag, n)
-		a.ComputeBatch(tags, lines, addrs)
-		for i := range lines {
-			if want := a.Compute(lines[i], addrs[i]); !tags[i].Equal(want) {
-				t.Fatalf("line %d/%d: ComputeBatch != Compute", i, n)
+				cands[i][(k+i)%LineBytes] ^= b
 			}
 		}
 		// Candidate scoring against the first line's cache.
-		cc := a.Precompute(lines[0], addrs[0])
-		cands := lines
-		dtags := make([]Tag, n)
+		cc := a.Precompute(cands[0], r.Uint64()&^0x3F)
+		tags := make([]Tag, n)
 		enc := make([]int, n)
-		a.ComputeDeltaBatch(dtags, enc, &cc, cands)
+		a.ComputeDeltaBatch(tags, enc, &cc, cands)
 		for i := range cands {
 			wantTag, wantEnc := a.ComputeDelta(&cc, &cands[i])
-			if !dtags[i].Equal(wantTag) || enc[i] != wantEnc {
+			if !tags[i].Equal(wantTag) || enc[i] != wantEnc {
 				t.Fatalf("cand %d/%d: ComputeDeltaBatch != ComputeDelta", i, n)
 			}
 		}
 	})
 }
 
-// BenchmarkComputeBatch times one 64-line ComputeBatch over the lines of one
-// 4 KB page, the unit of the simulator's page-table flush: four full
-// 64-lane sliced passes under QARMA-128.
-func BenchmarkComputeBatch(b *testing.B) {
+// BenchmarkComputeDeltaBatch times one 64-candidate flip-and-check wave
+// under QARMA-128: single-bit flips of one line scored against its primed
+// chunk cache. Each candidate dirties one chunk, as in step 2 of the
+// correction search, whose first wave flips the bits of the first PTEs.
+func BenchmarkComputeDeltaBatch(b *testing.B) {
 	a := testAuth(b)
-	r := stats.NewRNG(0xF1A5)
-	const n = 64
-	lines := make([][LineBytes]byte, n)
-	addrs := make([]uint64, n)
-	for i := range lines {
-		lines[i] = randLine(r)
-		addrs[i] = 0x7_3000 + uint64(i)*LineBytes
+	base := randLine(stats.NewRNG(0xF1A5))
+	cc := a.Precompute(base, 0x7_3000)
+	cands := make([][LineBytes]byte, deltaGroup)
+	for i := range cands {
+		cands[i] = base
+		cands[i][i/8] ^= 1 << (i % 8)
 	}
-	tags := make([]Tag, n)
+	tags := make([]Tag, len(cands))
+	enc := make([]int, len(cands))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.ComputeBatch(tags, lines, addrs)
+		a.ComputeDeltaBatch(tags, enc, &cc, cands)
 	}
 }

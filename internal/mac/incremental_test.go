@@ -108,33 +108,28 @@ func TestComputeDeltaZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRawAndAppendBytesMatchBytes: the zero-alloc accessors must expose
-// exactly the bytes Bytes returns.
-func TestRawAndAppendBytesMatchBytes(t *testing.T) {
-	a := testAuth(t)
-	tag := a.Compute(randLine(stats.NewRNG(11)), 0x77C0)
-	want := tag.Bytes()
-	if got := tag.SizeBytes(); got != len(want) {
-		t.Fatalf("SizeBytes = %d, want %d", got, len(want))
-	}
-	raw := tag.Raw()
-	for i, b := range want {
-		if raw[i] != b {
-			t.Fatalf("Raw[%d] = %#x, want %#x", i, raw[i], b)
+// TestRawRoundTrip: Raw is zero past SizeBytes, and its significant bytes
+// fed back through TagFromBytes rebuild the tag, at byte-aligned and ragged
+// widths.
+func TestRawRoundTrip(t *testing.T) {
+	line := randLine(stats.NewRNG(11))
+	for _, width := range []int{64, 96, 100, 128} {
+		tag := testAuth(t, WithTagBits(width)).Compute(line, 0x77C0)
+		if got, want := tag.SizeBytes(), (width+7)/8; got != want {
+			t.Fatalf("width %d: SizeBytes = %d, want %d", width, got, want)
 		}
-	}
-	for i := tag.SizeBytes(); i < len(raw); i++ {
-		if raw[i] != 0 {
-			t.Fatalf("Raw[%d] = %#x beyond SizeBytes, want 0", i, raw[i])
+		raw := tag.Raw()
+		for i := tag.SizeBytes(); i < len(raw); i++ {
+			if raw[i] != 0 {
+				t.Fatalf("width %d: Raw[%d] = %#x beyond SizeBytes, want 0", width, i, raw[i])
+			}
 		}
-	}
-	got := tag.AppendBytes(make([]byte, 0, 16))
-	if len(got) != len(want) {
-		t.Fatalf("AppendBytes length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendBytes[%d] = %#x, want %#x", i, got[i], want[i])
+		back, err := TagFromBytes(raw[:tag.SizeBytes()], width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(tag) {
+			t.Errorf("width %d: TagFromBytes(Raw) = %x, want %x", width, back.Raw(), raw)
 		}
 	}
 }

@@ -39,34 +39,13 @@ type Tag struct {
 // Bits returns the tag width in bits.
 func (t Tag) Bits() int { return t.bits }
 
-// Bytes returns the ceil(bits/8) significant bytes of the tag.
-func (t Tag) Bytes() []byte {
-	out := make([]byte, (t.bits+7)/8)
-	copy(out, t.data[:])
-	return out
-}
-
 // SizeBytes returns ceil(bits/8), the number of significant tag bytes.
 func (t Tag) SizeBytes() int { return (t.bits + 7) / 8 }
 
 // Raw returns the tag's full 16-byte little-endian backing store (unused
-// high bytes zero). With SizeBytes it gives hot paths an allocation-free
-// alternative to Bytes: slice the returned array on the caller's stack.
+// high bytes zero). Slice it to SizeBytes on the caller's stack for the
+// significant bytes without an allocation.
 func (t Tag) Raw() [16]byte { return t.data }
-
-// AppendBytes appends the SizeBytes significant tag bytes to dst and
-// returns the extended slice, the append-style counterpart of Bytes.
-func (t Tag) AppendBytes(dst []byte) []byte {
-	return append(dst, t.data[:(t.bits+7)/8]...)
-}
-
-// Bit returns bit i of the tag.
-func (t Tag) Bit(i int) uint64 {
-	if i < 0 || i >= t.bits {
-		return 0
-	}
-	return uint64(t.data[i/8] >> (i % 8) & 1)
-}
 
 // Equal reports whether two tags match exactly.
 func (t Tag) Equal(o Tag) bool { return t.bits == o.bits && t.data == o.data }

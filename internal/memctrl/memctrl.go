@@ -28,10 +28,6 @@ type Controller struct {
 	// Cached nil-safe histogram handles; nil when observability is off, so
 	// the hot path pays only a nil-receiver method call.
 	readHist, writeHist *obs.Histogram
-
-	// wres is the reusable WriteLinesBatch result scratch; it grows to the
-	// largest batch seen so steady-state flushes stay allocation-free.
-	wres []core.WriteResult
 }
 
 // Stats summarises controller activity.
@@ -112,81 +108,61 @@ func (c *Controller) ReadLine(addr uint64, isPTE bool) (line pte.Line, latency i
 // is reported for accounting but writes are posted: the core does not stall
 // on them, matching the paper's read-path-only slowdown.
 func (c *Controller) WriteLine(addr uint64, line pte.Line) (latency int, err error) {
-	c.stats.Writes++
-	latency = c.dev.Access(addr, true) + c.contention
-	if c.guard == nil {
-		c.dev.WriteLine(addr, line)
-		c.stats.TotalWriteCycles += uint64(latency)
-		c.writeHist.Observe(uint64(latency))
-		return latency, nil
-	}
-	res, werr := c.guard.OnWrite(line, addr)
-	if res.MACComputed {
-		macLat := c.guard.Config().MACLatencyCycles
-		latency += macLat
-		c.stats.WriteMACCycles += uint64(macLat)
-	}
-	if werr != nil {
-		if errors.Is(werr, core.ErrCTBFull) {
-			c.stats.CollisionErrors++
-		}
-		// The data is still stored; the caller decides on re-keying.
-		c.dev.WriteLine(addr, res.Line)
-		c.stats.TotalWriteCycles += uint64(latency)
-		c.writeHist.Observe(uint64(latency))
-		return latency, werr
-	}
-	c.dev.WriteLine(addr, res.Line)
-	c.stats.TotalWriteCycles += uint64(latency)
-	c.writeHist.Observe(uint64(latency))
-	return latency, nil
+	return c.write(addr, line, false)
 }
 
 // WriteLinesBatch stores many lines in one call — the campaign setup /
-// table-flush path. The guard charges each write as WriteLine would, MACs
-// the collision checks through its batch engine, and hands back protected
-// lines unsealed: they are stored owed to the guard, which seals each on
-// its first read (dram.Device.WriteUnsealed), so a table line no walk ever
-// fetches never has its MAC computed on the host. Stats, the bytes any read
-// observes and the returned error are identical to calling WriteLine per
-// element in order, and the returned latency is the sum of the per-line
-// latencies. On error the remaining lines are still written (flush loops
-// keep going); err is the first per-line error.
+// table-flush path. Each line is charged as WriteLine charges it, but
+// protected lines are stored unsealed, owed to the guard, which seals each
+// on its first read (dram.Device.WriteUnsealed), so a table line no walk
+// ever fetches never has its MAC computed on the host. Stats, the bytes any
+// read observes and the returned error are identical to calling WriteLine
+// per element in order, and the returned latency is the sum of the
+// per-line latencies. On error the remaining lines are still written (flush
+// loops keep going); err is the first per-line error.
 func (c *Controller) WriteLinesBatch(addrs []uint64, lines []pte.Line) (latency int, err error) {
 	if len(addrs) != len(lines) {
 		panic("memctrl: WriteLinesBatch slice lengths differ")
 	}
-	if c.guard == nil {
-		for i := range lines {
-			lat, _ := c.WriteLine(addrs[i], lines[i])
-			latency += lat
-		}
-		return latency, nil
-	}
-	if cap(c.wres) < len(lines) {
-		c.wres = make([]core.WriteResult, len(lines))
-	}
-	res := c.wres[:len(lines)]
-	failed, werr := c.guard.OnWriteBatch(res, lines, addrs)
-	macLat := c.guard.Config().MACLatencyCycles
 	for i := range lines {
-		c.stats.Writes++
-		lat := c.dev.Access(addrs[i], true) + c.contention
-		if res[i].MACComputed {
-			lat += macLat
+		lat, werr := c.write(addrs[i], lines[i], true)
+		latency += lat
+		if werr != nil && err == nil {
+			err = werr
+		}
+	}
+	return latency, err
+}
+
+// write is the write path of WriteLine and WriteLinesBatch; unsealed
+// stores a protected line unsealed (core.Guard.OnWriteUnsealed).
+func (c *Controller) write(addr uint64, line pte.Line, unsealed bool) (latency int, err error) {
+	c.stats.Writes++
+	latency = c.dev.Access(addr, true) + c.contention
+	if c.guard == nil {
+		c.dev.WriteLine(addr, line)
+	} else {
+		var res core.WriteResult
+		if unsealed {
+			res, err = c.guard.OnWriteUnsealed(line, addr)
+		} else {
+			res, err = c.guard.OnWrite(line, addr)
+		}
+		if res.MACComputed {
+			macLat := c.guard.Config().MACLatencyCycles
+			latency += macLat
 			c.stats.WriteMACCycles += uint64(macLat)
 		}
-		store(c.dev, c.guard, addrs[i], res[i])
-		c.stats.TotalWriteCycles += uint64(lat)
-		c.writeHist.Observe(uint64(lat))
-		latency += lat
+		if errors.Is(err, core.ErrCTBFull) {
+			c.stats.CollisionErrors++
+		}
+		// The data is stored even on error; the caller decides on
+		// re-keying.
+		store(c.dev, c.guard, addr, res)
 	}
-	if werr != nil && errors.Is(werr, core.ErrCTBFull) {
-		// The guard's write path only fails with ErrCTBFull, so every
-		// failed line is a collision error, as the scalar loop would count.
-		c.stats.CollisionErrors += uint64(failed)
-	}
-	return latency, werr
+	c.stats.TotalWriteCycles += uint64(latency)
+	c.writeHist.Observe(uint64(latency))
+	return latency, err
 }
 
 // store writes a write-path result to dev: a deferred protected line goes

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"errors"
 	"testing"
 
 	"ptguard/internal/core"
@@ -298,6 +299,59 @@ func TestRekeyClearsCollisions(t *testing.T) {
 	got, _, ok := c.ReadLine(0x3000, false)
 	if !ok || got != forged {
 		t.Error("colliding line data changed across rekey")
+	}
+}
+
+// TestRekeyOverflowLeavesMemoryAndGuard: a sweep whose new-key writes
+// overflow the new guard's CTB must store nothing and keep the old guard.
+// The colliding lines are images sealed under the new key, stored as data
+// under the old one.
+func TestRekeyOverflowLeavesMemoryAndGuard(t *testing.T) {
+	newKey := fuzzKey(0xC0111DE)
+	scratch, err := New(testDevice(t), testGuard(t, func(c *core.Config) { c.Key = newKey }), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(testDevice(t), testGuard(t, nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= core.DefaultCTBEntries; i++ {
+		addr := uint64(0x10000 + i*0x40)
+		if _, err := scratch.WriteLine(addr, pteLine(0x900+uint64(i)*8)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.WriteLine(addr, scratch.Device().ReadLine(addr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line := pteLine(0x700)
+	if _, err := c.WriteLine(0x20000, line); err != nil {
+		t.Fatal(err)
+	}
+	image := func() map[uint64]pte.Line {
+		m := make(map[uint64]pte.Line)
+		c.Device().Lines(func(a uint64, l pte.Line) { m[a] = l })
+		return m
+	}
+	before, stored, old := image(), c.Device().StoredLines(), c.Guard()
+
+	if _, err := c.Rekey(newKey); !errors.Is(err, core.ErrCTBFull) {
+		t.Fatalf("Rekey error = %v, want ErrCTBFull", err)
+	}
+	if got := c.Device().StoredLines(); got != stored {
+		t.Errorf("stored lines = %d, want %d", got, stored)
+	}
+	for a, l := range image() {
+		if before[a] != l {
+			t.Errorf("line %#x changed by the failed rekey", a)
+		}
+	}
+	if c.Guard() != old {
+		t.Error("failed rekey replaced the guard")
+	}
+	if got, _, ok := c.ReadLine(0x20000, true); !ok || got != line {
+		t.Error("walk of the protected line fails after the failed rekey")
 	}
 }
 

@@ -40,44 +40,41 @@ func (c *Controller) Rekey(newKey []byte) (RekeyStats, error) {
 		return RekeyStats{}, fmt.Errorf("memctrl: new guard: %w", err)
 	}
 
-	// Collect the stored population first: the sweep touches every line, so
-	// the old-key reads ride the guard's batch MAC engine instead of running
-	// the cipher line-at-a-time, and the new-key writes store protected
-	// lines owed to the new guard, sealed when next read. (This is a cold
-	// path; the collection slices are throwaway.)
-	var addrs []uint64
-	var lines []pte.Line
-	c.dev.Lines(func(addr uint64, line pte.Line) {
-		addrs = append(addrs, addr)
-		lines = append(lines, line)
-	})
-	stats := RekeyStats{LinesScanned: len(lines)}
-
-	// Read under the old key with data-path semantics: protected lines
-	// verify and strip, everything else passes through.
-	rres := make([]core.ReadResult, len(lines))
-	c.guard.OnReadBatch(rres, lines, addrs, false)
-
+	// Read every stored line under the old key with data-path semantics:
+	// protected lines verify and strip, everything else passes through.
 	// Not-stripped lines (unprotected, or colliding lines forwarded
 	// verbatim) are rewritten as-is under the new guard so their collision
-	// status is re-evaluated; stripped lines re-embed under the new key.
-	winput := make([]pte.Line, len(lines))
-	for i := range rres {
-		if rres[i].Stripped {
-			winput[i] = rres[i].Line
-		} else {
-			winput[i] = lines[i]
+	// status is re-evaluated; stripped lines re-embed under the new key,
+	// stored owed to the new guard and sealed when next read. Nothing is
+	// stored until every write has succeeded, so a failed sweep leaves
+	// memory and the old guard in place. (This is a cold path; the
+	// collection slices are throwaway.)
+	var (
+		addrs    []uint64
+		res      []core.WriteResult
+		remacced int
+	)
+	c.dev.Lines(func(addr uint64, line pte.Line) {
+		rd := c.guard.OnRead(line, addr, false)
+		if rd.Stripped {
+			line = rd.Line
 		}
-	}
-	wres := make([]core.WriteResult, len(lines))
-	if _, werr := next.OnWriteBatch(wres, winput, addrs); werr != nil {
-		return stats, werr
-	}
-	for i := range wres {
-		if rres[i].Stripped && wres[i].Protected {
-			stats.Remacced++
+		wr, werr := next.OnWriteUnsealed(line, addr)
+		if werr != nil && err == nil {
+			err = werr
 		}
-		store(c.dev, next, addrs[i], wres[i])
+		if rd.Stripped && wr.Protected {
+			remacced++
+		}
+		addrs, res = append(addrs, addr), append(res, wr)
+	})
+	stats := RekeyStats{LinesScanned: len(addrs)}
+	if err != nil {
+		return stats, err
+	}
+	stats.Remacced = remacced
+	for i := range res {
+		store(c.dev, next, addrs[i], res[i])
 	}
 	c.guard = next
 	return stats, nil

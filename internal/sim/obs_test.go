@@ -210,9 +210,9 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 
 // TestMACMemoReconciles checks the guard's published MAC-memo lookups
 // against its MAC counters on a PT-Guard run with correction off: every
-// scalar MAC computation is exactly one memo lookup, while the batch
-// engine's MACs and the write MACs the table flush defers to the first
-// read never touch the memo. The identity holds over the warm-up, which
+// MAC computation is exactly one memo lookup, except the correction
+// search's batched MACs and the write MACs the table flush defers to the
+// first read, which never touch the memo. The identity holds over the warm-up, which
 // includes the table flush, and again after ResetStats zeroes both sides.
 func TestMACMemoReconciles(t *testing.T) {
 	o := obs.New(obs.Options{})

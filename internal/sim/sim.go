@@ -298,10 +298,10 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 }
 
 // flushTables writes every table line to DRAM in ascending address order,
-// one table page per WriteLinesBatch call: the guard MACs a page's 64 lines
-// in at most four full sliced-kernel passes, and its batch scratch stays
-// one page long. Like a per-line WriteLine loop, it writes past an error
-// and returns the first one.
+// one table page per WriteLinesBatch call, so the protected lines are
+// stored to be sealed on first read and most table MACs are never computed
+// on the host. Like a per-line WriteLine loop, it writes past an error and
+// returns the first one.
 func (s *System) flushTables() error {
 	var (
 		addrs [pte.PageSize / pte.LineBytes]uint64

@@ -311,7 +311,8 @@ func (h *Host) buildVM(id int) (*VM, error) {
 
 	// Materialise both layers in DRAM: stage-2 lines at their own host
 	// addresses, guest-table lines at the host frames stage-2 assigns. Each
-	// layer flushes as one batch through its controller's MAC engine.
+	// layer flushes as one batch through its controller, which stores the
+	// protected lines to be sealed on first read.
 	var flushAddrs []uint64
 	var flushLines []pte.Line
 	s2.Lines(func(addr uint64, line pte.Line) {
@@ -444,7 +445,7 @@ func (h *Host) Stage2TableLines(vmid int) ([]uint64, error) {
 	return out, nil
 }
 
-// LayerAudit is one paging layer's batch-verify outcome.
+// LayerAudit is one paging layer's audit outcome.
 type LayerAudit struct {
 	// Audited is false when the layer carries no guard: there is nothing
 	// to verify and Lines/Dirty stay zero.
@@ -460,10 +461,10 @@ type TablesAudit struct {
 }
 
 // AuditTables sweeps one tenant's stored table lines in both layers through
-// the guards' batch scrub path (core.Guard.AuditBatch): every line is
-// re-read from DRAM and batch-verified without perturbing guard counters,
-// CTB state or corrections — the post-attack classification campaigns run
-// after hammering to tell silent table corruption from detected corruption.
+// the guards' scrub path (core.Guard.Audit): every line is re-read from
+// DRAM and verified without perturbing guard counters, CTB state or
+// corrections — the post-attack classification campaigns run after
+// hammering to tell silent table corruption from detected corruption.
 func (h *Host) AuditTables(vmid int) (TablesAudit, error) {
 	gaddrs, err := h.GuestTableLines(vmid)
 	if err != nil {
@@ -484,15 +485,9 @@ func (h *Host) auditLayer(ctrl *memctrl.Controller, addrs []uint64) LayerAudit {
 	if g == nil {
 		return LayerAudit{}
 	}
-	lines := make([]pte.Line, len(addrs))
-	for i, a := range addrs {
-		lines[i] = h.Dev.ReadLine(a)
-	}
-	ok := make([]bool, len(addrs))
-	g.AuditBatch(ok, lines, addrs)
 	audit := LayerAudit{Audited: true, Lines: len(addrs)}
-	for _, clean := range ok {
-		if !clean {
+	for _, a := range addrs {
+		if !g.Audit(h.Dev.ReadLine(a), a) {
 			audit.Dirty++
 		}
 	}
