@@ -34,7 +34,7 @@ fuzz-smoke:
 	$(GO) test ./internal/harness -run=^$$ -fuzz=FuzzJournalLoad -fuzztime=5s
 	$(GO) test ./internal/harness -run=^$$ -fuzz=FuzzJournalCorruption -fuzztime=5s
 	$(GO) test ./internal/virt -run=^$$ -fuzz=FuzzNestedWalk -fuzztime=5s
-	$(GO) test ./internal/mac -run=^$$ -fuzz=FuzzBatchMAC -fuzztime=5s
+	$(GO) test ./internal/mac -run=^$$ -fuzz=FuzzComputeDelta -fuzztime=5s
 	$(GO) test ./internal/qarma -run=^$$ -fuzz=FuzzEncryptMatchesReference -fuzztime=5s
 	$(GO) test ./internal/ostable -run=^$$ -fuzz=FuzzMapRange -fuzztime=5s
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzDistFrame -fuzztime=5s

@@ -12,7 +12,9 @@ import (
 
 // benchCmd converts `go test -bench -benchmem` output into a numbered
 // BENCH_<n>.json baseline so the repo's performance trajectory is tracked
-// run over run (`make bench-json`). It can also diff two baselines:
+// run over run (`make bench-json`). It can also diff two baselines,
+// judging a benchmark sampled several times (`go test -count N`) by its
+// median:
 //
 //	go test -bench=. -benchmem -run='^$' | ptguard bench -out .
 //	ptguard bench -compare BENCH_0.json,BENCH_1.json

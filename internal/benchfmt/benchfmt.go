@@ -37,12 +37,6 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// NsPerOp returns the ns/op metric (0 if absent).
-func (r Result) NsPerOp() float64 { return r.Metrics["ns/op"] }
-
-// AllocsPerOp returns the allocs/op metric (0 if absent).
-func (r Result) AllocsPerOp() float64 { return r.Metrics["allocs/op"] }
-
 // File is a full parsed benchmark run: the JSON document stored as
 // BENCH_<n>.json.
 type File struct {
@@ -149,6 +143,37 @@ func (f *File) Lookup(name string) (Result, bool) {
 	return Result{}, false
 }
 
+// medians folds repeated samples of a benchmark (the result lines of
+// `go test -count N`) into one result per name, in order of first
+// appearance: each metric is the median of the samples that report it. A
+// file with one sample per name keeps every metric value exactly.
+func (f *File) medians() *File {
+	out := &File{}
+	samples := map[string][]Result{}
+	for _, r := range f.Results {
+		if _, seen := samples[r.Name]; !seen {
+			out.Results = append(out.Results, Result{Name: r.Name})
+		}
+		samples[r.Name] = append(samples[r.Name], r)
+	}
+	for i := range out.Results {
+		res := &out.Results[i]
+		values := map[string][]float64{}
+		for _, r := range samples[res.Name] {
+			for u, v := range r.Metrics {
+				values[u] = append(values[u], v)
+			}
+		}
+		res.Metrics = make(map[string]float64, len(values))
+		for u, vs := range values {
+			sort.Float64s(vs)
+			n := len(vs)
+			res.Metrics[u] = (vs[(n-1)/2] + vs[n/2]) / 2
+		}
+	}
+	return out
+}
+
 // Encode writes the file as indented, deterministic JSON (results in input
 // order, metric keys sorted by encoding/json).
 func (f *File) Encode(w io.Writer) error {
@@ -187,10 +212,13 @@ type Regression struct {
 // Two metric families are gated, with opposite polarity: the cost metrics
 // ns/op, B/op and allocs/op (lower is better — an increase regresses) and
 // custom "/sec" throughput metrics such as the campaign-jobs/sec scaling
-// benchmarks (higher is better — a decrease regresses). Benchmarks missing
-// from either file, or metrics without a positive value in both, are
-// skipped — the gate judges only what both baselines measured.
+// benchmarks (higher is better — a decrease regresses). A benchmark
+// sampled several times in a file is judged by the median of each metric,
+// so one outlying sample does not flag it. Benchmarks missing from either
+// file, or metrics without a positive value in both, are skipped — the
+// gate judges only what both baselines measured.
 func Regressions(before, after *File, thresholdPct float64) []Regression {
+	before, after = before.medians(), after.medians()
 	var out []Regression
 	for _, ar := range after.Results {
 		br, ok := before.Lookup(ar.Name)
@@ -223,8 +251,11 @@ func Regressions(before, after *File, thresholdPct float64) []Regression {
 
 // Compare renders a name-aligned comparison of shared metrics between two
 // runs ("before" and "after"), one line per benchmark and metric, with the
-// after/before ratio. Benchmarks present in only one file are skipped.
+// after/before ratio. Repeated samples are shown once, at their median, as
+// Regressions judges them. Benchmarks present in only one file are
+// skipped.
 func Compare(before, after *File) string {
+	before, after = before.medians(), after.medians()
 	var b strings.Builder
 	for _, ar := range after.Results {
 		br, ok := before.Lookup(ar.Name)

@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -35,7 +36,7 @@ func TestParse(t *testing.T) {
 	if gw.Procs != 8 || gw.Iterations != 120000 {
 		t.Errorf("GuardWrite header: %+v", gw)
 	}
-	if gw.NsPerOp() != 10446 || gw.AllocsPerOp() != 5 || gw.Metrics["B/op"] != 528 {
+	if gw.Metrics["ns/op"] != 10446 || gw.Metrics["allocs/op"] != 5 || gw.Metrics["B/op"] != 528 {
 		t.Errorf("GuardWrite metrics: %+v", gw.Metrics)
 	}
 	fig9, ok := f.Lookup("BenchmarkFig9Correction")
@@ -235,5 +236,44 @@ func TestRegressionsMemoryMetrics(t *testing.T) {
 	}
 	if regs := Regressions(before, after, 5); len(regs) != 4 {
 		t.Errorf("5%% threshold flags %+v, want Grow and Edge on both metrics", regs)
+	}
+}
+
+// TestRegressionsJudgeMedianOfRepeats: on `go test -count 5` output one
+// outlying sample among five does not flag a benchmark, a shifted median
+// does, and Compare prints each benchmark once, at its median.
+func TestRegressionsJudgeMedianOfRepeats(t *testing.T) {
+	samples := func(name string, nsPerOp ...int) string {
+		var b strings.Builder
+		for _, v := range nsPerOp {
+			fmt.Fprintf(&b, "%s-8 10 %d ns/op\n", name, v)
+		}
+		return b.String()
+	}
+	before, err := Parse(strings.NewReader(
+		samples("BenchmarkSteady", 1000, 1020, 980, 1010, 990) +
+			samples("BenchmarkShifted", 100, 100, 100, 100, 100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Parse(strings.NewReader(
+		samples("BenchmarkSteady", 1000, 990, 4000, 1010, 1005) + // one outlier
+			samples("BenchmarkShifted", 130, 128, 500, 131, 129)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := Regressions(before, after, 10)
+	want := Regression{Name: "BenchmarkShifted", Unit: "ns/op", Before: 100, After: 130, Pct: 30}
+	if len(regs) != 1 || regs[0] != want {
+		t.Fatalf("Regressions = %+v, want only %+v", regs, want)
+	}
+	out := Compare(before, after)
+	for _, name := range []string{"BenchmarkSteady", "BenchmarkShifted"} {
+		if n := strings.Count(out, name+" "); n != 1 {
+			t.Errorf("%s printed %d times in:\n%s", name, n, out)
+		}
+	}
+	if !strings.Contains(out, "1000 ->           1005") {
+		t.Errorf("BenchmarkSteady not shown at its medians in:\n%s", out)
 	}
 }

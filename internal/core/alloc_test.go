@@ -130,7 +130,7 @@ func TestIncrementalCorrectionZeroAlloc(t *testing.T) {
 // lines through the correction search and asserts that every corrected
 // line serves the original protected payload — the per-chunk cipher cache
 // must be a pure optimisation (mac's TestComputeDeltaMatchesCompute and
-// TestComputeDeltaBatchMatchesScalar pin each incremental tag to Compute).
+// FuzzComputeDelta pin each incremental tag to Compute).
 // It also asserts the cipher-work saving the cache exists for: the guard
 // must spend well under half the chunk encryptions that one full MAC per
 // logical verification would cost.

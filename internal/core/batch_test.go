@@ -108,8 +108,7 @@ func sealDeferred(g *Guard, r WriteResult, addr uint64) WriteResult {
 // CTB overflow, and it must return exactly the protected lines unsealed.
 // Reading the sealed images back through OnRead, a quarter of them
 // corrupted, must then leave both guards with identical results and full
-// Counters; only the correction configs run candidate waves, so only they
-// charge the batch telemetry.
+// Counters.
 func TestBatchMatchesScalarGuard(t *testing.T) {
 	for _, tc := range batchConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -151,8 +150,7 @@ func TestBatchMatchesScalarGuard(t *testing.T) {
 
 			// Reads of the stored images, a quarter corrupted with one
 			// protected-bit flip (exercising verify failures and, when
-			// enabled, the wave-batched correction search), under both
-			// request types.
+			// enabled, the correction search), under both request types.
 			r := stats.NewRNG(0xC0DE)
 			stored := make([]pte.Line, n)
 			for i := range stored {
@@ -176,11 +174,6 @@ func TestBatchMatchesScalarGuard(t *testing.T) {
 			cs, cu := gs.Counters(), gu.Counters()
 			if cs != cu {
 				t.Fatalf("counters diverge:\nunsealed %+v\neager    %+v", cu, cs)
-			}
-			on := gu.cfg.EnableCorrection
-			if (cu.MACBatches != 0) != on || (cu.BatchedMACComputes != 0) != on {
-				t.Errorf("batch telemetry %d waves, %d MACs; want nonzero iff correction is on (%v)",
-					cu.MACBatches, cu.BatchedMACComputes, on)
 			}
 		})
 	}
@@ -317,10 +310,12 @@ func TestGatherScatterRunsMatchRef(t *testing.T) {
 	}
 }
 
-// TestBatchObservability: flush writes publish their deferred write MACs
-// and run no candidate wave; one corrupted walk read with correction on
-// then publishes exactly its flip-and-check waves as guard.mac_batches,
-// guard.batched_mac_computes and the guard.batch_lines histogram.
+// TestBatchObservability: flush writes publish their deferred write MACs;
+// one corrupted walk read with correction on, repaired by step-2 candidate
+// idx, then publishes exactly the cipher work of a search scored one
+// candidate at a time: 2·Chunks() + idx + 1 chunk encryptions (the verify
+// MAC, Precompute and one per candidate) and idx + 3 read MACs (the
+// verify, the step-1 retry and one per candidate).
 func TestBatchObservability(t *testing.T) {
 	g := correctionGuard(t, nil)
 	ref := correctionGuard(t, nil)
@@ -367,10 +362,6 @@ func TestBatchObservability(t *testing.T) {
 	if got := c["guard.deferred_write_macs"]; got != protected {
 		t.Errorf("guard.deferred_write_macs = %d, want %d", got, protected)
 	}
-	if c["guard.mac_batches"] != 0 || c["guard.batched_mac_computes"] != 0 || g.batchHist.Snapshot().Count != 0 {
-		t.Errorf("writes ran candidate waves: mac_batches %d, batched_mac_computes %d",
-			c["guard.mac_batches"], c["guard.batched_mac_computes"])
-	}
 
 	// Flip protected bit rank 5 of PTE 2: flip-and-check consumes its
 	// candidates in (PTE, bit) order, so the match is candidate idx.
@@ -391,19 +382,13 @@ func TestBatchObservability(t *testing.T) {
 	if want := 1 + idx + 1; rd.Guesses != want {
 		t.Fatalf("guesses = %d, want %d (soft retry + candidates 0..%d)", rd.Guesses, want, idx)
 	}
-	waves := idx/flipWave + 1
-	lanes := 0
-	for w := 0; w < waves; w++ {
-		lanes += min(flipWave, perPTE*pte.PTEsPerLine-w*flipWave)
+	after := published()
+	enc := after["guard.chunk_encrypts"] - c["guard.chunk_encrypts"]
+	if want := uint64(2*g.auth.Chunks() + idx + 1); enc != want {
+		t.Errorf("guard.chunk_encrypts rose by %d, want %d (verify, Precompute, %d candidates)", enc, want, idx+1)
 	}
-	c = published()
-	if got := c["guard.mac_batches"]; got != uint64(waves) {
-		t.Errorf("guard.mac_batches = %d, want %d waves", got, waves)
-	}
-	if got := c["guard.batched_mac_computes"]; got != uint64(idx+1) {
-		t.Errorf("guard.batched_mac_computes = %d, want %d consumed candidates", got, idx+1)
-	}
-	if hist := g.batchHist.Snapshot(); hist.Count != uint64(waves) || hist.Sum != uint64(lanes) {
-		t.Errorf("guard.batch_lines histogram = %+v, want %d waves of %d candidates in all", hist, waves, lanes)
+	macs := after["guard.read_mac_computes"] - c["guard.read_mac_computes"]
+	if want := uint64(idx + 3); macs != want {
+		t.Errorf("guard.read_mac_computes rose by %d, want %d (verify, soft retry, %d candidates)", macs, want, idx+1)
 	}
 }

@@ -55,12 +55,20 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 
 	// Step 2: flip and check every protected bit (single bit-flip in the
 	// payload, possibly alongside MAC-bit faults absorbed by soft match).
-	// This is the bulk of the search (ProtectedBits x 8 candidates): the
-	// candidates are scored in waves of 64 through ComputeDeltaBatch,
-	// pooling their dirty chunks into shared sliced cipher passes.
+	// This is the bulk of the search (ProtectedBits x 8 candidates, in
+	// (PTE, bit) order); each candidate dirties one cipher chunk.
 	if !g.cfg.DisableFlipAndCheck {
-		if cand, ok := g.flipAndCheckBatched(line, &cc, stored, k, &guesses); ok {
-			return cand, guesses, true
+		for i := range line {
+			m := f.ProtectedMask
+			for m != 0 {
+				b := bits.TrailingZeros64(m)
+				m &= m - 1
+				cand := line
+				cand[i] = pte.Entry(uint64(cand[i]) ^ 1<<uint(b))
+				if check(cand) {
+					return cand, guesses, true
+				}
+			}
 		}
 	}
 
@@ -127,72 +135,6 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 	}
 
 	return pte.Line{}, guesses, false
-}
-
-// flipWave is the candidate wave size of the batched flip-and-check: it
-// matches ComputeDeltaBatch's candidate group, and each step-2 candidate
-// dirties exactly one cipher chunk, so a full wave fills the 64-lane sliced
-// kernel exactly once.
-const flipWave = 64
-
-// flipAndCheckBatched is the step-2 search: candidates are generated in
-// (PTE, bit) order, scored in waves through ComputeDeltaBatch, and then
-// *consumed sequentially* — each candidate charges
-// CorrectionGuesses/ReadMACComputes/ChunkEncrypts exactly as check() would,
-// and consumption stops at the first match. A wave's remaining lanes are
-// speculative cipher work the hardware analog performs in parallel; the
-// counters keep the sequential model's honest accounting.
-func (g *Guard) flipAndCheckBatched(line pte.Line, cc *mac.ChunkCache, stored mac.Tag, k int, guesses *int) (pte.Line, bool) {
-	f := g.cfg.Format
-	var cands [flipWave]pte.Line
-	var imgs [flipWave][mac.LineBytes]byte
-	var tags [flipWave]mac.Tag
-	var enc [flipWave]int
-	n := 0
-
-	flush := func() (pte.Line, bool) {
-		g.auth.ComputeDeltaBatch(tags[:n], enc[:n], cc, imgs[:n])
-		g.ctr.MACBatches++
-		g.batchHist.Observe(uint64(n))
-		for j := 0; j < n; j++ {
-			*guesses++
-			if g.cfg.OptZeroMAC && g.isZeroProtected(cands[j], stored, k) {
-				return cands[j], true
-			}
-			g.ctr.ChunkEncrypts += uint64(enc[j])
-			g.ctr.ReadMACComputes++
-			g.ctr.BatchedMACComputes++
-			if ok, err := tags[j].SoftMatch(stored, k); err == nil && ok {
-				return cands[j], true
-			}
-		}
-		n = 0
-		return pte.Line{}, false
-	}
-
-	for i := 0; i < pte.PTEsPerLine; i++ {
-		m := f.ProtectedMask
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &= m - 1
-			cand := line
-			cand[i] = pte.Entry(uint64(cand[i]) ^ 1<<uint(b))
-			cands[n] = cand
-			imgs[n] = maskedImage(cand, f.ProtectedMask)
-			n++
-			if n == flipWave {
-				if hit, ok := flush(); ok {
-					return hit, true
-				}
-			}
-		}
-	}
-	if n > 0 {
-		if hit, ok := flush(); ok {
-			return hit, true
-		}
-	}
-	return pte.Line{}, false
 }
 
 // majorityFlags returns line with every protected flag bit of each non-zero

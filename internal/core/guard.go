@@ -119,13 +119,6 @@ type Counters struct {
 	IdentifierSkips   uint64 // data reads that skipped MAC (no identifier)
 	ZeroFastPathHits  uint64 // MAC computations avoided via MAC-zero
 	CollisionsTracked uint64 // colliding lines inserted into the CTB
-
-	// Correction-search telemetry (host-side batching, not part of the
-	// mechanism): MACBatches counts the flip-and-check candidate waves
-	// scored through the sliced cipher kernel; BatchedMACComputes counts the
-	// MAC computations those waves served, a subset of ReadMACComputes.
-	MACBatches         uint64
-	BatchedMACComputes uint64
 }
 
 // Guard is the PT-Guard logic instance at the memory controller.
@@ -142,10 +135,6 @@ type Guard struct {
 	// o, when set, receives MAC embed/verify/strip and CTB hit/insert/full
 	// trace events (nil = observability disabled; every emit is nil-safe).
 	o *obs.Observer
-	// batchHist records candidates-per-wave for every flip-and-check wave
-	// (nil when observability is off; Observe on a nil histogram is a
-	// no-op).
-	batchHist *obs.Histogram
 
 	// memo is the MAC memo (see memo.go), allocated on the first MAC
 	// through lineMAC; memoHits and memoMisses count its lookups.
@@ -216,16 +205,8 @@ func (g *Guard) ResetCounters() {
 }
 
 // SetObserver attaches the observability subsystem; MAC and CTB activity
-// emit trace events through it, and the correction search records its
-// candidates-per-wave histogram. A nil observer detaches.
-func (g *Guard) SetObserver(o *obs.Observer) {
-	g.o = o
-	if r := o.Registry(); r != nil {
-		g.batchHist = r.Histogram("guard.batch_lines")
-	} else {
-		g.batchHist = nil
-	}
-}
+// emit trace events through it. A nil observer detaches.
+func (g *Guard) SetObserver(o *obs.Observer) { g.o = o }
 
 // PublishObs feeds the Guard counters into the metric registry under
 // "guard." (the obs snapshot path; a nil registry is a no-op).
@@ -247,8 +228,6 @@ func (g *Guard) PublishObs(r *obs.Registry) {
 	r.SetCounter("guard.identifier_skips", g.ctr.IdentifierSkips)
 	r.SetCounter("guard.zero_fastpath_hits", g.ctr.ZeroFastPathHits)
 	r.SetCounter("guard.collisions_tracked", g.ctr.CollisionsTracked)
-	r.SetCounter("guard.mac_batches", g.ctr.MACBatches)
-	r.SetCounter("guard.batched_mac_computes", g.ctr.BatchedMACComputes)
 	r.SetCounter("guard.mac_memo_hits", g.memoHits)
 	r.SetCounter("guard.mac_memo_misses", g.memoMisses)
 	r.SetCounter("guard.deferred_write_macs", g.deferredMACs)

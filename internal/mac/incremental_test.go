@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"bytes"
 	"testing"
 
 	"ptguard/internal/stats"
@@ -66,6 +67,53 @@ func TestComputeDeltaCleanCandidateIsFree(t *testing.T) {
 	if want := a.Compute(line, 0x4000); !got.Equal(want) {
 		t.Error("clean candidate tag mismatch")
 	}
+}
+
+// FuzzComputeDelta cross-checks the incremental MAC against the full
+// recompute on a fuzzer-chosen key seed, cipher, address and candidate
+// edit, and checks that exactly the differing chunks are re-enciphered.
+// The address is used unmasked, so chunk addresses that carry out of the
+// chunk index bits or wrap past 2^64 are reached: every cached tweak
+// expansion must come from its own chunk's address.
+func FuzzComputeDelta(f *testing.F) {
+	f.Add(uint64(1), false, uint64(0x5a5a40), []byte{0})
+	f.Add(uint64(2), false, uint64(0x5a5a58), []byte{0xFF, 0x40, 7})
+	f.Add(uint64(3), true, uint64(0xFFFF_FFFF_FFFF_FFE8), []byte("delta"))
+	f.Add(uint64(0xDEAD), false, ^uint64(0), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 1}, 8))
+	f.Fuzz(func(t *testing.T, seed uint64, use64 bool, addr uint64, edit []byte) {
+		var opts []Option
+		if use64 {
+			opts = append(opts, WithQARMA64())
+		}
+		key := make([]byte, KeySize)
+		r := stats.NewRNG(seed)
+		for i := range key {
+			key[i] = byte(r.Uint64())
+		}
+		a, err := New(key, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := randLine(r)
+		cand := base
+		for k, b := range edit {
+			cand[k%LineBytes] ^= b
+		}
+		cc := a.Precompute(base, addr)
+		got, enc := a.ComputeDelta(&cc, &cand)
+		if want := a.Compute(cand, addr); !got.Equal(want) {
+			t.Fatalf("addr %#x: ComputeDelta tag %x, Compute %x", addr, got.Raw(), want.Raw())
+		}
+		size, dirty := LineBytes/a.Chunks(), 0
+		for off := 0; off < LineBytes; off += size {
+			if !bytes.Equal(cand[off:off+size], base[off:off+size]) {
+				dirty++
+			}
+		}
+		if enc != dirty {
+			t.Fatalf("addr %#x: %d chunk encryptions for %d differing chunks", addr, enc, dirty)
+		}
+	})
 }
 
 var sinkTag Tag

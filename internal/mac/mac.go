@@ -217,23 +217,15 @@ func chunkInput(line *[LineBytes]byte, i int, tweak qarma.Block) qarma.Block {
 	return xorBlock(chunk, tweak)
 }
 
-// encryptChunk enciphers 16-byte chunk i of the line image at addr under
-// QARMA-128. A_i is the chunk's own 16-byte-aligned physical address, which
-// both binds the MAC to its location (§IV-G) and makes the chunk inputs
-// distinct.
-func (a *Authenticator) encryptChunk(line *[LineBytes]byte, addr uint64, i int) qarma.Block {
-	tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
-	return a.cipher.Encrypt(chunkInput(line, i, tweak), tweak)
-}
-
-// encryptLine enciphers all four chunks of a line image at addr into out,
-// bit-identical to four encryptChunk calls: the line-level entry point of
-// Compute and Precompute. The tweak expansion is linear in the tweak, so
-// when adding 16i to addr carries nothing out of the chunk index bits
-// (always, for a line-aligned address) chunk i's tweak is chunk i-1's
-// XORed with a constant and its expansion follows from one XOR with
-// chunkStep: the address is expanded once per line. Other addresses
-// expand every chunk's tweak.
+// encryptLine enciphers all four chunks of a line image at addr into out
+// under QARMA-128: the line-level entry point of Compute. Chunk i is
+// XORed with and tweaked by its own address addr+16i, which both binds the
+// MAC to its location (§IV-G) and makes the chunk inputs distinct. The
+// tweak expansion is linear in the tweak, so when adding 16i to addr
+// carries nothing out of the chunk index bits (always, for a line-aligned
+// address) chunk i's tweak is chunk i-1's XORed with a constant and its
+// expansion follows from one XOR with chunkStep: the address is expanded
+// once per line. Other addresses expand every chunk's tweak.
 func (a *Authenticator) encryptLine(out *[chunks128]qarma.Block, line *[LineBytes]byte, addr uint64) {
 	var tk qarma.Tweakey
 	noCarry := addr&uint64((chunks128-1)*qarma.BlockSize) == 0
@@ -303,21 +295,23 @@ func (a *Authenticator) Compute(line [LineBytes]byte, addr uint64) Tag {
 // one address. The §VI-D correction search checks hundreds of candidate
 // lines that each differ from the faulty base image in at most a chunk or
 // two; caching the base chunk outputs lets each candidate re-encipher only
-// its dirty chunks instead of recomputing the full four-chunk MAC.
+// its dirty chunks instead of recomputing the full four-chunk MAC. Under
+// QARMA-128 it also keeps each chunk's tweak expansion: a chunk's tweak is
+// fixed by its address, so a dirty chunk goes straight to the cipher
+// kernel.
 type ChunkCache struct {
 	base  [LineBytes]byte
 	addr  uint64
-	out   [chunks128]qarma.Block // QARMA-128 mode
-	out64 [chunks64]uint64       // QARMA-64 mode
+	out   [chunks128]qarma.Block   // QARMA-128 mode
+	tk    [chunks128]qarma.Tweakey // QARMA-128 mode
+	out64 [chunks64]uint64         // QARMA-64 mode
 	use64 bool
 }
 
-// Addr returns the physical address the cache was primed for.
-func (cc *ChunkCache) Addr() uint64 { return cc.addr }
-
-// Precompute enciphers every chunk of the base line image and returns the
-// primed cache. It costs exactly Chunks() chunk encryptions — the same
-// cipher work as one Compute call over the base image.
+// Precompute expands every chunk's tweak, enciphers every chunk of the base
+// line image and returns the primed cache. It costs exactly Chunks() chunk
+// encryptions — the same cipher work as one Compute call over the base
+// image.
 func (a *Authenticator) Precompute(line [LineBytes]byte, addr uint64) ChunkCache {
 	cc := ChunkCache{base: line, addr: addr, use64: a.cipher64 != nil}
 	if cc.use64 {
@@ -326,17 +320,22 @@ func (a *Authenticator) Precompute(line [LineBytes]byte, addr uint64) ChunkCache
 		}
 		return cc
 	}
-	a.encryptLine(&cc.out, &cc.base, addr)
+	for i := range cc.out {
+		tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
+		a.cipher.ExpandTweak(&cc.tk[i], tweak)
+		cc.out[i] = a.cipher.EncryptExpanded(chunkInput(&cc.base, i, tweak), &cc.tk[i])
+	}
 	return cc
 }
 
 // ComputeDelta returns the MAC of cand at the cache's address,
 // re-enciphering only the chunks where cand differs from the cached base
 // image and XOR-folding the cached outputs for the clean chunks. The
-// result is byte-identical to Compute(*cand, cc.Addr()); the second return
-// value is the number of chunk encryptions actually performed (0 when cand
-// equals the base, up to Chunks() when every chunk is dirty), which keeps
-// the simulator's cipher-work accounting honest.
+// result is byte-identical to Compute(*cand, addr) for the address the
+// cache was primed at; the second return value is the number of chunk
+// encryptions actually performed (0 when cand equals the base, up to
+// Chunks() when every chunk is dirty), which keeps the simulator's
+// cipher-work accounting honest.
 func (a *Authenticator) ComputeDelta(cc *ChunkCache, cand *[LineBytes]byte) (Tag, int) {
 	encrypted := 0
 	if cc.use64 {
@@ -357,7 +356,8 @@ func (a *Authenticator) ComputeDelta(cc *ChunkCache, cand *[LineBytes]byte) (Tag
 			acc = xorBlock(acc, cc.out[i])
 			continue
 		}
-		acc = xorBlock(acc, a.encryptChunk(cand, cc.addr, i))
+		tweak := chunkTweak(cc.addr + uint64(i*qarma.BlockSize))
+		acc = xorBlock(acc, a.cipher.EncryptExpanded(chunkInput(cand, i, tweak), &cc.tk[i]))
 		encrypted++
 	}
 	return a.tagFromBlock(acc), encrypted

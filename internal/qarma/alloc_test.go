@@ -21,10 +21,6 @@ func TestEncryptDecryptZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sinkBlock = c.Encrypt(p, tw) }); n != 0 {
 		t.Errorf("Encrypt allocates %.1f objects/op, want 0", n)
 	}
-	ct := c.Encrypt(p, tw)
-	if n := testing.AllocsPerRun(200, func() { sinkBlock = c.Decrypt(ct, tw) }); n != 0 {
-		t.Errorf("Decrypt allocates %.1f objects/op, want 0", n)
-	}
 }
 
 func TestEncryptDecryptZeroAllocMaxRounds(t *testing.T) {
@@ -47,44 +43,5 @@ func TestCipher64ZeroAlloc(t *testing.T) {
 	const p, tw = 0x0123456789ABCDEF, 0xFEDCBA9876543210
 	if n := testing.AllocsPerRun(200, func() { sink64 = c.Encrypt(p, tw) }); n != 0 {
 		t.Errorf("Encrypt64 allocates %.1f objects/op, want 0", n)
-	}
-	ct := c.Encrypt(p, tw)
-	if n := testing.AllocsPerRun(200, func() { sink64 = c.Decrypt(ct, tw) }); n != 0 {
-		t.Errorf("Decrypt64 allocates %.1f objects/op, want 0", n)
-	}
-}
-
-func TestEncryptBlocksZeroAlloc(t *testing.T) {
-	c, err := NewCipher(make([]byte, KeySize), DefaultRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A full sliced group plus a ragged scalar tail.
-	const n = slicedLanes + 3
-	src := make([]Block, n)
-	tweaks := make([]Block, n)
-	dst := make([]Block, n)
-	for i := range src {
-		src[i][0], tweaks[i][15] = byte(i+1), byte(^i)
-	}
-	if g := testing.AllocsPerRun(100, func() { c.EncryptBlocks(dst, src, tweaks) }); g != 0 {
-		t.Errorf("EncryptBlocks allocates %.1f objects/op, want 0", g)
-	}
-}
-
-func TestEncryptBlocks64ZeroAlloc(t *testing.T) {
-	c, err := NewCipher64(make([]byte, Key64Size), DefaultRounds64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = slicedLanes + 3
-	src := make([]uint64, n)
-	tweaks := make([]uint64, n)
-	dst := make([]uint64, n)
-	for i := range src {
-		src[i], tweaks[i] = uint64(i)*0x9E3779B97F4A7C15, ^uint64(i)
-	}
-	if g := testing.AllocsPerRun(100, func() { c.EncryptBlocks(dst, src, tweaks) }); g != 0 {
-		t.Errorf("EncryptBlocks64 allocates %.1f objects/op, want 0", g)
 	}
 }

@@ -36,7 +36,7 @@ const KeySize = 32
 const DefaultRounds = 8
 
 // MaxRounds is the largest accepted forward round count. The tweak schedule
-// is sized by it so Encrypt/Decrypt work entirely on the stack.
+// is sized by it so Encrypt works entirely on the stack.
 const MaxRounds = 15
 
 // Block is a 128-bit cipher block, stored as 16 eight-bit cells.
@@ -89,12 +89,9 @@ var _alpha = Block{0xc0, 0xac, 0x29, 0xb7, 0xc9, 0x7c, 0x50, 0xdd, 0x3f, 0x84, 0
 type Cipher struct {
 	w0, w1, k0 Block
 	rounds     int
-	// enc and dec are the key halves of the table kernel's round tweakeys
+	// enc is the key half of the table kernel's round tweakeys
 	// (qarma_fast.go), folded through the linear layers once at key setup.
-	enc, dec keySchedule
-	// sk is the plane-mask key expansion consumed by the bit-sliced
-	// EncryptBlocks kernel, built once at key setup.
-	sk *slicedKeys128
+	enc keySchedule
 }
 
 // NewCipher builds a cipher from a 256-bit key (w0 || k0) and a forward
@@ -110,10 +107,7 @@ func NewCipher(key []byte, rounds int) (*Cipher, error) {
 	copy(c.w0[:], key[:16])
 	copy(c.k0[:], key[16:])
 	c.w1 = ortho(c.w0)
-	kAlpha := xorBlocks(c.k0, _alpha)
-	c.enc = newKeySchedule(rounds, c.w0, c.k0, mixColumns(c.w1), kAlpha, c.w1)
-	c.dec = newKeySchedule(rounds, c.w1, kAlpha, c.w1, c.k0, c.w0)
-	c.sk = newSlicedKeys128(c)
+	c.enc = newKeySchedule(rounds, c.w0, c.k0, c.w1)
 	return c, nil
 }
 
@@ -122,13 +116,6 @@ func (c *Cipher) Encrypt(p, t Block) Block {
 	var tk Tweakey
 	c.expand(&tk, t, &c.enc)
 	return c.run(p, &tk)
-}
-
-// Decrypt inverts Encrypt for the same tweak.
-func (c *Cipher) Decrypt(ct, t Block) Block {
-	var tk Tweakey
-	c.expand(&tk, t, &c.dec)
-	return c.run(ct, &tk)
 }
 
 // subCells applies the involutory S-box to each cell, nibble-wise.

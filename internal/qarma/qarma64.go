@@ -16,7 +16,7 @@ const Key64Size = 16
 const DefaultRounds64 = 7
 
 // MaxRounds64 is the largest accepted QARMA-64 forward round count; the
-// tweak schedule is sized by it so Encrypt/Decrypt never allocate.
+// tweak schedule is sized by it so Encrypt never allocates.
 const MaxRounds64 = 8
 
 // Cipher64 is the 64-bit QARMA variant: 16 four-bit cells. It mirrors the
@@ -28,9 +28,6 @@ const MaxRounds64 = 8
 type Cipher64 struct {
 	w0, w1, k0, kAlpha uint64
 	rounds             int
-	// sk is the plane-mask key expansion consumed by the bit-sliced
-	// EncryptBlocks kernel, built once at key setup.
-	sk *slicedKeys64
 }
 
 // alpha64 is the reflector asymmetry constant (from the pi expansion).
@@ -62,15 +59,13 @@ func NewCipher64(key []byte, rounds int) (*Cipher64, error) {
 		w0 = w0<<8 | uint64(key[i])
 		k0 = k0<<8 | uint64(key[8+i])
 	}
-	c := &Cipher64{
+	return &Cipher64{
 		w0:     w0,
 		w1:     ortho64(w0),
 		k0:     k0,
 		kAlpha: k0 ^ alpha64,
 		rounds: rounds,
-	}
-	c.sk = newSlicedKeys64(c)
-	return c, nil
+	}, nil
 }
 
 // Encrypt enciphers the 64-bit block p under tweak t.
@@ -95,30 +90,6 @@ func (c *Cipher64) Encrypt(p, t uint64) uint64 {
 		s ^= c.kAlpha ^ _roundConsts64[i] ^ tweaks[i]
 	}
 	return s ^ c.w1
-}
-
-// Decrypt inverts Encrypt for the same tweak.
-func (c *Cipher64) Decrypt(ct, t uint64) uint64 {
-	tweaks := c.tweakSchedule(t)
-	s := ct ^ c.w1
-	for i := 0; i < c.rounds; i++ {
-		s ^= c.kAlpha ^ _roundConsts64[i] ^ tweaks[i]
-		if i > 0 {
-			s = mix64(shuffle64(s, _tau))
-		}
-		s = sub64(s)
-	}
-	s = shuffle64(s, _tau)
-	s = mix64(s) ^ c.w1
-	s = shuffle64(s, _tauInv)
-	for i := c.rounds - 1; i >= 0; i-- {
-		s = sub64(s)
-		if i > 0 {
-			s = shuffle64(mix64(s), _tauInv)
-		}
-		s ^= c.k0 ^ _roundConsts64[i] ^ tweaks[i]
-	}
-	return s ^ c.w0
 }
 
 // tweakSchedule precomputes the per-round tweak values into a fixed-size

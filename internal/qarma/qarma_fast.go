@@ -2,7 +2,7 @@ package qarma
 
 import "encoding/binary"
 
-// This file holds the table-driven kernel behind Encrypt, Decrypt and
+// This file holds the table-driven kernel behind Encrypt and
 // EncryptExpanded. The reference cell-wise primitives (subCells,
 // mixColumns, shuffle, advanceTweak) stay in qarma.go as the readable
 // specification; TestFastPrimitivesMatchReference and TestKnownAnswers pin
@@ -23,16 +23,16 @@ import "encoding/binary"
 // rounds of the reference become 2r−1 table rounds and one plain σ:
 //
 //   - r−1 forward rounds, gather τ, tweakey M(τ(k0 ⊕ c_i ⊕ T_i));
-//   - the reflector, gather τ, tweakey M(w1) (w1 when decrypting);
+//   - the reflector, gather τ, tweakey M(w1);
 //   - r−1 backward rounds, gather τ⁻¹, tweakey τ(kα ⊕ c_i ⊕ T_i);
 //   - σ through τ⁻¹, then kα ⊕ c_0 ⊕ T_0 ⊕ w1.
 //
-// Decryption has the same shape with the whitening keys and the two round
-// key sequences swapped (keySchedule). The tweak schedule T_i = h-shuffle
-// then ω-LFSR applied i times is linear too, so the whole expansion of a
-// tweak is linear in it: Expand(t ⊕ d) = Expand(t) ⊕ TweakDelta(d), where
-// TweakDelta does not depend on the key. A MAC over the four chunks of a
-// line uses this to expand its address once.
+// The key material of all of these is folded once per key (keySchedule).
+// The tweak schedule T_i = h-shuffle then ω-LFSR applied i times is linear
+// too, so the whole expansion of a tweak is linear in it:
+// Expand(t ⊕ d) = Expand(t) ⊕ TweakDelta(d), where TweakDelta does not
+// depend on the key. A MAC over the four chunks of a line uses this to
+// expand its address once.
 
 // cols is a 16-cell block in column words: word c holds column c of the
 // 4x4 cell matrix, byte r being cell 4r+c. The kernel's state and every
@@ -113,26 +113,27 @@ func mixWord(w uint32) uint32 {
 		_te[2][_sigma0b[byte(w>>16)]] ^ _te[3][_sigma0b[byte(w>>24)]]
 }
 
-// keySchedule is the key half of every round tweakey of one direction,
-// already mapped through its round's linear layer; fwd[i] and bwd[i]
-// serve round i (1 <= i < rounds).
+// keySchedule is the key half of every round tweakey, already mapped
+// through its round's linear layer; fwd[i] and bwd[i] serve round i
+// (1 <= i < rounds).
 type keySchedule struct {
 	in, refl, out cols
 	fwd, bwd      [MaxRounds]cols
 }
 
-// newKeySchedule builds the schedule that whitens with wIn, runs the
-// forward rounds under kIn, reflects with refl (given in M's output) and
-// runs the backward rounds under kOut before whitening with wOut.
-func newKeySchedule(rounds int, wIn, kIn, refl, kOut, wOut Block) keySchedule {
+// newKeySchedule builds the schedule that whitens with w0, runs the forward
+// rounds under k0, reflects with w1 (mapped through M) and runs the
+// backward rounds under kα = k0 ⊕ α before whitening with w1.
+func newKeySchedule(rounds int, w0, k0, w1 Block) keySchedule {
+	kAlpha := xorBlocks(k0, _alpha)
 	ks := keySchedule{
-		in:   toCols(xorBlocks(wIn, xorBlocks(kIn, _roundConsts[0]))),
-		refl: toCols(refl),
-		out:  toCols(xorBlocks(wOut, xorBlocks(kOut, _roundConsts[0]))),
+		in:   toCols(xorBlocks(w0, xorBlocks(k0, _roundConsts[0]))),
+		refl: toCols(mixColumns(w1)),
+		out:  toCols(xorBlocks(w1, xorBlocks(kAlpha, _roundConsts[0]))),
 	}
 	for i := 1; i < rounds; i++ {
-		ks.fwd[i] = toCols(mixColumns(shuffle(xorBlocks(kIn, _roundConsts[i]), _tau)))
-		ks.bwd[i] = toCols(shuffle(xorBlocks(kOut, _roundConsts[i]), _tau))
+		ks.fwd[i] = toCols(mixColumns(shuffle(xorBlocks(k0, _roundConsts[i]), _tau)))
+		ks.bwd[i] = toCols(shuffle(xorBlocks(kAlpha, _roundConsts[i]), _tau))
 	}
 	return ks
 }
@@ -162,7 +163,7 @@ func (tk *Tweakey) Xor(d *Tweakey) {
 	}
 }
 
-// ExpandTweak sets *tk to the expansion of tweak t for encryption, so that
+// ExpandTweak sets *tk to the expansion of tweak t, so that
 // EncryptExpanded(p, tk) equals Encrypt(p, t).
 func (c *Cipher) ExpandTweak(tk *Tweakey, t Block) { c.expand(tk, t, &c.enc) }
 

@@ -72,13 +72,13 @@ func TestTableFlushMatchesPerLineWrites(t *testing.T) {
 			}
 			ref := perLineSystem(t, cfg, prof)
 
-			// Before anything reads a line: no memo lookup, batched MAC or
-			// other host-side tag; every charged write MAC is deferred.
+			// Before anything reads a line: no memo lookup or other
+			// host-side tag; every charged write MAC is deferred.
 			if g := s.ctrl.Guard(); g != nil {
 				reg := obs.NewRegistry()
 				g.PublishObs(reg)
 				c := reg.Snapshot().Counters
-				if host := c["guard.mac_memo_hits"] + c["guard.mac_memo_misses"] + c["guard.batched_mac_computes"]; host != 0 {
+				if host := c["guard.mac_memo_hits"] + c["guard.mac_memo_misses"]; host != 0 {
 					t.Errorf("flush computed %d tags on the host, want 0", host)
 				}
 				if d, w := c["guard.deferred_write_macs"], g.Counters().WriteMACComputes; d != w || d == 0 {

@@ -19,7 +19,7 @@ import (
 // multicore mix. A host-side speed-up of the cache, TLB, workload or DRAM
 // layers must leave it unchanged; only a change meant to move simulated
 // results may update it, and it must say so.
-const resultDigest = "37e9448da3062f7cd7ade66632be3e1f1fc56f3311cae4b937d425bd7621f118"
+const resultDigest = "1af600a6b2274ed68dbba667c0ac3feecb40f7f155bcc0315ad069dcfbb66a2d"
 
 // digestRun is one matrix point's record: the full-precision Result plus
 // the per-level cache and DRAM device counters it does not carry.

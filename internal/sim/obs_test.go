@@ -209,11 +209,12 @@ func BenchmarkObsDisabledOverhead(b *testing.B) {
 }
 
 // TestMACMemoReconciles checks the guard's published MAC-memo lookups
-// against its MAC counters on a PT-Guard run with correction off: every
-// MAC computation is exactly one memo lookup, except the correction
-// search's batched MACs and the write MACs the table flush defers to the
-// first read, which never touch the memo. The identity holds over the warm-up, which
-// includes the table flush, and again after ResetStats zeroes both sides.
+// against its MAC counters on a PT-Guard run with correction off (the
+// correction search scores its guesses off the memo): every MAC
+// computation is exactly one memo lookup, except the write MACs the table
+// flush defers to the first read, which never touch the memo. The identity
+// holds over the warm-up, which includes the table flush, and again after
+// ResetStats zeroes both sides.
 func TestMACMemoReconciles(t *testing.T) {
 	o := obs.New(obs.Options{})
 	s, err := NewSystem(Config{Mode: PTGuard, Seed: 11, ChurnEvery: 2_000, Obs: o},
@@ -225,11 +226,11 @@ func TestMACMemoReconciles(t *testing.T) {
 		t.Helper()
 		c := o.Registry().Snapshot().Counters
 		hits, misses := c["guard.mac_memo_hits"], c["guard.mac_memo_misses"]
-		scalar := c["guard.write_mac_computes"] + c["guard.read_mac_computes"] -
-			c["guard.batched_mac_computes"] - c["guard.deferred_write_macs"]
-		if hits+misses != scalar {
-			t.Errorf("%s: memo hits %d + misses %d = %d, want scalar MACs %d",
-				stage, hits, misses, hits+misses, scalar)
+		looked := c["guard.write_mac_computes"] + c["guard.read_mac_computes"] -
+			c["guard.deferred_write_macs"]
+		if hits+misses != looked {
+			t.Errorf("%s: memo hits %d + misses %d = %d, want undeferred MACs %d",
+				stage, hits, misses, hits+misses, looked)
 		}
 		if hits == 0 || misses == 0 {
 			t.Errorf("%s: memo hits %d, misses %d; want both > 0", stage, hits, misses)
