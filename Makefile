@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench bench-json bench-json-smoke bench-compare bench-record-check
+.PHONY: ci fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke examples-smoke bench-smoke bench bench-json bench-json-smoke bench-compare bench-record-check
 
 # ci is the gate every change must pass.
-ci: fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke bench-smoke bench-json-smoke bench-record-check
+ci: fmt vet build test race fuzz-smoke chaos-smoke mitigate-smoke vm-smoke dist-smoke examples-smoke bench-smoke bench-json-smoke bench-record-check
 
 # fmt fails when any file is not gofmt-formatted, listing the offenders.
 fmt:
@@ -68,6 +68,14 @@ mitigate-smoke:
 vm-smoke:
 	$(GO) run ./cmd/ptguard vm -tenants 4 -placements none,both \
 		-targets guest,stage2 -trials 1 -pages 8 -acts 4096 -quiet
+
+# examples-smoke runs every program under examples/ with its default
+# arguments and fails if any exits non-zero.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # One iteration of every benchmark: a build-and-run check that the bench
 # harnesses (including BenchmarkObsDisabledOverhead, the <2% disabled-path

@@ -71,13 +71,17 @@ func profileCmd(fs *flag.FlagSet) func() error {
 	}
 }
 
+// fig9Probs lists Fig. 9's flip probabilities (attack.Fig9FlipProbs) as
+// the labels the correct and trace tables print.
+const fig9Probs = "1/512,1/256,1/128"
+
 // correctCmd regenerates Fig. 9: the percentage of faulty PTE cachelines
 // the best-effort correction engine repairs at each bit-flip probability,
 // alongside the 100%-coverage and zero-miscorrection claims.
 func correctCmd(fs *flag.FlagSet) func() error {
 	lines := fs.Int("lines", 1000, "faulty PTE cachelines per probability")
 	seed := seedFlag(fs)
-	probs := fs.String("probs", "1/512,1/256,1/128", "comma-separated flip probabilities (fractions)")
+	probs := fs.String("probs", fig9Probs, "comma-separated flip probabilities (fractions)")
 	softK := fs.Int("soft-k", 4, "tolerated MAC bit-faults (soft match)")
 	format := formatFlag(fs)
 
@@ -203,21 +207,18 @@ func traceCmd(fs *flag.FlagSet) func() error {
 	format := formatFlag(fs)
 
 	return func() error {
+		ps, err := parseProbs(fig9Probs)
+		if err != nil {
+			return err
+		}
 		tbl := report.New(
 			fmt.Sprintf("Fig. 9 (trace-driven) — %s walk trace, %d instructions", *name, *instr),
 			"p_flip", "trace lines", "erroneous", "corrected %", "coverage %", "miscorrected")
-		for _, p := range []struct {
-			label string
-			v     float64
-		}{
-			{label: "1/512", v: 1.0 / 512},
-			{label: "1/256", v: 1.0 / 256},
-			{label: "1/128", v: 1.0 / 128},
-		} {
-			res, err := sim.RunTraceCorrection(sim.TraceCorrectionConfig{
+		for _, p := range ps {
+			res, err := attack.RunTraceCorrection(attack.TraceCorrectionConfig{
 				Workload:     *name,
 				Instructions: *instr,
-				FlipProb:     p.v,
+				FlipProb:     p.value,
 				Trials:       *trials,
 				Seed:         *seed,
 			})

@@ -34,7 +34,6 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 	mcInstr := fs.Int("mc-instructions", 200_000, "multicore: measured instructions per core")
 	sameN := fs.Int("same", 18, "multicore: SAME mixes (paper: 18)")
 	mixN := fs.Int("mix", 16, "multicore: MIX mixes (paper: 16)")
-	mcModel := fs.String("mc-model", "shared", "multicore: contention model (shared or analytic)")
 
 	// Ablations and Fig. 9.
 	ablLines := fs.Int("ablation-lines", 400, "ablation: faulty lines per configuration")
@@ -66,7 +65,7 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 			},
 			Multicore: harness.MulticoreSpec{
 				SameMixes: *sameN, MixMixes: *mixN,
-				Warmup: *mcWarmup, Instructions: *mcInstr, Model: *mcModel,
+				Warmup: *mcWarmup, Instructions: *mcInstr,
 			},
 			Ablation:   harness.AblationSpec{Lines: *ablLines, FlipProb: *flipProb},
 			Correction: harness.CorrectionSpec{Lines: *corLines},

@@ -258,6 +258,48 @@ func TestRunCorrectionValidation(t *testing.T) {
 	}
 }
 
+func TestRunTraceCorrection(t *testing.T) {
+	// §VI-F methodology: page-table-walk traces from the full-system run
+	// feed the fault-injection experiment. 100% coverage, zero
+	// miscorrections; correction rate high at the DDR4 fault rate.
+	res, err := RunTraceCorrection(TraceCorrectionConfig{
+		Workload:     "mcf",
+		Instructions: 150_000,
+		FlipProb:     1.0 / 512,
+		Trials:       200,
+		Seed:         7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("trace: %d lines / %d accesses; corrected %.1f%% coverage %.1f%%",
+		res.TraceLines, res.WalkAccesses, res.CorrectedPct(), res.CoveragePct())
+	if res.TraceLines == 0 || res.WalkAccesses < res.TraceLines {
+		t.Errorf("trace accounting wrong: %+v", res)
+	}
+	if res.Miscorrected != 0 {
+		t.Fatalf("miscorrections: %d", res.Miscorrected)
+	}
+	if res.CoveragePct() != 100 {
+		t.Errorf("coverage = %.1f%%, want 100%%", res.CoveragePct())
+	}
+	if res.CorrectedPct() < 70 {
+		t.Errorf("corrected = %.1f%%, want high at p=1/512", res.CorrectedPct())
+	}
+}
+
+func TestRunTraceCorrectionValidation(t *testing.T) {
+	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "mcf", Instructions: 100, FlipProb: 0, Trials: 1}); err == nil {
+		t.Error("zero FlipProb accepted")
+	}
+	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "nope", Instructions: 100, FlipProb: 0.01, Trials: 1}); err == nil {
+		t.Error("unknown workload accepted")
+	}
+	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "mcf", Instructions: 0, FlipProb: 0.01, Trials: 1}); err == nil {
+		t.Error("zero instructions accepted")
+	}
+}
+
 func TestUpperLevelTableTampering(t *testing.T) {
 	// PT-Guard protects all page-table levels (§IV-F). Corrupt the PML4
 	// entry's line and confirm the walk aborts at level 0.

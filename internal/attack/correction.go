@@ -7,10 +7,11 @@ import (
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
 	"ptguard/internal/mac"
-	"ptguard/internal/memctrl"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
+	"ptguard/internal/sim"
 	"ptguard/internal/stats"
+	"ptguard/internal/workload"
 )
 
 // Fig. 9's fault probabilities (§VI-F): the worst-case Rowhammer per-bit
@@ -72,14 +73,9 @@ func (r CorrectionResult) CoveragePct() float64 {
 
 // RunCorrection reproduces the Fig. 9 methodology: synthesise page tables
 // with realistic value locality (§VI-B), protect the sampled PTE
-// cachelines through the memory controller, flip each of their bits with
-// probability FlipProb, and replay page-table walks through the
-// correction-enabled guard.
-//
-// The trial loop is sharded across GOMAXPROCS goroutines: each trial draws
-// its faults from an RNG seeded by DeriveSeed(Seed, trial index) and runs
-// against a shard-local guard, so the result is bit-identical however many
-// shards execute it (see stats.ShardTrials).
+// cachelines, flip each of their bits with probability FlipProb, and
+// replay page-table walks through the correction-enabled guard. The result
+// is bit-identical at any GOMAXPROCS (see runTrials).
 func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
 		return CorrectionResult{}, errors.New("attack: FlipProb outside (0, 1)")
@@ -91,29 +87,208 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	pool, protected, err := samplePool(guardCfg, cfg.Seed, cfg.Lines)
+	samples, err := samplePool(guardCfg, cfg.Seed, cfg.Lines)
 	if err != nil {
 		return CorrectionResult{}, err
 	}
+	return runTrials(guardCfg, samples, cfg.Lines, cfg.FlipProb, cfg.Seed, "fig9/trial/")
+}
 
-	// Sharded trial loop. Each trial is a pure function of (pool entry,
-	// trial seed): flip bits of the protected image with a per-trial RNG
-	// (redrawing until at least one bit flips, so every trial is an
-	// erroneous line, matching the skip-and-retry of the serial
-	// methodology) and replay the walk through a shard-local guard.
-	trials, err := stats.ShardTrials(cfg.Lines,
+// TraceCorrectionConfig parameterises the trace-driven Fig. 9 experiment:
+// the paper's exact methodology of extracting page-table-walk traces from
+// the full-system simulation and flipping each bit of the traced PTE
+// cachelines with uniform probability (§VI-F).
+type TraceCorrectionConfig struct {
+	// Workload is the benchmark whose walk trace feeds the experiment.
+	Workload string
+	// Instructions is the trace-collection window.
+	Instructions int
+	// FlipProb is the per-bit fault probability.
+	FlipProb float64
+	// Trials is the number of faulty-line trials to run (the trace is
+	// cycled as needed).
+	Trials int
+	// Seed drives the whole experiment.
+	Seed uint64
+}
+
+// TraceCorrectionResult is the Fig. 9 measurement over a walk trace.
+type TraceCorrectionResult struct {
+	TraceLines   int // distinct PTE lines in the trace
+	WalkAccesses int // total traced DRAM-level PTE fetches
+	CorrectionResult
+}
+
+// RunTraceCorrection executes the §VI-F pipeline end to end: run the
+// workload on the guarded system recording its page-table-walk trace, then
+// replay fault injections over the traced PTE cachelines, in first-touch
+// order, through the same trial loop as RunCorrection.
+func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error) {
+	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
+		return TraceCorrectionResult{}, errors.New("attack: FlipProb outside (0, 1)")
+	}
+	if cfg.Trials <= 0 || cfg.Instructions <= 0 {
+		return TraceCorrectionResult{}, errors.New("attack: Trials and Instructions must be positive")
+	}
+	prof, err := workload.ProfileByName(cfg.Workload)
+	if err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	s, err := sim.NewSystem(sim.Config{Mode: sim.PTGuard, Seed: cfg.Seed, TraceWalks: true}, prof)
+	if err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	if _, err := s.Run(cfg.Instructions); err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	trace := s.WalkTrace()
+	if len(trace) == 0 {
+		return TraceCorrectionResult{}, errors.New("attack: empty walk trace")
+	}
+	seen := make(map[uint64]bool, len(trace))
+	var lines []ostable.PoolLine
+	for _, addr := range trace {
+		if seen[addr] {
+			continue
+		}
+		seen[addr] = true
+		if line, ok := s.Tables().LineAt(addr); ok {
+			lines = append(lines, ostable.PoolLine{Addr: addr, Line: line})
+		}
+	}
+	guardCfg, err := cfg.guardConfig()
+	if err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	samples, err := protect(guardCfg, lines)
+	if err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	res, err := runTrials(guardCfg, samples, cfg.Trials, cfg.FlipProb, cfg.Seed, "fig9-trace/trial/")
+	if err != nil {
+		return TraceCorrectionResult{}, err
+	}
+	return TraceCorrectionResult{TraceLines: len(seen), WalkAccesses: len(trace), CorrectionResult: res}, nil
+}
+
+// correctionGuard returns the correction-enabled guard configuration both
+// Fig. 9 experiments use: the x86 format at M = 40, a key drawn from keySeed,
+// the soft-match budget softK (0 selects the paper's 4) and the tag width
+// tagBits (0 selects 96).
+func correctionGuard(keySeed uint64, softK, tagBits int) (core.Config, error) {
+	if softK == 0 {
+		softK = 4
+	}
+	format, err := pte.FormatX86(40)
+	if err != nil {
+		return core.Config{}, err
+	}
+	key := make([]byte, mac.KeySize)
+	kr := stats.NewRNG(keySeed)
+	for i := range key {
+		key[i] = byte(kr.Uint64())
+	}
+	return core.Config{
+		Format:           format,
+		Key:              key,
+		TagBits:          tagBits,
+		EnableCorrection: true,
+		SoftMatchK:       softK,
+	}, nil
+}
+
+// guardConfig returns the guard configuration of the experiment, keyed
+// from Seed, with its ablation switches.
+func (cfg CorrectionConfig) guardConfig() (core.Config, error) {
+	c, err := correctionGuard(cfg.Seed^0xF19, cfg.SoftMatchK, cfg.TagBits)
+	if err != nil {
+		return core.Config{}, err
+	}
+	c.DisableFlipAndCheck = cfg.DisableFlipAndCheck
+	c.DisableZeroReset = cfg.DisableZeroReset
+	c.DisableFlagVote = cfg.DisableFlagVote
+	c.DisableContiguity = cfg.DisableContiguity
+	return c, nil
+}
+
+// guardConfig returns the guard configuration that re-protects the traced
+// lines: a fresh correction-enabled guard at the paper's defaults, keyed
+// from Seed apart from the system that recorded the trace.
+func (cfg TraceCorrectionConfig) guardConfig() (core.Config, error) {
+	return correctionGuard(cfg.Seed^0x916, 0, 0)
+}
+
+// samplePool builds the shuffled line pool for seed, so every flip
+// probability is evaluated over the same line population, and protects
+// its first min(lines, len(pool)) entries, the only ones the trials visit.
+// A protected line's image depends on nothing but the key, format, tag
+// width, address and line, so each is the image a flush of every table
+// line would have stored.
+func samplePool(guardCfg core.Config, seed uint64, lines int) ([]sample, error) {
+	alloc, err := ostable.NewFrameAllocator(4096, dram.DefaultGeometry().Capacity()/pte.PageSize-4096)
+	if err != nil {
+		return nil, err
+	}
+	_, pool, err := ostable.SynthesizePool(alloc, seed)
+	if err != nil {
+		return nil, err
+	}
+	return protect(guardCfg, pool[:min(lines, len(pool))])
+}
+
+// sample is one protected line a Fig. 9 trial draws: its address, its
+// architectural payload and the image the protecting guard stored.
+type sample struct {
+	addr            uint64
+	arch, protected pte.Line
+}
+
+// protect writes lines, in order, through one guard built from guardCfg,
+// so its collision tracking buffer carries state from line to line, and
+// returns the lines it protected with their stored images. A line the
+// guard stores unprotected carries no MAC to correct against, so it is no
+// Fig. 9 sample.
+func protect(guardCfg core.Config, lines []ostable.PoolLine) ([]sample, error) {
+	guard, err := core.NewGuard(guardCfg)
+	if err != nil {
+		return nil, err
+	}
+	samples := make([]sample, 0, len(lines))
+	for _, l := range lines {
+		w, err := guard.OnWrite(l.Line, l.Addr)
+		if err != nil || !w.Protected {
+			continue
+		}
+		samples = append(samples, sample{addr: l.Addr, arch: l.Line, protected: w.Line})
+	}
+	return samples, nil
+}
+
+// runTrials is the §VI-F trial loop: trial t flips each bit of the
+// protected image of samples[t mod len(samples)] with probability p, drawn
+// from an RNG seeded by DeriveSeed(seed, label+t) and redrawn until at
+// least one bit flips (every trial is an erroneous line), then replays the
+// walk read through a correction-enabled guard. The n trials are sharded
+// across GOMAXPROCS goroutines, each with a shard-local guard; a trial is
+// a pure function of its sample and seed, so the tally is bit-identical
+// however many shards run it (see stats.ShardTrials).
+func runTrials(guardCfg core.Config, samples []sample, n int, p float64, seed uint64, label string) (CorrectionResult, error) {
+	if len(samples) == 0 {
+		return CorrectionResult{}, errors.New("attack: no protected line to inject faults into")
+	}
+	trials, err := stats.ShardTrials(n,
 		func() (*core.Guard, error) { return core.NewGuard(guardCfg) },
 		func(g *core.Guard, t int) (trialVerdict, error) {
-			i := t % len(pool)
-			rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "fig9/trial/"+strconv.Itoa(t)))
-			faulty := flipLineBernoulli(protected[i], cfg.FlipProb, rng)
+			s := &samples[t%len(samples)]
+			rng := stats.NewRNG(stats.DeriveSeed(seed, label+strconv.Itoa(t)))
+			faulty := flipLineBernoulli(s.protected, p, rng)
 			before := g.Counters().CorrectionGuesses
-			rd := g.OnRead(faulty, pool[i].Addr, true)
+			rd := g.OnRead(faulty, s.addr, true)
 			v := trialVerdict{guesses: g.Counters().CorrectionGuesses - before}
 			switch {
 			case rd.CheckFailed:
 				v.detected = true
-			case payloadMatches(rd.Line, pool[i].Line, guardCfg.Format):
+			case payloadMatches(rd.Line, s.arch, guardCfg.Format):
 				v.corrected = true
 			}
 			return v, nil
@@ -121,7 +296,7 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 	if err != nil {
 		return CorrectionResult{}, err
 	}
-	res := CorrectionResult{FlipProb: cfg.FlipProb, Erroneous: len(trials)}
+	res := CorrectionResult{FlipProb: p, Erroneous: len(trials)}
 	for _, v := range trials {
 		res.Guesses += v.guesses
 		switch {
@@ -134,79 +309,6 @@ func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// guardConfig returns the correction-enabled guard configuration of the
-// experiment, keyed from Seed.
-func (cfg CorrectionConfig) guardConfig() (core.Config, error) {
-	k := cfg.SoftMatchK
-	if k == 0 {
-		k = 4
-	}
-	format, err := pte.FormatX86(40)
-	if err != nil {
-		return core.Config{}, err
-	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
-	return core.Config{
-		Format:              format,
-		Key:                 key,
-		TagBits:             cfg.TagBits,
-		EnableCorrection:    true,
-		SoftMatchK:          k,
-		DisableFlipAndCheck: cfg.DisableFlipAndCheck,
-		DisableZeroReset:    cfg.DisableZeroReset,
-		DisableFlagVote:     cfg.DisableFlagVote,
-		DisableContiguity:   cfg.DisableContiguity,
-	}, nil
-}
-
-// samplePool builds the shuffled line pool for seed, so every flip
-// probability is evaluated over the same line population, and protects
-// its first min(lines, len(pool)) entries, the only ones the trials visit,
-// through a memory controller guarded by guardCfg. It returns the pool and
-// those entries' protected images. A protected line's image depends on
-// nothing but the key, format, tag width, address and line — the guard's
-// write path reads no other state for it — so each is the image a flush of
-// every table line would have stored.
-func samplePool(guardCfg core.Config, seed uint64, lines int) ([]ostable.PoolLine, []pte.Line, error) {
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
-	if err != nil {
-		return nil, nil, err
-	}
-	guard, err := core.NewGuard(guardCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctrl, err := memctrl.New(dev, guard, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, err := ostable.NewFrameAllocator(4096, dev.Geometry().Capacity()/pte.PageSize-4096)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, pool, err := ostable.SynthesizePool(alloc, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := min(lines, len(pool))
-	addrs := make([]uint64, n)
-	protected := make([]pte.Line, n)
-	for i, entry := range pool[:n] {
-		addrs[i], protected[i] = entry.Addr, entry.Line
-	}
-	if _, err := ctrl.WriteLinesBatch(addrs, protected); err != nil {
-		return nil, nil, err
-	}
-	for i, addr := range addrs {
-		protected[i] = dev.ReadLine(addr)
-	}
-	return pool, protected, nil
 }
 
 // trialVerdict is one Fig. 9 trial's classification.

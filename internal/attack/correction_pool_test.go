@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -71,9 +73,11 @@ func flushedPool(t *testing.T, guardCfg core.Config, seed uint64) (addrs []uint6
 }
 
 // TestSamplePoolMatchesFullFlush pins the purity argument behind protecting
-// only the sampled lines: the images samplePool produces for the first N
-// shuffled pool lines equal the images a full flush of all six processes
-// stores, at the default and at a 64-bit tag width.
+// only the sampled lines through a bare guard: the images samplePool
+// produces for the first N shuffled pool lines equal the images a full
+// flush of all six processes through the memory controller stores, at the
+// default and at a 64-bit tag width. Its length check also pins that the
+// guard protects every synthesized line, so no pool line is dropped.
 func TestSamplePoolMatchesFullFlush(t *testing.T) {
 	const lines = 300
 	for _, seed := range []uint64{1, 2} {
@@ -83,14 +87,22 @@ func TestSamplePoolMatchesFullFlush(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pool, protected, err := samplePool(guardCfg, seed, lines)
+				samples, err := samplePool(guardCfg, seed, lines)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(protected) != lines {
-					t.Fatalf("%d protected images, want %d", len(protected), lines)
+				if len(samples) != lines {
+					t.Fatalf("%d protected samples, want %d", len(samples), lines)
 				}
 				addrs, arch, want := flushedPool(t, guardCfg, seed)
+				alloc, err := ostable.NewFrameAllocator(4096, dram.DefaultGeometry().Capacity()/pte.PageSize-4096)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, pool, err := ostable.SynthesizePool(alloc, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(pool) != len(addrs) {
 					t.Fatalf("pool has %d lines, full flush %d", len(pool), len(addrs))
 				}
@@ -99,12 +111,40 @@ func TestSamplePoolMatchesFullFlush(t *testing.T) {
 						t.Fatalf("pool line %d = %#x, full flush has %#x", i, pool[i].Addr, addrs[i])
 					}
 				}
-				for i := range protected {
-					if protected[i] != want[i] {
-						t.Fatalf("line %d at %#x: on-demand image %x, full-flush image %x", i, addrs[i], protected[i], want[i])
+				for i, s := range samples {
+					if s.addr != addrs[i] || s.arch != arch[i] {
+						t.Fatalf("sample %d = %#x, full flush has %#x", i, s.addr, addrs[i])
+					}
+					if s.protected != want[i] {
+						t.Fatalf("line %d at %#x: on-demand image %x, full-flush image %x", i, addrs[i], s.protected, want[i])
 					}
 				}
 			})
 		}
+	}
+}
+
+// fig9KeysDigest pins the keys of both Fig. 9 guards at seeds 1 and 42: the
+// pool's is drawn from Seed^0xF19 and the trace's from Seed^0x916. At the
+// trace's 96-bit tag no reported count depends on the key, so
+// TestFig9DriversPinned cannot see the trace's salt; this test can.
+const fig9KeysDigest = "301904a42dddf49d096ebb294bfbbbaa080c70f05769436509e5a64130c240c0"
+
+func TestFig9GuardKeysPinned(t *testing.T) {
+	h := sha256.New()
+	for _, seed := range []uint64{1, 42} {
+		pool, err := CorrectionConfig{Seed: seed}.guardConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := TraceCorrectionConfig{Seed: seed}.guardConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(pool.Key)
+		h.Write(trace.Key)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fig9KeysDigest {
+		t.Errorf("Fig. 9 guard keys digest = %s, want %s", got, fig9KeysDigest)
 	}
 }

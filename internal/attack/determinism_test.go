@@ -33,6 +33,34 @@ func TestRunCorrectionShardDeterminism(t *testing.T) {
 	}
 }
 
+// TestTraceCorrectionShardDeterminism: RunTraceCorrection shards its
+// fault-injection trials across GOMAXPROCS goroutines; the result must be
+// bit-identical serial vs parallel, because each trial derives its own RNG
+// from the trial index (stats.ShardTrials contract).
+func TestTraceCorrectionShardDeterminism(t *testing.T) {
+	cfg := TraceCorrectionConfig{
+		Workload:     "leela",
+		Instructions: 4000,
+		FlipProb:     1.0 / 256,
+		Trials:       120,
+		Seed:         9,
+	}
+	old := runtime.GOMAXPROCS(1)
+	serial, err := RunTraceCorrection(cfg)
+	runtime.GOMAXPROCS(8)
+	parallel, perr := RunTraceCorrection(cfg)
+	runtime.GOMAXPROCS(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if serial != parallel {
+		t.Errorf("serial vs GOMAXPROCS=8 diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+}
+
 // TestRunCoverageShardDeterminism: same property for the defense-coverage
 // comparison, whose shard workers each rebuild their own world from the
 // seed.

@@ -245,7 +245,7 @@ func TestDoubleSidedFlipsVictim(t *testing.T) {
 
 func TestInjectLineFaultsRate(t *testing.T) {
 	d := newTestDevice(t)
-	h, err := NewHammerer(d, HammerConfig{Seed: 4})
+	h, err := NewHammerer(d, HammerConfig{FlipProb: FlipProbLPDDR4, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestInjectLineFaultsRate(t *testing.T) {
 	const trials = 2000
 	for i := 0; i < trials; i++ {
 		d.WriteLine(0x4000, pte.Line{})
-		total += h.InjectLineFaults(0x4000, FlipProbLPDDR4)
+		total += h.InjectFaults(0x4000)
 	}
 	// Expected flips per 512-bit line at p=1/128 is 4.
 	avg := float64(total) / trials
@@ -362,8 +362,8 @@ func TestDeterministicFaultInjection(t *testing.T) {
 		d := newTestDevice(t)
 		var line pte.Line
 		d.WriteLine(0x1000, line)
-		h, _ := NewHammerer(d, HammerConfig{Seed: 99})
-		h.InjectLineFaults(0x1000, 0.1)
+		h, _ := NewHammerer(d, HammerConfig{FlipProb: 0.1, Seed: 99})
+		h.InjectFaults(0x1000)
 		return d
 	}
 	if mk().ReadLine(0x1000) != mk().ReadLine(0x1000) {

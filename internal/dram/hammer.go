@@ -182,19 +182,6 @@ func (h *Hammerer) injectAt(addr uint64, loc Location) int {
 	return h.applyFlips(addr, bits)
 }
 
-// InjectLineFaults flips each bit of the stored line at addr independently
-// with probability p: the uniform fault-injection methodology of §VI-F used
-// for the Fig. 9 correction experiments. It returns the number of flips.
-func (h *Hammerer) InjectLineFaults(addr uint64, p float64) int {
-	var bits []int
-	for bit := 0; bit < pte.LineBytes*8; bit++ {
-		if h.rng.Bernoulli(p) {
-			bits = append(bits, bit)
-		}
-	}
-	return h.applyFlips(addr, bits)
-}
-
 // FlipLineBits flips the exact given bit positions (0..511) of the stored
 // line at addr: the surgical injection used by targeted exploits (§II-C).
 func (h *Hammerer) FlipLineBits(addr uint64, bitPositions []int) {

@@ -246,10 +246,6 @@ type MulticoreSpec struct {
 	Instructions int
 	// MACLatency is the PT-Guard check latency; zero selects 10.
 	MACLatency int
-	// Model selects the contention model: "shared" (default; one DRAM
-	// device, real row-buffer interference) or "analytic" (constant
-	// queueing delay).
-	Model string
 }
 
 func init() { Register[MulticoreSpec, sim.MulticoreResult]() }
@@ -266,9 +262,6 @@ func (s MulticoreSpec) withDefaults() MulticoreSpec {
 	}
 	if s.MACLatency == 0 {
 		s.MACLatency = 10
-	}
-	if s.Model == "" {
-		s.Model = "shared"
 	}
 	return s
 }
@@ -302,14 +295,6 @@ func (s MulticoreSpec) Mixes(campaignSeed uint64) []sim.MulticoreMix {
 // Jobs expands the spec into one job per mix.
 func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], error) {
 	s = s.withDefaults()
-	compare := sim.CompareMulticoreShared
-	switch s.Model {
-	case "shared":
-	case "analytic":
-		compare = sim.CompareMulticore
-	default:
-		return nil, fmt.Errorf("harness: unknown multicore model %q", s.Model)
-	}
 	var jobs []Job[sim.MulticoreResult]
 	for _, mix := range s.Mixes(campaignSeed) {
 		mix := mix
@@ -318,7 +303,7 @@ func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], er
 		jobs = append(jobs, Job[sim.MulticoreResult]{
 			Key: key,
 			Run: func(context.Context) (sim.MulticoreResult, error) {
-				return compare(mix, s.Warmup, s.Instructions, seed, s.MACLatency)
+				return sim.CompareMulticore(mix, s.Warmup, s.Instructions, seed, s.MACLatency)
 			},
 		})
 	}

@@ -70,7 +70,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			Warmup: 500, Instructions: 1000, MACLatencies: []int{10, 30}, Obs: obsSpec,
 		}, seed),
 		typed(t, harness.MulticoreSpec{
-			SameMixes: 1, MixMixes: 1, Warmup: 500, Instructions: 1000, MACLatency: 20, Model: "analytic",
+			SameMixes: 1, MixMixes: 1, Warmup: 500, Instructions: 1000, MACLatency: 20,
 		}, seed),
 		typed(t, harness.AblationSpec{Lines: 5, FlipProb: 1.0 / 64, SoftKs: []int{2}, Widths: []int{64}}, seed),
 		typed(t, harness.CorrectionSpec{Lines: 5, Probs: []float64{1.0 / 100, 1.0 / 300}}, seed),

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -58,34 +57,6 @@ func TestMulticoreSeedDeterminism(t *testing.T) {
 		if a[i].Cycles != b[i].Cycles || a[i].LLCMPKI != b[i].LLCMPKI {
 			t.Errorf("core %d: same seed produced different results:\n%+v\n%+v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestTraceCorrectionShardDeterminism: RunTraceCorrection shards its
-// fault-injection trials across GOMAXPROCS goroutines; the result must be
-// bit-identical serial vs parallel, because each trial derives its own RNG
-// from the trial index (stats.ShardTrials contract).
-func TestTraceCorrectionShardDeterminism(t *testing.T) {
-	cfg := TraceCorrectionConfig{
-		Workload:     "leela",
-		Instructions: 4000,
-		FlipProb:     1.0 / 256,
-		Trials:       120,
-		Seed:         9,
-	}
-	old := runtime.GOMAXPROCS(1)
-	serial, err := RunTraceCorrection(cfg)
-	runtime.GOMAXPROCS(8)
-	parallel, perr := RunTraceCorrection(cfg)
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perr != nil {
-		t.Fatal(perr)
-	}
-	if serial != parallel {
-		t.Errorf("serial vs GOMAXPROCS=8 diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 

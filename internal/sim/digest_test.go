@@ -78,7 +78,7 @@ func TestResultDigestPinned(t *testing.T) {
 	}
 	prof := testProfile(t, "omnetpp")
 	mix := MulticoreMix{Name: "omnetpp-SAME", Workloads: []workload.Profile{prof, prof, prof, prof}}
-	mc, err := CompareMulticoreShared(mix, warmup, instructions, seed, 10)
+	mc, err := CompareMulticore(mix, warmup, instructions, seed, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"ptguard/internal/cpu"
 	"ptguard/internal/obs"
 	"ptguard/internal/stats"
 	"ptguard/internal/workload"
@@ -150,62 +149,3 @@ func Summarize(cmps []Comparison, mode Mode) (SuiteSummary, error) {
 	}
 	return sum, nil
 }
-
-// MulticoreMix is one 4-core workload mix (§VII-C: SAME runs four copies of
-// one benchmark, MIX runs four different ones).
-type MulticoreMix struct {
-	Name      string
-	Workloads []workload.Profile
-}
-
-// MulticoreResult reports one mix's slowdown.
-type MulticoreResult struct {
-	Mix         string
-	SlowdownPct float64
-}
-
-// MulticoreContention is the extra queueing delay per access when four
-// cores share the channel (§VII-C: higher base memory latency is one of the
-// two effects that shrink PT-Guard's relative overhead).
-const MulticoreContention = 120
-
-// CompareMulticore runs a 4-core mix in the §VII-C model: out-of-order
-// cores (MLP hides part of each miss) and a contended shared channel. The
-// PT-Guard configuration is the base design, charging the MAC latency on
-// all DRAM reads, as in the paper's multicore evaluation.
-func CompareMulticore(mix MulticoreMix, warmup, instrPerCore int, seed uint64, macLatency int) (MulticoreResult, error) {
-	if len(mix.Workloads) == 0 {
-		return MulticoreResult{}, errors.New("sim: empty mix")
-	}
-	var baseCycles, guardCycles float64
-	for i, prof := range mix.Workloads {
-		coreSeed := seed + uint64(i)*977
-		mkCfg := func(mode Mode) Config {
-			return Config{
-				Mode:             mode,
-				Seed:             coreSeed,
-				MACLatencyCycles: macLatency,
-				Core:             cpu.OutOfOrder(),
-				ContentionCycles: MulticoreContention,
-			}
-		}
-		base, err := runOne(mkCfg(Baseline), prof, warmup, instrPerCore)
-		if err != nil {
-			return MulticoreResult{}, err
-		}
-		guard, err := runOne(mkCfg(PTGuard), prof, warmup, instrPerCore)
-		if err != nil {
-			return MulticoreResult{}, err
-		}
-		baseCycles += base.Cycles
-		guardCycles += guard.Cycles
-	}
-	sl, err := SlowdownPercent(guardCycles, baseCycles)
-	if err != nil {
-		return MulticoreResult{}, fmt.Errorf("%s: %w", mix.Name, err)
-	}
-	return MulticoreResult{Mix: mix.Name, SlowdownPct: sl}, nil
-}
-
-// multicoreCore returns the §VII-C out-of-order core configuration.
-func multicoreCore() cpu.Config { return cpu.OutOfOrder() }

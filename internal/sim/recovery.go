@@ -21,12 +21,8 @@ type RecoveryStats struct {
 // RecoveryStats returns a snapshot of the OS-recovery counters.
 func (s *System) RecoveryStats() RecoveryStats { return s.recovery }
 
-func (s *System) recoveryRetries() int {
-	if s.cfg.RecoveryMaxRetries > 0 {
-		return s.cfg.RecoveryMaxRetries
-	}
-	return 3
-}
+// recoveryRetries bounds the in-place rebuild attempts per failure.
+const recoveryRetries = 3
 
 func (s *System) remapAfter() int {
 	if s.cfg.RemapAfter > 0 {
@@ -60,7 +56,7 @@ func (s *System) recoverPTELine(addr uint64) (pte.Line, bool) {
 		// through to in-place rebuild.
 	}
 
-	for attempt := 0; attempt < s.recoveryRetries(); attempt++ {
+	for attempt := 0; attempt < recoveryRetries; attempt++ {
 		arch, ok := s.tables.LineAt(addr)
 		if !ok {
 			// Not a table line of this process: the OS has no

@@ -71,8 +71,6 @@ type Config struct {
 	ContentionCycles int
 	// Seed drives all stochastic components.
 	Seed uint64
-	// PhysAddrBits is M; 0 selects 32 (the 4 GB DDR4 module).
-	PhysAddrBits int
 	// HugePages maps the workload with 2 MB pages instead of 4 KB. §III
 	// argues larger pages only *reduce* PT-Guard's slowdown (fewer
 	// page-table walks); this knob verifies that claim.
@@ -91,8 +89,6 @@ type Config struct {
 	// table line from its authoritative mapping state instead of
 	// panicking.
 	EnableRecovery bool
-	// RecoveryMaxRetries bounds rebuild attempts per failure; 0 selects 3.
-	RecoveryMaxRetries int
 	// RemapAfter is the number of integrity failures one table page may
 	// raise before recovery escalates to migrating the page to a fresh
 	// frame (quarantining the vulnerable row, §IV-G); 0 selects 2.
@@ -149,9 +145,6 @@ type System struct {
 func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
 	if cfg.Mode == 0 {
 		return nil, errors.New("sim: config needs a Mode")
-	}
-	if cfg.PhysAddrBits == 0 {
-		cfg.PhysAddrBits = 32
 	}
 	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
 	if err != nil {

@@ -222,32 +222,6 @@ func TestDetectionUnderAttackInFullSystem(t *testing.T) {
 	}
 }
 
-func TestMulticoreSlowdownBelowSingleCore(t *testing.T) {
-	// §VII-C: O3 cores + channel contention shrink PT-Guard's relative
-	// overhead (0.5% avg vs 1.3% single-core).
-	prof := testProfile(t, "lbm")
-	single, err := Compare(prof, testWarmup/2, testInstructions/2, 31, 0, []Mode{PTGuard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := MulticoreMix{Name: "lbm-same", Workloads: []workload.Profile{prof, prof, prof, prof}}
-	multi, err := CompareMulticore(mix, testWarmup/4, testInstructions/8, 31, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("lbm: single %.2f%%, 4-core %.2f%%", single.SlowdownPct[PTGuard], multi.SlowdownPct)
-	if multi.SlowdownPct <= 0 {
-		t.Errorf("multicore slowdown = %.3f%%, want positive", multi.SlowdownPct)
-	}
-	if multi.SlowdownPct >= single.SlowdownPct[PTGuard] {
-		t.Errorf("multicore %.3f%% not below single-core %.3f%%",
-			multi.SlowdownPct, single.SlowdownPct[PTGuard])
-	}
-	if _, err := CompareMulticore(MulticoreMix{}, 0, 100, 1, 0); err == nil {
-		t.Error("empty mix accepted")
-	}
-}
-
 func TestOutOfOrderCoreModel(t *testing.T) {
 	c, err := cpu.New(cpu.OutOfOrder())
 	if err != nil {
@@ -309,48 +283,6 @@ func TestHugePagesReduceWalksAndSlowdown(t *testing.T) {
 	}
 }
 
-func TestRunTraceCorrection(t *testing.T) {
-	// §VI-F methodology: page-table-walk traces from the full-system run
-	// feed the fault-injection experiment. 100% coverage, zero
-	// miscorrections; correction rate high at the DDR4 fault rate.
-	res, err := RunTraceCorrection(TraceCorrectionConfig{
-		Workload:     "mcf",
-		Instructions: 150_000,
-		FlipProb:     1.0 / 512,
-		Trials:       200,
-		Seed:         7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("trace: %d lines / %d accesses; corrected %.1f%% coverage %.1f%%",
-		res.TraceLines, res.WalkAccesses, res.CorrectedPct(), res.CoveragePct())
-	if res.TraceLines == 0 || res.WalkAccesses < res.TraceLines {
-		t.Errorf("trace accounting wrong: %+v", res)
-	}
-	if res.Miscorrected != 0 {
-		t.Fatalf("miscorrections: %d", res.Miscorrected)
-	}
-	if res.CoveragePct() != 100 {
-		t.Errorf("coverage = %.1f%%, want 100%%", res.CoveragePct())
-	}
-	if res.CorrectedPct() < 70 {
-		t.Errorf("corrected = %.1f%%, want high at p=1/512", res.CorrectedPct())
-	}
-}
-
-func TestRunTraceCorrectionValidation(t *testing.T) {
-	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "mcf", Instructions: 100, FlipProb: 0, Trials: 1}); err == nil {
-		t.Error("zero FlipProb accepted")
-	}
-	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "nope", Instructions: 100, FlipProb: 0.01, Trials: 1}); err == nil {
-		t.Error("unknown workload accepted")
-	}
-	if _, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "mcf", Instructions: 0, FlipProb: 0.01, Trials: 1}); err == nil {
-		t.Error("zero instructions accepted")
-	}
-}
-
 func TestMultiSystemSharedInterference(t *testing.T) {
 	profLBM := testProfile(t, "lbm")
 	profLeela := testProfile(t, "leela")
@@ -400,28 +332,45 @@ func TestMultiSystemSharedInterference(t *testing.T) {
 	}
 }
 
-func TestCompareMulticoreShared(t *testing.T) {
-	prof := testProfile(t, "lbm")
+// checkMulticoreBelowSingleCore: §VII-C — out-of-order cores on a shared,
+// contended channel shrink PT-Guard's relative overhead below the
+// single-core figure (0.5% avg vs 1.3% in the paper) while it stays
+// positive.
+func checkMulticoreBelowSingleCore(t *testing.T, prof workload.Profile,
+	warmup, instr, singleWarmup, singleInstr int, seed uint64, macLatency int) {
+	t.Helper()
 	mix := MulticoreMix{Name: "lbm-SAME", Workloads: []workload.Profile{prof, prof, prof, prof}}
-	res, err := CompareMulticoreShared(mix, 20_000, 40_000, 9, 10)
+	multi, err := CompareMulticore(mix, warmup, instr, seed, macLatency)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("shared-device 4-core lbm slowdown: %.2f%%", res.SlowdownPct)
-	if res.SlowdownPct <= 0 {
-		t.Errorf("slowdown = %.3f%%, want positive", res.SlowdownPct)
-	}
-	single, err := Compare(prof, 20_000, 40_000, 9, 10, []Mode{PTGuard})
+	single, err := Compare(prof, singleWarmup, singleInstr, seed, macLatency, []Mode{PTGuard})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SlowdownPct >= single.SlowdownPct[PTGuard] {
-		t.Errorf("shared multicore %.3f%% not below single-core %.3f%%",
-			res.SlowdownPct, single.SlowdownPct[PTGuard])
+	t.Logf("lbm seed %d: single %.2f%%, shared-device 4-core %.2f%%",
+		seed, single.SlowdownPct[PTGuard], multi.SlowdownPct)
+	if multi.SlowdownPct <= 0 {
+		t.Errorf("multicore slowdown = %.3f%%, want positive", multi.SlowdownPct)
 	}
-	if _, err := CompareMulticoreShared(MulticoreMix{}, 0, 100, 1, 0); err == nil {
+	if multi.SlowdownPct >= single.SlowdownPct[PTGuard] {
+		t.Errorf("multicore %.3f%% not below single-core %.3f%%",
+			multi.SlowdownPct, single.SlowdownPct[PTGuard])
+	}
+	if _, err := CompareMulticore(MulticoreMix{}, 0, 100, 1, 0); err == nil {
 		t.Error("empty mix accepted")
 	}
+}
+
+func TestMulticoreSlowdownBelowSingleCore(t *testing.T) {
+	prof := testProfile(t, "lbm")
+	checkMulticoreBelowSingleCore(t, prof, testWarmup/4, testInstructions/8,
+		testWarmup/2, testInstructions/2, 31, 0)
+}
+
+func TestCompareMulticoreShared(t *testing.T) {
+	prof := testProfile(t, "lbm")
+	checkMulticoreBelowSingleCore(t, prof, 20_000, 40_000, 20_000, 40_000, 9, 10)
 }
 
 func TestPageTableChurn(t *testing.T) {
