@@ -64,6 +64,12 @@ func (r *campaignRun) run(spec harness.Spec) (*harness.Output, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.runPlan(spec, plan)
+}
+
+// runPlan is run for a spec already expanded into plan by
+// harness.Prepare(spec, seed).
+func (r *campaignRun) runPlan(spec harness.Spec, plan harness.Plan) (*harness.Output, error) {
 	opts := r.opts
 	co, err := r.dist.Start(dist.Campaign{Kind: spec.Kind(), Spec: spec, Seed: r.seed}, &opts, opts.Chaos)
 	if err != nil {

@@ -27,9 +27,7 @@ var commands = []command{
 	{"report", "static tables: PTE layouts (Tables I, II), system configuration (III), MAC bit map (IV), storage budget (§V-E)", reportCmd},
 	{"security", "§VI-E security model (Eqs. 1, 2); -mitigation adds a residual-exposure table", securityCmd},
 	{"profile", "Fig. 8 PTE PFN categories over a synthetic process population (-format csv: per-process rows)", profileCmd},
-	{"correct", "Fig. 9 best-effort correction per flip probability", correctCmd},
 	{"attack", "end-to-end exploit scenarios (§II-C, §IV-G); -compare: detection coverage vs prior defenses", attackCmd},
-	{"latency", "Fig. 7 slowdown vs MAC computation latency", latencyCmd},
 	{"trace", "Fig. 9 correction on page-walk traces of the full-system simulation (§VI-F)", traceCmd},
 	{"sweep", "the evaluation campaign: slowdown (Fig. 6/7), multicore (§VII-C), ablation, correction (Fig. 9), mitigate", sweepCmd},
 	{"faults", "fault-model taxonomy campaign scored against a ground-truth oracle", faultsCmd},

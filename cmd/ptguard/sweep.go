@@ -13,9 +13,11 @@ import (
 // sweepCmd runs the paper's evaluation campaign — the Fig. 6/7 slowdown
 // grid, the §VII-C multicore mixes, the DESIGN.md §5 ablations and the
 // Fig. 9 correction sweep, plus the opt-in mitigation matrix — as one
-// declarative spec per section fanned out over the harness. The report is
-// byte-identical at any worker count or backend, and -journal resumes a
-// killed run where it left off.
+// declarative spec per section fanned out over the harness. It is the one
+// path to Fig. 6, Fig. 7 (-mac-latencies with more than one value adds
+// the latency table) and Fig. 9. The report is byte-identical at any
+// worker count or backend, and -journal resumes a killed run where it
+// left off.
 func sweepCmd(fs *flag.FlagSet) func() error {
 	camp := newCampaignFlags(fs)
 	format := formatFlag(fs)
@@ -38,7 +40,7 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 	// Ablations and Fig. 9.
 	ablLines := fs.Int("ablation-lines", 400, "ablation: faulty lines per configuration")
 	flipProb := fs.Float64("flip-prob", 1.0/128, "ablation: per-bit flip probability")
-	corLines := fs.Int("correction-lines", 400, "correction: faulty lines per probability")
+	corLines := fs.Int("correction-lines", 400, "correction: faulty lines per Fig. 9 flip probability")
 
 	// Mitigation head-to-head (opt-in via -sections mitigate).
 	mitigation := fs.String("mitigation", "", "mitigate: comma-separated mitigation plugins from the internal/mitigate registry (empty = all)")
@@ -73,26 +75,33 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 				Mitigations: splitCSV(*mitigation), Trials: *mitTrials, Acts: *mitActs,
 			},
 		}
-		// Resolve every section before any campaign starts, so a typo
-		// fails before work (and before the journal is created).
+		// Resolve and expand every section before any campaign starts, so
+		// a typo or an invalid spec fails before work (and before the
+		// journal is created).
 		known := []harness.Spec{specs.Slowdown, specs.Multicore, specs.Ablation, specs.Correction, specs.Mitigate}
 		var selected []harness.Spec
+		var plans []harness.Plan
 		for _, section := range splitCSV(*sections) {
 			i := slices.IndexFunc(known, func(s harness.Spec) bool { return s.Kind() == section })
 			if i < 0 {
 				return fmt.Errorf("unknown section %q (want slowdown, multicore, ablation, correction or mitigate)", section)
 			}
+			plan, err := harness.Prepare(known[i], camp.seed)
+			if err != nil {
+				return fmt.Errorf("section %s: %w", section, err)
+			}
 			selected = append(selected, known[i])
+			plans = append(plans, plan)
 		}
-		r, err := camp.open("sweep-v2", specs, o.debugAddr)
+		r, err := camp.open("sweep", specs, o.debugAddr)
 		if err != nil {
 			return err
 		}
 		defer r.close()
 
 		var all harness.Output
-		for _, spec := range selected {
-			out, err := r.run(spec)
+		for i, spec := range selected {
+			out, err := r.runPlan(spec, plans[i])
 			if err != nil {
 				return fmt.Errorf("section %s: %w", spec.Kind(), err)
 			}

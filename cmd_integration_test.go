@@ -5,14 +5,19 @@
 // The goldens were captured from the per-tool binaries that preceded the
 // subcommands, and each case keeps that invocation's test name. The
 // deleted ptguard-slowdown, -multicore and -ablation binaries map onto
-// their `ptguard sweep -sections ...` equivalents.
+// their `ptguard sweep -sections ...` equivalents. The deleted `correct`
+// and `latency` subcommands have no case of their own: Fig. 9 and Fig. 7
+// are the sweep's correction section and its slowdown section over
+// several MAC latencies, whose cases reproduce the deleted goldens' rows.
 package ptguard
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -75,15 +80,20 @@ func TestCommandLineTools(t *testing.T) {
 		{"ptguard-report", "report-all", []string{"report"}},
 		{"ptguard-security", "security", []string{"security"}},
 		{"ptguard-profile-processes_8", "profile-8", []string{"profile", "-processes", "8"}},
-		{"ptguard-correct-lines_40_-probs_1/512", "correct-40", []string{"correct", "-lines", "40", "-probs", "1/512"}},
+		{"ptguard-sweep-correction_lines_40", "sweep-correction-40",
+			[]string{"sweep", "-sections", "correction", "-correction-lines", "40", "-quiet"}},
+		// Fig. 9's headline at its documented scale (EXPERIMENTS.md).
+		{"ptguard-sweep-correction_lines_2000", "sweep-correction-2000",
+			[]string{"sweep", "-sections", "correction", "-correction-lines", "2000", "-quiet"}},
 		{"ptguard-attack", "attack", []string{"attack"}},
 		{"ptguard-attack-compare_-trials_40", "attack-compare-40", []string{"attack", "-compare", "-trials", "40"}},
 		{"ptguard-slowdown-warmup_2000_-instructions_4000", "slowdown-2000-4000",
 			[]string{"sweep", "-sections", "slowdown", "-warmup", "2000", "-instructions", "4000", "-quiet"}},
 		{"ptguard-slowdown-warmup_2000_-instructions_4000_-csv", "slowdown-2000-4000-csv",
 			[]string{"sweep", "-sections", "slowdown", "-warmup", "2000", "-instructions", "4000", "-quiet", "-format", "csv"}},
-		{"ptguard-latency-warmup_2000_-instructions_4000_-latencies_10", "latency-10",
-			[]string{"latency", "-warmup", "2000", "-instructions", "4000", "-latencies", "10"}},
+		{"ptguard-sweep-fig7_warmup_2000_instructions_4000_mac-latencies_5,10", "sweep-fig7-2000-4000",
+			[]string{"sweep", "-sections", "slowdown", "-warmup", "2000", "-instructions", "4000",
+				"-mac-latencies", "5,10", "-quiet"}},
 		{"ptguard-multicore-warmup_1000_-instructions_2000_-same_1_-mix_1", "multicore-1-1",
 			[]string{"sweep", "-sections", "multicore", "-mc-warmup", "1000", "-mc-instructions", "2000",
 				"-same", "1", "-mix", "1", "-quiet"}},
@@ -158,6 +168,22 @@ func TestCommandLineTools(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) { matchGolden(t, tt.golden, tt.args...) })
 	}
 
+	// mustFail runs `ptguard args...`, which must exit non-zero, under a
+	// 30 s deadline: a validation regression that hangs fails here
+	// instead of stalling go test until its timeout.
+	mustFail := func(stderr io.Writer, args ...string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, bin, args...)
+		cmd.Stderr = stderr
+		if err := cmd.Run(); ctx.Err() != nil {
+			t.Errorf("ptguard %v did not exit within 30 s", args)
+		} else if err == nil {
+			t.Errorf("ptguard %v exited 0", args)
+		}
+	}
+
 	// Flag validation: a bad flag must exit non-zero.
 	for _, args := range [][]string{
 		{"report", "-table=nonsense"},
@@ -165,31 +191,31 @@ func TestCommandLineTools(t *testing.T) {
 		{"sweep", "-format", "xml"},
 		{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0"},
 		{"nonsense"},
+		// Fig. 9 and Fig. 7 are sweep sections; their old subcommands are gone.
+		{"correct"},
+		{"latency"},
 	} {
-		if err := exec.Command(bin, args...).Run(); err == nil {
-			t.Errorf("ptguard %v exited 0", args)
-		}
+		mustFail(nil, args...)
 	}
 
-	// Fail before work: an unknown sweep section fails before the valid
-	// section listed ahead of it runs, so no journal is written.
-	journal := filepath.Join(t.TempDir(), "sections.jsonl")
-	args := []string{"sweep", "-sections", "correction,bogus", "-correction-lines", "20", "-quiet", "-journal", journal}
-	if err := exec.Command(bin, args...).Run(); err == nil {
-		t.Errorf("ptguard %v exited 0", args)
-	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Errorf("ptguard %v left a journal behind (stat: %v)", args, err)
+	// Fail before work: an unknown sweep section, or a section whose spec
+	// does not expand, fails before the valid section listed ahead of it
+	// runs, so no journal is written.
+	for _, args := range [][]string{
+		{"sweep", "-sections", "correction,bogus", "-correction-lines", "20", "-quiet"},
+		{"sweep", "-sections", "correction,ablation", "-correction-lines", "20", "-flip-prob", "NaN", "-quiet"},
+	} {
+		journal := filepath.Join(t.TempDir(), "sections.jsonl")
+		mustFail(nil, append(args, "-journal", journal)...)
+		if _, err := os.Stat(journal); !os.IsNotExist(err) {
+			t.Errorf("ptguard %v left a journal behind (stat: %v)", args, err)
+		}
 	}
 	// An invalid spec fails before any worker process starts.
-	args = []string{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0",
+	args := []string{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0",
 		"-backend", "proc", "-dist-workers", "2"}
 	var stderr bytes.Buffer
-	probe := exec.Command(bin, args...)
-	probe.Stderr = &stderr
-	if err := probe.Run(); err == nil {
-		t.Errorf("ptguard %v exited 0", args)
-	}
+	mustFail(&stderr, args...)
 	if strings.Contains(stderr.String(), "ptguard worker:") {
 		t.Errorf("ptguard %v started a worker before rejecting the spec:\n%s", args, stderr.String())
 	}

@@ -2,7 +2,9 @@ package attack
 
 import (
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"ptguard/internal/baseline"
 	"ptguard/internal/core"
@@ -255,6 +257,35 @@ func TestRunCorrectionValidation(t *testing.T) {
 	}
 	if _, err := RunCorrection(CorrectionConfig{FlipProb: 0.01, Lines: 0}); err == nil {
 		t.Error("zero Lines accepted")
+	}
+}
+
+// A NaN flip probability passes a `p <= 0 || p >= 1` check, and
+// flipLineBernoulli then redraws forever, because Bernoulli(NaN) never
+// succeeds. Both Fig. 9 drivers must reject it, and the deadline turns a
+// hang into a failure.
+func TestFig9DriversRejectNaNFlipProb(t *testing.T) {
+	nan := math.NaN()
+	for name, run := range map[string]func() error{
+		"RunCorrection": func() error {
+			_, err := RunCorrection(CorrectionConfig{FlipProb: nan, Lines: 5, Seed: 1})
+			return err
+		},
+		"RunTraceCorrection": func() error {
+			_, err := RunTraceCorrection(TraceCorrectionConfig{Workload: "mcf", Instructions: 5000, FlipProb: nan, Trials: 5, Seed: 1})
+			return err
+		},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s accepted FlipProb NaN", name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s with FlipProb NaN did not return within 10 s", name)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func (r CorrectionResult) CoveragePct() float64 {
 // replay page-table walks through the correction-enabled guard. The result
 // is bit-identical at any GOMAXPROCS (see runTrials).
 func RunCorrection(cfg CorrectionConfig) (CorrectionResult, error) {
-	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
+	if !(cfg.FlipProb > 0 && cfg.FlipProb < 1) { // NaN fails too
 		return CorrectionResult{}, errors.New("attack: FlipProb outside (0, 1)")
 	}
 	if cfg.Lines <= 0 {
@@ -124,7 +124,7 @@ type TraceCorrectionResult struct {
 // replay fault injections over the traced PTE cachelines, in first-touch
 // order, through the same trial loop as RunCorrection.
 func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error) {
-	if cfg.FlipProb <= 0 || cfg.FlipProb >= 1 {
+	if !(cfg.FlipProb > 0 && cfg.FlipProb < 1) { // NaN fails too
 		return TraceCorrectionResult{}, errors.New("attack: FlipProb outside (0, 1)")
 	}
 	if cfg.Trials <= 0 || cfg.Instructions <= 0 {

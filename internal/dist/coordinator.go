@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ptguard/internal/chaos"
+	"ptguard/internal/harness"
 )
 
 // Campaign names the work a coordinator shards: a registered spec kind,
@@ -257,7 +258,7 @@ func (c *Coordinator) spawn(addr string) (*session, error) {
 	}()
 
 	hello := Message{
-		Type: MsgHello, Magic: Magic, Version: Version,
+		Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion,
 		Kind: c.campaign.Kind, Spec: c.specJSON, Seed: c.campaign.Seed,
 		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
 	}

@@ -26,17 +26,19 @@ const (
 	// Magic identifies the protocol in the handshake.
 	Magic = "ptguard-dist"
 	// Version is the protocol version; coordinator and worker must agree
-	// exactly (the handshake rejects a mismatch before any job runs).
-	Version = 1
+	// exactly (the handshake rejects a mismatch before any job runs). v2:
+	// hello and ready carry harness.ResultsVersion, which must agree too.
+	Version = 2
 )
 
 // Message types.
 const (
 	// MsgHello opens a session: coordinator -> worker, carrying the
-	// campaign (kind, spec JSON, seed) and the heartbeat cadence.
+	// campaign (kind, spec JSON, seed), the results version it expects
+	// and the heartbeat cadence.
 	MsgHello = "hello"
 	// MsgReady acknowledges the hello: worker -> coordinator, carrying
-	// the worker's version and how many jobs the spec expanded into.
+	// the worker's versions and how many jobs the spec expanded into.
 	MsgReady = "ready"
 	// MsgJob dispatches one job key: coordinator -> worker.
 	MsgJob = "job"
@@ -63,6 +65,7 @@ type Message struct {
 	// Handshake (hello/ready).
 	Magic       string          `json:"magic,omitempty"`
 	Version     int             `json:"version,omitempty"`
+	Results     int             `json:"results,omitempty"`
 	Kind        string          `json:"kind,omitempty"`
 	Spec        json.RawMessage `json:"spec,omitempty"`
 	Seed        uint64          `json:"seed,omitempty"`

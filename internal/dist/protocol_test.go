@@ -6,13 +6,15 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"ptguard/internal/harness"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
 	msgs := []Message{
-		{Type: MsgHello, Magic: Magic, Version: Version, Kind: KindSlowdown,
+		{Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion, Kind: KindSlowdown,
 			Spec: json.RawMessage(`{"Lines":10}`), Seed: 42, HeartbeatMS: 200},
-		{Type: MsgReady, Magic: Magic, Version: Version, Jobs: 12},
+		{Type: MsgReady, Magic: Magic, Version: Version, Results: harness.ResultsVersion, Jobs: 12},
 		{Type: MsgJob, Key: "correction/p0"},
 		{Type: MsgHeartbeat, Key: "correction/p0"},
 		{Type: MsgResult, Key: "correction/p0", Result: json.RawMessage(`{"x":1}`), ElapsedMS: 1.5},
@@ -57,9 +59,9 @@ func TestGoldenFrames(t *testing.T) {
 			`{"crc":"d85fb7ef","m":{"type":"job","key":"slowdown/leela/mac10"}}` + "\n",
 		},
 		{
-			Message{Type: MsgHello, Magic: Magic, Version: Version, Kind: SyntheticSpec{}.Kind(),
+			Message{Type: MsgHello, Magic: Magic, Version: Version, Results: 1, Kind: SyntheticSpec{}.Kind(),
 				Spec: json.RawMessage(`{"jobs":2,"cost_ms":1}`), Seed: 7, HeartbeatMS: 200},
-			`{"crc":"aab76543","m":{"type":"hello","magic":"ptguard-dist","version":1,"kind":"synthetic","spec":{"jobs":2,"cost_ms":1},"seed":7,"heartbeat_ms":200}}` + "\n",
+			`{"crc":"6caab9a0","m":{"type":"hello","magic":"ptguard-dist","version":2,"results":1,"kind":"synthetic","spec":{"jobs":2,"cost_ms":1},"seed":7,"heartbeat_ms":200}}` + "\n",
 		},
 	}
 	for _, c := range cases {
@@ -114,22 +116,34 @@ func serveInMemory(t *testing.T) (*frameWriter, *frameReader, chan error) {
 	return newFrameWriter(inW), newFrameReader(outR), errc
 }
 
+// TestServeRejectsVersionMismatch: a worker refuses a coordinator of
+// another protocol version, and one that expects another generation of
+// job results (a worker built before or after a results change).
 func TestServeRejectsVersionMismatch(t *testing.T) {
-	w, r, errc := serveInMemory(t)
-	hello := Message{Type: MsgHello, Magic: Magic, Version: Version + 1,
-		Kind: SyntheticSpec{}.Kind(), Spec: json.RawMessage(`{}`), Seed: 1}
-	if err := w.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := r.Read()
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	if reply.Type != MsgError || !strings.Contains(reply.Error, "version mismatch") {
-		t.Fatalf("got %+v, want version-mismatch error frame", reply)
-	}
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "version mismatch") {
-		t.Fatalf("Serve returned %v, want version-mismatch error", err)
+	for _, c := range []struct {
+		version, results int
+		want             string
+	}{
+		{Version + 1, harness.ResultsVersion, "protocol version mismatch"},
+		{Version, harness.ResultsVersion + 1, "results version mismatch"},
+		{Version, 0, "results version mismatch"},
+	} {
+		w, r, errc := serveInMemory(t)
+		hello := Message{Type: MsgHello, Magic: Magic, Version: c.version, Results: c.results,
+			Kind: SyntheticSpec{}.Kind(), Spec: json.RawMessage(`{}`), Seed: 1}
+		if err := w.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := r.Read()
+		if err != nil {
+			t.Fatalf("read reply: %v", err)
+		}
+		if reply.Type != MsgError || !strings.Contains(reply.Error, c.want) {
+			t.Fatalf("v%d results v%d: got %+v, want %q error frame", c.version, c.results, reply, c.want)
+		}
+		if err := <-errc; err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("v%d results v%d: Serve returned %v, want %q error", c.version, c.results, err, c.want)
+		}
 	}
 }
 
@@ -150,7 +164,7 @@ func TestServeRejectsBadMagicAndUnknownKind(t *testing.T) {
 	}
 
 	w, r, errc = serveInMemory(t)
-	hello := Message{Type: MsgHello, Magic: Magic, Version: Version,
+	hello := Message{Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion,
 		Kind: "no-such-kind", Spec: json.RawMessage(`{}`), Seed: 1}
 	if err := w.Write(hello); err != nil {
 		t.Fatal(err)
@@ -172,7 +186,7 @@ func TestServeRejectsBadMagicAndUnknownKind(t *testing.T) {
 func TestServeSession(t *testing.T) {
 	w, r, errc := serveInMemory(t)
 	spec, _ := json.Marshal(SyntheticSpec{JobCount: 3, CostMS: 1})
-	if err := w.Write(Message{Type: MsgHello, Magic: Magic, Version: Version,
+	if err := w.Write(Message{Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion,
 		Kind: SyntheticSpec{}.Kind(), Spec: spec, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}

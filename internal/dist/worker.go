@@ -37,7 +37,7 @@ func Serve(r io.Reader, w io.Writer) error {
 		out.Write(Message{Type: MsgError, Error: err.Error()})
 		return err
 	}
-	if err := out.Write(Message{Type: MsgReady, Magic: Magic, Version: Version, Jobs: len(js.Keys)}); err != nil {
+	if err := out.Write(Message{Type: MsgReady, Magic: Magic, Version: Version, Results: harness.ResultsVersion, Jobs: len(js.Keys)}); err != nil {
 		return fmt.Errorf("dist: worker handshake write: %w", err)
 	}
 
@@ -73,6 +73,9 @@ func checkHello(m Message) error {
 	}
 	if m.Version != Version {
 		return fmt.Errorf("dist: protocol version mismatch: coordinator v%d, worker v%d", m.Version, Version)
+	}
+	if m.Results != harness.ResultsVersion {
+		return fmt.Errorf("dist: results version mismatch: coordinator v%d, worker v%d", m.Results, harness.ResultsVersion)
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func TestParseSpecs(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "bogus", "uniform:p=2", "uniform:p=x", "kbit", "kbit:n=0",
-		"burst:run=65", "dqpin:beats=0", "targeted:field=mac", "uniform:p",
+		"burst:run=65", "dqpin:beats=0", "targeted:field=mac", "uniform:p", "uniform:p=NaN",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)

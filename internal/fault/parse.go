@@ -198,7 +198,7 @@ func parseProb(raw string) (float64, error) {
 		}
 		v = f
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) { // NaN fails too
 		return 0, fmt.Errorf("probability %q outside [0, 1]", raw)
 	}
 	return v, nil

@@ -18,9 +18,14 @@ import (
 // This file maps the paper's evaluation campaigns (Fig. 6/7 slowdowns,
 // §VII-C multicore mixes, the Table-V-style ablations, and the Fig. 9
 // correction sweep) onto harness jobs, and aggregates the job results back
-// into report tables. Every job seeds its simulation with
-// DeriveSeed(campaignSeed, jobKey), which is what makes a parallel run
-// byte-identical to a serial one.
+// into report tables. A job's seed is a pure function of the campaign seed
+// and its key, which is what makes a parallel run byte-identical to a
+// serial one. The slowdown, ablation and correction campaigns compare
+// configurations row by row (MAC latency, a disabled guess strategy, k,
+// the MAC width, p_flip), so every one of their jobs runs on the campaign
+// seed itself: each row sees the same workload stream or page-table
+// population, and a difference between rows is the configuration's alone.
+// The multicore mixes seed each job with DeriveSeed(campaignSeed, jobKey).
 
 // DeriveSeed maps (campaign seed, job key) to the job's simulation seed: a
 // pure function, so results never depend on worker count or scheduling
@@ -115,7 +120,9 @@ func (s SlowdownSpec) withDefaults() SlowdownSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per (MAC latency, workload).
+// Jobs expands the spec into one job per (MAC latency, workload), all on
+// the campaign seed, so a workload runs the same instruction stream (and
+// the same baseline) at every latency.
 func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	s = s.withDefaults()
 	// The sim reads a zero latency as its 10-cycle default and a negative
@@ -141,12 +148,10 @@ func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	for _, lat := range s.MACLatencies {
 		for _, prof := range profs {
 			prof, lat := prof, lat
-			key := fmt.Sprintf("slowdown/%s/mac%d", prof.Name, lat)
-			seed := DeriveSeed(campaignSeed, key)
 			jobs = append(jobs, Job[SlowdownResult]{
-				Key: key,
+				Key: fmt.Sprintf("slowdown/%s/mac%d", prof.Name, lat),
 				Run: func(context.Context) (SlowdownResult, error) {
-					cmp, met, err := sim.CompareObserved(prof, s.Warmup, s.Instructions, seed, lat, s.Modes, s.Obs.options())
+					cmp, met, err := sim.CompareObserved(prof, s.Warmup, s.Instructions, campaignSeed, lat, s.Modes, s.Obs.options())
 					res := SlowdownResult{MACLatency: lat, Comparison: cmp}
 					if met != nil {
 						res.Obs = make(map[string]*obs.RunMetrics, len(met))
@@ -163,8 +168,9 @@ func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 }
 
 // Report aggregates grid results into one Fig. 6-style table per MAC
-// latency (several latencies form the Fig. 7 sweep), each with the
-// AMEAN / GMEAN-IPC / WORST summary rows. Each mode's observability data
+// latency, each with the AMEAN / GMEAN-IPC / WORST summary rows. Several
+// latencies form the Fig. 7 sweep, which adds one table of each mode's
+// average and worst slowdown per latency. Each mode's observability data
 // is labelled workload/macN/mode.
 func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
 	modes := s.withDefaults().Modes
@@ -186,9 +192,12 @@ func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
 		}
 	}
 	headers := []string{"workload", "suite", "LLC MPKI"}
+	fig7Headers := []string{"MAC latency"}
 	for _, m := range modes {
 		headers = append(headers, m.String()+" slowdown")
+		fig7Headers = append(fig7Headers, m.String()+" avg", m.String()+" worst")
 	}
+	fig7 := report.New("Fig. 7 — slowdown vs MAC computation latency", fig7Headers...)
 	for _, lat := range order {
 		cmps := byLat[lat]
 		tbl := report.New(
@@ -212,15 +221,21 @@ func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
 		amean := []string{"AMEAN", "", ""}
 		gmean := []string{"GMEAN IPC", "", ""}
 		worst := []string{"WORST", "", sums[modes[0]].WorstName}
+		fig7Row := []string{fmt.Sprintf("%d cycles", lat)}
 		for _, m := range modes {
 			amean = append(amean, report.Pct(sums[m].MeanPct))
 			gmean = append(gmean, report.F(sums[m].GeoMeanIPC, 4))
 			worst = append(worst, report.Pct(sums[m].WorstPct))
+			fig7Row = append(fig7Row, report.Pct(sums[m].MeanPct), report.Pct(sums[m].WorstPct))
 		}
 		tbl.AddRow(amean...)
 		tbl.AddRow(gmean...)
 		tbl.AddRow(worst...)
 		out.Tables = append(out.Tables, tbl)
+		fig7.AddRow(fig7Row...)
+	}
+	if len(order) > 1 {
+		out.Tables = append(out.Tables, fig7)
 	}
 	return out, nil
 }
@@ -402,16 +417,20 @@ func (s AblationSpec) withDefaults() AblationSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per ablation configuration.
+// Jobs expands the spec into one job per ablation configuration, all on
+// the campaign seed, so every configuration corrects the same faulty
+// lines.
 func (s AblationSpec) Jobs(campaignSeed uint64) ([]Job[AblationResult], error) {
 	s = s.withDefaults()
+	if err := checkFlipProb(s.FlipProb); err != nil {
+		return nil, err
+	}
 	var jobs []Job[AblationResult]
 	add := func(key string, res AblationResult, mutate func(*attack.CorrectionConfig)) {
-		seed := DeriveSeed(campaignSeed, key)
 		jobs = append(jobs, Job[AblationResult]{
 			Key: key,
 			Run: func(context.Context) (AblationResult, error) {
-				cfg := attack.CorrectionConfig{FlipProb: s.FlipProb, Lines: s.Lines, Seed: seed}
+				cfg := attack.CorrectionConfig{FlipProb: s.FlipProb, Lines: s.Lines, Seed: campaignSeed}
 				mutate(&cfg)
 				r, err := attack.RunCorrection(cfg)
 				res.Correction = r
@@ -506,19 +525,22 @@ func (s CorrectionSpec) withDefaults() CorrectionSpec {
 	return s
 }
 
-// Jobs expands the spec into one job per flip probability.
+// Jobs expands the spec into one job per flip probability, all on the
+// campaign seed, so every probability flips bits of the same sampled
+// lines.
 func (s CorrectionSpec) Jobs(campaignSeed uint64) ([]Job[CorrectionPoint], error) {
 	s = s.withDefaults()
 	var jobs []Job[CorrectionPoint]
 	for _, p := range s.Probs {
 		p := p
-		key := fmt.Sprintf("correction/p=%g", p)
-		seed := DeriveSeed(campaignSeed, key)
+		if err := checkFlipProb(p); err != nil {
+			return nil, err
+		}
 		jobs = append(jobs, Job[CorrectionPoint]{
-			Key: key,
+			Key: fmt.Sprintf("correction/p=%g", p),
 			Run: func(context.Context) (CorrectionPoint, error) {
 				r, err := attack.RunCorrection(attack.CorrectionConfig{
-					FlipProb: p, Lines: s.Lines, Seed: seed,
+					FlipProb: p, Lines: s.Lines, Seed: campaignSeed,
 				})
 				return CorrectionPoint{FlipProb: p, Result: r}, err
 			},
@@ -531,11 +553,20 @@ func (s CorrectionSpec) Jobs(campaignSeed uint64) ([]Job[CorrectionPoint], error
 func (s CorrectionSpec) Report(results []CorrectionPoint) (*Output, error) {
 	tbl := report.New(
 		fmt.Sprintf("Fig. 9 — correction vs per-bit flip probability (%d lines)", s.withDefaults().Lines),
-		"p", "erroneous", "corrected %", "coverage %", "miscorrected")
+		"p", "erroneous", "corrected %", "coverage %", "miscorrected", "guesses")
 	for _, r := range results {
 		tbl.AddRow(fmt.Sprintf("%.5f", r.FlipProb), report.I(r.Result.Erroneous),
 			report.Pct(r.Result.CorrectedPct()), report.Pct(r.Result.CoveragePct()),
-			report.I(r.Result.Miscorrected))
+			report.I(r.Result.Miscorrected), report.U(r.Result.Guesses))
 	}
 	return &Output{Tables: []*report.Table{tbl}}, nil
+}
+
+// checkFlipProb rejects a per-bit flip probability outside (0, 1), NaN
+// included, before any job runs.
+func checkFlipProb(p float64) error {
+	if !(p > 0 && p < 1) {
+		return fmt.Errorf("harness: flip probability %g outside (0, 1)", p)
+	}
+	return nil
 }

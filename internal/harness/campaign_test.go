@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -185,9 +186,23 @@ func TestCorrectionSpecDefaultsToFig9Probs(t *testing.T) {
 	if err := out.Tables[0].Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Fig. 9", "corrected %", "100.00%"} {
+	for _, want := range []string{"Fig. 9", "corrected %", "100.00%", "guesses"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("correction table missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// A flip probability outside (0, 1) fails at expansion, before any job
+// runs or any journal is written. NaN passes a `p <= 0 || p >= 1` check,
+// and RunCorrection would then redraw its fault pattern forever.
+func TestCorrectionSpecsRejectBadFlipProb(t *testing.T) {
+	for _, p := range []float64{math.NaN(), -0.5, 1, 2} {
+		if _, err := (AblationSpec{FlipProb: p}).Jobs(1); err == nil {
+			t.Errorf("AblationSpec FlipProb %g accepted", p)
+		}
+		if _, err := (CorrectionSpec{Probs: []float64{1.0 / 128, p}}).Jobs(1); err == nil {
+			t.Errorf("CorrectionSpec Probs {1/128, %g} accepted", p)
 		}
 	}
 }

@@ -6,10 +6,20 @@ import (
 	"fmt"
 )
 
+// ResultsVersion numbers the generation of the registered campaign kinds'
+// job results. Bump it whenever a kind's jobs compute different results
+// from the same spec and seed. It enters every journal fingerprint, so a
+// journal written before the change is refused instead of resumed into
+// the new results, and the dist handshake, so a worker built before it is
+// refused instead of serving the old ones. Version 1 is the first to
+// carry it: the slowdown, ablation and correction jobs run on the
+// campaign seed.
+const ResultsVersion = 1
+
 // Fingerprint canonicalises a campaign's identity for the checkpoint
-// journal: the campaign kind, the campaign seed, and a digest of the
-// spec's JSON form. Those three things determine every job key and every
-// job result, so they are exactly what makes two runs "the same
+// journal: the campaign kind, the campaign seed, the results version, and
+// a digest of the spec's JSON form. Those things determine every job key
+// and every job result, so they are exactly what makes two runs "the same
 // campaign".
 //
 // Execution knobs are deliberately excluded: worker count, backend
@@ -28,5 +38,5 @@ func Fingerprint(kind string, seed uint64, spec any) string {
 		raw = []byte(fmt.Sprintf("%+v", spec))
 	}
 	sum := sha256.Sum256(raw)
-	return fmt.Sprintf("%s seed=%d spec=%x", kind, seed, sum[:12])
+	return fmt.Sprintf("%s seed=%d results=v%d spec=%x", kind, seed, ResultsVersion, sum[:12])
 }

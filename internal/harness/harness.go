@@ -223,6 +223,25 @@ func (r *Report[R]) Results() ([]R, error) {
 	return out, nil
 }
 
+// checkJobs rejects a job with an empty key or no Run function, and a key
+// that repeats.
+func checkJobs[R any](jobs []Job[R]) error {
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		if j.Key == "" {
+			return errors.New("harness: job with empty key")
+		}
+		if j.Run == nil {
+			return fmt.Errorf("harness: job %q has no Run function", j.Key)
+		}
+		if seen[j.Key] {
+			return fmt.Errorf("harness: duplicate job key %q", j.Key)
+		}
+		seen[j.Key] = true
+	}
+	return nil
+}
+
 // Run executes the campaign: journaled jobs are restored, the rest fan out
 // over the worker pool. The returned error covers harness-level failures
 // (invalid jobs, journal I/O, context cancellation); per-job failures live
@@ -237,18 +256,8 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options) (*Report[R], e
 	case opts.Executor == nil:
 		return nil, fmt.Errorf("harness: backend %q requires an Executor", opts.Backend)
 	}
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if j.Key == "" {
-			return nil, errors.New("harness: job with empty key")
-		}
-		if j.Run == nil {
-			return nil, fmt.Errorf("harness: job %q has no Run function", j.Key)
-		}
-		if seen[j.Key] {
-			return nil, fmt.Errorf("harness: duplicate job key %q", j.Key)
-		}
-		seen[j.Key] = true
+	if err := checkJobs(jobs); err != nil {
+		return nil, err
 	}
 
 	var (

@@ -89,6 +89,9 @@ func Register[S Campaign[R], R any]() {
 			if err != nil {
 				return nil, err
 			}
+			if err := checkJobs(jobs); err != nil {
+				return nil, err
+			}
 			return func(ctx context.Context, opts Options) (*Output, error) {
 				rep, err := Run(ctx, jobs, opts)
 				if err != nil {
@@ -122,9 +125,9 @@ func lookup(name string) (kind, error) {
 	return k, nil
 }
 
-// Prepare expands a typed spec into its jobs — so an invalid spec fails
-// here, before any backend starts — and returns the plan that runs and
-// renders them.
+// Prepare expands a typed spec into its jobs and checks their keys — so
+// an invalid spec fails here, before any backend starts — and returns the
+// plan that runs and renders them.
 func Prepare(spec Spec, campaignSeed uint64) (Plan, error) {
 	k, err := lookup(spec.Kind())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"slices"
+	"strings"
 	"testing"
 
 	"ptguard/internal/dist"
@@ -127,13 +128,19 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 // TestPrepareRejectsUnregistered pins the typed entry point's failures: a
-// spec of an unknown kind, and a spec type that borrows a registered name.
+// spec of an unknown kind, a spec type that borrows a registered name,
+// and a spec whose jobs repeat a key (a probability listed twice), which
+// must fail here, before any job or journal, not later in Run.
 func TestPrepareRejectsUnregistered(t *testing.T) {
 	if _, err := harness.Prepare(fakeSpec("no-such-kind"), 1); err == nil {
 		t.Error("Prepare accepted an unregistered kind")
 	}
 	if _, err := harness.Prepare(fakeSpec("correction"), 1); err == nil {
 		t.Error("Prepare accepted a spec type that is not the registered correction spec")
+	}
+	dup := harness.CorrectionSpec{Lines: 5, Probs: []float64{1.0 / 512, 0.001953125}}
+	if _, err := harness.Prepare(dup, 1); err == nil || !strings.Contains(err.Error(), "duplicate job key") {
+		t.Errorf("Prepare(%+v) = %v, want a duplicate-job-key error", dup, err)
 	}
 	if _, err := harness.Expand("no-such-kind", []byte(`{}`), 1); err == nil {
 		t.Error("Expand accepted an unregistered kind")
