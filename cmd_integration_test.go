@@ -194,6 +194,8 @@ func TestCommandLineTools(t *testing.T) {
 		// Fig. 9 and Fig. 7 are sweep sections; their old subcommands are gone.
 		{"correct"},
 		{"latency"},
+		// A fault model that can never flip a bit.
+		{"faults", "-models", "uniform:p=0", "-lines", "5"},
 	} {
 		mustFail(nil, args...)
 	}

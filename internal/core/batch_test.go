@@ -227,6 +227,13 @@ func TestAudit(t *testing.T) {
 	}
 }
 
+// gatherField is the allocating form of gatherFieldInto.
+func gatherField(line pte.Line, mask uint64) []byte {
+	var buf [pte.LineBytes]byte
+	n := gatherFieldInto(&buf, line, mask)
+	return append([]byte(nil), buf[:n]...)
+}
+
 // Bit-by-bit reference implementations the run-decomposed gather/scatter
 // loops are checked against.
 func gatherFieldRef(line pte.Line, mask uint64) []byte {

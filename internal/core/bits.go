@@ -54,18 +54,8 @@ func gatherFieldInto(buf *[pte.LineBytes]byte, line pte.Line, mask uint64) int {
 	return nb
 }
 
-// gatherField is the allocating convenience form of gatherFieldInto, kept
-// for tests and cold paths.
-func gatherField(line pte.Line, mask uint64) []byte {
-	var buf [pte.LineBytes]byte
-	n := gatherFieldInto(&buf, line, mask)
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return out
-}
-
 // scatterField writes the bit stream into the mask-selected bits of each
-// PTE, inverting gatherField. Bits past the end of data read as zero.
+// PTE, inverting gatherFieldInto. Bits past the end of data read as zero.
 func scatterField(line pte.Line, mask uint64, data []byte) pte.Line {
 	pos := 0
 	for i, e := range line {
@@ -98,6 +88,12 @@ func scatterField(line pte.Line, mask uint64, data []byte) pte.Line {
 		}
 		line[i] = pte.Entry(v)
 	}
+	return line
+}
+
+// flipBit returns line with bit b of PTE i inverted.
+func flipBit(line pte.Line, i, b int) pte.Line {
+	line[i] = pte.Entry(uint64(line[i]) ^ 1<<uint(b))
 	return line
 }
 

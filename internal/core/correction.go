@@ -26,10 +26,9 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 
 	// The guess loop dominates the verify hot path: every candidate is the
 	// faulty image with a handful of bits changed, i.e. it differs from the
-	// base in at most a couple of 16-byte cipher chunks. Enciphering the
-	// base image's chunks once and re-enciphering only each candidate's
-	// dirty chunks cuts the cipher work of the x86_64 search (up to 372
-	// guesses) by roughly 4x versus a full 4-chunk MAC per guess. Every
+	// base in at most a couple of cipher chunks. The base image's chunks are
+	// enciphered once, and each guess re-enciphers only its dirty chunks:
+	// one chunk encryption per step-2 candidate instead of Chunks(). Every
 	// guess still counts as one ReadMACCompute (one logical verification);
 	// ChunkEncrypts carries the honest cipher-work accounting.
 	cc := g.auth.Precompute(maskedImage(line, f.ProtectedMask), addr)
@@ -56,17 +55,23 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 	// Step 2: flip and check every protected bit (single bit-flip in the
 	// payload, possibly alongside MAC-bit faults absorbed by soft match).
 	// This is the bulk of the search (ProtectedBits x 8 candidates, in
-	// (PTE, bit) order); each candidate dirties one cipher chunk.
+	// (PTE, bit) order). A candidate's masked image is the base image with
+	// bit 64i+b flipped, so ComputeFlip scores it from the cache without
+	// building the image: one chunk encryption, as check would charge.
 	if !g.cfg.DisableFlipAndCheck {
 		for i := range line {
 			m := f.ProtectedMask
 			for m != 0 {
 				b := bits.TrailingZeros64(m)
 				m &= m - 1
-				cand := line
-				cand[i] = pte.Entry(uint64(cand[i]) ^ 1<<uint(b))
-				if check(cand) {
-					return cand, guesses, true
+				guesses++
+				if g.cfg.OptZeroMAC && g.isZeroProtected(flipBit(line, i, b), stored, k) {
+					return flipBit(line, i, b), guesses, true
+				}
+				g.ctr.ChunkEncrypts++
+				g.ctr.ReadMACComputes++
+				if ok, err := g.auth.ComputeFlip(&cc, 64*i+b).SoftMatch(stored, k); err == nil && ok {
+					return flipBit(line, i, b), guesses, true
 				}
 			}
 		}

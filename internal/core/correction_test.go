@@ -32,11 +32,6 @@ func writePTE(tb testing.TB, g *Guard, line pte.Line, addr uint64) pte.Line {
 	return w.Line
 }
 
-func flipBit(l pte.Line, entry, bit int) pte.Line {
-	l[entry] = pte.Entry(uint64(l[entry]) ^ 1<<uint(bit))
-	return l
-}
-
 func TestGMaxMatchesPaper(t *testing.T) {
 	g := correctionGuard(t, nil)
 	if got := g.GMax(); got != 372 {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 
 	"ptguard/internal/dram"
@@ -23,6 +24,7 @@ func TestParseSpecs(t *testing.T) {
 		{"burst:p=0.5,run=2", "burst(p=0.5,run=2)"},
 		{"dqpin:beats=5", "dqpin(p=0.9,beats=5)"},
 		{"polarity", "polarity(p1to0=0.0078125,p0to1=0.001953125)"},
+		{"polarity:p1to0=0", "polarity(p1to0=0,p0to1=0.001953125)"},
 		{"rowsev:base=1/64", "rowsev(base=0.015625)"},
 		{"targeted", "targeted(pfn,flips=2)"},
 		{"targeted:field=flags,flips=1", "targeted(flags,flips=1)"},
@@ -42,6 +44,8 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", "bogus", "uniform:p=2", "uniform:p=x", "kbit", "kbit:n=0",
 		"burst:run=65", "dqpin:beats=0", "targeted:field=mac", "uniform:p", "uniform:p=NaN",
+		// Models that can never flip a bit.
+		"uniform:p=0", "burst:p=0", "dqpin:p=0", "rowsev:base=0", "polarity:p1to0=0,p0to1=0",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
@@ -295,6 +299,38 @@ func TestCampaignDetectionNoSilent(t *testing.T) {
 		}
 		if m.FlipsInjected != uint64(n*res.Trials) {
 			t.Errorf("%dbit: %d flips over %d trials", n, m.FlipsInjected, res.Trials)
+		}
+	}
+}
+
+// TestCampaignDetectsEveryModel is the property "PT-Guard detection is
+// 100% under every fault model": for every DefaultTaxonomy model, with
+// correction off and on, no corrupted payload is served (silently or as a
+// wrong correction), no clean read raises an alarm, and every faulty line
+// is detected or corrected.
+func TestCampaignDetectsEveryModel(t *testing.T) {
+	const lines = 100
+	for _, m := range DefaultTaxonomy() {
+		for _, correct := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/correct=%t", m.Name(), correct), func(t *testing.T) {
+				res, err := RunCampaign(CampaignConfig{
+					Model:            m,
+					Lines:            lines,
+					Seed:             0xA11,
+					EnableCorrection: correct,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mx := res.Matrix
+				if mx.Silent != 0 || mx.Miscorrected != 0 || mx.FalseAlarms != 0 {
+					t.Errorf("unsafe outcomes %+v", mx)
+				}
+				if mx.Faulty() != lines || mx.CoveragePct() != 100 {
+					t.Errorf("%d faulty lines at %.2f%% coverage, want %d at 100%%",
+						mx.Faulty(), mx.CoveragePct(), lines)
+				}
+			})
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -73,6 +74,9 @@ func build(name string, kv map[string]string) (dram.FlipModel, error) {
 		if err != nil {
 			return nil, err
 		}
+		if p == 0 {
+			return nil, errors.New("uniform p=0 never flips a bit")
+		}
 		return Uniform{P: p}, nil
 	case "1bit", "2bit", "3bit":
 		n := int(name[0] - '0')
@@ -98,6 +102,9 @@ func build(name string, kv map[string]string) (dram.FlipModel, error) {
 		if run <= 0 || run > 64 {
 			return nil, fmt.Errorf("burst run %d outside [1, 64]", run)
 		}
+		if p == 0 {
+			return nil, errors.New("burst p=0 never flips a bit")
+		}
 		return Burst{PLine: p, MaxRun: run}, nil
 	case "dqpin":
 		p, err := probArg(kv, "p", 0.9)
@@ -111,6 +118,9 @@ func build(name string, kv map[string]string) (dram.FlipModel, error) {
 		if beats <= 0 || beats > 8 {
 			return nil, fmt.Errorf("dqpin beats %d outside [1, 8]", beats)
 		}
+		if p == 0 {
+			return nil, errors.New("dqpin p=0 never flips a bit")
+		}
 		return DQPin{PLine: p, Beats: beats}, nil
 	case "polarity":
 		pt, err := probArg(kv, "p1to0", 1.0/128)
@@ -121,11 +131,17 @@ func build(name string, kv map[string]string) (dram.FlipModel, error) {
 		if err != nil {
 			return nil, err
 		}
+		if pt == 0 && pa == 0 {
+			return nil, errors.New("polarity p1to0=0,p0to1=0 never flips a bit")
+		}
 		return Polarity{PTrue: pt, PAnti: pa}, nil
 	case "rowsev":
 		base, err := probArg(kv, "base", 1.0/256)
 		if err != nil {
 			return nil, err
+		}
+		if base == 0 {
+			return nil, errors.New("rowsev base=0 never flips a bit")
 		}
 		return RowSeverity{Base: base}, nil
 	case "targeted":

@@ -69,18 +69,55 @@ func TestComputeDeltaCleanCandidateIsFree(t *testing.T) {
 	}
 }
 
+// TestComputeFlipMatchesCompute: the one-bit path must give Compute's tag
+// for every one of the 512 line bits, under both ciphers, at a
+// line-aligned address and at one whose chunk addresses carry out of the
+// chunk index bits and wrap past 2^64, and it must leave the cache as it
+// found it.
+func TestComputeFlipMatchesCompute(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{name: "qarma128"},
+		{name: "qarma64", opts: []Option{WithQARMA64()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := testAuth(t, tc.opts...)
+			r := stats.NewRNG(0xF11B)
+			for _, addr := range []uint64{0x7_5A40, 0xFFFF_FFFF_FFFF_FFE8} {
+				base := randLine(r)
+				cc := a.Precompute(base, addr)
+				primed := cc
+				for bit := 0; bit < 8*LineBytes; bit++ {
+					cand := base
+					cand[bit/8] ^= 1 << (bit % 8)
+					if got, want := a.ComputeFlip(&cc, bit), a.Compute(cand, addr); !got.Equal(want) {
+						t.Fatalf("addr %#x bit %d: ComputeFlip %x, Compute %x", addr, bit, got.Raw(), want.Raw())
+					}
+				}
+				if cc != primed {
+					t.Fatalf("addr %#x: ComputeFlip changed the cache", addr)
+				}
+			}
+		})
+	}
+}
+
 // FuzzComputeDelta cross-checks the incremental MAC against the full
 // recompute on a fuzzer-chosen key seed, cipher, address and candidate
 // edit, and checks that exactly the differing chunks are re-enciphered.
-// The address is used unmasked, so chunk addresses that carry out of the
-// chunk index bits or wrap past 2^64 are reached: every cached tweak
-// expansion must come from its own chunk's address.
+// It also checks the one-bit path: ComputeFlip of a fuzzer-chosen line
+// bit against Compute of the base with that bit flipped. The address is
+// used unmasked, so chunk addresses that carry out of the chunk index bits
+// or wrap past 2^64 are reached: every cached tweak expansion must come
+// from its own chunk's address.
 func FuzzComputeDelta(f *testing.F) {
-	f.Add(uint64(1), false, uint64(0x5a5a40), []byte{0})
-	f.Add(uint64(2), false, uint64(0x5a5a58), []byte{0xFF, 0x40, 7})
-	f.Add(uint64(3), true, uint64(0xFFFF_FFFF_FFFF_FFE8), []byte("delta"))
-	f.Add(uint64(0xDEAD), false, ^uint64(0), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 1}, 8))
-	f.Fuzz(func(t *testing.T, seed uint64, use64 bool, addr uint64, edit []byte) {
+	f.Add(uint64(1), false, uint64(0x5a5a40), []byte{0}, uint16(0))
+	f.Add(uint64(2), false, uint64(0x5a5a58), []byte{0xFF, 0x40, 7}, uint16(200))
+	f.Add(uint64(3), true, uint64(0xFFFF_FFFF_FFFF_FFE8), []byte("delta"), uint16(511))
+	f.Add(uint64(0xDEAD), false, ^uint64(0), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 1}, 8), uint16(383))
+	f.Fuzz(func(t *testing.T, seed uint64, use64 bool, addr uint64, edit []byte, bit uint16) {
 		var opts []Option
 		if use64 {
 			opts = append(opts, WithQARMA64())
@@ -112,6 +149,12 @@ func FuzzComputeDelta(f *testing.F) {
 		}
 		if enc != dirty {
 			t.Fatalf("addr %#x: %d chunk encryptions for %d differing chunks", addr, enc, dirty)
+		}
+		b := int(bit) % (8 * LineBytes)
+		flipped := base
+		flipped[b/8] ^= 1 << (b % 8)
+		if got, want := a.ComputeFlip(&cc, b), a.Compute(flipped, addr); !got.Equal(want) {
+			t.Fatalf("addr %#x bit %d: ComputeFlip tag %x, Compute %x", addr, b, got.Raw(), want.Raw())
 		}
 	})
 }
@@ -147,6 +190,9 @@ func TestComputeDeltaZeroAlloc(t *testing.T) {
 	cand[17] ^= 0x10 // one dirty chunk
 	if n := testing.AllocsPerRun(200, func() { sinkTag, _ = a.ComputeDelta(&cc, &cand) }); n != 0 {
 		t.Errorf("ComputeDelta allocates %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { sinkTag = a.ComputeFlip(&cc, 8*17+4) }); n != 0 {
+		t.Errorf("ComputeFlip allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		cc2 := a.Precompute(base, 0xC0C0)

@@ -56,11 +56,9 @@ func (t Tag) HammingDistance(o Tag) (int, error) {
 	if t.bits != o.bits {
 		return 0, fmt.Errorf("mac: width mismatch %d vs %d", t.bits, o.bits)
 	}
-	d := 0
-	for i := range t.data {
-		d += bits.OnesCount8(t.data[i] ^ o.data[i])
-	}
-	return d, nil
+	lo := binary.LittleEndian.Uint64(t.data[:8]) ^ binary.LittleEndian.Uint64(o.data[:8])
+	hi := binary.LittleEndian.Uint64(t.data[8:]) ^ binary.LittleEndian.Uint64(o.data[8:])
+	return bits.OnesCount64(lo) + bits.OnesCount64(hi), nil
 }
 
 // SoftMatch reports whether the tags are within k bit-flips of each other:
@@ -240,15 +238,18 @@ func (a *Authenticator) encryptLine(out *[chunks128]qarma.Block, line *[LineByte
 	}
 }
 
+// chunkInput64 returns the QARMA-64 cipher input of 8-byte chunk i of a
+// line at addr, the chunk XORed with its own address, and that address,
+// which is also the chunk's tweak.
+func chunkInput64(line *[LineBytes]byte, addr uint64, i int) (in, chunkAddr uint64) {
+	chunkAddr = addr + uint64(i*qarma.Block64Size)
+	return binary.LittleEndian.Uint64(line[i*qarma.Block64Size:]) ^ chunkAddr, chunkAddr
+}
+
 // encryptChunk64 enciphers 8-byte chunk i under QARMA-64, bound to the
 // chunk's own address.
 func (a *Authenticator) encryptChunk64(line *[LineBytes]byte, addr uint64, i int) uint64 {
-	var chunk uint64
-	for b := 0; b < 8; b++ {
-		chunk |= uint64(line[i*qarma.Block64Size+b]) << (8 * b)
-	}
-	chunkAddr := addr + uint64(i*qarma.Block64Size)
-	return a.cipher64.Encrypt(chunk^chunkAddr, chunkAddr)
+	return a.cipher64.Encrypt(chunkInput64(line, addr, i))
 }
 
 // tagFromBlock masks a folded 128-bit accumulator down to the tag width.
@@ -260,11 +261,14 @@ func (a *Authenticator) tagFromBlock(acc qarma.Block) Tag {
 }
 
 // tagFromUint64 masks a folded 64-bit accumulator down to the tag width.
-func (a *Authenticator) tagFromUint64(acc uint64) Tag {
+func (a *Authenticator) tagFromUint64(acc uint64) Tag { return a.tagFromWords(acc, 0) }
+
+// tagFromWords masks a folded 128-bit accumulator, held as two
+// little-endian words, down to the tag width.
+func (a *Authenticator) tagFromWords(lo, hi uint64) Tag {
 	t := Tag{bits: a.tagBits}
-	for b := 0; b < 8; b++ {
-		t.data[b] = byte(acc >> (8 * b))
-	}
+	binary.LittleEndian.PutUint64(t.data[:8], lo)
+	binary.LittleEndian.PutUint64(t.data[8:], hi)
 	maskTail(&t.data, a.tagBits)
 	return t
 }
@@ -291,20 +295,23 @@ func (a *Authenticator) Compute(line [LineBytes]byte, addr uint64) Tag {
 	return a.tagFromBlock(acc)
 }
 
-// ChunkCache holds the per-chunk cipher outputs of one base line image at
-// one address. The §VI-D correction search checks hundreds of candidate
-// lines that each differ from the faulty base image in at most a chunk or
-// two; caching the base chunk outputs lets each candidate re-encipher only
-// its dirty chunks instead of recomputing the full four-chunk MAC. Under
-// QARMA-128 it also keeps each chunk's tweak expansion: a chunk's tweak is
-// fixed by its address, so a dirty chunk goes straight to the cipher
-// kernel.
+// ChunkCache holds the per-chunk cipher inputs and outputs of one base
+// line image at one address, and the fold of those outputs. The §VI-D
+// correction search checks hundreds of candidate lines that each differ
+// from the faulty base image in at most a chunk or two; caching the base
+// chunk outputs lets each candidate re-encipher only its dirty chunks
+// instead of recomputing the full MAC. Under QARMA-128 it also keeps each
+// chunk's tweak expansion: a chunk's tweak is fixed by its address, so a
+// dirty chunk goes straight to the cipher kernel.
 type ChunkCache struct {
 	base  [LineBytes]byte
 	addr  uint64
+	in    [chunks128]qarma.Block   // QARMA-128 mode
 	out   [chunks128]qarma.Block   // QARMA-128 mode
 	tk    [chunks128]qarma.Tweakey // QARMA-128 mode
+	in64  [chunks64]uint64         // QARMA-64 mode
 	out64 [chunks64]uint64         // QARMA-64 mode
+	fold  [2]uint64                // XOR of the outputs, little-endian words
 	use64 bool
 }
 
@@ -315,17 +322,48 @@ type ChunkCache struct {
 func (a *Authenticator) Precompute(line [LineBytes]byte, addr uint64) ChunkCache {
 	cc := ChunkCache{base: line, addr: addr, use64: a.cipher64 != nil}
 	if cc.use64 {
-		for i := 0; i < chunks64; i++ {
-			cc.out64[i] = a.encryptChunk64(&cc.base, addr, i)
+		for i := range cc.out64 {
+			in, chunkAddr := chunkInput64(&cc.base, addr, i)
+			cc.in64[i] = in
+			cc.out64[i] = a.cipher64.Encrypt(in, chunkAddr)
+			cc.fold[0] ^= cc.out64[i]
 		}
 		return cc
 	}
 	for i := range cc.out {
 		tweak := chunkTweak(addr + uint64(i*qarma.BlockSize))
 		a.cipher.ExpandTweak(&cc.tk[i], tweak)
-		cc.out[i] = a.cipher.EncryptExpanded(chunkInput(&cc.base, i, tweak), &cc.tk[i])
+		cc.in[i] = chunkInput(&cc.base, i, tweak)
+		cc.out[i] = a.cipher.EncryptExpanded(cc.in[i], &cc.tk[i])
+		cc.fold[0] ^= binary.LittleEndian.Uint64(cc.out[i][:8])
+		cc.fold[1] ^= binary.LittleEndian.Uint64(cc.out[i][8:])
 	}
 	return cc
+}
+
+// ComputeFlip returns the MAC of the cached base image with one bit
+// flipped: line bit `bit`, bit bit%8 of byte bit/8, so bit b of PTE i is
+// bit 64i+b. Only the chunk holding that bit changes, so its cached cipher
+// input with the bit flipped is enciphered once, and the result replaces
+// that chunk's output in the cached fold. It costs exactly one chunk
+// encryption, and the tag equals ComputeDelta (and so Compute) over the
+// flipped image. The §VI-D flip-and-check step scores each of its
+// single-bit candidates this way.
+func (a *Authenticator) ComputeFlip(cc *ChunkCache, bit int) Tag {
+	if cc.use64 {
+		i := bit / (8 * qarma.Block64Size)
+		chunkAddr := cc.addr + uint64(i*qarma.Block64Size)
+		out := a.cipher64.Encrypt(cc.in64[i]^1<<uint(bit%(8*qarma.Block64Size)), chunkAddr)
+		return a.tagFromUint64(cc.fold[0] ^ cc.out64[i] ^ out)
+	}
+	i := bit / (8 * qarma.BlockSize)
+	in := cc.in[i]
+	in[bit/8%qarma.BlockSize] ^= 1 << uint(bit%8)
+	out := a.cipher.EncryptExpanded(in, &cc.tk[i])
+	old := &cc.out[i]
+	lo := cc.fold[0] ^ binary.LittleEndian.Uint64(old[:8]) ^ binary.LittleEndian.Uint64(out[:8])
+	hi := cc.fold[1] ^ binary.LittleEndian.Uint64(old[8:]) ^ binary.LittleEndian.Uint64(out[8:])
+	return a.tagFromWords(lo, hi)
 }
 
 // ComputeDelta returns the MAC of cand at the cache's address,
