@@ -80,6 +80,10 @@ func TestCommandLineTools(t *testing.T) {
 		{"ptguard-report", "report-all", []string{"report"}},
 		{"ptguard-security", "security", []string{"security"}},
 		{"ptguard-profile-processes_8", "profile-8", []string{"profile", "-processes", "8"}},
+		// Fig. 8 at its documented scale (623 processes, EXPERIMENTS.md).
+		// Each process returns its frames before the next is built, so a
+		// frame leaked or freed twice in teardown moves these numbers.
+		{"ptguard-profile", "profile-623", []string{"profile"}},
 		{"ptguard-sweep-correction_lines_40", "sweep-correction-40",
 			[]string{"sweep", "-sections", "correction", "-correction-lines", "40", "-quiet"}},
 		// Fig. 9's headline at its documented scale (EXPERIMENTS.md).

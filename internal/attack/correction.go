@@ -219,8 +219,9 @@ func (cfg TraceCorrectionConfig) guardConfig() (core.Config, error) {
 }
 
 // samplePool builds the shuffled line pool for seed, so every flip
-// probability is evaluated over the same line population, and protects
-// its first min(lines, len(pool)) entries, the only ones the trials visit.
+// probability is evaluated over the same line population, and reads and
+// protects its first min(lines, Len()) lines, the only ones the trials
+// visit.
 // A protected line's image depends on nothing but the key, format, tag
 // width, address and line, so each is the image a flush of every table
 // line would have stored.
@@ -229,11 +230,15 @@ func samplePool(guardCfg core.Config, seed uint64, lines int) ([]sample, error) 
 	if err != nil {
 		return nil, err
 	}
-	_, pool, err := ostable.SynthesizePool(alloc, seed)
+	pool, err := ostable.SynthesizePool(alloc, seed)
 	if err != nil {
 		return nil, err
 	}
-	return protect(guardCfg, pool[:min(lines, len(pool))])
+	sampled := make([]ostable.PoolLine, min(lines, pool.Len()))
+	for i := range sampled {
+		sampled[i] = pool.Line(i)
+	}
+	return protect(guardCfg, sampled)
 }
 
 // sample is one protected line a Fig. 9 trial draws: its address, its

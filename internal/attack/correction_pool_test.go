@@ -99,16 +99,16 @@ func TestSamplePoolMatchesFullFlush(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, pool, err := ostable.SynthesizePool(alloc, seed)
+				pool, err := ostable.SynthesizePool(alloc, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(pool) != len(addrs) {
-					t.Fatalf("pool has %d lines, full flush %d", len(pool), len(addrs))
+				if pool.Len() != len(addrs) {
+					t.Fatalf("pool has %d lines, full flush %d", pool.Len(), len(addrs))
 				}
-				for i := range pool {
-					if pool[i].Addr != addrs[i] || pool[i].Line != arch[i] {
-						t.Fatalf("pool line %d = %#x, full flush has %#x", i, pool[i].Addr, addrs[i])
+				for i := range addrs {
+					if l := pool.Line(i); l.Addr != addrs[i] || l.Line != arch[i] {
+						t.Fatalf("pool line %d = %#x, full flush has %#x", i, l.Addr, addrs[i])
 					}
 				}
 				for i, s := range samples {

@@ -144,13 +144,13 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	// sees the same population. Every table line of every process is
 	// flushed, in process order, so the device and controller counters in
 	// the report cover the whole population.
-	tables, pool, err := ostable.SynthesizePool(alloc, cfg.Seed)
+	pool, err := ostable.SynthesizePool(alloc, cfg.Seed)
 	if err != nil {
 		return CampaignResult{}, err
 	}
 	var flushAddrs []uint64
 	var flushLines []pte.Line
-	for _, pt := range tables {
+	for _, pt := range pool.Tables() {
 		flushAddrs, flushLines = flushAddrs[:0], flushLines[:0]
 		pt.Lines(func(addr uint64, line pte.Line) {
 			flushAddrs = append(flushAddrs, addr)
@@ -160,9 +160,10 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 			return CampaignResult{}, werr
 		}
 	}
-	addrs := make([]uint64, len(pool))
-	protected := make([]pte.Line, len(pool))
-	for i, entry := range pool {
+	addrs := make([]uint64, pool.Len())
+	protected := make([]pte.Line, pool.Len())
+	for i := range addrs {
+		entry := pool.Line(i)
 		oracle.Expect(entry.Addr, entry.Line)
 		addrs[i], protected[i] = entry.Addr, dev.ReadLine(entry.Addr)
 	}
@@ -170,7 +171,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	// must audit clean — a dirty line here means the pool snapshot and the
 	// stored state already disagree, which would corrupt every verdict the
 	// oracle hands out below.
-	for i := range pool {
+	for i := range addrs {
 		if !guard.Audit(protected[i], addrs[i]) {
 			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", addrs[i])
 		}
@@ -181,7 +182,7 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		if trial >= cfg.MaxTrials {
 			break // model too weak to reach Lines faulty trials; report what we have
 		}
-		i := trial % len(pool)
+		i := trial % len(addrs)
 		dev.WriteLine(addrs[i], protected[i])
 		hmr.InjectFaults(addrs[i])
 

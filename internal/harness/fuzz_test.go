@@ -36,8 +36,9 @@ func buildJournal(t testing.TB, fingerprint string, n int) []byte {
 // FuzzJournalLoad feeds arbitrary bytes to the journal loader. Properties:
 // it never panics, never errors except on a fingerprint mismatch, never
 // accepts a journal whose header names a different campaign, never accepts
-// a record without a valid CRC frame (a v1 plain entry included), and its
-// surviving state round-trips exactly through an atomic compaction.
+// a record unless the header names this campaign, never accepts a record
+// without a valid CRC frame (a v1 plain entry included), and its surviving
+// state round-trips exactly through an atomic compaction.
 func FuzzJournalLoad(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(buildJournal(f, "fp", 3))
@@ -47,6 +48,9 @@ func FuzzJournalLoad(f *testing.F) {
 	f.Add([]byte(`{"crc":"00000000","e":{"key":"a","result":1}}` + "\n"))
 	f.Add([]byte("{\"key\":\"torn\",\"resu"))
 	f.Add([]byte("\n\n\r\n{not json}\n" + strings.Repeat("x", 4096)))
+	// A valid record under a header that names no campaign, and under none.
+	f.Add(buildJournal(f, "", 1))
+	f.Add(bytes.SplitN(buildJournal(f, "", 1), []byte("\n"), 2)[1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const fp = "fuzz-fingerprint"
 		st, err := loadJournal(bytes.NewReader(data), fp)
@@ -59,13 +63,18 @@ func FuzzJournalLoad(f *testing.F) {
 			}
 			return
 		}
-		// Never accept a journal that declares a different campaign.
-		if first, _, _ := bytes.Cut(data, []byte("\n")); len(first) > 0 {
-			var h journalHeader
-			if jerr := json.Unmarshal(first, &h); jerr == nil &&
-				h.Magic == journalMagic && h.Fingerprint != "" && h.Fingerprint != fp {
-				t.Fatalf("accepted journal with foreign fingerprint %q", h.Fingerprint)
-			}
+		// Never accept a journal that declares a different campaign, nor a
+		// record unless the header declares this one.
+		var h journalHeader
+		first, _, _ := bytes.Cut(data, []byte("\n"))
+		if json.Unmarshal(trimEOL(first), &h) != nil || h.Magic != journalMagic {
+			h = journalHeader{}
+		}
+		if h.Fingerprint != "" && h.Fingerprint != fp {
+			t.Fatalf("accepted journal with foreign fingerprint %q", h.Fingerprint)
+		}
+		if n := len(st.completed) + len(st.failures); n > 0 && h.Fingerprint != fp {
+			t.Fatalf("accepted %d records under a header naming %q, want %q", n, h.Fingerprint, fp)
 		}
 		framed := make(map[string]bool)
 		for _, line := range bytes.Split(data, []byte("\n")) {

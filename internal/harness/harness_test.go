@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -252,6 +253,44 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 		Options{JournalPath: journal, Fingerprint: "spec-v2"})
 	if err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("err = %v, want fingerprint mismatch", err)
+	}
+}
+
+// TestJournalWithoutFingerprintRefused resumes a fingerprinted campaign
+// from a journal holding one valid CRC-framed record (result 999) under a
+// header that names no campaign, and under no header at all. Nothing ties
+// that record to the campaign, so Run must refuse the journal, run no job
+// and leave the file as it was.
+func TestJournalWithoutFingerprintRefused(t *testing.T) {
+	entry := []byte(`{"key":"a","result":999,"attempts":1,"elapsed_ms":1}`)
+	record, err := json.Marshal(journalFrame{CRC: frameCRC(entry), Entry: entry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, header := range map[string]string{
+		"header without fingerprint": `{"journal":"ptguard-harness","version":2}` + "\n",
+		"no header":                  "",
+	} {
+		t.Run(name, func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "campaign.jsonl")
+			data := []byte(header + string(record) + "\n")
+			if err := os.WriteFile(journal, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var ran atomic.Int64
+			jobs := []Job[int]{{Key: "a", Run: func(context.Context) (int, error) { ran.Add(1); return 1, nil }}}
+			_, err := Run(context.Background(), jobs,
+				Options{JournalPath: journal, Fingerprint: "sweep seed=1 results=v1 spec=x"})
+			if err == nil || !strings.Contains(err.Error(), "different campaign") {
+				t.Fatalf("err = %v, want fingerprint mismatch", err)
+			}
+			if ran.Load() != 0 {
+				t.Errorf("%d jobs ran", ran.Load())
+			}
+			if after, _ := os.ReadFile(journal); !bytes.Equal(after, data) {
+				t.Errorf("refused journal rewritten:\n%s", after)
+			}
+		})
 	}
 }
 

@@ -141,7 +141,11 @@ func (st *journalState) add(e journalEntry) {
 // (the old bufio.Scanner path aborted resume on any record past 16MB with
 // an opaque "token too long"). The only hard errors are I/O failures and a
 // fingerprint mismatch; every malformed record is either the torn tail
-// (skipped) or quarantined with a descriptive per-record reason.
+// (skipped) or quarantined with a descriptive per-record reason. When the
+// campaign has a fingerprint, a journal whose header names another one is
+// a mismatch, and so is one that yields a record under a header naming
+// none, or under no header at all: nothing ties such a record to this
+// campaign.
 func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 	st := &journalState{
 		completed: make(map[string]journalEntry),
@@ -151,6 +155,7 @@ func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	lineNo := 0
 	sawHeader := false
+	headerFingerprint := ""
 	for {
 		line, err := br.ReadBytes('\n')
 		atEOF := errors.Is(err, io.EOF)
@@ -171,10 +176,9 @@ func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 				var h journalHeader
 				if jerr := json.Unmarshal(line, &h); jerr == nil && h.Magic == journalMagic {
 					st.version = h.Version
+					headerFingerprint = h.Fingerprint
 					if fingerprint != "" && h.Fingerprint != "" && h.Fingerprint != fingerprint {
-						return nil, fmt.Errorf(
-							"harness: journal belongs to a different campaign (fingerprint %q, want %q)",
-							h.Fingerprint, fingerprint)
+						return nil, foreignJournal(h.Fingerprint, fingerprint)
 					}
 					if atEOF {
 						break
@@ -190,7 +194,16 @@ func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 			break
 		}
 	}
+	if fingerprint != "" && headerFingerprint != fingerprint && len(st.completed)+len(st.failures) > 0 {
+		return nil, foreignJournal(headerFingerprint, fingerprint)
+	}
 	return st, nil
+}
+
+// foreignJournal is the mismatch error for a journal whose header names
+// fingerprint got ("" when it names none) where the campaign wants want.
+func foreignJournal(got, want string) error {
+	return fmt.Errorf("harness: journal belongs to a different campaign (fingerprint %q, want %q)", got, want)
 }
 
 // loadRecord classifies one non-empty journal line: a v2 CRC frame, a

@@ -175,12 +175,11 @@ func TestPageTablesStructure(t *testing.T) {
 	mustMap(0x4000_0000_0000, 1)
 	mustMap(0x4000_0000_1000, 2)
 	mustMap(0x2000_0000_0000, 3)
-	counts := pt.TablePageCount()
-	if counts[0] != 1 {
-		t.Errorf("PML4 pages = %d, want 1", counts[0])
+	if n := len(pt.tablePages[0]); n != 1 {
+		t.Errorf("PML4 pages = %d, want 1", n)
 	}
-	if counts[3] != 2 {
-		t.Errorf("leaf PT pages = %d, want 2", counts[3])
+	if n := len(pt.tablePages[3]); n != 2 {
+		t.Errorf("leaf PT pages = %d, want 2", n)
 	}
 	if got := len(pt.LeafTablePages()); got != 2 {
 		t.Errorf("LeafTablePages = %d, want 2", got)
@@ -278,6 +277,45 @@ func TestPopulationMatchesPaperLocality(t *testing.T) {
 	}
 }
 
+// TestRunPopulationReturnsEveryFrame runs populations on allocators too
+// small to finish their processes, so that some process allocates a
+// cluster MapRange cannot finish mapping, and checks that teardown returns
+// every frame a process took: afterwards the allocator holds only the
+// frames waiting in the scatter list.
+func TestRunPopulationReturnsEveryFrame(t *testing.T) {
+	newPop := func(frames uint64) (*Population, *FrameAllocator) {
+		a := testAlloc(t, frames)
+		cfg := DefaultSynthConfig()
+		cfg.Seed = frames
+		pop, err := NewPopulation(cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pop, a
+	}
+	unfinished := 0
+	for frames := uint64(40); frames < 3000; frames += 29 {
+		probe, _ := newPop(frames)
+		if _, err := probe.SynthesizeProcess(); err != nil {
+			t.Fatal(err)
+		}
+		if len(probe.unmapped) > 0 {
+			unfinished++
+		}
+		pop, a := newPop(frames)
+		if _, err := RunPopulation(pop, 3); err != nil {
+			t.Fatal(err)
+		}
+		if a.UsedFrames() != uint64(len(pop.scatter)) {
+			t.Fatalf("%d frames: %d used after teardown, %d in the scatter list",
+				frames, a.UsedFrames(), len(pop.scatter))
+		}
+	}
+	if unfinished == 0 {
+		t.Error("no allocator size left a cluster unfinished; the test misses that path")
+	}
+}
+
 func TestProfileClassification(t *testing.T) {
 	a := testAlloc(t, 1<<14)
 	pt, _ := NewPageTables(a)
@@ -324,22 +362,22 @@ func TestMapHugeTranslate(t *testing.T) {
 	if err := pt.MapHuge(vaddr, basePFN, pte.Entry(0).SetBit(pte.BitWritable, true)); err != nil {
 		t.Fatal(err)
 	}
-	// Every 4 KB page inside the huge mapping translates.
-	for _, off := range []uint64{0, pte.PageSize, HugePageSize - pte.PageSize} {
+	// Every 4 KB page inside the huge mapping translates, and nothing
+	// beside it does.
+	for off := uint64(0); off < HugePageSize; off += pte.PageSize {
 		got, ok := pt.Translate(vaddr + off)
 		want := basePFN + off/pte.PageSize
 		if !ok || got != want {
 			t.Fatalf("Translate(+%#x) = %#x,%v want %#x", off, got, ok, want)
 		}
 	}
-	if _, ok := pt.Translate(vaddr + HugePageSize); ok {
-		t.Error("address beyond the huge page translated")
-	}
-	if pt.MappedPages() != hugePFNSpan {
-		t.Errorf("mapped pages = %d, want %d", pt.MappedPages(), hugePFNSpan)
+	for _, v := range []uint64{vaddr - pte.PageSize, vaddr + HugePageSize} {
+		if _, ok := pt.Translate(v); ok {
+			t.Errorf("address %#x beside the huge page translated", v)
+		}
 	}
 	// No leaf PT page is allocated for a huge mapping.
-	if got := pt.TablePageCount()[3]; got != 0 {
+	if got := len(pt.tablePages[3]); got != 0 {
 		t.Errorf("leaf PT pages = %d, want 0", got)
 	}
 }

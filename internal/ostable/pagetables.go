@@ -47,16 +47,18 @@ type PageTables struct {
 	// profiling and teardown; tablePages[3] are leaf PT pages.
 	tablePages [tableLevels][]uint64
 
-	// owned records data frames whose lifetime is tied to this process
-	// (used by the population synthesiser for teardown).
-	owned []uint64
-
 	// parents maps each non-root table page's base address to the
 	// physical address of the parent entry referencing it, enabling the
 	// §IV-G row-remap recovery.
 	parents map[uint64]uint64
 
-	mapped uint64 // leaf mappings installed
+	// leaf is the leaf table MapRange last filled, the one covering the
+	// 2 MB region leafRegion (vaddr / HugePageSize), or nil. Once a leaf
+	// table exists its parent entry stays present and never becomes a
+	// huge page, and RemapTablePage moves the same page object, so the
+	// memo stays valid until Free.
+	leaf       *tablePage
+	leafRegion uint64
 }
 
 // NewPageTables allocates an empty root table from alloc.
@@ -80,24 +82,12 @@ func NewPageTables(alloc *FrameAllocator) (*PageTables, error) {
 // Root returns the physical address of the PML4 (the CR3 value).
 func (p *PageTables) Root() uint64 { return p.root }
 
-// MappedPages returns the number of installed leaf mappings.
-func (p *PageTables) MappedPages() uint64 { return p.mapped }
-
 // LeafTablePages returns the physical page addresses of all leaf PT pages.
 func (p *PageTables) LeafTablePages() []uint64 {
 	out := make([]uint64, len(p.tablePages[tableLevels-1]))
 	copy(out, p.tablePages[tableLevels-1])
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// TablePageCount returns the number of table pages at each level.
-func (p *PageTables) TablePageCount() [tableLevels]int {
-	var n [tableLevels]int
-	for l := range p.tablePages {
-		n[l] = len(p.tablePages[l])
-	}
-	return n
 }
 
 func (p *PageTables) allocTable(level int) (uint64, error) {
@@ -145,9 +135,10 @@ func (p *PageTables) Map(vaddr, pfn uint64, flags pte.Entry) error {
 
 // MapRange installs vaddr+i*4 KB -> pfn+i for each i < n with the given
 // leaf entry flags, creating intermediate tables on demand. It walks the
-// upper three levels once per leaf table it fills, and its result —
-// allocations, table contents and the error — is that of n Map calls in
-// order, stopping at the first failure.
+// upper three levels once per leaf table it fills, and not at all while it
+// keeps filling the leaf table its previous call left off in, and its
+// result — allocations, table contents and the error — is that of n Map
+// calls in order, stopping at the first failure.
 func (p *PageTables) MapRange(vaddr, pfn uint64, n int, flags pte.Entry) error {
 	if vaddr%pte.PageSize != 0 {
 		return fmt.Errorf("ostable: unaligned vaddr %#x", vaddr)
@@ -157,18 +148,20 @@ func (p *PageTables) MapRange(vaddr, pfn uint64, n int, flags pte.Entry) error {
 	}
 	leaf := flags.SetBit(pte.BitPresent, true)
 	for n > 0 {
-		base, err := p.walk(vaddr, tableLevels-1)
-		if err != nil {
-			return err
+		if region := vaddr / HugePageSize; p.leaf == nil || region != p.leafRegion {
+			base, err := p.walk(vaddr, tableLevels-1)
+			if err != nil {
+				return err
+			}
+			p.leaf, p.leafRegion = p.pages[base], region
 		}
-		page := p.pages[base]
+		page := p.leaf
 		for i := vaddr >> pte.PageShift % entriesPerTable; i < entriesPerTable && n > 0; i++ {
 			e := &page[i/pte.PTEsPerLine][i%pte.PTEsPerLine]
 			if e.Present() {
 				return fmt.Errorf("ostable: vaddr %#x already mapped", vaddr)
 			}
 			*e = leaf.WithPFN(pfn)
-			p.mapped++
 			vaddr += pte.PageSize
 			pfn++
 			n--
@@ -177,10 +170,16 @@ func (p *PageTables) MapRange(vaddr, pfn uint64, n int, flags pte.Entry) error {
 	return nil
 }
 
+// errFreed is the error of a map into tables that Free has released.
+var errFreed = errors.New("ostable: page tables already freed")
+
 // walk returns the base address of the table at level depth on vaddr's
 // path, creating missing tables above it. A huge page above depth is an
-// error.
+// error, and so is a walk after Free, which released even the root.
 func (p *PageTables) walk(vaddr uint64, depth int) (uint64, error) {
+	if len(p.pages) == 0 {
+		return 0, errFreed
+	}
 	base := p.root
 	for level := 0; level < depth; level++ {
 		ea := entryAddress(base, vaddr, level)
@@ -230,7 +229,6 @@ func (p *PageTables) MapHuge(vaddr, pfn uint64, flags pte.Entry) error {
 		SetBit(pte.BitHugePage, true).
 		WithPFN(pfn)
 	p.setEntry(pdEA, leaf)
-	p.mapped += hugePFNSpan
 	return nil
 }
 
@@ -326,16 +324,11 @@ func (p *PageTables) LeafLines(fn func(addr uint64, line pte.Line)) {
 	}
 }
 
-// Own ties n data frames starting at pfn to this process's lifetime, so
-// Free returns them to the allocator.
-func (p *PageTables) Own(pfn uint64, n int) {
-	for i := 0; i < n; i++ {
-		p.owned = append(p.owned, pfn+uint64(i))
-	}
-}
-
-// Free releases every table page — and every owned data frame — back to the
-// allocator (process teardown in the streaming population synthesiser).
+// Free releases every table page back to the allocator, level by level in
+// allocation order, and forgets MapRange's leaf memo, so a later Map,
+// MapRange or MapHuge is an error rather than a write into a freed page.
+// The data frames the tables map belong to the caller: RunPopulation lists
+// them from the leaf entries before it frees the tables (process teardown).
 func (p *PageTables) Free() {
 	for level := range p.tablePages {
 		for _, page := range p.tablePages[level] {
@@ -344,11 +337,30 @@ func (p *PageTables) Free() {
 		}
 		p.tablePages[level] = nil
 	}
-	for _, pfn := range p.owned {
-		_ = p.alloc.FreeOrder(pfn, 0)
-	}
-	p.owned = nil
 	p.pages = make(map[uint64]*tablePage)
+	p.leaf = nil
+}
+
+// appendLeafFrames appends the frame of every present 4 KB leaf entry to
+// dst in virtual-address order, skipping huge mappings, and returns dst.
+func (p *PageTables) appendLeafFrames(dst []uint64) []uint64 {
+	return p.appendFrames(dst, p.root, 0)
+}
+
+func (p *PageTables) appendFrames(dst []uint64, base uint64, level int) []uint64 {
+	page := p.pages[base]
+	for _, line := range page {
+		for _, e := range line {
+			switch {
+			case !e.Present():
+			case level == tableLevels-1:
+				dst = append(dst, e.PFN())
+			case !e.Bit(pte.BitHugePage):
+				dst = p.appendFrames(dst, e.PFN()<<pte.PageShift, level+1)
+			}
+		}
+	}
+	return dst
 }
 
 // PageLines calls fn for each of the 64 cachelines of the table page at

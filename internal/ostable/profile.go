@@ -162,19 +162,30 @@ func Summarize(perProc []ProcessStats) (PopulationSummary, error) {
 
 // RunPopulation streams n synthetic processes: build, profile, free. The
 // shared allocator keeps inter-process fragmentation realistic while memory
-// stays bounded.
+// stays bounded. A process is torn down in a fixed order: its table pages,
+// level by level in allocation order (PageTables.Free); then its data
+// frames, read from its leaf entries in virtual-address order, which is
+// the order populateVMA allocated them; then the frames of a cluster it
+// could not finish mapping.
 func RunPopulation(p *Population, n int) ([]ProcessStats, error) {
 	if n <= 0 {
 		return nil, errors.New("ostable: population size must be positive")
 	}
 	out := make([]ProcessStats, 0, n)
+	var frames []uint64
 	for i := 0; i < n; i++ {
 		pt, err := p.SynthesizeProcess()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ProfileProcess(pt))
+		frames = append(pt.appendLeafFrames(frames[:0]), p.unmapped...)
+		p.unmapped = p.unmapped[:0]
 		pt.Free()
+		for _, pfn := range frames {
+			// Errors cannot occur for frames the population allocated.
+			_ = p.alloc.FreeOrder(pfn, 0)
+		}
 	}
 	return out, nil
 }

@@ -81,6 +81,12 @@ type Population struct {
 	// buddy allocator would. The pool refills from a buddy block whose
 	// frames are emitted in a stride permutation to break adjacency.
 	scatter []uint64
+
+	// unmapped holds the frames of a cluster that MapRange could not
+	// finish mapping (out of memory), in allocation order. No leaf entry
+	// names them, so RunPopulation returns them after the process's mapped
+	// frames.
+	unmapped []uint64
 }
 
 // NewPopulation builds a population over the given allocator.
@@ -169,8 +175,12 @@ func (p *Population) populateVMA(pt *PageTables, base uint64, pages int, flags p
 		if err != nil {
 			return err
 		}
-		pt.Own(pfn, cluster)
 		if err := pt.MapRange(vaddr, pfn, cluster, flags); err != nil {
+			for i := 0; i < cluster; i++ {
+				if _, ok := pt.Translate(vaddr + uint64(i)*pte.PageSize); !ok {
+					p.unmapped = append(p.unmapped, pfn+uint64(i))
+				}
+			}
 			return err
 		}
 		vaddr += uint64(cluster) * pte.PageSize
@@ -211,43 +221,81 @@ type PoolLine struct {
 // poolProcesses is the number of synthetic processes behind a line pool.
 const poolProcesses = 6
 
+// Pool is the line pool the correction and fault campaigns sample (§VI-F):
+// every leaf line of a set of processes' page tables, in a shuffled order.
+// It stores the order as a permutation of line indices and builds a
+// PoolLine only when one is read.
+type Pool struct {
+	tables []*PageTables
+	// leaves lists every leaf table page, process by process and each
+	// process's in address order; line index k is line k%64 of leaves[k/64].
+	leaves []leafPage
+	// order maps a pool position to a line index.
+	order []int32
+}
+
+// leafPage is one leaf table page of a Pool: its base address and content.
+type leafPage struct {
+	base uint64
+	page *tablePage
+}
+
+// Len returns the number of lines in the pool.
+func (p *Pool) Len() int { return len(p.order) }
+
+// Line returns the pool's i-th line.
+func (p *Pool) Line(i int) PoolLine {
+	k := int(p.order[i])
+	leaf := p.leaves[k/linesPerTable]
+	return PoolLine{
+		Addr: leaf.base + uint64(k%linesPerTable*pte.LineBytes),
+		Line: leaf.page[k%linesPerTable],
+	}
+}
+
+// Tables returns the processes' page tables, in synthesis order.
+func (p *Pool) Tables() []*PageTables { return p.tables }
+
 // SynthesizePool builds the line pool the correction and fault campaigns
 // sample (§VI-F): six processes synthesised over alloc from the default
-// population seeded with seed. It returns the processes' tables, in
-// synthesis order, and every leaf line of every process, shuffled by an
-// RNG seeded with seed^0x5F0F. The shuffle is independent of everything a
-// campaign sweeps, so every sweep point visits the same lines in the same
+// population seeded with seed. Before the shuffle the pool lists every leaf
+// line of every process, process by process, each process's in address
+// order; a Fisher–Yates shuffle driven by an RNG seeded with seed^0x5F0F
+// then permutes the line indices. The shuffle is independent of everything
+// a campaign sweeps, so every sweep point visits the same lines in the same
 // order, and a small run samples a representative mix of zero-heavy and
 // dense lines. The tables stay allocated: freeing them would recycle
 // frames and alias pool addresses across processes.
-func SynthesizePool(alloc *FrameAllocator, seed uint64) ([]*PageTables, []PoolLine, error) {
+func SynthesizePool(alloc *FrameAllocator, seed uint64) (*Pool, error) {
 	cfg := DefaultSynthConfig()
 	cfg.Seed = seed
 	pop, err := NewPopulation(cfg, alloc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tables := make([]*PageTables, poolProcesses)
-	n := 0
-	for p := range tables {
-		if tables[p], err = pop.SynthesizeProcess(); err != nil {
-			return nil, nil, err
+	pool := &Pool{tables: make([]*PageTables, poolProcesses)}
+	for p := range pool.tables {
+		pt, err := pop.SynthesizeProcess()
+		if err != nil {
+			return nil, err
 		}
-		n += len(tables[p].tablePages[tableLevels-1]) * linesPerTable
+		pool.tables[p] = pt
+		for _, base := range pt.LeafTablePages() {
+			pool.leaves = append(pool.leaves, leafPage{base, pt.pages[base]})
+		}
 	}
+	n := len(pool.leaves) * linesPerTable
 	if n == 0 {
-		return nil, nil, errors.New("ostable: empty line pool")
+		return nil, errors.New("ostable: empty line pool")
 	}
-	pool := make([]PoolLine, 0, n)
-	for _, pt := range tables {
-		pt.LeafLines(func(addr uint64, line pte.Line) {
-			pool = append(pool, PoolLine{Addr: addr, Line: line})
-		})
+	pool.order = make([]int32, n)
+	for i := range pool.order {
+		pool.order[i] = int32(i)
 	}
 	shuf := stats.NewRNG(seed ^ 0x5F0F)
-	for i := len(pool) - 1; i > 0; i-- {
+	for i := n - 1; i > 0; i-- {
 		j := shuf.Intn(i + 1)
-		pool[i], pool[j] = pool[j], pool[i]
+		pool.order[i], pool.order[j] = pool.order[j], pool.order[i]
 	}
-	return tables, pool, nil
+	return pool, nil
 }
