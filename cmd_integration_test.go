@@ -194,6 +194,11 @@ func TestCommandLineTools(t *testing.T) {
 		{"soak", "-faults", "nonsense.point"},
 		{"sweep", "-format", "xml"},
 		{"sweep", "-sections", "slowdown", "-workloads", "leela", "-mac-latencies", "0"},
+		// A negative run length fails before any job runs; the warm-up
+		// was once skipped without a word.
+		{"sweep", "-sections", "slowdown", "-workloads", "leela", "-warmup", "-5", "-instructions", "2000"},
+		{"sweep", "-sections", "slowdown", "-workloads", "leela", "-instructions", "-5"},
+		{"sweep", "-sections", "multicore", "-same", "1", "-mix", "0", "-mc-warmup", "-5", "-mc-instructions", "2000"},
 		{"nonsense"},
 		// Fig. 9 and Fig. 7 are sweep sections; their old subcommands are gone.
 		{"correct"},

@@ -13,7 +13,8 @@ import (
 // DefaultFreqGHz is the core clock (Table III).
 const DefaultFreqGHz = 3.0
 
-// Config parameterises a core.
+// Config parameterises a core. The zero Config is the Table III in-order
+// core.
 type Config struct {
 	// FreqGHz is the clock frequency; 0 selects 3 GHz.
 	FreqGHz float64
@@ -24,9 +25,6 @@ type Config struct {
 	// hides a substantial fraction).
 	MLPOverlap float64
 }
-
-// InOrder returns the Table III in-order core.
-func InOrder() Config { return Config{FreqGHz: DefaultFreqGHz, BaseCPI: 1} }
 
 // OutOfOrder returns the §VII-C multicore approximation: an O3 core that
 // retires two instructions per cycle on compute and hides 40% of each

@@ -11,7 +11,7 @@ func TestNewValidation(t *testing.T) {
 		cfg     Config
 		wantErr bool
 	}{
-		{name: "in-order preset", cfg: InOrder()},
+		{name: "in-order preset", cfg: Config{FreqGHz: DefaultFreqGHz, BaseCPI: 1}},
 		{name: "o3 preset", cfg: OutOfOrder()},
 		{name: "zero value defaults", cfg: Config{}},
 		{name: "negative freq", cfg: Config{FreqGHz: -1}, wantErr: true},
@@ -30,7 +30,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestInOrderAccounting(t *testing.T) {
-	c, err := New(InOrder())
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestInOrderAccounting(t *testing.T) {
 
 func TestOutOfOrderHidesStalls(t *testing.T) {
 	o3, _ := New(OutOfOrder())
-	io, _ := New(InOrder())
+	io, _ := New(Config{})
 	for _, c := range []*Core{o3, io} {
 		c.Retire(100)
 		c.StallMemory(1000)
@@ -60,7 +60,7 @@ func TestOutOfOrderHidesStalls(t *testing.T) {
 }
 
 func TestSecondsAndZeroIPC(t *testing.T) {
-	c, _ := New(InOrder())
+	c, _ := New(Config{})
 	if c.IPC() != 0 {
 		t.Error("idle IPC should be 0")
 	}

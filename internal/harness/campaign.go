@@ -125,6 +125,9 @@ func (s SlowdownSpec) withDefaults() SlowdownSpec {
 // the same baseline) at every latency.
 func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	s = s.withDefaults()
+	if err := checkRunLength(s.Warmup, s.Instructions); err != nil {
+		return nil, err
+	}
 	// The sim reads a zero latency as its 10-cycle default and a negative
 	// one as a MAC faster than free, so either would mislabel its table.
 	for _, lat := range s.MACLatencies {
@@ -240,6 +243,19 @@ func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
 	return out, nil
 }
 
+// checkRunLength rejects a negative warm-up or measured window before any
+// job is dispatched (zero selects the spec's default, so it never reaches
+// here). A negative warm-up would otherwise be skipped without a word.
+func checkRunLength(warmup, instructions int) error {
+	if warmup < 0 {
+		return fmt.Errorf("harness: negative warm-up (%d instructions)", warmup)
+	}
+	if instructions < 0 {
+		return fmt.Errorf("harness: negative instruction count %d", instructions)
+	}
+	return nil
+}
+
 func suiteOf(name string) string {
 	if p, err := workload.ProfileByName(name); err == nil {
 		return p.Suite
@@ -310,6 +326,9 @@ func (s MulticoreSpec) Mixes(campaignSeed uint64) []sim.MulticoreMix {
 // Jobs expands the spec into one job per mix.
 func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], error) {
 	s = s.withDefaults()
+	if err := checkRunLength(s.Warmup, s.Instructions); err != nil {
+		return nil, err
+	}
 	var jobs []Job[sim.MulticoreResult]
 	for _, mix := range s.Mixes(campaignSeed) {
 		mix := mix

@@ -113,6 +113,20 @@ func TestSlowdownSpecRejectsNonPositiveMACLatency(t *testing.T) {
 	}
 }
 
+// A negative warm-up used to be skipped without a word and a negative
+// measured window failed only once its job ran; both must fail before any
+// job is dispatched, in both single-core and multicore specs.
+func TestSpecsRejectNegativeRunLength(t *testing.T) {
+	for _, c := range []struct{ warmup, instructions int }{{-5, 0}, {0, -5}, {-1, -1}} {
+		if _, err := (SlowdownSpec{Workloads: []string{"leela"}, Warmup: c.warmup, Instructions: c.instructions}).Jobs(1); err == nil {
+			t.Errorf("slowdown spec with warm-up %d, instructions %d accepted", c.warmup, c.instructions)
+		}
+		if _, err := (MulticoreSpec{SameMixes: 1, Warmup: c.warmup, Instructions: c.instructions}).Jobs(1); err == nil {
+			t.Errorf("multicore spec with warm-up %d, instructions %d accepted", c.warmup, c.instructions)
+		}
+	}
+}
+
 func TestMulticoreSpecJobsAndMixes(t *testing.T) {
 	spec := MulticoreSpec{SameMixes: 2, MixMixes: 3}
 	mixesA := spec.Mixes(7)

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"ptguard/internal/core"
+	"ptguard/internal/memctrl"
 )
 
 // TestMACUnitCounterIdentities reconciles the memory controller's MAC
@@ -46,8 +49,13 @@ func TestMACUnitCounterIdentities(t *testing.T) {
 
 func checkMACIdentities(t *testing.T, s *System, lat int, stage string) {
 	t.Helper()
-	g := s.ctrl.Guard().Counters()
-	m := s.ctrl.Stats()
+	checkMACLedger(t, s.ctrl.Guard().Counters(), s.ctrl.Stats(), lat, stage)
+}
+
+// checkMACLedger checks the MAC identities on one pair of guard and
+// controller counters of a run without correction.
+func checkMACLedger(t *testing.T, g core.Counters, m memctrl.Stats, lat int, stage string) {
+	t.Helper()
 	if want := uint64(lat) * g.WriteMACComputes; m.WriteMACCycles != want {
 		t.Errorf("%s: memctrl WriteMACCycles = %d, want latency %d x %d write MACs = %d",
 			stage, m.WriteMACCycles, lat, g.WriteMACComputes, want)

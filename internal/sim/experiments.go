@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/stats"
 	"ptguard/internal/workload"
@@ -34,23 +35,39 @@ type Comparison struct {
 	SlowdownPct map[Mode]float64
 }
 
-// Compare runs one workload under the baseline and each requested mode with
-// identical seeds and instruction counts. Each run warms caches and TLB for
+// Compare runs one workload under each requested protection mode with
+// identical seeds and instruction counts, and reports each mode's slowdown
+// against the unprotected baseline. Each run warms caches and TLB for
 // `warmup` instructions before the measured window, mirroring the paper's
 // fast-forward to a representative region (§III).
+//
+// The baseline is not simulated: it is derived from the first protected
+// run (see unprotected), because the guard never changes what the front
+// end sees or which DRAM accesses happen, only the read latency.
 func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode) (Comparison, error) {
 	cmp, _, err := CompareObserved(prof, warmup, instructions, seed, macLatency, modes, nil)
 	return cmp, err
 }
 
 // CompareObserved is Compare with observability: when obsOpts is non-nil,
-// each mode's run (including the baseline) gets a fresh Observer and the
-// returned map carries the per-mode RunMetrics (final registry state, the
-// snapshot time series, and the traced events). A nil obsOpts behaves
-// exactly like Compare and returns a nil map.
+// each mode's run gets a fresh Observer and the returned map carries the
+// per-mode RunMetrics (final registry state, the snapshot time series, and
+// the traced events). The baseline's metrics are output too, so an observed
+// comparison also simulates the baseline, and fails if that run's Result
+// differs from the derived one. A nil obsOpts behaves exactly like Compare
+// and returns a nil map.
 func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode, obsOpts *obs.Options) (Comparison, map[Mode]*obs.RunMetrics, error) {
-	if len(modes) == 0 {
-		return Comparison{}, nil, errors.New("sim: no modes requested")
+	if warmup < 0 {
+		return Comparison{}, nil, fmt.Errorf("sim: negative warm-up (%d instructions)", warmup)
+	}
+	var protected []Mode
+	for _, m := range modes {
+		if m != Baseline {
+			protected = append(protected, m)
+		}
+	}
+	if len(protected) == 0 {
+		return Comparison{}, nil, errors.New("sim: no protected mode requested")
 	}
 	var metrics map[Mode]*obs.RunMetrics
 	observed := func(cfg Config) (Result, error) {
@@ -68,32 +85,93 @@ func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint6
 		}
 		return r, err
 	}
-	base, err := observed(Config{Mode: Baseline, Seed: seed})
-	if err != nil {
-		return Comparison{}, nil, err
-	}
 	cmp := Comparison{
 		Workload:    prof.Name,
-		LLCMPKI:     base.LLCMPKI,
-		Results:     map[Mode]Result{Baseline: base},
-		SlowdownPct: map[Mode]float64{},
+		Results:     make(map[Mode]Result, len(protected)+1),
+		SlowdownPct: make(map[Mode]float64, len(protected)),
 	}
-	for _, m := range modes {
-		if m == Baseline {
-			continue
+	var base Result
+	for i, m := range protected {
+		r, err := observed(Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency})
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
 		}
-		r, rerr := observed(Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency})
-		if rerr != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, rerr)
+		b, err := unprotected(r)
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
 		}
-		cmp.Results[m] = r
-		sl, serr := SlowdownPercent(r.Cycles, base.Cycles)
-		if serr != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, serr)
+		if i == 0 {
+			base = b
+		} else if b != base {
+			return Comparison{}, nil, fmt.Errorf("%s: %s and %s derive different baselines", prof.Name, protected[0], m)
 		}
-		cmp.SlowdownPct[m] = sl
+		sl, err := SlowdownPercent(r.Cycles, base.Cycles)
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
+		}
+		cmp.Results[m], cmp.SlowdownPct[m] = r, sl
 	}
+	if obsOpts != nil {
+		r, err := observed(Config{Mode: Baseline, Seed: seed})
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, Baseline, err)
+		}
+		if r != base {
+			return Comparison{}, nil, fmt.Errorf("%s: simulated baseline differs from the one derived from %s", prof.Name, protected[0])
+		}
+	}
+	cmp.Results[Baseline], cmp.LLCMPKI = base, base.LLCMPKI
 	return cmp, metrics, nil
+}
+
+// unprotected derives the Result the unprotected baseline reports from the
+// protected run r of the same workload, seed and instruction counts. The
+// guard changes neither what the front end sees (a verified walk returns
+// the stripped, architectural line) nor which DRAM accesses happen or in
+// what order; it only adds MAC latency to reads, which the in-order core
+// stalls on, and to posted writes, which it does not. So the baseline keeps
+// r's front-end fields and loses the read-MAC cycles, and its controller
+// loses the MAC cycles. The in-order core adds only integers, so the float64
+// cycle count is exact and the derivation bit-identical to a simulated
+// baseline. It needs a run with no integrity failure, correction, CTB-full
+// event or recovery, any of which a comparison (which injects no fault)
+// never has.
+func unprotected(r Result) (Result, error) {
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"check failures", r.CheckFails},
+		{"controller check failures", r.Ctrl.CheckFailures},
+		{"corrected reads", r.Ctrl.CorrectedReads},
+		{"CTB-full events", r.Ctrl.CollisionErrors},
+		{"recovery events", r.Recovery.Raised},
+	} {
+		if c.n != 0 {
+			return Result{}, fmt.Errorf("sim: %d %s; no baseline can be derived from this run", c.n, c.name)
+		}
+	}
+	base := Result{
+		Workload:     r.Workload,
+		Mode:         Baseline,
+		Instructions: r.Instructions,
+		Cycles:       r.Cycles - float64(r.Ctrl.ReadMACCycles),
+		LLCMPKI:      r.LLCMPKI,
+		TLBMissRate:  r.TLBMissRate,
+		PageWalks:    r.PageWalks,
+		Churns:       r.Churns,
+		Ctrl: memctrl.Stats{
+			Reads:            r.Ctrl.Reads,
+			Writes:           r.Ctrl.Writes,
+			TotalReadCycles:  r.Ctrl.TotalReadCycles - r.Ctrl.ReadMACCycles,
+			TotalWriteCycles: r.Ctrl.TotalWriteCycles - r.Ctrl.WriteMACCycles,
+		},
+	}
+	if base.Cycles != 0 {
+		// As cpu.Core.IPC computes it.
+		base.IPC = float64(base.Instructions) / base.Cycles
+	}
+	return base, nil
 }
 
 func runOne(cfg Config, prof workload.Profile, warmup, instructions int) (Result, error) {

@@ -160,6 +160,9 @@ func CompareMulticore(mix MulticoreMix, warmup, instrPerCore int, seed uint64, m
 	if len(mix.Workloads) == 0 {
 		return MulticoreResult{}, errors.New("sim: empty mix")
 	}
+	if warmup < 0 {
+		return MulticoreResult{}, fmt.Errorf("sim: negative warm-up (%d instructions)", warmup)
+	}
 	run := func(mode Mode) (float64, error) {
 		cfg := Config{
 			Mode:             mode,

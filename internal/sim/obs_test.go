@@ -19,7 +19,7 @@ func TestResetStatsClearsRecoveryAndWalkTrace(t *testing.T) {
 	// Warm-up: corrupt a live table line so the walk raises a recovery
 	// event, and run long enough to record walk-trace fetches.
 	corruptLine(t, s, leafLineOf(t, s, s.vbase))
-	s.FlushCaches()
+	s.flushCaches()
 	if _, err := s.Run(20_000); err != nil {
 		t.Fatal(err)
 	}

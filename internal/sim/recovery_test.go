@@ -23,6 +23,19 @@ func corruptLine(tb testing.TB, s *System, lineAddr uint64) {
 	hmr.FlipLineBits(lineAddr, bits)
 }
 
+// flushCaches empties the cache hierarchy, the TLB and the walker's MMU
+// cache, forcing subsequent walks back to DRAM at every level: the
+// cache-eviction step of a real Rowhammer exploit, after flips are
+// injected.
+func (s *System) flushCaches() {
+	s.l1d.Reset()
+	s.l2.Reset()
+	s.l3.Reset()
+	s.tlb.Flush()
+	s.walker.Flush()
+	s.cleanPTE = make(map[uint64]pte.Line)
+}
+
 // leafLineOf returns the DRAM address of the leaf PTE cacheline mapping
 // vaddr.
 func leafLineOf(tb testing.TB, s *System, vaddr uint64) uint64 {
@@ -50,7 +63,7 @@ func TestRecoveryRebuild(t *testing.T) {
 	}
 	lineAddr := leafLineOf(t, s, vaddr)
 	corruptLine(t, s, lineAddr)
-	s.FlushCaches()
+	s.flushCaches()
 
 	res := s.walker.Walk(s.tables.Root(), vaddr)
 	if res.CheckFailed {
@@ -84,7 +97,7 @@ func TestRecoveryRebuild(t *testing.T) {
 }
 
 // TestFlushCachesReachesUpperLevelTables is the regression test for a
-// FlushCaches that left the walker's MMU cache warm: a fault injected into
+// cache flush that left the walker's MMU cache warm: a fault injected into
 // an upper-level (PD) table line after warm-up must be fetched from DRAM,
 // verified and recovered, not served from the MMU cache.
 func TestFlushCachesReachesUpperLevelTables(t *testing.T) {
@@ -101,7 +114,7 @@ func TestFlushCachesReachesUpperLevelTables(t *testing.T) {
 		t.Fatal("leaf table page has no parent entry")
 	}
 	corruptLine(t, s, pdEntry&^uint64(pte.LineBytes-1))
-	s.FlushCaches()
+	s.flushCaches()
 	s.ResetStats()
 	res, err := s.Run(5000)
 	if err != nil {
@@ -122,7 +135,7 @@ func TestRecoveryDisabledStillFails(t *testing.T) {
 	}
 	lineAddr := leafLineOf(t, s, s.vbase)
 	corruptLine(t, s, lineAddr)
-	s.FlushCaches()
+	s.flushCaches()
 
 	res := s.walker.Walk(s.tables.Root(), s.vbase)
 	if !res.CheckFailed {
@@ -151,7 +164,7 @@ func TestRecoveryRemapEscalation(t *testing.T) {
 	oldLine := leafLineOf(t, s, vaddr)
 	oldPage := oldLine &^ uint64(pte.PageSize-1)
 	corruptLine(t, s, oldLine)
-	s.FlushCaches()
+	s.flushCaches()
 
 	res := s.walker.Walk(s.tables.Root(), vaddr)
 	if res.CheckFailed || res.Fault {
@@ -213,7 +226,7 @@ func TestRecoveryRepeatedFaultsConverge(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		lineAddr := leafLineOf(t, s, vaddr)
 		corruptLine(t, s, lineAddr)
-		s.FlushCaches()
+		s.flushCaches()
 		res := s.walker.Walk(s.tables.Root(), vaddr)
 		if res.CheckFailed || res.PFN != wantPFN {
 			t.Fatalf("round %d: walk = %+v, want PFN %#x", round, res, wantPFN)

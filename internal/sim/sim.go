@@ -376,19 +376,6 @@ func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	return line, true
 }
 
-// FlushCaches empties the cache hierarchy, the TLB and the walker's MMU
-// cache, forcing subsequent walks back to DRAM at every level (attack
-// experiments use this after injecting flips, modelling the cache-eviction
-// step of real Rowhammer exploits).
-func (s *System) FlushCaches() {
-	s.l1d.Reset()
-	s.l2.Reset()
-	s.l3.Reset()
-	s.tlb.Flush()
-	s.walker.Flush()
-	s.cleanPTE = make(map[uint64]pte.Line)
-}
-
 // dataLineFor synthesises stable pseudo-random content for a data line:
 // roughly one line in ten is all-zero (zero pages are common), the rest
 // carry dense payloads that never match PT-Guard's write pattern.

@@ -212,7 +212,7 @@ func TestDetectionUnderAttackInFullSystem(t *testing.T) {
 	for _, page := range leaves {
 		h.FlipLineBits(page, []int{14})
 	}
-	s.FlushCaches()
+	s.flushCaches()
 	res, err := s.Run(50_000)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestOutOfOrderCoreModel(t *testing.T) {
 	if _, err := cpu.New(cpu.Config{MLPOverlap: 1.5}); err == nil {
 		t.Error("bad MLPOverlap accepted")
 	}
-	inOrder, _ := cpu.New(cpu.InOrder())
+	inOrder, _ := cpu.New(cpu.Config{})
 	inOrder.Retire(10)
 	if inOrder.IPC() != 1 {
 		t.Errorf("in-order no-stall IPC = %v, want 1", inOrder.IPC())
