@@ -276,16 +276,11 @@ func BenchmarkGuardWalkReadRepeat(b *testing.B) {
 
 func benchGuard(b *testing.B) *core.Guard {
 	b.Helper()
-	f, err := pte.FormatX86(40)
+	cfg, err := core.SeededConfig(stats.NewRNG(0xBE7C), false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := make([]byte, mac.KeySize)
-	r := stats.NewRNG(0xBE7C)
-	for i := range key {
-		key[i] = byte(r.Uint64())
-	}
-	g, err := core.NewGuard(core.Config{Format: f, Key: key})
+	g, err := core.NewGuard(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -62,12 +62,11 @@ func run() error {
 	fmt.Printf("   CTB full (%d entries) — re-key required\n\n", w.Guard().CTBLen())
 
 	fmt.Println("5. OS performs the full-memory re-key sweep")
-	newKey := make([]byte, 32)
-	r := stats.NewRNG(0xFEE1)
-	for i := range newKey {
-		newKey[i] = byte(r.Uint64())
+	next, err := core.SeededConfig(stats.NewRNG(0xFEE1), false)
+	if err != nil {
+		return err
 	}
-	st, err := w.Ctrl.Rekey(newKey)
+	st, err := w.Ctrl.Rekey(next.Key)
 	if err != nil {
 		return err
 	}

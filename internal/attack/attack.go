@@ -12,7 +12,6 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
@@ -71,22 +70,11 @@ func NewWorldWith(cfg WorldConfig) (*World, error) {
 	}
 	var guard *core.Guard
 	if protected {
-		format, ferr := pte.FormatX86(40)
-		if ferr != nil {
-			return nil, ferr
+		gcfg, gerr := core.SeededConfig(stats.NewRNG(seed^0x6B65), correction)
+		if gerr != nil {
+			return nil, gerr
 		}
-		key := make([]byte, mac.KeySize)
-		kr := stats.NewRNG(seed ^ 0x6B65)
-		for i := range key {
-			key[i] = byte(kr.Uint64())
-		}
-		guard, err = core.NewGuard(core.Config{
-			Format:           format,
-			Key:              key,
-			EnableCorrection: correction,
-			SoftMatchK:       softK(correction),
-		})
-		if err != nil {
+		if guard, err = core.NewGuard(gcfg); err != nil {
 			return nil, err
 		}
 	}
@@ -138,13 +126,6 @@ func NewWorldWith(cfg WorldConfig) (*World, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-func softK(correction bool) int {
-	if correction {
-		return 4
-	}
-	return 0
 }
 
 // Outcome summarises one attack attempt.

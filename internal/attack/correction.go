@@ -6,7 +6,6 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/sim"
@@ -26,7 +25,8 @@ type CorrectionConfig struct {
 	Lines int
 	// Seed drives the population synthesiser and fault injector.
 	Seed uint64
-	// SoftMatchK overrides the MAC fault budget; 0 selects the paper's 4.
+	// SoftMatchK overrides the MAC fault budget; 0 keeps the paper's k
+	// (core.DefaultSoftMatchK).
 	SoftMatchK int
 	// TagBits overrides the MAC width; 0 selects 96 (§VII-A ablation).
 	TagBits int
@@ -172,29 +172,19 @@ func RunTraceCorrection(cfg TraceCorrectionConfig) (TraceCorrectionResult, error
 }
 
 // correctionGuard returns the correction-enabled guard configuration both
-// Fig. 9 experiments use: the x86 format at M = 40, a key drawn from keySeed,
-// the soft-match budget softK (0 selects the paper's 4) and the tag width
-// tagBits (0 selects 96).
+// Fig. 9 experiments use: core.SeededConfig keyed from keySeed, with the
+// soft-match budget softK (0 keeps the paper's k) and the tag width tagBits
+// (0 selects 96).
 func correctionGuard(keySeed uint64, softK, tagBits int) (core.Config, error) {
-	if softK == 0 {
-		softK = 4
-	}
-	format, err := pte.FormatX86(40)
+	c, err := core.SeededConfig(stats.NewRNG(keySeed), true)
 	if err != nil {
 		return core.Config{}, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(keySeed)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
+	c.TagBits = tagBits
+	if softK != 0 {
+		c.SoftMatchK = softK
 	}
-	return core.Config{
-		Format:           format,
-		Key:              key,
-		TagBits:          tagBits,
-		EnableCorrection: true,
-		SoftMatchK:       softK,
-	}, nil
+	return c, nil
 }
 
 // guardConfig returns the guard configuration of the experiment, keyed

@@ -7,6 +7,11 @@ import (
 	"testing"
 
 	"ptguard/internal/attack"
+	"ptguard/internal/core"
+	"ptguard/internal/pte"
+	"ptguard/internal/sim"
+	"ptguard/internal/virt"
+	"ptguard/internal/workload"
 )
 
 // fig9ResultsDigest pins both Fig. 9 experiments, the synthesized-pool
@@ -72,5 +77,80 @@ func TestFig9DriversPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != fig9ResultsDigest {
 		t.Errorf("Fig. 9 results digest = %s, want %s", got, fig9ResultsDigest)
+	}
+}
+
+// guardKeyDigests pins, per experiment that builds a guard, what that guard
+// seals: at seeds 1 and 42, the image Guard.Seal stores for a dense line
+// and for the all-zero line, then the guard's soft-match budget and
+// correction switch. A sealed image depends on the key and, under §V-A, the
+// identifier, so a wrong key salt or draw order fails here even where no
+// 96-bit-tag result can see it. The digests were recorded while each site
+// still drew its own key.
+var guardKeyDigests = map[string]string{
+	"sim/ptguard":           "0666000654f467d97dcc7ea444ec151ac655a145448cf60424909086f2ef5585",
+	"sim/ptguard-optimized": "1c7d78e069a7ef079ae1d1e28ee26c4bfcaa8c81b917d2e9960f87e5a4dcd3d2",
+	"virt/guest":            "fd79ead97b3ecffb02fc3117beaca329d1f7b1df686fb31f27f5737001ddf43d",
+	"virt/stage2":           "249e10f5b12b213b9d2ec816d696ad329dcc9602c3324cd3df9e83cdec3fccb0",
+	"attack/world":          "26e1cdcba03b64697c5a5fc800accd636e538d3aeea0f8b8eff4d3c78a7b2185",
+}
+
+func TestGuardKeysPinned(t *testing.T) {
+	prof, err := workload.ProfileByName("leela")
+	if err != nil {
+		t.Fatal(err)
+	}
+	simGuard := func(mode sim.Mode) func(uint64) (*core.Guard, error) {
+		return func(seed uint64) (*core.Guard, error) {
+			s, err := sim.NewSystem(sim.Config{Mode: mode, Seed: seed}, prof)
+			if err != nil {
+				return nil, err
+			}
+			return s.Controller().Guard(), nil
+		}
+	}
+	virtGuard := func(stage2 bool) func(uint64) (*core.Guard, error) {
+		return func(seed uint64) (*core.Guard, error) {
+			h, err := virt.NewHost(virt.Config{Tenants: 1, PagesPerVM: 1, Placement: virt.PlacementBoth, Correction: true, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			if stage2 {
+				return h.S2Ctrl.Guard(), nil
+			}
+			return h.GuestCtrl.Guard(), nil
+		}
+	}
+	sites := map[string]func(uint64) (*core.Guard, error){
+		"sim/ptguard":           simGuard(sim.PTGuard),
+		"sim/ptguard-optimized": simGuard(sim.PTGuardOptimized),
+		"virt/guest":            virtGuard(false),
+		"virt/stage2":           virtGuard(true),
+		"attack/world": func(seed uint64) (*core.Guard, error) {
+			w, err := attack.NewWorld(true, true, seed)
+			if err != nil {
+				return nil, err
+			}
+			return w.Guard(), nil
+		},
+	}
+	var dense pte.Line
+	for i := range dense {
+		dense[i] = pte.Entry(1<<63 | uint64(0x12345+3*i)<<12 | 0x67)
+	}
+	const addr = 0x2468_1240
+	for name, build := range sites {
+		h := sha256.New()
+		for _, seed := range []uint64{1, 42} {
+			g, err := build(seed)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fmt.Fprintf(h, "%x %x\n", g.Seal(addr, dense), g.Seal(addr, pte.Line{}))
+			fmt.Fprintf(h, "k=%d correct=%t\n", g.Config().SoftMatchK, g.Config().EnableCorrection)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != guardKeyDigests[name] {
+			t.Errorf("%s guard key digest = %s, want %s", name, got, guardKeyDigests[name])
+		}
 	}
 }

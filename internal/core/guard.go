@@ -16,6 +16,7 @@ import (
 	"ptguard/internal/mac"
 	"ptguard/internal/obs"
 	"ptguard/internal/pte"
+	"ptguard/internal/stats"
 )
 
 // Paper default latencies and sizes.
@@ -58,8 +59,8 @@ type Config struct {
 	// page-table-walk integrity failures.
 	EnableCorrection bool
 	// SoftMatchK is the fault-tolerant MAC budget: corrections accept a
-	// MAC within k bit-flips (§VI-C). The paper uses 4. Ignored unless
-	// EnableCorrection.
+	// MAC within k bit-flips (§VI-C); 0 accepts only an exact match. The
+	// paper uses DefaultSoftMatchK. Ignored unless EnableCorrection.
 	SoftMatchK int
 	// ZeroResetMaxBits is the "almost-zero PTE" threshold for correction
 	// step 3; the paper resets PTEs with at most 4 protected bits set.
@@ -76,6 +77,30 @@ type Config struct {
 	// MACLatencyCycles is the MAC computation delay used by the timing
 	// model; 0 selects 10 cycles.
 	MACLatencyCycles int
+}
+
+// DefaultSoftMatchK is the paper's soft-match budget k (§VI-C).
+const DefaultSoftMatchK = 4
+
+// SeededConfig returns the guard configuration every experiment starts
+// from: the x86 format at M = 40 and a 32-byte key drawn from rng, one
+// Uint64 per byte. correction enables the §VI engine at the paper's k.
+// Each experiment seeds rng with its own salt, and may draw more from it
+// after the key.
+func SeededConfig(rng *stats.RNG, correction bool) (Config, error) {
+	format, err := pte.FormatX86(40)
+	if err != nil {
+		return Config{}, err
+	}
+	key := make([]byte, mac.KeySize)
+	for i := range key {
+		key[i] = byte(rng.Uint64())
+	}
+	cfg := Config{Format: format, Key: key, EnableCorrection: correction}
+	if correction {
+		cfg.SoftMatchK = DefaultSoftMatchK
+	}
+	return cfg, nil
 }
 
 func (c Config) withDefaults() Config {
@@ -522,8 +547,8 @@ func (g *Guard) readData(line pte.Line, addr uint64) ReadResult {
 // and so do a zero-protected line and a line whose embedded MAC matches.
 // It is a pure integrity scrub: it charges no counter, emits no event,
 // touches neither the CTB nor the MAC memo and runs no correction, so a
-// campaign can sweep a whole table population without perturbing the
-// measured state.
+// fault campaign can check each line it protects before injecting into it
+// without perturbing the measured state.
 func (g *Guard) Audit(line pte.Line, addr uint64) bool {
 	if g.ctb.contains(addr) {
 		return true

@@ -6,7 +6,6 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
@@ -30,7 +29,8 @@ type CampaignConfig struct {
 	// EnableCorrection turns on the §VI best-effort correction engine;
 	// off, the campaign measures pure detection.
 	EnableCorrection bool
-	// SoftMatchK overrides the MAC fault budget; 0 selects the paper's 4.
+	// SoftMatchK overrides the MAC fault budget; 0 keeps the paper's k
+	// (core.DefaultSoftMatchK).
 	SoftMatchK int
 	// TagBits overrides the MAC width; 0 selects 96. Small values make
 	// miscorrections observable (§VI-D soft-match collisions).
@@ -69,7 +69,9 @@ type CampaignResult struct {
 	Trials int `json:"trials"`
 	// Guesses is the total correction guesses the Guard spent.
 	Guesses uint64 `json:"guesses"`
-	// Device snapshots the DRAM counters, including FlipsInjected.
+	// Device snapshots the DRAM counters, including FlipsInjected. The
+	// access counts cover only the pool lines the trials visited, since
+	// a line is written to DRAM on its first visit.
 	Device dram.Stats `json:"device"`
 	// HotRows lists the (bank, row) pairs that absorbed the most flips,
 	// most-hit first, capped at eight entries.
@@ -80,38 +82,28 @@ type CampaignResult struct {
 }
 
 // RunCampaign executes one fault-injection campaign end to end: synthesise
-// page tables (§VI-B value locality), protect them through the memory
-// controller, inject faults with the configured model, replay page-table
-// walks through the Guard, and let the oracle classify every verdict.
+// page tables (§VI-B value locality), protect each sampled line through the
+// memory controller, inject faults with the configured model, replay
+// page-table walks through the Guard, and let the oracle classify every
+// verdict.
 func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Lines <= 0 {
 		return CampaignResult{}, errors.New("fault: Lines must be positive")
 	}
-	k := cfg.SoftMatchK
-	if k == 0 {
-		k = 4
-	}
 	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	format, err := pte.FormatX86(40)
+	gcfg, err := core.SeededConfig(stats.NewRNG(cfg.Seed^0xF19), cfg.EnableCorrection)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0xF19)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
+	gcfg.TagBits = cfg.TagBits
+	if cfg.SoftMatchK != 0 {
+		gcfg.SoftMatchK = cfg.SoftMatchK
 	}
-	guard, err := core.NewGuard(core.Config{
-		Format:           format,
-		Key:              key,
-		TagBits:          cfg.TagBits,
-		EnableCorrection: cfg.EnableCorrection,
-		SoftMatchK:       k,
-	})
+	guard, err := core.NewGuard(gcfg)
 	if err != nil {
 		return CampaignResult{}, err
 	}
@@ -137,53 +129,43 @@ func RunCampaign(cfg CampaignConfig) (CampaignResult, error) {
 		return CampaignResult{}, err
 	}
 
-	oracle := NewOracle(format)
+	oracle := NewOracle(gcfg.Format)
 	hmr.SetObserver(oracle.RecordFlip)
 
 	// The same shuffled line pool as attack.RunCorrection: every model
-	// sees the same population. Every table line of every process is
-	// flushed, in process order, so the device and controller counters in
-	// the report cover the whole population.
+	// sees the same population. Trial t visits pool line t mod Len(), and
+	// a line is protected on its first visit, as Fig. 9 protects only
+	// its sampled lines: the device and controller counters in the report
+	// cover the visited lines alone.
 	pool, err := ostable.SynthesizePool(alloc, cfg.Seed)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	var flushAddrs []uint64
-	var flushLines []pte.Line
-	for _, pt := range pool.Tables() {
-		flushAddrs, flushLines = flushAddrs[:0], flushLines[:0]
-		pt.Lines(func(addr uint64, line pte.Line) {
-			flushAddrs = append(flushAddrs, addr)
-			flushLines = append(flushLines, line)
-		})
-		if _, werr := ctrl.WriteLinesBatch(flushAddrs, flushLines); werr != nil {
-			return CampaignResult{}, werr
-		}
-	}
-	addrs := make([]uint64, pool.Len())
-	protected := make([]pte.Line, pool.Len())
-	for i := range addrs {
-		entry := pool.Line(i)
-		oracle.Expect(entry.Addr, entry.Line)
-		addrs[i], protected[i] = entry.Addr, dev.ReadLine(entry.Addr)
-	}
-	// Ground-truth sanity: before any fault is injected, every pooled line
-	// must audit clean — a dirty line here means the pool snapshot and the
-	// stored state already disagree, which would corrupt every verdict the
-	// oracle hands out below.
-	for i := range addrs {
-		if !guard.Audit(protected[i], addrs[i]) {
-			return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", addrs[i])
-		}
-	}
+	var addrs []uint64
+	var protected []pte.Line
 
 	res := CampaignResult{Model: cfg.Model.Name(), Mode: modeName(cfg.EnableCorrection)}
 	for trial := 0; int(oracle.Matrix().Faulty()) < cfg.Lines; trial++ {
 		if trial >= cfg.MaxTrials {
 			break // model too weak to reach Lines faulty trials; report what we have
 		}
-		i := trial % len(addrs)
-		dev.WriteLine(addrs[i], protected[i])
+		i := trial % pool.Len()
+		if i == len(addrs) {
+			entry := pool.Line(i)
+			if _, werr := ctrl.WriteLine(entry.Addr, entry.Line); werr != nil {
+				return CampaignResult{}, werr
+			}
+			stored := dev.ReadLine(entry.Addr)
+			// Ground-truth sanity: before its first fault, a line must
+			// audit clean. A dirty line here means the pool snapshot and
+			// the stored state already disagree, which would corrupt
+			// every verdict the oracle hands out for it.
+			if !guard.Audit(stored, entry.Addr) {
+				return CampaignResult{}, fmt.Errorf("fault: pooled line %#x audits dirty before fault injection", entry.Addr)
+			}
+			oracle.Expect(entry.Addr, entry.Line)
+			addrs, protected = append(addrs, entry.Addr), append(protected, stored)
+		}
 		hmr.InjectFaults(addrs[i])
 
 		before := guard.Counters()

@@ -140,12 +140,6 @@ func (o *Oracle) RecordFlip(addr uint64, bit int) {
 	o.m.FlipsInjected++
 }
 
-// PendingFlips returns the number of net (odd-parity) flips recorded for
-// the line at addr since the last Judge.
-func (o *Oracle) PendingFlips(addr uint64) int {
-	return len(o.flips[addr/pte.LineBytes*pte.LineBytes])
-}
-
 // Judge classifies one read of the line at addr: served is the line the
 // Guard forwarded, checkFailed mirrors PTECheckFailed, and
 // correctionClaimed reports that the correction engine believed it repaired

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"ptguard/internal/attack"
+	"ptguard/internal/core"
 	"ptguard/internal/mac"
 	"ptguard/internal/obs"
 	"ptguard/internal/report"
@@ -79,8 +80,8 @@ type SlowdownSpec struct {
 	// Modes are the protection modes; empty selects PTGuard and
 	// PTGuardOptimized.
 	Modes []sim.Mode
-	// Warmup and Instructions parameterise each run; zero selects the
-	// Fig. 6 defaults (200k / 400k).
+	// Warmup is the warm-up length of each run; zero runs none.
+	// Instructions is the measured window; zero selects Fig. 6's 400k.
 	Warmup       int
 	Instructions int
 	// MACLatencies is the Fig. 7 sweep; empty selects {10}.
@@ -107,9 +108,6 @@ func (SlowdownSpec) Kind() string { return "slowdown" }
 func (s SlowdownSpec) withDefaults() SlowdownSpec {
 	if len(s.Modes) == 0 {
 		s.Modes = []sim.Mode{sim.PTGuard, sim.PTGuardOptimized}
-	}
-	if s.Warmup == 0 {
-		s.Warmup = 200_000
 	}
 	if s.Instructions == 0 {
 		s.Instructions = 400_000
@@ -244,8 +242,8 @@ func (s SlowdownSpec) Report(results []SlowdownResult) (*Output, error) {
 }
 
 // checkRunLength rejects a negative warm-up or measured window before any
-// job is dispatched (zero selects the spec's default, so it never reaches
-// here). A negative warm-up would otherwise be skipped without a word.
+// job is dispatched. A negative warm-up would otherwise be skipped without
+// a word.
 func checkRunLength(warmup, instructions int) error {
 	if warmup < 0 {
 		return fmt.Errorf("harness: negative warm-up (%d instructions)", warmup)
@@ -272,7 +270,8 @@ type MulticoreSpec struct {
 	// SameMixes and MixMixes count the two mix families (paper: 18 / 16).
 	SameMixes int
 	MixMixes  int
-	// Warmup and Instructions are per core; zero selects 100k / 200k.
+	// Warmup and Instructions are per core. A zero Warmup runs no
+	// warm-up; zero Instructions selects 200k.
 	Warmup       int
 	Instructions int
 	// MACLatency is the PT-Guard check latency; zero selects 10.
@@ -285,9 +284,6 @@ func init() { Register[MulticoreSpec, sim.MulticoreResult]() }
 func (MulticoreSpec) Kind() string { return "multicore" }
 
 func (s MulticoreSpec) withDefaults() MulticoreSpec {
-	if s.Warmup == 0 {
-		s.Warmup = 100_000
-	}
 	if s.Instructions == 0 {
 		s.Instructions = 200_000
 	}
@@ -501,7 +497,7 @@ func (s AblationSpec) Report(results []AblationResult) (*Output, error) {
 			kTbl.AddRow(report.I(r.SoftK), report.Pct(r.Correction.CorrectedPct()),
 				report.F(nEff, 1), fmt.Sprintf("%.3g", mac.AttackYears(nEff, 50)))
 		case AblationWidth:
-			nEff, err := mac.EffectiveMACBits(r.TagBits, 4, mac.GMaxPaper)
+			nEff, err := mac.EffectiveMACBits(r.TagBits, core.DefaultSoftMatchK, mac.GMaxPaper)
 			if err != nil {
 				return nil, err
 			}

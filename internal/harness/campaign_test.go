@@ -10,6 +10,7 @@ import (
 
 	"ptguard/internal/attack"
 	"ptguard/internal/sim"
+	"ptguard/internal/workload"
 )
 
 // smallSlowdown is a fast Fig. 6-shaped campaign over the three smallest
@@ -124,6 +125,50 @@ func TestSpecsRejectNegativeRunLength(t *testing.T) {
 		if _, err := (MulticoreSpec{SameMixes: 1, Warmup: c.warmup, Instructions: c.instructions}).Jobs(1); err == nil {
 			t.Errorf("multicore spec with warm-up %d, instructions %d accepted", c.warmup, c.instructions)
 		}
+	}
+}
+
+// A zero warm-up runs none. Both specs used to read it as their default
+// warm-up, so `sweep -warmup 0` printed the 200k-warm-up table.
+func TestSpecsZeroWarmupRunsNone(t *testing.T) {
+	const seed = 3
+	ctx := context.Background()
+	jobs, err := SlowdownSpec{Workloads: []string{"leela"}, Instructions: 2000}.Jobs(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := jobs[0].Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ProfileByName("leela")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Compare(prof, 0, 2000, seed, 10, []sim.Mode{sim.PTGuard, sim.PTGuardOptimized})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Comparison, want) {
+		t.Errorf("slowdown job at warm-up 0 = %+v, want sim.Compare at warm-up 0 = %+v", got.Comparison, want)
+	}
+
+	mc := MulticoreSpec{SameMixes: 1, Instructions: 1000}
+	mjobs, err := mc.Jobs(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMC, err := mjobs[0].Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := mc.Mixes(seed)[0]
+	wantMC, err := sim.CompareMulticore(mix, 0, 1000, DeriveSeed(seed, mjobs[0].Key), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotMC != wantMC {
+		t.Errorf("multicore job at warm-up 0 = %+v, want sim.CompareMulticore at warm-up 0 = %+v", gotMC, wantMC)
 	}
 }
 

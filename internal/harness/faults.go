@@ -31,7 +31,8 @@ type FaultSpec struct {
 	// Lines is the number of faulty lines per (model, mode); zero
 	// selects 400.
 	Lines int
-	// SoftMatchK overrides the correction fault budget; 0 selects 4.
+	// SoftMatchK overrides the correction fault budget; 0 keeps the
+	// paper's k (core.DefaultSoftMatchK).
 	SoftMatchK int
 	// TagBits overrides the MAC width; 0 selects 96.
 	TagBits int

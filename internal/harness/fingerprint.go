@@ -13,8 +13,10 @@ import (
 // the new results, and the dist handshake, so a worker built before it is
 // refused instead of serving the old ones. Version 1 is the first to
 // carry it: the slowdown, ablation and correction jobs run on the
-// campaign seed.
-const ResultsVersion = 1
+// campaign seed. Version 2: a fault campaign's device counters cover only
+// the pool lines its trials visit, and a zero warm-up in a slowdown or
+// multicore spec runs no warm-up instead of the default one.
+const ResultsVersion = 2
 
 // Fingerprint canonicalises a campaign's identity for the checkpoint
 // journal: the campaign kind, the campaign seed, the results version, and

@@ -34,7 +34,7 @@ func TestFingerprintBackendInvariant(t *testing.T) {
 
 	// The rendered form carries the kind, seed and results version in the
 	// clear (journal headers are read by humans mid-incident).
-	if !strings.HasPrefix(base, "soak seed=42 results=v1 spec=") {
+	if !strings.HasPrefix(base, "soak seed=42 results=v2 spec=") {
 		t.Errorf("fingerprint format drifted: %q", base)
 	}
 }
@@ -46,7 +46,7 @@ func TestFingerprintGolden(t *testing.T) {
 		A int    `json:"a"`
 		B string `json:"b"`
 	}{1, "x"})
-	const want = "gold seed=7 results=v1 spec=ecf9e98ec0641e23113ff3ce"
+	const want = "gold seed=7 results=v2 spec=ecf9e98ec0641e23113ff3ce"
 	if got != want {
 		t.Errorf("Fingerprint = %q, want %q", got, want)
 	}

@@ -280,7 +280,7 @@ func TestJournalWithoutFingerprintRefused(t *testing.T) {
 			var ran atomic.Int64
 			jobs := []Job[int]{{Key: "a", Run: func(context.Context) (int, error) { ran.Add(1); return 1, nil }}}
 			_, err := Run(context.Background(), jobs,
-				Options{JournalPath: journal, Fingerprint: "sweep seed=1 results=v1 spec=x"})
+				Options{JournalPath: journal, Fingerprint: "sweep seed=1 results=v2 spec=x"})
 			if err == nil || !strings.Contains(err.Error(), "different campaign") {
 				t.Fatalf("err = %v, want fingerprint mismatch", err)
 			}

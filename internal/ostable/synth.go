@@ -226,7 +226,6 @@ const poolProcesses = 6
 // It stores the order as a permutation of line indices and builds a
 // PoolLine only when one is read.
 type Pool struct {
-	tables []*PageTables
 	// leaves lists every leaf table page, process by process and each
 	// process's in address order; line index k is line k%64 of leaves[k/64].
 	leaves []leafPage
@@ -253,9 +252,6 @@ func (p *Pool) Line(i int) PoolLine {
 	}
 }
 
-// Tables returns the processes' page tables, in synthesis order.
-func (p *Pool) Tables() []*PageTables { return p.tables }
-
 // SynthesizePool builds the line pool the correction and fault campaigns
 // sample (§VI-F): six processes synthesised over alloc from the default
 // population seeded with seed. Before the shuffle the pool lists every leaf
@@ -273,13 +269,12 @@ func SynthesizePool(alloc *FrameAllocator, seed uint64) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := &Pool{tables: make([]*PageTables, poolProcesses)}
-	for p := range pool.tables {
+	pool := &Pool{}
+	for range poolProcesses {
 		pt, err := pop.SynthesizeProcess()
 		if err != nil {
 			return nil, err
 		}
-		pool.tables[p] = pt
 		for _, base := range pt.LeafTablePages() {
 			pool.leaves = append(pool.leaves, leafPage{base, pt.pages[base]})
 		}

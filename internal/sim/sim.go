@@ -14,7 +14,6 @@ import (
 	"ptguard/internal/core"
 	"ptguard/internal/cpu"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
@@ -223,20 +222,12 @@ func buildGuard(cfg Config) (*core.Guard, error) {
 	if cfg.Mode == Baseline {
 		return nil, nil
 	}
-	format, err := pte.FormatX86(40)
+	kr := stats.NewRNG(cfg.Seed ^ 0x5EC)
+	gcfg, err := core.SeededConfig(kr, false)
 	if err != nil {
 		return nil, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(cfg.Seed ^ 0x5EC)
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
-	gcfg := core.Config{
-		Format:           format,
-		Key:              key,
-		MACLatencyCycles: cfg.MACLatencyCycles,
-	}
+	gcfg.MACLatencyCycles = cfg.MACLatencyCycles
 	if cfg.Mode == PTGuardOptimized {
 		gcfg.OptIdentifier = true
 		gcfg.Identifier = kr.Uint64() & (1<<56 - 1)

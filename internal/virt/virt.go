@@ -15,7 +15,6 @@ import (
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
-	"ptguard/internal/mac"
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
 	"ptguard/internal/ostable"
@@ -224,32 +223,18 @@ func newGuard(protected, correction bool, seed uint64, salt string) (*core.Guard
 	if !protected {
 		return nil, nil
 	}
-	format, err := pte.FormatX86(40)
+	cfg, err := core.SeededConfig(stats.NewRNG(stats.DeriveSeed(seed, salt)), correction)
 	if err != nil {
 		return nil, err
 	}
-	key := make([]byte, mac.KeySize)
-	kr := stats.NewRNG(stats.DeriveSeed(seed, salt))
-	for i := range key {
-		key[i] = byte(kr.Uint64())
-	}
-	softK := 0
-	if correction {
-		softK = 4
-	}
-	return core.NewGuard(core.Config{
-		Format:           format,
-		Key:              key,
-		EnableCorrection: correction,
-		SoftMatchK:       softK,
-		// The §V-B zero-cacheline optimization: all-zero lines carry
-		// MAC-zero and verify without a computation. Essential here —
-		// a silently corrupted pointer in the *other* (unguarded) layer
-		// can send a guarded walk to an absent line, which must read as
-		// a clean non-present entry (a fault), not a spurious integrity
-		// exception in the guarded layer.
-		OptZeroMAC: true,
-	})
+	// The §V-B zero-cacheline optimization: all-zero lines carry MAC-zero
+	// and verify without a computation. Essential here — a silently
+	// corrupted pointer in the *other* (unguarded) layer can send a
+	// guarded walk to an absent line, which must read as a clean
+	// non-present entry (a fault), not a spurious integrity exception in
+	// the guarded layer.
+	cfg.OptZeroMAC = true
+	return core.NewGuard(cfg)
 }
 
 // buildVM constructs one tenant: guest tables in a private guest-physical
