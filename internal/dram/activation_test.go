@@ -23,19 +23,18 @@ func rowAddr(g Geometry, ch, bank, row, col int) uint64 {
 }
 
 // TestPagedActivationsMatchDense drives the device with timing accesses,
-// direct counter bumps (the hammer path), explicit and automatic refresh
-// windows, and mirrors every activation into a dense array. Rows are drawn
+// direct counter bumps (the hammer path) and refresh windows, and mirrors
+// every activation into a dense array. Rows are drawn
 // around chunk boundaries, including the last, partial chunk of a geometry
 // whose row count is not a multiple of actChunkRows. After every step the
 // touched row's count must match, and at the end every row's count must.
 func TestPagedActivationsMatchDense(t *testing.T) {
 	geos := []struct {
-		name        string
-		geo         Geometry
-		autoRefresh int
+		name string
+		geo  Geometry
 	}{
-		{"default", DefaultGeometry(), 0},
-		{"odd", Geometry{Channels: 2, BanksPerChannel: 3, RowsPerBank: 1500, RowBytes: 1024}, 97},
+		{"default", DefaultGeometry()},
+		{"odd", Geometry{Channels: 2, BanksPerChannel: 3, RowsPerBank: 1500, RowBytes: 1024}},
 	}
 	for _, tc := range geos {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,7 +43,6 @@ func TestPagedActivationsMatchDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.SetAutoRefresh(tc.autoRefresh)
 			nBanks := g.Channels * g.BanksPerChannel
 			nRows := nBanks * g.RowsPerBank
 			ref := make(denseActivations, nRows)
@@ -66,13 +64,10 @@ func TestPagedActivationsMatchDense(t *testing.T) {
 					}
 					ref[idx] += int32(count)
 				default:
-					misses, windows := d.Stats().RowMisses, d.refreshWindows
+					misses := d.Stats().RowMisses
 					d.Access(addr, rng.Intn(3) == 0)
 					if d.Stats().RowMisses != misses {
 						ref[idx]++
-					}
-					if d.refreshWindows != windows {
-						ref.refresh()
 					}
 				}
 				if got := d.Activations(addr); got != int(ref[idx]) {

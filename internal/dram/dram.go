@@ -112,12 +112,6 @@ type Device struct {
 	actChunks  []*[actChunkRows]int32
 	actTouched []int32
 
-	// autoRefreshEvery, when positive, clears activation counters after
-	// that many accesses: the periodic auto-refresh (tREFW) that bounds
-	// how long an attacker can hammer before victim charge is restored.
-	autoRefreshEvery int
-	accessesSinceRef int
-
 	// flips attributes injected bit flips to their rowIndex, so fault
 	// campaigns can tell which rows and banks ate the faults; it is nil
 	// until the first flip. flipTouched lists the rows with at least one
@@ -228,23 +222,7 @@ func (d *Device) Access(addr uint64, write bool) int {
 	} else {
 		d.reads++
 	}
-	if d.autoRefreshEvery > 0 {
-		d.accessesSinceRef++
-		if d.accessesSinceRef >= d.autoRefreshEvery {
-			d.RefreshWindow()
-		}
-	}
 	return lat
-}
-
-// SetAutoRefresh makes the device clear activation counters every
-// `accesses` accesses, modelling the tREFW refresh window that limits an
-// attacker's hammering budget. Zero disables auto-refresh.
-func (d *Device) SetAutoRefresh(accesses int) {
-	if accesses < 0 {
-		accesses = 0
-	}
-	d.autoRefreshEvery = accesses
 }
 
 func (d *Device) activate(bankIdx, row int) {
@@ -303,7 +281,6 @@ func (d *Device) RefreshWindow() {
 	for i := range d.openRow {
 		d.openRow[i] = -1
 	}
-	d.accessesSinceRef = 0
 	d.refreshWindows++
 }
 

@@ -472,39 +472,6 @@ func TestSoftTRRValidation(t *testing.T) {
 	}
 }
 
-func TestAutoRefreshBoundsHammering(t *testing.T) {
-	d := newTestDevice(t)
-	d.SetAutoRefresh(500) // refresh every 500 accesses
-	h, err := NewHammerer(d, HammerConfig{Threshold: 1000, FlipProb: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := d.AddrOfRow(2, 101, 0)
-	var data pte.Line
-	d.WriteLine(victim, data)
-	agg := d.AddrOfRow(2, 100, 0)
-	// Hammer through Access (the refresh-aware path): activations never
-	// accumulate past the window, so no flips occur even after far more
-	// than the threshold in total accesses.
-	for i := 0; i < 5000; i++ {
-		d.Access(agg, false)
-		// Force a precharge so every access activates.
-		d.Access(d.AddrOfRow(2, 300, 0), false)
-	}
-	if got := d.Activations(agg); got >= 1000 {
-		t.Errorf("activations = %d, refresh never bounded them", got)
-	}
-	if d.refreshWindows == 0 {
-		t.Error("no refresh windows elapsed")
-	}
-	if d.ReadLine(victim) != data {
-		t.Error("victim flipped despite auto-refresh pacing")
-	}
-	// Negative values disable cleanly.
-	d.SetAutoRefresh(-5)
-	_ = h
-}
-
 // TestFlipAttributionBeforeAndAfterFirstFlip: a device that has only been
 // read and written reports no flips anywhere, and its first injected flip
 // is attributed to the right (bank, row) like every later one.

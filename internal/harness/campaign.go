@@ -77,8 +77,8 @@ func (o *ObsSpec) strip(rm *obs.RunMetrics) *obs.RunMetrics {
 type SlowdownSpec struct {
 	// Workloads filters the benchmark set; empty selects all 25.
 	Workloads []string
-	// Modes are the protection modes; empty selects PTGuard and
-	// PTGuardOptimized.
+	// Modes are the protection modes, each listed once; empty selects
+	// PTGuard and PTGuardOptimized.
 	Modes []sim.Mode
 	// Warmup is the warm-up length of each run; zero runs none.
 	// Instructions is the measured window; zero selects Fig. 6's 400k.
@@ -124,6 +124,11 @@ func (s SlowdownSpec) withDefaults() SlowdownSpec {
 func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 	s = s.withDefaults()
 	if err := checkRunLength(s.Warmup, s.Instructions); err != nil {
+		return nil, err
+	}
+	// A spec can arrive over the dist wire, so an unknown or repeated
+	// mode must fail here, not in every job.
+	if err := sim.CheckModes(s.Modes); err != nil {
 		return nil, err
 	}
 	// The sim reads a zero latency as its 10-cycle default and a negative

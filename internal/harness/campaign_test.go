@@ -128,6 +128,23 @@ func TestSpecsRejectNegativeRunLength(t *testing.T) {
 	}
 }
 
+// Compare used to simulate an unknown mode as the base design, and a
+// repeated mode twice; a slowdown spec, which can arrive over the dist
+// wire, must refuse both before any job is dispatched.
+func TestSlowdownSpecRejectsBadModes(t *testing.T) {
+	for _, modes := range [][]sim.Mode{
+		{sim.Mode(7)},
+		{sim.PTGuard, sim.Mode(-3)},
+		{sim.PTGuardOptimized, 0},
+		{sim.PTGuard, sim.PTGuard},
+		{sim.PTGuard, sim.PTGuardOptimized, sim.PTGuardOptimized},
+	} {
+		if _, err := (SlowdownSpec{Workloads: []string{"leela"}, Modes: modes}).Jobs(1); err == nil {
+			t.Errorf("modes %v accepted", modes)
+		}
+	}
+}
+
 // A zero warm-up runs none. Both specs used to read it as their default
 // warm-up, so `sweep -warmup 0` printed the 200k-warm-up table.
 func TestSpecsZeroWarmupRunsNone(t *testing.T) {

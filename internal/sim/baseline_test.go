@@ -33,7 +33,7 @@ func TestDerivedBaselineMatchesSimulated(t *testing.T) {
 	modes := []Mode{PTGuard, PTGuardOptimized}
 	run := func(t *testing.T, cfg Config, prof workload.Profile) Result {
 		t.Helper()
-		r, err := runOne(cfg, prof, derivedWarmup, derivedInstructions)
+		r, _, err := simulate(cfg, prof, derivedWarmup, derivedInstructions, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +79,47 @@ func TestDerivedBaselineMatchesSimulated(t *testing.T) {
 					}
 					if got != base {
 						t.Errorf("%s: derived baseline\n %+v\nwant the simulated\n %+v", stage, got, base)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMirroredModesMatchSimulated is the metamorphic check of the mirrored
+// modes: a protected mode run as a mirror controller on another mode's
+// DRAM traffic reports what its own machine reports. For all 25 profiles,
+// three seeds, MAC latencies 1, 10 and 20 and warm-ups of 0 and 2,000
+// instructions, Compare over both protected modes (the first simulated,
+// the second mirrored, in either order across the grid) must return for
+// each mode the Result of a machine simulated on its own, field for
+// field, and every result reconciles its counters.
+func TestMirroredModesMatchSimulated(t *testing.T) {
+	orders := [][]Mode{{PTGuard, PTGuardOptimized}, {PTGuardOptimized, PTGuard}}
+	for _, prof := range workload.Profiles() {
+		prof := prof
+		t.Run(prof.Name, func(t *testing.T) {
+			t.Parallel()
+			for si, seed := range []uint64{1, 0xBEEF, 42} {
+				for _, warmup := range []int{0, derivedWarmup} {
+					for li, lat := range []int{1, 10, 20} {
+						modes := orders[(si+li)%2]
+						stage := fmt.Sprintf("seed %#x, warm-up %d, MAC latency %d, %s mirrored", seed, warmup, lat, modes[1])
+						cmp, err := Compare(prof, warmup, derivedInstructions, seed, lat, modes)
+						if err != nil {
+							t.Fatalf("%s: %v", stage, err)
+						}
+						for _, m := range modes {
+							want, _, err := simulate(Config{Mode: m, Seed: seed, MACLatencyCycles: lat}, prof, warmup, derivedInstructions, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := cmp.Results[m]
+							if got != want {
+								t.Errorf("%s: %s differs in %s:\n %+v\nwant the simulated\n %+v", stage, m, firstDiff(got, want), got, want)
+							}
+							reconcileCounters(t, got, lat, stage+"/"+m.String())
+						}
 					}
 				}
 			}
@@ -156,9 +197,22 @@ func TestCompareRejectsBadRequests(t *testing.T) {
 		{"negative warm-up", -5, []Mode{PTGuard}},
 		{"no mode", 100, nil},
 		{"baseline only", 100, []Mode{Baseline}},
+		{"unknown mode", 100, []Mode{Mode(7)}},
+		{"unknown mode beside a known one", 100, []Mode{PTGuard, Mode(-3)}},
+		{"zero mode", 100, []Mode{PTGuardOptimized, 0}},
+		{"repeated mode", 100, []Mode{PTGuard, PTGuard}},
+		{"repeated baseline", 100, []Mode{Baseline, PTGuardOptimized, Baseline}},
 	} {
 		if _, err := Compare(prof, c.warmup, 1000, 1, 10, c.modes); err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+	}
+	for _, m := range []Mode{0, Mode(-3), Mode(4), Mode(7)} {
+		if _, err := NewSystem(Config{Mode: m}, prof); err == nil {
+			t.Errorf("NewSystem accepted mode %d", int(m))
+		}
+		if _, err := NewMultiSystem(Config{Mode: m}, []workload.Profile{prof}); err == nil {
+			t.Errorf("NewMultiSystem accepted mode %d", int(m))
 		}
 	}
 	mix := MulticoreMix{Name: "leela-SAME", Workloads: []workload.Profile{prof, prof, prof, prof}}
@@ -183,6 +237,24 @@ func TestUnprotectedPreconditions(t *testing.T) {
 	} {
 		if _, err := unprotected(c.r); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: error %v, want one naming %q", c.r, err, c.want)
+		}
+	}
+}
+
+// The mirrored-mode checks name the field in which two Results differ.
+func TestFirstDiffNamesTheField(t *testing.T) {
+	for _, c := range []struct {
+		a, b Result
+		want string
+	}{
+		{Result{Cycles: 2}, Result{Cycles: 2}, ""},
+		{Result{Cycles: 2}, Result{Cycles: 3}, "Cycles"},
+		{Result{Ctrl: memctrl.Stats{Reads: 1}}, Result{}, "Ctrl.Reads"},
+		{Result{Mode: PTGuard, Recovery: RecoveryStats{Fatal: 1}}, Result{}, "Mode"},
+		{Result{Recovery: RecoveryStats{Fatal: 1}}, Result{}, "Recovery.Fatal"},
+	} {
+		if got := firstDiff(c.a, c.b); got != c.want {
+			t.Errorf("firstDiff(%+v, %+v) = %q, want %q", c.a, c.b, got, c.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"ptguard/internal/memctrl"
 	"ptguard/internal/obs"
@@ -41,9 +42,11 @@ type Comparison struct {
 // `warmup` instructions before the measured window, mirroring the paper's
 // fast-forward to a representative region (§III).
 //
-// The baseline is not simulated: it is derived from the first protected
-// run (see unprotected), because the guard never changes what the front
-// end sees or which DRAM accesses happen, only the read latency.
+// Only the first protected mode's machine is simulated. The guard never
+// changes what the front end sees or which DRAM accesses happen, only the
+// read latency, so the baseline is derived from that run (see unprotected),
+// and every further protected mode runs as a mirror controller on the same
+// DRAM traffic (see mirrored).
 func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode) (Comparison, error) {
 	cmp, _, err := CompareObserved(prof, warmup, instructions, seed, macLatency, modes, nil)
 	return cmp, err
@@ -52,13 +55,17 @@ func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLa
 // CompareObserved is Compare with observability: when obsOpts is non-nil,
 // each mode's run gets a fresh Observer and the returned map carries the
 // per-mode RunMetrics (final registry state, the snapshot time series, and
-// the traced events). The baseline's metrics are output too, so an observed
-// comparison also simulates the baseline, and fails if that run's Result
-// differs from the derived one. A nil obsOpts behaves exactly like Compare
-// and returns a nil map.
+// the traced events). Every mode's metrics are output, so an observed
+// comparison also simulates the baseline and each mirrored mode on its own
+// machine, and fails if such a run's Result differs from the derived or
+// mirrored one. A nil obsOpts behaves exactly like Compare and returns a
+// nil map.
 func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode, obsOpts *obs.Options) (Comparison, map[Mode]*obs.RunMetrics, error) {
 	if warmup < 0 {
 		return Comparison{}, nil, fmt.Errorf("sim: negative warm-up (%d instructions)", warmup)
+	}
+	if err := CheckModes(modes); err != nil {
+		return Comparison{}, nil, err
 	}
 	var protected []Mode
 	for _, m := range modes {
@@ -70,57 +77,69 @@ func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint6
 		return Comparison{}, nil, errors.New("sim: no protected mode requested")
 	}
 	var metrics map[Mode]*obs.RunMetrics
-	observed := func(cfg Config) (Result, error) {
+	observed := func(m Mode, mirrors []Mode) (Result, []*memctrl.Controller, error) {
+		cfg := Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency}
 		var o *obs.Observer
 		if obsOpts != nil {
 			o = obs.New(*obsOpts)
 			cfg.Obs = o
 		}
-		r, err := runOne(cfg, prof, warmup, instructions)
-		if err == nil && o != nil {
+		r, mcs, err := simulate(cfg, prof, warmup, instructions, mirrors)
+		if err != nil {
+			return Result{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
+		}
+		if o != nil {
 			if metrics == nil {
 				metrics = map[Mode]*obs.RunMetrics{}
 			}
-			metrics[cfg.Mode] = o.RunMetrics(true)
+			metrics[m] = o.RunMetrics(true)
 		}
-		return r, err
+		return r, mcs, nil
+	}
+	r, mcs, err := observed(protected[0], protected[1:])
+	if err != nil {
+		return Comparison{}, nil, err
+	}
+	base, err := unprotected(r)
+	if err != nil {
+		return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, protected[0], err)
+	}
+	results := make(map[Mode]Result, len(protected)+1)
+	results[protected[0]] = r
+	for i, m := range protected[1:] {
+		mr := mirrored(r, base, m, mcs[i])
+		b, err := unprotected(mr)
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
+		}
+		if b != base {
+			return Comparison{}, nil, fmt.Errorf("%s: %s and %s derive different baselines (%s)", prof.Name, protected[0], m, firstDiff(b, base))
+		}
+		results[m] = mr
+	}
+	results[Baseline] = base
+	if obsOpts != nil {
+		for _, m := range append([]Mode{Baseline}, protected[1:]...) {
+			sr, _, err := observed(m, nil)
+			if err != nil {
+				return Comparison{}, nil, err
+			}
+			if sr != results[m] {
+				return Comparison{}, nil, fmt.Errorf("%s/%s: the machine simulated on its own differs in %s from the result derived from %s", prof.Name, m, firstDiff(sr, results[m]), protected[0])
+			}
+		}
 	}
 	cmp := Comparison{
 		Workload:    prof.Name,
-		Results:     make(map[Mode]Result, len(protected)+1),
+		LLCMPKI:     base.LLCMPKI,
+		Results:     results,
 		SlowdownPct: make(map[Mode]float64, len(protected)),
 	}
-	var base Result
-	for i, m := range protected {
-		r, err := observed(Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency})
-		if err != nil {
+	for _, m := range protected {
+		if cmp.SlowdownPct[m], err = SlowdownPercent(results[m].Cycles, base.Cycles); err != nil {
 			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
-		}
-		b, err := unprotected(r)
-		if err != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
-		}
-		if i == 0 {
-			base = b
-		} else if b != base {
-			return Comparison{}, nil, fmt.Errorf("%s: %s and %s derive different baselines", prof.Name, protected[0], m)
-		}
-		sl, err := SlowdownPercent(r.Cycles, base.Cycles)
-		if err != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
-		}
-		cmp.Results[m], cmp.SlowdownPct[m] = r, sl
-	}
-	if obsOpts != nil {
-		r, err := observed(Config{Mode: Baseline, Seed: seed})
-		if err != nil {
-			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, Baseline, err)
-		}
-		if r != base {
-			return Comparison{}, nil, fmt.Errorf("%s: simulated baseline differs from the one derived from %s", prof.Name, protected[0])
 		}
 	}
-	cmp.Results[Baseline], cmp.LLCMPKI = base, base.LLCMPKI
 	return cmp, metrics, nil
 }
 
@@ -167,25 +186,81 @@ func unprotected(r Result) (Result, error) {
 			TotalWriteCycles: r.Ctrl.TotalWriteCycles - r.Ctrl.WriteMACCycles,
 		},
 	}
-	if base.Cycles != 0 {
-		// As cpu.Core.IPC computes it.
-		base.IPC = float64(base.Instructions) / base.Cycles
-	}
+	base.IPC = ipc(base.Instructions, base.Cycles)
 	return base, nil
 }
 
-func runOne(cfg Config, prof workload.Profile, warmup, instructions int) (Result, error) {
-	s, err := NewSystem(cfg, prof)
+// mirrored composes the Result a machine in mode m reports from the run r
+// of the machine that c mirrored, and the baseline base derived from r.
+// Running on the same DRAM traffic, c saw every access of r's machine and
+// answered each as its controller did (Diverged is nil), so a machine in
+// mode m would have made the same accesses in the same order: it keeps
+// r's front-end fields, takes c's controller and guard counters, and
+// stalls the in-order core for base's cycles plus c's read-MAC cycles.
+// Like the subtraction in unprotected, the sum is exact.
+func mirrored(r, base Result, m Mode, c *memctrl.Controller) Result {
+	r.Mode, r.Ctrl, r.Guard = m, c.Stats(), c.Guard().Counters()
+	r.Cycles = base.Cycles + float64(r.Ctrl.ReadMACCycles)
+	r.IPC = ipc(r.Instructions, r.Cycles)
+	return r
+}
+
+// ipc is instructions per cycle as cpu.Core.IPC computes it.
+func ipc(instructions uint64, cycles float64) float64 {
+	if cycles == 0 {
+		return 0
+	}
+	return float64(instructions) / cycles
+}
+
+// firstDiff names the first field, in declaration order and with nested
+// structs spelled out (Ctrl.ReadMACCycles), in which a and b differ, or
+// returns "" when they are equal.
+func firstDiff(a, b Result) string {
+	var diff func(path string, x, y reflect.Value) string
+	diff = func(path string, x, y reflect.Value) string {
+		if x.Kind() != reflect.Struct {
+			if !x.Equal(y) {
+				return path
+			}
+			return ""
+		}
+		for i := 0; i < x.NumField(); i++ {
+			name := x.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			if d := diff(name, x.Field(i), y.Field(i)); d != "" {
+				return d
+			}
+		}
+		return ""
+	}
+	return diff("", reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// simulate builds cfg's machine with one mirror controller per mode of
+// mirrors (newMirroredSystem), runs warmup instructions, resets every
+// counter, mirrors included, and measures the next instructions. A mirror
+// that diverged is an error.
+func simulate(cfg Config, prof workload.Profile, warmup, instructions int, mirrors []Mode) (Result, []*memctrl.Controller, error) {
+	s, mcs, err := newMirroredSystem(cfg, prof, mirrors)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	if warmup > 0 {
 		if _, err := s.Run(warmup); err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 		s.ResetStats()
 	}
-	return s.Run(instructions)
+	r, err := s.Run(instructions)
+	if err == nil {
+		if err = s.ctrl.Diverged(); err != nil {
+			err = fmt.Errorf("mirroring %v: %w", mirrors, err)
+		}
+	}
+	return r, mcs, err
 }
 
 // SuiteSummary aggregates per-workload slowdowns (Fig. 6/7's GMEAN/AMEAN

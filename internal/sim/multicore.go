@@ -33,21 +33,11 @@ func NewMultiSystem(cfg Config, profiles []workload.Profile) (*MultiSystem, erro
 	if len(profiles) == 0 {
 		return nil, errors.New("sim: no workloads")
 	}
-	if cfg.Mode == 0 {
-		return nil, errors.New("sim: config needs a Mode")
-	}
-	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
+	ctrl, err := newController(cfg)
 	if err != nil {
 		return nil, err
 	}
-	guard, err := buildGuard(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := memctrl.New(dev, guard, cfg.ContentionCycles)
-	if err != nil {
-		return nil, err
-	}
+	dev := ctrl.Device()
 	totalFrames := dev.Geometry().Capacity() / pte.PageSize
 	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
 	if err != nil {

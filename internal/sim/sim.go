@@ -51,6 +51,31 @@ func (m Mode) String() string {
 	}
 }
 
+// check returns an error unless m is Baseline, PTGuard or
+// PTGuardOptimized.
+func (m Mode) check() error {
+	if m < Baseline || m > PTGuardOptimized {
+		return fmt.Errorf("sim: unknown mode %d", int(m))
+	}
+	return nil
+}
+
+// CheckModes returns an error for a mode other than Baseline, PTGuard and
+// PTGuardOptimized, and for a mode listed twice.
+func CheckModes(modes []Mode) error {
+	var seen [PTGuardOptimized + 1]bool
+	for _, m := range modes {
+		if err := m.check(); err != nil {
+			return err
+		}
+		if seen[m] {
+			return fmt.Errorf("sim: mode %s listed twice", m)
+		}
+		seen[m] = true
+	}
+	return nil
+}
+
 // Cache hit latencies in cycles (typical for the Table III hierarchy).
 const (
 	latL1 = 4
@@ -142,8 +167,45 @@ type System struct {
 // footprint is mapped through real 4-level page tables whose lines are
 // flushed to DRAM through the (possibly guarded) memory controller.
 func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
-	if cfg.Mode == 0 {
-		return nil, errors.New("sim: config needs a Mode")
+	s, _, err := newMirroredSystem(cfg, prof, nil)
+	return s, err
+}
+
+// newMirroredSystem is NewSystem with one mirror controller per mode of
+// mirrors, each with its own DRAM device and guard, attached to the
+// machine's controller before the page tables are flushed: every DRAM
+// access the machine makes reaches each mirror too (memctrl.Mirror). It
+// returns the mirrors in the order of mirrors.
+func newMirroredSystem(cfg Config, prof workload.Profile, mirrors []Mode) (*System, []*memctrl.Controller, error) {
+	ctrl, err := newController(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	mcs := make([]*memctrl.Controller, len(mirrors))
+	for i, m := range mirrors {
+		mcfg := cfg
+		mcfg.Mode = m
+		if mcs[i], err = newController(mcfg); err != nil {
+			return nil, nil, err
+		}
+		if err := ctrl.Mirror(mcs[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	totalFrames := ctrl.Device().Geometry().Capacity() / pte.PageSize
+	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := newSystemShared(cfg, prof, ctrl.Device(), ctrl, alloc, 0)
+	return s, mcs, err
+}
+
+// newController builds a DRAM device and, in front of it, a controller
+// guarded as cfg.Mode asks.
+func newController(cfg Config) (*memctrl.Controller, error) {
+	if err := cfg.Mode.check(); err != nil {
+		return nil, err
 	}
 	dev, err := dram.NewDevice(dram.Geometry{}, dram.Timing{})
 	if err != nil {
@@ -153,16 +215,7 @@ func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := memctrl.New(dev, guard, cfg.ContentionCycles)
-	if err != nil {
-		return nil, err
-	}
-	totalFrames := dev.Geometry().Capacity() / pte.PageSize
-	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
-	if err != nil {
-		return nil, err
-	}
-	return newSystemShared(cfg, prof, dev, ctrl, alloc, 0)
+	return memctrl.New(dev, guard, cfg.ContentionCycles)
 }
 
 // newSystemShared builds a per-core system over shared DRAM, controller and
@@ -556,11 +609,11 @@ func (s *System) Run(n int) (Result, error) {
 }
 
 // ResetStats zeroes every measurement counter (core, caches, TLB, page
-// walker, controller, guard, check failures, churns, recovery and the walk
-// trace) while keeping caches, TLB and DRAM state warm. The DRAM device's
-// own counters stay whole-run. Measurements follow the paper's methodology
-// of fast-forwarding to a representative region (§III): run a warm-up,
-// reset, then measure.
+// walker, controller with its guard and mirrors, check failures, churns,
+// recovery and the walk trace) while keeping caches, TLB and DRAM state
+// warm. The DRAM device's own counters stay whole-run. Measurements follow
+// the paper's methodology of fast-forwarding to a representative region
+// (§III): run a warm-up, reset, then measure.
 func (s *System) ResetStats() {
 	s.core.ResetStats()
 	s.l1d.ResetStats()
@@ -573,9 +626,6 @@ func (s *System) ResetStats() {
 	s.churns = 0
 	s.recovery = RecoveryStats{}
 	s.walkTrace = nil
-	if g := s.ctrl.Guard(); g != nil {
-		g.ResetCounters()
-	}
 	s.obs.Reset()
 }
 

@@ -153,11 +153,6 @@ func NewGenerator(prof Profile, vbase uint64, seed uint64) (*Generator, error) {
 // Profile returns the generator's workload profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
-// FootprintBytes returns the mapped region size the workload needs.
-func (g *Generator) FootprintBytes() uint64 {
-	return uint64(g.prof.FootprintPages) * pte.PageSize
-}
-
 // IsMemRef decides whether the next instruction references memory.
 func (g *Generator) IsMemRef() bool { return g.rng.Below(g.memRefT) }
 

@@ -104,7 +104,7 @@ func TestGeneratorStaysInFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	end := vbase + g.FootprintBytes()
+	end := vbase + uint64(prof.FootprintPages)*pte.PageSize
 	for i := 0; i < 100000; i++ {
 		r := g.Next()
 		if r.VAddr < vbase || r.VAddr >= end {
