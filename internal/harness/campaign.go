@@ -77,8 +77,9 @@ func (o *ObsSpec) strip(rm *obs.RunMetrics) *obs.RunMetrics {
 type SlowdownSpec struct {
 	// Workloads filters the benchmark set; empty selects all 25.
 	Workloads []string
-	// Modes are the protection modes, each listed once; empty selects
-	// PTGuard and PTGuardOptimized.
+	// Modes are the protected modes, each listed once; empty selects
+	// PTGuard and PTGuardOptimized. The baseline is always compared
+	// against and may not be listed.
 	Modes []sim.Mode
 	// Warmup is the warm-up length of each run; zero runs none.
 	// Instructions is the measured window; zero selects Fig. 6's 400k.
@@ -127,9 +128,16 @@ func (s SlowdownSpec) Jobs(campaignSeed uint64) ([]Job[SlowdownResult], error) {
 		return nil, err
 	}
 	// A spec can arrive over the dist wire, so an unknown or repeated
-	// mode must fail here, not in every job.
+	// mode must fail here, not in every job. The baseline is every
+	// table's reference column, not a mode to list: Report would find no
+	// slowdown for it, after every job had run.
 	if err := sim.CheckModes(s.Modes); err != nil {
 		return nil, err
+	}
+	for _, m := range s.Modes {
+		if m == sim.Baseline {
+			return nil, errors.New("harness: the baseline is the reference column of every slowdown table, not a mode to list")
+		}
 	}
 	// The sim reads a zero latency as its 10-cycle default and a negative
 	// one as a MAC faster than free, so either would mislabel its table.

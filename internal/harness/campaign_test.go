@@ -138,6 +138,8 @@ func TestSlowdownSpecRejectsBadModes(t *testing.T) {
 		{sim.PTGuardOptimized, 0},
 		{sim.PTGuard, sim.PTGuard},
 		{sim.PTGuard, sim.PTGuardOptimized, sim.PTGuardOptimized},
+		{sim.Baseline},
+		{sim.Baseline, sim.PTGuard},
 	} {
 		if _, err := (SlowdownSpec{Workloads: []string{"leela"}, Modes: modes}).Jobs(1); err == nil {
 			t.Errorf("modes %v accepted", modes)

@@ -33,7 +33,7 @@ func TestDerivedBaselineMatchesSimulated(t *testing.T) {
 	modes := []Mode{PTGuard, PTGuardOptimized}
 	run := func(t *testing.T, cfg Config, prof workload.Profile) Result {
 		t.Helper()
-		r, _, err := simulate(cfg, prof, derivedWarmup, derivedInstructions, nil)
+		r, _, err := sequential(cfg, prof, derivedWarmup, derivedInstructions, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestMirroredModesMatchSimulated(t *testing.T) {
 							t.Fatalf("%s: %v", stage, err)
 						}
 						for _, m := range modes {
-							want, _, err := simulate(Config{Mode: m, Seed: seed, MACLatencyCycles: lat}, prof, warmup, derivedInstructions, nil)
+							want, _, err := sequential(Config{Mode: m, Seed: seed, MACLatencyCycles: lat}, prof, warmup, derivedInstructions, nil)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -240,25 +240,43 @@ func firstDiff(a, b Result) string {
 }
 
 // simulate builds cfg's machine with one mirror controller per mode of
-// mirrors (newMirroredSystem), runs warmup instructions, resets every
-// counter, mirrors included, and measures the next instructions. A mirror
-// that diverged is an error.
+// mirrors (newMirroredSystem) and measures it with its memory side
+// pipelined (measure).
 func simulate(cfg Config, prof workload.Profile, warmup, instructions int, mirrors []Mode) (Result, []*memctrl.Controller, error) {
-	s, mcs, err := newMirroredSystem(cfg, prof, mirrors)
+	return measure(func() (*System, []*memctrl.Controller, error) {
+		return newMirroredSystem(cfg, prof, mirrors)
+	}, warmup, instructions, true)
+}
+
+// measure builds a machine and its mirrors with build, runs warmup
+// instructions, resets every counter, mirrors included, and measures the
+// next instructions. A mirror that diverged is an error. With pipelined
+// set, the memory side runs on its own goroutine where the machine allows
+// it (usePipeline), and a run that diverged is built and run again
+// sequentially, so the Result and error are always the sequential
+// machine's.
+func measure(build func() (*System, []*memctrl.Controller, error), warmup, instructions int, pipelined bool) (Result, []*memctrl.Controller, error) {
+	s, mcs, err := build()
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if warmup > 0 {
-		if _, err := s.Run(warmup); err != nil {
-			return Result{}, nil, err
-		}
-		s.ResetStats()
+	if pipelined {
+		s.usePipeline()
 	}
-	r, err := s.Run(instructions)
-	if err == nil {
-		if err = s.ctrl.Diverged(); err != nil {
-			err = fmt.Errorf("mirroring %v: %w", mirrors, err)
+	if warmup > 0 {
+		if _, err = s.Run(warmup); err == nil {
+			s.ResetStats()
 		}
+	}
+	var r Result
+	if err == nil {
+		r, err = s.Run(instructions)
+	}
+	if errors.Is(err, errDiverged) {
+		return measure(build, warmup, instructions, false)
+	}
+	if err == nil {
+		err = s.ctrl.Diverged()
 	}
 	return r, mcs, err
 }

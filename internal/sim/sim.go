@@ -161,6 +161,10 @@ type System struct {
 
 	// obs collects metrics/traces/series when non-nil (Config.Obs).
 	obs *obs.Observer
+
+	// pipe, when set, serves the memory side on its own goroutine during
+	// each Run (pipeline.go).
+	pipe *pipeline
 }
 
 // NewSystem builds a system for one workload profile. The workload's
@@ -403,6 +407,14 @@ func (s *System) readPTELine(addr uint64) (pte.Line, bool) {
 	if s.cfg.TraceWalks {
 		s.walkTrace = append(s.walkTrace, addr)
 	}
+	if s.pipe != nil {
+		line, ok := s.pipelinedWalk(addr)
+		s.core.StallMemory(latL2 + latL3)
+		if ok {
+			s.cleanPTE[addr] = line
+		}
+		return line, ok
+	}
 	line, lat, ok := s.ctrl.ReadLine(addr, true)
 	s.core.StallMemory(latL2 + latL3 + lat)
 	if !ok {
@@ -486,24 +498,43 @@ func (s *System) accessData(ref workload.Ref) {
 	} else if res.WBValid {
 		s.writeback(res.Writeback)
 	}
+	if s.pipe != nil {
+		s.pipe.push(reqData, paddr)
+		s.core.StallMemory(latL1 + latL2 + latL3)
+		return
+	}
+	s.core.StallMemory(latL1 + latL2 + latL3 + s.readData(paddr, &s.checkFails))
+}
+
+// readData reads the data line at paddr from DRAM and returns the latency.
+// On first touch it materialises the line's pre-existing content through
+// the controller (not charged to the core). Each failed access counts in
+// fails.
+func (s *System) readData(paddr uint64, fails *uint64) int {
 	if !s.dev.Contains(paddr) {
-		// First touch: materialise the line's pre-existing content
-		// through the controller (not charged to the core).
-		if _, err := s.ctrl.WriteLine(paddr, s.dataLineFor(paddr)); err != nil {
-			s.checkFails++
-		}
+		s.writeData(paddr, fails)
 	}
-	_, lat, ok2 := s.ctrl.ReadLine(paddr, false)
-	if !ok2 {
-		s.checkFails++
+	_, lat, ok := s.ctrl.ReadLine(paddr, false)
+	if !ok {
+		*fails++
 	}
-	s.core.StallMemory(latL1 + latL2 + latL3 + lat)
+	return lat
 }
 
 // writeback posts a dirty line to memory; the core does not stall.
 func (s *System) writeback(addr uint64) {
+	if s.pipe != nil {
+		s.pipe.push(reqWriteback, addr)
+		return
+	}
+	s.writeData(addr, &s.checkFails)
+}
+
+// writeData writes the data line at addr through the controller, counting
+// a failed write in fails.
+func (s *System) writeData(addr uint64, fails *uint64) {
 	if _, err := s.ctrl.WriteLine(addr, s.dataLineFor(addr)); err != nil {
-		s.checkFails++
+		*fails++
 	}
 }
 
@@ -569,16 +600,26 @@ func (s *System) churnOnePage() {
 	s.churns++
 }
 
-// Run executes n instructions and returns the measurements.
+// Run executes n instructions and returns the measurements. A pipelined
+// machine's Run drains its memory side before it measures, and returns an
+// error wrapping errDiverged if the machine diverged.
 func (s *System) Run(n int) (Result, error) {
 	if n <= 0 {
 		return Result{}, errors.New("sim: instruction count must be positive")
+	}
+	if s.pipe != nil {
+		s.startMemory()
 	}
 	for i := 0; i < n; i++ {
 		s.step()
 		if s.obs.ShouldSnapshot(s.core.Instructions()) {
 			s.publishObs()
 			s.obs.Snapshot(uint64(s.core.Cycles()), s.core.Instructions())
+		}
+	}
+	if s.pipe != nil {
+		if err := s.drainMemory(); err != nil {
+			return Result{}, err
 		}
 	}
 	if s.obs != nil {

@@ -65,34 +65,6 @@ func StdErr(xs []float64) (float64, error) {
 	return sd / math.Sqrt(float64(len(xs))), nil
 }
 
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Comb returns the binomial coefficient C(n, k) as an exact big integer.
 // It returns zero for k < 0 or k > n.
 func Comb(n, k int) *big.Int {

@@ -76,16 +76,6 @@ func TestStdDevAndStdErr(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if m, _ := Min(xs); m != -1 {
-		t.Errorf("Min = %v, want -1", m)
-	}
-	if m, _ := Max(xs); m != 7 {
-		t.Errorf("Max = %v, want 7", m)
-	}
-}
-
 func TestComb(t *testing.T) {
 	tests := []struct {
 		n, k int
