@@ -92,9 +92,6 @@ func TestMonotonicPointersMissesMetadata(t *testing.T) {
 			t.Errorf("metadata bit %d wrongly reported protected", bit)
 		}
 	}
-	if m.ProtectsMetadata() {
-		t.Error("ProtectsMetadata must be false")
-	}
 	if _, err := NewMonotonicPointers(0); err == nil {
 		t.Error("zero watermark accepted")
 	}

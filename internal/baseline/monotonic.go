@@ -61,7 +61,3 @@ func (m MonotonicPointers) EvaluateFlip(original pte.Entry, bit int) FlipOutcome
 	}
 	return FlipOutcome{Prevented: true, Reason: "decreased PFN stays below the watermark"}
 }
-
-// ProtectsMetadata reports whether the defense covers non-PFN PTE fields.
-// It does not — the gap PT-Guard closes (§VIII-C).
-func (MonotonicPointers) ProtectsMetadata() bool { return false }

@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -93,12 +92,6 @@ func (e *Error) Error() string {
 func (e *Error) Is(target error) bool {
 	t, ok := target.(*Error)
 	return ok && t.Point == e.Point && (t.Op == "" || t.Op == e.Op)
-}
-
-// IsInjected reports whether err originates from a chaos injection.
-func IsInjected(err error) bool {
-	var ce *Error
-	return errors.As(err, &ce)
 }
 
 // rule schedules one point: fire on hits [After, After+Times), or (with

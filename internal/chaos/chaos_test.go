@@ -120,8 +120,9 @@ func TestErrIsTypedAndMatchable(t *testing.T) {
 	if ierr == nil {
 		t.Fatal("scheduled fault did not fire")
 	}
-	if !IsInjected(ierr) {
-		t.Error("IsInjected = false for injected error")
+	var ce *Error
+	if !errors.As(fmt.Errorf("wrapped: %w", ierr), &ce) || ce.Point != JournalFsync {
+		t.Errorf("errors.As did not find the injected fault: %v", ce)
 	}
 	if !errors.Is(ierr, &Error{Point: JournalFsync}) {
 		t.Error("errors.Is by point failed")
@@ -132,8 +133,8 @@ func TestErrIsTypedAndMatchable(t *testing.T) {
 	if !strings.Contains(ierr.Error(), "journal.fsync") {
 		t.Errorf("error text %q lacks the point name", ierr)
 	}
-	if IsInjected(fmt.Errorf("organic failure")) {
-		t.Error("IsInjected = true for organic error")
+	if errors.As(fmt.Errorf("organic failure"), &ce) {
+		t.Error("errors.As matched an organic error")
 	}
 }
 

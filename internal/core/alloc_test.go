@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"ptguard/internal/mac"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
 )
@@ -178,7 +179,7 @@ func TestIncrementalCorrectionEquivalence(t *testing.T) {
 	}
 
 	c := g.Counters()
-	full := (c.WriteMACComputes + c.ReadMACComputes) * uint64(g.auth.Chunks())
+	full := (c.WriteMACComputes + c.ReadMACComputes) * mac.Chunks
 	if c.ChunkEncrypts*2 >= full {
 		t.Errorf("guard spent %d chunk encryptions vs %d for one full MAC per verification: expected well under half",
 			c.ChunkEncrypts, full)

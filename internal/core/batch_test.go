@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ptguard/internal/mac"
 	"ptguard/internal/obs"
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
@@ -73,7 +74,6 @@ var batchConfigs = []struct {
 }{
 	{name: "default"},
 	{name: "tag64", mutate: func(c *Config) { c.TagBits = 64 }},
-	{name: "qarma64", mutate: func(c *Config) { c.UseQARMA64 = true }},
 	{name: "identifier", mutate: func(c *Config) {
 		c.OptIdentifier = true
 		c.Identifier = 0xA5A5A5A5A5A5A5
@@ -320,7 +320,7 @@ func TestGatherScatterRunsMatchRef(t *testing.T) {
 // TestBatchObservability: flush writes publish their deferred write MACs;
 // one corrupted walk read with correction on, repaired by step-2 candidate
 // idx, then publishes exactly the cipher work of a search scored one
-// candidate at a time: 2·Chunks() + idx + 1 chunk encryptions (the verify
+// candidate at a time: 2·mac.Chunks + idx + 1 chunk encryptions (the verify
 // MAC, Precompute and one per candidate) and idx + 3 read MACs (the
 // verify, the step-1 retry and one per candidate).
 func TestBatchObservability(t *testing.T) {
@@ -391,7 +391,7 @@ func TestBatchObservability(t *testing.T) {
 	}
 	after := published()
 	enc := after["guard.chunk_encrypts"] - c["guard.chunk_encrypts"]
-	if want := uint64(2*g.auth.Chunks() + idx + 1); enc != want {
+	if want := uint64(2*mac.Chunks + idx + 1); enc != want {
 		t.Errorf("guard.chunk_encrypts rose by %d, want %d (verify, Precompute, %d candidates)", enc, want, idx+1)
 	}
 	macs := after["guard.read_mac_computes"] - c["guard.read_mac_computes"]

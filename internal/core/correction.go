@@ -28,11 +28,11 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 	// faulty image with a handful of bits changed, i.e. it differs from the
 	// base in at most a couple of cipher chunks. The base image's chunks are
 	// enciphered once, and each guess re-enciphers only its dirty chunks:
-	// one chunk encryption per step-2 candidate instead of Chunks(). Every
+	// one chunk encryption per step-2 candidate instead of mac.Chunks. Every
 	// guess still counts as one ReadMACCompute (one logical verification);
 	// ChunkEncrypts carries the honest cipher-work accounting.
 	cc := g.auth.Precompute(maskedImage(line, f.ProtectedMask), addr)
-	g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
+	g.ctr.ChunkEncrypts += mac.Chunks
 
 	check := func(cand pte.Line) bool {
 		guesses++
@@ -79,12 +79,14 @@ func (g *Guard) correct(line pte.Line, addr uint64, stored mac.Tag) (pte.Line, i
 
 	// Step 3: reset almost-zero PTEs — Insight 1: 64% of PTEs are zero, so
 	// a PTE with only a few protected bits set is likely a corrupted zero
-	// PTE. Subsequent steps build on this zeroed view.
+	// PTE. Subsequent steps build on this zeroed view. The paper resets
+	// PTEs with at most 4 protected bits set.
+	const zeroResetMaxBits = 4
 	zeroed := line
 	if !g.cfg.DisableZeroReset {
 		for i, e := range zeroed {
 			n := bits.OnesCount64(uint64(e) & f.ProtectedMask)
-			if n > 0 && n <= g.cfg.ZeroResetMaxBits {
+			if n > 0 && n <= zeroResetMaxBits {
 				zeroed[i] = pte.Entry(uint64(e) &^ (f.ProtectedMask | f.AccessedMask))
 			}
 		}

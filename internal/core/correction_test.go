@@ -407,12 +407,12 @@ func TestCorrectAllZeroLine(t *testing.T) {
 }
 
 func TestZeroResetBoundary(t *testing.T) {
-	// The zero-reset guess fires for PTEs with at most ZeroResetMaxBits
-	// protected bits set. Exactly at the threshold it must still fire;
-	// one bit above, the PTE is no longer "almost zero" and the engine
-	// must not zero it (it would be a miscorrection if a soft MAC
-	// collision let it through — instead the line is detected).
-	g := correctionGuard(t, nil) // default ZeroResetMaxBits = 4
+	// The zero-reset guess fires for PTEs with at most 4 protected bits
+	// set (step 3's zeroResetMaxBits). Exactly at the threshold it must
+	// still fire; one bit above, the PTE is no longer "almost zero" and
+	// the engine must not zero it (it would be a miscorrection if a soft
+	// MAC collision let it through — instead the line is detected).
+	g := correctionGuard(t, nil)
 	line := pte.Line{}
 	img := writePTE(t, g, line, 0xB000)
 
@@ -422,7 +422,7 @@ func TestZeroResetBoundary(t *testing.T) {
 	}
 	rd := g.OnRead(at, 0xB000, true)
 	if rd.CheckFailed || !rd.Corrected || rd.Line != line {
-		t.Fatalf("4 flips in one zero PTE (== ZeroResetMaxBits) not corrected: %+v", rd)
+		t.Fatalf("4 flips in one zero PTE (== zeroResetMaxBits) not corrected: %+v", rd)
 	}
 
 	above := img

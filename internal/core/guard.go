@@ -38,14 +38,9 @@ type Config struct {
 	Format pte.Format
 	// Key is the 32-byte secret MAC key held in memory-controller SRAM.
 	Key []byte
-	// TagBits is the MAC width; 0 selects the paper's 96 bits (64 when
-	// UseQARMA64 is set).
+	// TagBits is the MAC width: the QARMA-128 MAC truncated to this many
+	// bits. 0 selects the paper's 96; §VII-A's 64-bit design point is 64.
 	TagBits int
-	// UseQARMA64 computes MACs with the QARMA-64 cipher: the lower-latency
-	// primitive natural for the §VII-A 64-bit design point.
-	UseQARMA64 bool
-	// Rounds is the QARMA forward round count; 0 selects the default.
-	Rounds int
 	// OptIdentifier enables the §V-A identifier optimization: the write
 	// pattern match extends to the reserved bits, and data reads skip MAC
 	// computation unless the identifier is present.
@@ -62,9 +57,6 @@ type Config struct {
 	// MAC within k bit-flips (§VI-C); 0 accepts only an exact match. The
 	// paper uses DefaultSoftMatchK. Ignored unless EnableCorrection.
 	SoftMatchK int
-	// ZeroResetMaxBits is the "almost-zero PTE" threshold for correction
-	// step 3; the paper resets PTEs with at most 4 protected bits set.
-	ZeroResetMaxBits int
 	// Ablation switches (DESIGN.md §5.5): disable individual correction
 	// guess strategies to measure each one's contribution to the Fig. 9
 	// correction rate. All false runs the full §VI-D algorithm.
@@ -105,20 +97,13 @@ func SeededConfig(rng *stats.RNG, correction bool) (Config, error) {
 
 func (c Config) withDefaults() Config {
 	if c.TagBits == 0 {
-		if c.UseQARMA64 {
-			c.TagBits = 64
-		} else {
-			c.TagBits = mac.DefaultTagBits
-		}
+		c.TagBits = mac.DefaultTagBits
 	}
 	if c.CTBEntries == 0 {
 		c.CTBEntries = DefaultCTBEntries
 	}
 	if c.MACLatencyCycles == 0 {
 		c.MACLatencyCycles = DefaultMACLatencyCycles
-	}
-	if c.ZeroResetMaxBits == 0 {
-		c.ZeroResetMaxBits = 4
 	}
 	return c
 }
@@ -132,7 +117,7 @@ type Counters struct {
 	WriteMACComputes uint64 // MAC computations on the write path
 	ReadMACComputes  uint64 // MAC computations on the read path
 	// ChunkEncrypts counts the modelled MAC unit's cipher chunk
-	// encryptions: 4 per full QARMA-128 MAC, 8 per QARMA-64; correction
+	// encryptions: mac.Chunks (4) per full QARMA-128 MAC; correction
 	// guesses re-encipher only dirty chunks. MAC memo hits do not reduce
 	// it: the memo saves host time, not modelled MAC-unit work.
 	ChunkEncrypts     uint64
@@ -184,14 +169,7 @@ func NewGuard(cfg Config) (*Guard, error) {
 	if cfg.SoftMatchK < 0 || cfg.SoftMatchK >= cfg.TagBits {
 		return nil, fmt.Errorf("core: soft-match budget %d outside [0, tag bits)", cfg.SoftMatchK)
 	}
-	opts := []mac.Option{mac.WithTagBits(cfg.TagBits)}
-	if cfg.UseQARMA64 {
-		opts = append(opts, mac.WithQARMA64())
-	}
-	if cfg.Rounds != 0 {
-		opts = append(opts, mac.WithRounds(cfg.Rounds))
-	}
-	auth, err := mac.New(cfg.Key, opts...)
+	auth, err := mac.New(cfg.Key, cfg.TagBits)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +349,7 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, deferSeal bool) (WriteResult
 			// The modelled MAC unit runs now; only the host's
 			// computation of the tag waits for the line's first read.
 			if !zero {
-				g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
+				g.ctr.ChunkEncrypts += mac.Chunks
 				g.deferredMACs++
 			}
 			res.Line, res.Deferred = line, true

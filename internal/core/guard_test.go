@@ -654,29 +654,6 @@ func TestIdentifierCollisionForwardedUnchanged(t *testing.T) {
 	}
 }
 
-func TestQARMA64GuardRoundTripAndDetection(t *testing.T) {
-	// The §VII-A 64-bit design point with its natural cipher: a 64-bit
-	// MAC needs only 8 of the 12 spare bits per PTE.
-	g := newTestGuard(t, func(c *Config) { c.UseQARMA64 = true })
-	if g.Config().TagBits != 64 {
-		t.Fatalf("tag bits = %d, want 64", g.Config().TagBits)
-	}
-	line := makePTELine(0x777700, testFlags, 8)
-	w, err := g.OnWrite(line, 0x4000)
-	if err != nil || !w.Protected {
-		t.Fatalf("write: %+v err=%v", w, err)
-	}
-	rd := g.OnRead(w.Line, 0x4000, true)
-	if rd.CheckFailed || rd.Line != line {
-		t.Fatal("QARMA-64 round trip failed")
-	}
-	tampered := w.Line
-	tampered[1] = pte.Entry(uint64(tampered[1]) ^ 1<<2)
-	if rd := g.OnRead(tampered, 0x4000, true); !rd.CheckFailed {
-		t.Error("QARMA-64 guard missed tampering")
-	}
-}
-
 // TestCounterInvariants drives a random operation mix and checks the
 // bookkeeping identities the timing model depends on.
 func TestCounterInvariants(t *testing.T) {

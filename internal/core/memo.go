@@ -27,7 +27,7 @@ type memoSlot struct {
 // would. The memo models no hardware: a hit charges the same counters as a
 // miss, and callers emit the same trace events and MAC cycles either way.
 func (g *Guard) lineMAC(line pte.Line, addr uint64) mac.Tag {
-	g.ctr.ChunkEncrypts += uint64(g.auth.Chunks())
+	g.ctr.ChunkEncrypts += mac.Chunks
 	img := maskedImage(line, g.cfg.Format.ProtectedMask)
 	if g.memo == nil {
 		g.memo = new([memoSlots]memoSlot)

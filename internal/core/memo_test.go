@@ -20,7 +20,6 @@ func TestLineMACMatchesCompute(t *testing.T) {
 	}{
 		{"qarma128-tag96", nil},
 		{"qarma128-tag64", func(c *Config) { c.TagBits = 64 }},
-		{"qarma64-tag64", func(c *Config) { c.UseQARMA64 = true }},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,53 +11,44 @@ import (
 // byte-identical to the full recompute for any candidate, however many
 // chunks are dirty, and must report exactly the dirty-chunk encryptions.
 func TestComputeDeltaMatchesCompute(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		opts      []Option
-		chunkSize int
-	}{
-		{name: "qarma128", chunkSize: 16},
-		{name: "qarma64", opts: []Option{WithQARMA64()}, chunkSize: 8},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := testAuth(t, tc.opts...)
-			r := stats.NewRNG(0xD17A)
-			nChunks := LineBytes / tc.chunkSize
-			for trial := 0; trial < 200; trial++ {
-				base := randLine(r)
-				addr := r.Uint64() &^ 0x3F
-				cc := a.Precompute(base, addr)
+	t.Run("qarma128", func(t *testing.T) {
+		a := testAuth(t, DefaultTagBits)
+		r := stats.NewRNG(0xD17A)
+		const chunkSize = LineBytes / Chunks
+		for trial := 0; trial < 200; trial++ {
+			base := randLine(r)
+			addr := r.Uint64() &^ 0x3F
+			cc := a.Precompute(base, addr)
 
-				// Dirty 0..nChunks distinct chunks with random byte edits.
-				cand := base
-				dirty := map[int]bool{}
-				for i, n := 0, r.Intn(nChunks+1); i < n; i++ {
-					c := r.Intn(nChunks)
-					if dirty[c] {
-						continue
-					}
-					dirty[c] = true
-					off := c*tc.chunkSize + r.Intn(tc.chunkSize)
-					cand[off] ^= byte(1 + r.Intn(255))
+			// Dirty 0..Chunks distinct chunks with random byte edits.
+			cand := base
+			dirty := map[int]bool{}
+			for i, n := 0, r.Intn(Chunks+1); i < n; i++ {
+				c := r.Intn(Chunks)
+				if dirty[c] {
+					continue
 				}
-
-				got, enc := a.ComputeDelta(&cc, &cand)
-				want := a.Compute(cand, addr)
-				if !got.Equal(want) {
-					t.Fatalf("trial %d: ComputeDelta != Compute with %d dirty chunks", trial, len(dirty))
-				}
-				if enc != len(dirty) {
-					t.Fatalf("trial %d: %d chunk encryptions reported, want %d", trial, enc, len(dirty))
-				}
+				dirty[c] = true
+				off := c*chunkSize + r.Intn(chunkSize)
+				cand[off] ^= byte(1 + r.Intn(255))
 			}
-		})
-	}
+
+			got, enc := a.ComputeDelta(&cc, &cand)
+			want := a.Compute(cand, addr)
+			if !got.Equal(want) {
+				t.Fatalf("trial %d: ComputeDelta != Compute with %d dirty chunks", trial, len(dirty))
+			}
+			if enc != len(dirty) {
+				t.Fatalf("trial %d: %d chunk encryptions reported, want %d", trial, enc, len(dirty))
+			}
+		}
+	})
 }
 
 // TestComputeDeltaCleanCandidateIsFree: a candidate equal to the base costs
 // zero cipher work (the §VI-D step-1 soft retry rides the cache for free).
 func TestComputeDeltaCleanCandidateIsFree(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	line := randLine(stats.NewRNG(7))
 	cc := a.Precompute(line, 0x4000)
 	got, enc := a.ComputeDelta(&cc, &line)
@@ -70,64 +61,50 @@ func TestComputeDeltaCleanCandidateIsFree(t *testing.T) {
 }
 
 // TestComputeFlipMatchesCompute: the one-bit path must give Compute's tag
-// for every one of the 512 line bits, under both ciphers, at a
-// line-aligned address and at one whose chunk addresses carry out of the
-// chunk index bits and wrap past 2^64, and it must leave the cache as it
-// found it.
+// for every one of the 512 line bits, at a line-aligned address and at one
+// whose chunk addresses carry out of the chunk index bits and wrap past
+// 2^64, and it must leave the cache as it found it.
 func TestComputeFlipMatchesCompute(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{name: "qarma128"},
-		{name: "qarma64", opts: []Option{WithQARMA64()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := testAuth(t, tc.opts...)
-			r := stats.NewRNG(0xF11B)
-			for _, addr := range []uint64{0x7_5A40, 0xFFFF_FFFF_FFFF_FFE8} {
-				base := randLine(r)
-				cc := a.Precompute(base, addr)
-				primed := cc
-				for bit := 0; bit < 8*LineBytes; bit++ {
-					cand := base
-					cand[bit/8] ^= 1 << (bit % 8)
-					if got, want := a.ComputeFlip(&cc, bit), a.Compute(cand, addr); !got.Equal(want) {
-						t.Fatalf("addr %#x bit %d: ComputeFlip %x, Compute %x", addr, bit, got.Raw(), want.Raw())
-					}
-				}
-				if cc != primed {
-					t.Fatalf("addr %#x: ComputeFlip changed the cache", addr)
+	t.Run("qarma128", func(t *testing.T) {
+		a := testAuth(t, DefaultTagBits)
+		r := stats.NewRNG(0xF11B)
+		for _, addr := range []uint64{0x7_5A40, 0xFFFF_FFFF_FFFF_FFE8} {
+			base := randLine(r)
+			cc := a.Precompute(base, addr)
+			primed := cc
+			for bit := 0; bit < 8*LineBytes; bit++ {
+				cand := base
+				cand[bit/8] ^= 1 << (bit % 8)
+				if got, want := a.ComputeFlip(&cc, bit), a.Compute(cand, addr); !got.Equal(want) {
+					t.Fatalf("addr %#x bit %d: ComputeFlip %x, Compute %x", addr, bit, got.Raw(), want.Raw())
 				}
 			}
-		})
-	}
+			if cc != primed {
+				t.Fatalf("addr %#x: ComputeFlip changed the cache", addr)
+			}
+		}
+	})
 }
 
 // FuzzComputeDelta cross-checks the incremental MAC against the full
-// recompute on a fuzzer-chosen key seed, cipher, address and candidate
-// edit, and checks that exactly the differing chunks are re-enciphered.
+// recompute on a fuzzer-chosen key seed, address and candidate edit, and checks that exactly the differing chunks are re-enciphered.
 // It also checks the one-bit path: ComputeFlip of a fuzzer-chosen line
 // bit against Compute of the base with that bit flipped. The address is
 // used unmasked, so chunk addresses that carry out of the chunk index bits
 // or wrap past 2^64 are reached: every cached tweak expansion must come
 // from its own chunk's address.
 func FuzzComputeDelta(f *testing.F) {
-	f.Add(uint64(1), false, uint64(0x5a5a40), []byte{0}, uint16(0))
-	f.Add(uint64(2), false, uint64(0x5a5a58), []byte{0xFF, 0x40, 7}, uint16(200))
-	f.Add(uint64(3), true, uint64(0xFFFF_FFFF_FFFF_FFE8), []byte("delta"), uint16(511))
-	f.Add(uint64(0xDEAD), false, ^uint64(0), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 1}, 8), uint16(383))
-	f.Fuzz(func(t *testing.T, seed uint64, use64 bool, addr uint64, edit []byte, bit uint16) {
-		var opts []Option
-		if use64 {
-			opts = append(opts, WithQARMA64())
-		}
+	f.Add(uint64(1), uint64(0x5a5a40), []byte{0}, uint16(0))
+	f.Add(uint64(2), uint64(0x5a5a58), []byte{0xFF, 0x40, 7}, uint16(200))
+	f.Add(uint64(3), uint64(0xFFFF_FFFF_FFFF_FFE8), []byte("delta"), uint16(511))
+	f.Add(uint64(0xDEAD), ^uint64(0), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 1}, 8), uint16(383))
+	f.Fuzz(func(t *testing.T, seed, addr uint64, edit []byte, bit uint16) {
 		key := make([]byte, KeySize)
 		r := stats.NewRNG(seed)
 		for i := range key {
 			key[i] = byte(r.Uint64())
 		}
-		a, err := New(key, opts...)
+		a, err := New(key, DefaultTagBits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +118,7 @@ func FuzzComputeDelta(f *testing.F) {
 		if want := a.Compute(cand, addr); !got.Equal(want) {
 			t.Fatalf("addr %#x: ComputeDelta tag %x, Compute %x", addr, got.Raw(), want.Raw())
 		}
-		size, dirty := LineBytes/a.Chunks(), 0
+		size, dirty := LineBytes/Chunks, 0
 		for off := 0; off < LineBytes; off += size {
 			if !bytes.Equal(cand[off:off+size], base[off:off+size]) {
 				dirty++
@@ -164,25 +141,17 @@ var sinkTag Tag
 // AllocsPerRun gates: the MAC unit is the simulator's hottest loop and must
 // never touch the heap.
 func TestComputeZeroAlloc(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{name: "qarma128"},
-		{name: "qarma64", opts: []Option{WithQARMA64()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := testAuth(t, tc.opts...)
-			line := randLine(stats.NewRNG(3))
-			if n := testing.AllocsPerRun(200, func() { sinkTag = a.Compute(line, 0x8040) }); n != 0 {
-				t.Errorf("Compute allocates %.1f objects/op, want 0", n)
-			}
-		})
-	}
+	t.Run("qarma128", func(t *testing.T) {
+		a := testAuth(t, DefaultTagBits)
+		line := randLine(stats.NewRNG(3))
+		if n := testing.AllocsPerRun(200, func() { sinkTag = a.Compute(line, 0x8040) }); n != 0 {
+			t.Errorf("Compute allocates %.1f objects/op, want 0", n)
+		}
+	})
 }
 
 func TestComputeDeltaZeroAlloc(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(9)
 	base := randLine(r)
 	cc := a.Precompute(base, 0xC0C0)
@@ -208,7 +177,7 @@ func TestComputeDeltaZeroAlloc(t *testing.T) {
 func TestRawRoundTrip(t *testing.T) {
 	line := randLine(stats.NewRNG(11))
 	for _, width := range []int{64, 96, 100, 128} {
-		tag := testAuth(t, WithTagBits(width)).Compute(line, 0x77C0)
+		tag := testAuth(t, width).Compute(line, 0x77C0)
 		if got, want := tag.SizeBytes(), (width+7)/8; got != want {
 			t.Fatalf("width %d: SizeBytes = %d, want %d", width, got, want)
 		}

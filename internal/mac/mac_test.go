@@ -9,14 +9,14 @@ import (
 	"ptguard/internal/stats"
 )
 
-func testAuth(tb testing.TB, opts ...Option) *Authenticator {
+func testAuth(tb testing.TB, tagBits int) *Authenticator {
 	tb.Helper()
 	key := make([]byte, KeySize)
 	r := stats.NewRNG(0xBEEF)
 	for i := range key {
 		key[i] = byte(r.Uint64())
 	}
-	a, err := New(key, opts...)
+	a, err := New(key, tagBits)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
@@ -35,19 +35,18 @@ func TestNewValidation(t *testing.T) {
 	tests := []struct {
 		name    string
 		keyLen  int
-		opts    []Option
+		tagBits int
 		wantErr bool
 	}{
-		{name: "default", keyLen: 32},
-		{name: "bad key", keyLen: 16, wantErr: true},
-		{name: "64-bit tag", keyLen: 32, opts: []Option{WithTagBits(64)}},
-		{name: "zero tag", keyLen: 32, opts: []Option{WithTagBits(0)}, wantErr: true},
-		{name: "oversized tag", keyLen: 32, opts: []Option{WithTagBits(129)}, wantErr: true},
-		{name: "bad rounds", keyLen: 32, opts: []Option{WithRounds(2)}, wantErr: true},
+		{name: "default", keyLen: 32, tagBits: DefaultTagBits},
+		{name: "bad key", keyLen: 16, tagBits: DefaultTagBits, wantErr: true},
+		{name: "64-bit tag", keyLen: 32, tagBits: 64},
+		{name: "zero tag", keyLen: 32, tagBits: 0, wantErr: true},
+		{name: "oversized tag", keyLen: 32, tagBits: 129, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := New(make([]byte, tt.keyLen), tt.opts...)
+			_, err := New(make([]byte, tt.keyLen), tt.tagBits)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
 			}
@@ -56,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestComputeDeterministic(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(1)
 	line := randLine(r)
 	t1 := a.Compute(line, 0x1000)
@@ -72,7 +71,7 @@ func TestComputeDeterministic(t *testing.T) {
 func TestComputeAddressBinding(t *testing.T) {
 	// §IV-G: the address is a MAC input, so relocating a line must change
 	// its MAC (prevents splicing a valid PTE line to another address).
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(2)
 	line := randLine(r)
 	if a.Compute(line, 0x1000).Equal(a.Compute(line, 0x2000)) {
@@ -81,7 +80,7 @@ func TestComputeAddressBinding(t *testing.T) {
 }
 
 func TestComputeDataSensitivity(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(3)
 	for trial := 0; trial < 50; trial++ {
 		line := randLine(r)
@@ -102,7 +101,7 @@ func TestComputeDataSensitivity(t *testing.T) {
 func TestComputeChunkPermutationSensitive(t *testing.T) {
 	// The per-chunk address binding must prevent swapping two 16-byte
 	// chunks without changing the MAC.
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(4)
 	line := randLine(r)
 	swapped := line
@@ -114,10 +113,10 @@ func TestComputeChunkPermutationSensitive(t *testing.T) {
 }
 
 func TestKeySeparation(t *testing.T) {
-	a1 := testAuth(t)
+	a1 := testAuth(t, DefaultTagBits)
 	key2 := make([]byte, KeySize)
 	key2[0] = 1
-	a2, err := New(key2)
+	a2, err := New(key2, DefaultTagBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestKeySeparation(t *testing.T) {
 }
 
 func TestZeroLineTagStable(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	z1, z2 := a.ZeroLineTag(), a.ZeroLineTag()
 	if !z1.Equal(z2) {
 		t.Error("ZeroLineTag not deterministic")
@@ -142,7 +141,7 @@ func TestZeroLineTagStable(t *testing.T) {
 }
 
 func TestTagBitsOption(t *testing.T) {
-	a := testAuth(t, WithTagBits(64))
+	a := testAuth(t, 64)
 	r := stats.NewRNG(6)
 	tag := a.Compute(randLine(r), 0)
 	if tag.Bits() != 64 {
@@ -159,7 +158,7 @@ func TestTagBitsOption(t *testing.T) {
 }
 
 func TestSoftMatch(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(7)
 	tag := a.Compute(randLine(r), 0x10)
 
@@ -369,27 +368,25 @@ func refChunk(a *Authenticator, line *[LineBytes]byte, addr uint64, i int) qarma
 // address carries, must match four independent chunk encryptions at every
 // address, aligned or not, including lines that wrap past 2^64.
 func TestEncryptLineMatchesChunks(t *testing.T) {
-	for _, rounds := range []int{4, qarma.DefaultRounds, qarma.MaxRounds} {
-		a := testAuth(t, WithRounds(rounds))
-		if err := quick.Check(func(seed, addr uint64, low uint8) bool {
-			line := randLine(stats.NewRNG(seed))
-			addr = addr&^0x3F | uint64(low&0x3F)
-			var out [chunks128]qarma.Block
-			a.encryptLine(&out, &line, addr)
-			for i := range out {
-				if out[i] != refChunk(a, &line, addr, i) {
-					return false
-				}
+	a := testAuth(t, DefaultTagBits)
+	if err := quick.Check(func(seed, addr uint64, low uint8) bool {
+		line := randLine(stats.NewRNG(seed))
+		addr = addr&^0x3F | uint64(low&0x3F)
+		var out [Chunks]qarma.Block
+		a.encryptLine(&out, &line, addr)
+		for i := range out {
+			if out[i] != refChunk(a, &line, addr, i) {
+				return false
 			}
-			return true
-		}, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("rounds=%d: encryptLine != refChunk: %v", rounds, err)
 		}
+		return true
+	}, &quick.Config{MaxCount: 300}); err != nil {
+		t.Errorf("encryptLine != refChunk: %v", err)
 	}
 }
 
 func BenchmarkCompute(b *testing.B) {
-	a := testAuth(b)
+	a := testAuth(b, DefaultTagBits)
 	r := stats.NewRNG(9)
 	line := randLine(r)
 	b.ReportAllocs()
@@ -404,7 +401,7 @@ func BenchmarkCompute(b *testing.B) {
 // inputs, every tag bit is set close to half the time, and adjacent-address
 // tags are uncorrelated.
 func TestMACBitUniformity(t *testing.T) {
-	a := testAuth(t)
+	a := testAuth(t, DefaultTagBits)
 	r := stats.NewRNG(31337)
 	const samples = 3000
 	counts := make([]int, DefaultTagBits)
@@ -440,51 +437,5 @@ func TestMACBitUniformity(t *testing.T) {
 	meanAgree := float64(agree) / float64(samples-1)
 	if meanAgree < 42 || meanAgree > 54 {
 		t.Errorf("mean inter-tag agreement = %.1f/96 bits, want ~48", meanAgree)
-	}
-}
-
-func TestQARMA64Authenticator(t *testing.T) {
-	a := testAuth(t, WithQARMA64())
-	if a.TagBits() != 64 {
-		t.Fatalf("tag bits = %d, want 64", a.TagBits())
-	}
-	r := stats.NewRNG(8)
-	line := randLine(r)
-	t1 := a.Compute(line, 0x1000)
-	if !t1.Equal(a.Compute(line, 0x1000)) {
-		t.Error("not deterministic")
-	}
-	if t1.Equal(a.Compute(line, 0x1040)) {
-		t.Error("not address-bound")
-	}
-	flipped := line
-	flipped[33] ^= 1
-	if t1.Equal(a.Compute(flipped, 0x1000)) {
-		t.Error("not data-sensitive")
-	}
-	// Chunk swap must change the tag (per-chunk address binding).
-	swapped := line
-	copy(swapped[0:8], line[8:16])
-	copy(swapped[8:16], line[0:8])
-	if t1.Equal(a.Compute(swapped, 0x1000)) {
-		t.Error("chunk swap left QARMA-64 MAC unchanged")
-	}
-	z := a.ZeroLineTag()
-	if !z.Equal(a.ZeroLineTag()) {
-		t.Error("zero tag not deterministic")
-	}
-	var zeroTag Tag
-	zeroTag.bits = 64
-	if z.Equal(zeroTag) {
-		t.Error("zero tag cancelled to all-zero")
-	}
-}
-
-func TestQARMA64WidthValidation(t *testing.T) {
-	if _, err := New(make([]byte, KeySize), WithQARMA64(), WithTagBits(96)); err == nil {
-		t.Error("96-bit tag with QARMA-64 accepted")
-	}
-	if _, err := New(make([]byte, KeySize), WithQARMA64(), WithTagBits(48)); err != nil {
-		t.Errorf("48-bit tag with QARMA-64 rejected: %v", err)
 	}
 }

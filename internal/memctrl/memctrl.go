@@ -209,13 +209,6 @@ func store(dev *dram.Device, g *core.Guard, addr uint64, res core.WriteResult) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ResetStats zeroes the counters of the controller, its guard and its
 // mirrors (post-warm-up). A recorded divergence stays.
 func (c *Controller) ResetStats() {

@@ -58,9 +58,6 @@ func New(opts Options) *Observer {
 	return o
 }
 
-// Enabled reports whether the observer collects anything.
-func (o *Observer) Enabled() bool { return o != nil }
-
 // Registry returns the metric registry (nil when disabled).
 func (o *Observer) Registry() *Registry {
 	if o == nil {

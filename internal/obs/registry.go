@@ -3,20 +3,12 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Counter is a monotonically increasing uint64 metric. All methods are
 // no-ops on a nil Counter, so components hold handles unconditionally and
 // pay only an inlined nil check when observability is disabled.
 type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
@@ -250,20 +242,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// CounterNames returns every registered counter name, sorted (for
-// deterministic CSV headers and tests).
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Reset zeroes every metric's value, keeping the registrations (and any

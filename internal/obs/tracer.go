@@ -77,14 +77,6 @@ func (t *Tracer) Len() int {
 	return len(t.buf)
 }
 
-// Emitted returns the total number of events ever emitted.
-func (t *Tracer) Emitted() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.emitted
-}
-
 // Dropped returns how many events the ring overwrote.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {

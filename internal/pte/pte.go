@@ -75,9 +75,6 @@ func (e Entry) Present() bool { return e.Bit(BitPresent) }
 // Writable reports the writable bit.
 func (e Entry) Writable() bool { return e.Bit(BitWritable) }
 
-// UserAccessible reports the user/supervisor bit.
-func (e Entry) UserAccessible() bool { return e.Bit(BitUserAccessible) }
-
 // Accessed reports the accessed bit.
 func (e Entry) Accessed() bool { return e.Bit(BitAccessed) }
 
@@ -94,9 +91,6 @@ func (e Entry) PFN() uint64 { return uint64(e) & MaskPFNField >> PageShift }
 func (e Entry) WithPFN(pfn uint64) Entry {
 	return Entry(uint64(e)&^MaskPFNField | pfn<<PageShift&MaskPFNField)
 }
-
-// ProtectionKey returns the MPK domain in bits 62:59.
-func (e Entry) ProtectionKey() uint64 { return uint64(e) & MaskProtKeys >> 59 }
 
 // Flags returns the low 12 flag/programmable bits.
 func (e Entry) Flags() uint64 { return uint64(e) & 0xFFF }

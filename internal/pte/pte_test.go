@@ -8,7 +8,7 @@ import (
 func TestEntryBits(t *testing.T) {
 	var e Entry
 	e = e.SetBit(BitPresent, true).SetBit(BitWritable, true).SetBit(BitUserAccessible, true)
-	if !e.Present() || !e.Writable() || !e.UserAccessible() {
+	if !e.Present() || !e.Writable() || !e.Bit(BitUserAccessible) {
 		t.Error("flag setters/getters disagree")
 	}
 	e = e.SetBit(BitWritable, false)
@@ -35,10 +35,12 @@ func TestEntryPFNRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEntryProtectionKey: MaskProtKeys selects the MPK domain in bits
+// 62:59 and nothing of the identifier field below it or NX above it.
 func TestEntryProtectionKey(t *testing.T) {
-	e := Entry(uint64(0xB) << 59)
-	if e.ProtectionKey() != 0xB {
-		t.Errorf("ProtectionKey = %#x, want 0xB", e.ProtectionKey())
+	e := Entry(uint64(0xB)<<59 | MaskIdentifier | 1<<BitNX)
+	if got := uint64(e) & MaskProtKeys >> 59; got != 0xB {
+		t.Errorf("MPK domain = %#x, want 0xB", got)
 	}
 }
 

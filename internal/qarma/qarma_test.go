@@ -262,98 +262,3 @@ func BenchmarkEncrypt(b *testing.B) {
 		p = c.Encrypt(p, tw)
 	}
 }
-
-func mustCipher64(tb testing.TB, rounds int) *Cipher64 {
-	tb.Helper()
-	key := make([]byte, Key64Size)
-	r := stats.NewRNG(0x64C0FFEE)
-	for i := range key {
-		key[i] = byte(r.Uint64())
-	}
-	c, err := NewCipher64(key, rounds)
-	if err != nil {
-		tb.Fatalf("NewCipher64: %v", err)
-	}
-	return c
-}
-
-func TestCipher64Validation(t *testing.T) {
-	if _, err := NewCipher64(make([]byte, 8), 7); err == nil {
-		t.Error("short key accepted")
-	}
-	if _, err := NewCipher64(make([]byte, 16), 3); err == nil {
-		t.Error("too few rounds accepted")
-	}
-	if _, err := NewCipher64(make([]byte, 16), 9); err == nil {
-		t.Error("too many rounds accepted")
-	}
-}
-
-func TestCipher64Avalanche(t *testing.T) {
-	c := mustCipher64(t, DefaultRounds64)
-	r := stats.NewRNG(123)
-	total, n := 0, 0
-	for i := 0; i < 200; i++ {
-		p, tw := r.Uint64(), r.Uint64()
-		base := c.Encrypt(p, tw)
-		flipped := c.Encrypt(p^1<<uint(r.Intn(64)), tw)
-		total += bits.OnesCount64(base ^ flipped)
-		n++
-	}
-	avg := float64(total) / float64(n)
-	if avg < 26 || avg > 38 {
-		t.Errorf("QARMA-64 avalanche = %.1f/64 bits, want ~32", avg)
-	}
-}
-
-func TestCipher64TweakSensitivity(t *testing.T) {
-	c := mustCipher64(t, DefaultRounds64)
-	r := stats.NewRNG(55)
-	p := r.Uint64()
-	seen := make(map[uint64]bool)
-	for i := 0; i < 200; i++ {
-		ct := c.Encrypt(p, r.Uint64())
-		if seen[ct] {
-			t.Fatal("tweak collision")
-		}
-		seen[ct] = true
-	}
-}
-
-func TestMix64IsInvolution(t *testing.T) {
-	f := func(s uint64) bool { return mix64(mix64(s)) == s }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSub64IsInvolution(t *testing.T) {
-	f := func(s uint64) bool { return sub64(sub64(s)) == s }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAdvanceTweak64Bijective(t *testing.T) {
-	// The 4-bit omega LFSR has period 15 on non-zero cells; the composed
-	// schedule must stay collision-free well beyond a cipher's 8 rounds.
-	seen := make(map[uint64]bool)
-	tw := uint64(0xDEADBEEF12345678)
-	for i := 0; i < 60; i++ {
-		if seen[tw] {
-			t.Fatalf("tweak cycle after %d steps", i)
-		}
-		seen[tw] = true
-		tw = advanceTweak64(tw)
-	}
-}
-
-func BenchmarkEncrypt64(b *testing.B) {
-	c := mustCipher64(b, DefaultRounds64)
-	p, tw := uint64(1), uint64(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p = c.Encrypt(p, tw)
-	}
-}

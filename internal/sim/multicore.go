@@ -92,25 +92,7 @@ func (m *MultiSystem) Run(instrPerCore, quantum int) ([]Result, error) {
 	}
 	out := make([]Result, len(m.cores))
 	for i, s := range m.cores {
-		res := Result{
-			Workload:     s.gen.Profile().Name,
-			Mode:         s.cfg.Mode,
-			Instructions: s.core.Instructions(),
-			Cycles:       s.core.Cycles(),
-			IPC:          s.core.IPC(),
-			TLBMissRate:  s.tlb.Stats().MissRate(),
-			PageWalks:    s.walker.Stats().Walks,
-			CheckFails:   s.checkFails,
-			Ctrl:         s.ctrl.Stats(),
-		}
-		l3 := s.l3.Stats()
-		if res.Instructions > 0 {
-			res.LLCMPKI = 1000 * float64(l3.Misses) / float64(res.Instructions)
-		}
-		if g := s.ctrl.Guard(); g != nil {
-			res.Guard = g.Counters()
-		}
-		out[i] = res
+		out[i] = s.result()
 	}
 	return out, nil
 }

@@ -23,7 +23,7 @@ func TestResetStatsClearsRecoveryAndWalkTrace(t *testing.T) {
 	if _, err := s.Run(20_000); err != nil {
 		t.Fatal(err)
 	}
-	if s.RecoveryStats() == (RecoveryStats{}) {
+	if s.recovery == (RecoveryStats{}) {
 		t.Fatal("warm-up did not exercise recovery; the reset has nothing to prove")
 	}
 	if len(s.WalkTrace()) == 0 {
@@ -32,7 +32,7 @@ func TestResetStatsClearsRecoveryAndWalkTrace(t *testing.T) {
 
 	s.ResetStats()
 
-	if st := s.RecoveryStats(); st != (RecoveryStats{}) {
+	if st := s.recovery; st != (RecoveryStats{}) {
 		t.Errorf("ResetStats kept recovery stats: %+v", st)
 	}
 	if wt := s.WalkTrace(); len(wt) != 0 {

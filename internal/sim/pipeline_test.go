@@ -53,7 +53,7 @@ func flippedBuild(tb testing.TB, cfg Config, prof workload.Profile, mirrors []Mo
 		if err != nil {
 			return nil, nil, err
 		}
-		h, err := dram.NewHammerer(s.Device(), dram.HammerConfig{Seed: 1})
+		h, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 1})
 		if err != nil {
 			tb.Fatal(err)
 		}

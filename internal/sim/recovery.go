@@ -18,9 +18,6 @@ type RecoveryStats struct {
 	Fatal uint64
 }
 
-// RecoveryStats returns a snapshot of the OS-recovery counters.
-func (s *System) RecoveryStats() RecoveryStats { return s.recovery }
-
 // recoveryRetries bounds the in-place rebuild attempts per failure.
 const recoveryRetries = 3
 

@@ -12,7 +12,7 @@ import (
 // is uncorrectable and must reach the OS recovery path.
 func corruptLine(tb testing.TB, s *System, lineAddr uint64) {
 	tb.Helper()
-	hmr, err := dram.NewHammerer(s.Device(), dram.HammerConfig{Seed: 99})
+	hmr, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 99})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRecoveryRebuild(t *testing.T) {
 	if res.PFN != wantPFN {
 		t.Fatalf("recovered walk translated to PFN %#x, want %#x", res.PFN, wantPFN)
 	}
-	st := s.RecoveryStats()
+	st := s.recovery
 	if st.Raised != 1 || st.Recovered != 1 || st.Fatal != 0 {
 		t.Fatalf("recovery stats = %+v, want raised=1 recovered=1 fatal=0", st)
 	}
@@ -141,7 +141,7 @@ func TestRecoveryDisabledStillFails(t *testing.T) {
 	if !res.CheckFailed {
 		t.Fatal("corrupted walk passed without recovery")
 	}
-	if st := s.RecoveryStats(); st != (RecoveryStats{}) {
+	if st := s.recovery; st != (RecoveryStats{}) {
 		t.Fatalf("recovery ran while disabled: %+v", st)
 	}
 }
@@ -173,7 +173,7 @@ func TestRecoveryRemapEscalation(t *testing.T) {
 	if res.PFN != wantPFN {
 		t.Fatalf("remapped walk translated to PFN %#x, want %#x", res.PFN, wantPFN)
 	}
-	st := s.RecoveryStats()
+	st := s.recovery
 	if st.Remaps != 1 || st.Recovered != 1 || st.Fatal != 0 {
 		t.Fatalf("recovery stats = %+v, want remaps=1 recovered=1 fatal=0", st)
 	}
@@ -206,7 +206,7 @@ func TestRecoveryFatalWithoutAuthoritativeState(t *testing.T) {
 	if _, ok := s.recoverPTELine(0x3F00_0000); ok {
 		t.Fatal("recovered a line with no authoritative copy")
 	}
-	st := s.RecoveryStats()
+	st := s.recovery
 	if st.Raised != 1 || st.Fatal != 1 || st.Recovered != 0 {
 		t.Fatalf("recovery stats = %+v, want raised=1 fatal=1", st)
 	}
@@ -232,7 +232,7 @@ func TestRecoveryRepeatedFaultsConverge(t *testing.T) {
 			t.Fatalf("round %d: walk = %+v, want PFN %#x", round, res, wantPFN)
 		}
 	}
-	st := s.RecoveryStats()
+	st := s.recovery
 	if st.Raised != 2 || st.Recovered != 2 || st.Fatal != 0 {
 		t.Fatalf("recovery stats = %+v, want raised=2 recovered=2", st)
 	}

@@ -628,6 +628,13 @@ func (s *System) Run(n int) (Result, error) {
 		s.publishObs()
 		s.obs.Snapshot(uint64(s.core.Cycles()), s.core.Instructions())
 	}
+	return s.result(), nil
+}
+
+// result assembles the measurements since the last ResetStats: System.Run's
+// Result, and one core's in MultiSystem.Run. Both run at least one
+// instruction first, so LLCMPKI's division is safe.
+func (s *System) result() Result {
 	res := Result{
 		Workload:     s.gen.Profile().Name,
 		Mode:         s.cfg.Mode,
@@ -646,7 +653,7 @@ func (s *System) Run(n int) (Result, error) {
 	if g := s.ctrl.Guard(); g != nil {
 		res.Guard = g.Counters()
 	}
-	return res, nil
+	return res
 }
 
 // ResetStats zeroes every measurement counter (core, caches, TLB, page
@@ -707,6 +714,3 @@ func (s *System) Tables() *ostable.PageTables { return s.tables }
 
 // Controller exposes the memory controller.
 func (s *System) Controller() *memctrl.Controller { return s.ctrl }
-
-// Device exposes the DRAM device.
-func (s *System) Device() *dram.Device { return s.dev }

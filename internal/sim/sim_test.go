@@ -200,7 +200,7 @@ func TestDetectionUnderAttackInFullSystem(t *testing.T) {
 	if _, err := s.Run(50_000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := dram.NewHammerer(s.Device(), dram.HammerConfig{Seed: 1})
+	h, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,6 @@ type options struct {
 	optZero      bool
 	correction   bool
 	softK        int
-	useQARMA64   bool
 }
 
 // WithPhysAddrBits sets M, the machine's physical address width (default 40,
@@ -71,10 +70,6 @@ func WithMACWidth(bits int) Option { return func(o *options) { o.tagBits = bits 
 
 // WithMACLatency sets the MAC computation latency in CPU cycles (default 10).
 func WithMACLatency(cycles int) Option { return func(o *options) { o.macLatency = cycles } }
-
-// WithQARMA64MAC computes MACs with the lower-latency QARMA-64 cipher; the
-// MAC width defaults to 64 bits (§VII-A design point).
-func WithQARMA64MAC() Option { return func(o *options) { o.useQARMA64 = true } }
 
 // WithCTBEntries sizes the Collision Tracking Buffer (default 4).
 func WithCTBEntries(n int) Option { return func(o *options) { o.ctbEntries = n } }
@@ -114,7 +109,6 @@ func New(key []byte, opts ...Option) (*Guard, error) {
 		Format:           format,
 		Key:              key,
 		TagBits:          o.tagBits,
-		UseQARMA64:       o.useQARMA64,
 		MACLatencyCycles: o.macLatency,
 		CTBEntries:       o.ctbEntries,
 		OptIdentifier:    o.optIdent,

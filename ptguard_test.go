@@ -199,22 +199,45 @@ func TestPublicAttackDemos(t *testing.T) {
 	}
 }
 
-func TestPublicQARMA64Option(t *testing.T) {
-	g, err := New(demoKey(), WithQARMA64MAC())
+// TestPublicMACWidth64 drives §VII-A's 64-bit design point through
+// WithMACWidth: the paper's MAC truncated to 64 bits. At M = 40 each PTE
+// carries 12 MAC bits (40-51), so a 64-bit tag fills PTEs 0-4 and the low
+// four MAC bits of PTE 5, matches the 96-bit guard's tag there and leaves
+// the rest of the MAC field zero. The guard still round-trips and still
+// catches tampering.
+func TestPublicMACWidth64(t *testing.T) {
+	full, err := New(demoKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(demoKey(), WithMACWidth(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	line := demoPTELine(0x1111)
+	img96, _, err := full.ProtectOnWrite(line, 0x6000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	img, info, err := g.ProtectOnWrite(line, 0x6000)
 	if err != nil || !info.Protected {
-		t.Fatalf("protect: %v", err)
+		t.Fatalf("protect: %+v err=%v", info, err)
+	}
+	const macField = uint64(0xFFF) << 40
+	for i := 0; i < 8; i++ {
+		n := min(max(64-12*i, 0), 12) // tag bits stored in PTE i
+		kept := (uint64(1)<<n - 1) << 40
+		e96 := binary.LittleEndian.Uint64(img96[8*i:])
+		if got, want := binary.LittleEndian.Uint64(img[8*i:]), e96&^(macField&^kept); got != want {
+			t.Errorf("PTE %d: 64-bit image %#x, want the 96-bit image truncated, %#x", i, got, want)
+		}
 	}
 	got, _, err := g.VerifyWalkRead(img, 0x6000)
 	if err != nil || got != line {
-		t.Fatal("QARMA-64 public round trip failed")
+		t.Fatalf("64-bit MAC round trip: %v", err)
 	}
 	img[0] ^= 2
 	if _, _, err := g.VerifyWalkRead(img, 0x6000); !errors.Is(err, ErrIntegrityViolation) {
-		t.Error("QARMA-64 public guard missed tampering")
+		t.Errorf("64-bit MAC missed tampering: %v", err)
 	}
 }
