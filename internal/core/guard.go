@@ -163,6 +163,9 @@ func NewGuard(cfg Config) (*Guard, error) {
 		return nil, errors.New("core: config needs a PTE format")
 	}
 	macCapacity := cfg.Format.MACBitsPerLine()
+	if cfg.TagBits <= 0 {
+		return nil, fmt.Errorf("core: tag width %d bits is not positive", cfg.TagBits)
+	}
 	if cfg.TagBits > macCapacity {
 		return nil, fmt.Errorf("core: %d-bit tag exceeds %d-bit line capacity", cfg.TagBits, macCapacity)
 	}

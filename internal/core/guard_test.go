@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,11 +60,14 @@ func TestNewGuardValidation(t *testing.T) {
 		name    string
 		cfg     Config
 		wantErr bool
+		// wantMsg, when set, must appear in the error.
+		wantMsg string
 	}{
 		{name: "ok", cfg: Config{Format: f, Key: testKey()}},
 		{name: "no format", cfg: Config{Key: testKey()}, wantErr: true},
 		{name: "bad key", cfg: Config{Format: f, Key: []byte{1}}, wantErr: true},
 		{name: "tag too wide", cfg: Config{Format: f, Key: testKey(), TagBits: 128}, wantErr: true},
+		{name: "negative tag", cfg: Config{Format: f, Key: testKey(), TagBits: -8}, wantErr: true, wantMsg: "tag width -8"},
 		{name: "bad soft k", cfg: Config{Format: f, Key: testKey(), SoftMatchK: -1}, wantErr: true},
 		{name: "64-bit tag ok", cfg: Config{Format: f, Key: testKey(), TagBits: 64}},
 	}
@@ -72,6 +76,9 @@ func TestNewGuardValidation(t *testing.T) {
 			_, err := NewGuard(tt.cfg)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
+			}
+			if err != nil && !strings.Contains(err.Error(), tt.wantMsg) {
+				t.Errorf("err = %v, want it to name %q", err, tt.wantMsg)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ptguard/internal/obs"
@@ -70,6 +71,16 @@ const actChunkRows = 1024
 // state and per-row activation counters for the Rowhammer model.
 // Device is not safe for concurrent use.
 //
+// Stored lines sit behind a page index: a map from 4 KB page number to a
+// page record that gives each of the page's 64 lines its slot in a dense
+// slab (or none) and the sealer, if any, that owes its seal. The slab
+// holds one 64-byte slot per stored line, in first-write order, so a
+// sparsely touched page costs its record and the lines actually stored,
+// not 4 KB. Page records and slab slots are allocated a chunk at a time
+// (pageChunk records, slabChunk lines), and the last page looked up is
+// cached, so a table flush, which writes a page's 64 lines in a row,
+// pays one map lookup per page.
+//
 // The per-row bookkeeping (activation counters, flip attribution) is
 // indexed by bank*RowsPerBank+row: the geometry is fixed at construction,
 // so a direct index replaces the map hashing that used to dominate the
@@ -85,14 +96,17 @@ type Device struct {
 	geo    Geometry
 	timing Timing
 
-	// lines maps each stored line's address to its image. A line written
-	// by WriteUnsealed is keyed by its address with the low bits set to
-	// one plus the index of the sealer that owes its seal (line addresses
-	// are 64-byte aligned, so six bits are free); its first read seals it
-	// in place under the plain address. An address has at most one key,
-	// so len(lines) counts stored lines, sealed or not, and reading a
-	// sealed line stays one lookup.
-	lines map[uint64]pte.Line
+	// pages maps a 4 KB page number to the record of its stored lines;
+	// lastPN and last cache the most recent hit (last is nil until the
+	// first). spare holds the unused records of the newest chunk.
+	pages  map[uint64]*page
+	lastPN uint64
+	last   *page
+	spare  []page
+	// slab holds the stored line images, slabChunk lines per chunk, in
+	// first-write order; stored counts them, sealed or not.
+	slab   []*[slabChunk]pte.Line
+	stored int
 	// sealers[i] owes pending[i] unsealed lines (nil when it owes none);
 	// unsealed is their sum.
 	sealers  []Sealer
@@ -154,7 +168,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	return &Device{
 		geo:       geo,
 		timing:    timing,
-		lines:     make(map[uint64]pte.Line),
+		pages:     make(map[uint64]*page),
 		openRow:   open,
 		actChunks: make([]*[actChunkRows]int32, (nRows+actChunkRows-1)/actChunkRows),
 	}, nil
@@ -292,40 +306,100 @@ type Sealer interface {
 	Seal(addr uint64, line pte.Line) pte.Line
 }
 
-// lineOffsetMask selects the offset bits below a line address, which tag
-// unsealed keys; it also caps the number of sealers owed lines at once.
+// lineOffsetMask selects the offset bits below a line address. It also
+// caps the number of sealers owed lines at once; past the cap a line is
+// sealed as it is written.
 const lineOffsetMask = pte.LineBytes - 1
+
+const (
+	// pageLines is the number of 64-byte lines in a 4 KB page.
+	pageLines = pte.PageSize / pte.LineBytes
+	// pageChunk page records, and slabChunk line slots, are allocated
+	// together.
+	pageChunk = 64
+	slabChunk = 512
+)
+
+// page records which lines of one 4 KB page are stored. at[i] is one plus
+// the slab position of line i, 0 when it was never written; owed[i] is
+// one plus the slot of the sealer that owes line i's seal, 0 when the
+// line is sealed.
+type page struct {
+	at   [pageLines]uint32
+	owed [pageLines]uint8
+}
+
+// find returns the record of the page holding addr, nil when no line of
+// the page is stored, and the line's index in it.
+func (d *Device) find(addr uint64) (*page, int) {
+	i := int(addr/pte.LineBytes) % pageLines
+	pn := addr >> pte.PageShift
+	if d.last == nil || pn != d.lastPN {
+		p := d.pages[pn]
+		if p == nil {
+			return nil, i
+		}
+		d.last, d.lastPN = p, pn
+	}
+	return d.last, i
+}
+
+// place returns the record and index of the line at addr, giving the line
+// a zero slab slot if it has none.
+func (d *Device) place(addr uint64) (*page, int) {
+	p, i := d.find(addr)
+	if p == nil {
+		if len(d.spare) == 0 {
+			d.spare = make([]page, pageChunk)
+		}
+		p, d.spare = &d.spare[0], d.spare[1:]
+		pn := addr >> pte.PageShift
+		d.pages[pn] = p
+		d.last, d.lastPN = p, pn
+	}
+	if p.at[i] == 0 {
+		if d.stored%slabChunk == 0 {
+			d.slab = append(d.slab, new([slabChunk]pte.Line))
+		}
+		d.stored++
+		p.at[i] = uint32(d.stored)
+	}
+	return p, i
+}
+
+// line returns the slab slot of line i of p, which must be stored.
+func (d *Device) line(p *page, i int) *pte.Line {
+	n := p.at[i] - 1
+	return &d.slab[n/slabChunk][n%slabChunk]
+}
 
 // ReadLine returns the stored line image (zero if never written), sealing
 // an unsealed line in place first.
 func (d *Device) ReadLine(addr uint64) pte.Line {
-	key := addr &^ lineOffsetMask
-	if l, ok := d.lines[key]; ok || d.unsealed == 0 {
-		return l
+	p, i := d.find(addr)
+	if p == nil || p.at[i] == 0 {
+		return pte.Line{}
 	}
-	if i := d.pendingSlot(key); i >= 0 {
-		return d.seal(key, i)
+	if p.owed[i] != 0 {
+		d.seal(addr&^lineOffsetMask, p, i)
 	}
-	return pte.Line{}
+	return *d.line(p, i)
 }
 
 // Contains reports whether the line at addr has ever been written,
 // distinguishing a stored all-zero line from untouched memory. It counts
 // unsealed lines and seals nothing.
 func (d *Device) Contains(addr uint64) bool {
-	key := addr &^ lineOffsetMask
-	if _, ok := d.lines[key]; ok {
-		return true
-	}
-	return d.unsealed != 0 && d.pendingSlot(key) >= 0
+	p, i := d.find(addr)
+	return p != nil && p.at[i] != 0
 }
 
 // WriteLine stores a line image, dropping any seal owed on the line it
 // replaces.
 func (d *Device) WriteLine(addr uint64, line pte.Line) {
-	key := addr &^ lineOffsetMask
-	d.dropPending(key)
-	d.lines[key] = line
+	p, i := d.place(addr)
+	d.forgive(p, i)
+	*d.line(p, i) = line
 }
 
 // WriteUnsealed stores line at addr with its seal owed by s: the first
@@ -335,22 +409,22 @@ func (d *Device) WriteLine(addr uint64, line pte.Line) {
 // the guard that wrote them. s is typically the writing *core.Guard,
 // passed as is: a method value would allocate on every call.
 func (d *Device) WriteUnsealed(addr uint64, line pte.Line, s Sealer) {
-	key := addr &^ lineOffsetMask
-	d.dropPending(key)
-	i := d.sealerSlot(s)
-	if i < 0 {
-		// Every tag is owed lines: seal now.
-		d.lines[key] = s.Seal(key, line)
+	p, i := d.place(addr)
+	d.forgive(p, i)
+	j := d.sealerSlot(s)
+	if j < 0 {
+		// Every slot is owed lines: seal now.
+		*d.line(p, i) = s.Seal(addr&^lineOffsetMask, line)
 		return
 	}
-	delete(d.lines, key)
-	d.lines[key|uint64(i+1)] = line
-	d.pending[i]++
+	*d.line(p, i) = line
+	p.owed[i] = uint8(j + 1)
+	d.pending[j]++
 	d.unsealed++
 }
 
 // sealerSlot returns s's slot, binding s to a free one if it owes no line
-// yet, or -1 when every tag is taken.
+// yet, or -1 when every slot is taken.
 func (d *Device) sealerSlot(s Sealer) int {
 	free := -1
 	for i, t := range d.sealers {
@@ -372,39 +446,20 @@ func (d *Device) sealerSlot(s Sealer) int {
 	return free
 }
 
-// pendingSlot returns the slot of the sealer owing the line at key, or -1
-// when the line is sealed or absent.
-func (d *Device) pendingSlot(key uint64) int {
-	for i, s := range d.sealers {
-		if s == nil {
-			continue
-		}
-		if _, ok := d.lines[key|uint64(i+1)]; ok {
-			return i
-		}
-	}
-	return -1
+// seal seals line i of p, at addr, in place with the sealer that owes it.
+func (d *Device) seal(addr uint64, p *page, i int) {
+	j := int(p.owed[i]) - 1
+	l := d.line(p, i)
+	*l = d.sealers[j].Seal(addr, *l)
+	p.owed[i] = 0
+	d.release(j)
 }
 
-// seal seals the line at key owed by slot i in place and returns its
-// image.
-func (d *Device) seal(key uint64, i int) pte.Line {
-	tagged := key | uint64(i+1)
-	l := d.sealers[i].Seal(key, d.lines[tagged])
-	delete(d.lines, tagged)
-	d.lines[key] = l
-	d.release(i)
-	return l
-}
-
-// dropPending forgets the seal owed on the line at key, if any.
-func (d *Device) dropPending(key uint64) {
-	if d.unsealed == 0 {
-		return
-	}
-	if i := d.pendingSlot(key); i >= 0 {
-		delete(d.lines, key|uint64(i+1))
-		d.release(i)
+// forgive drops the seal owed on line i of p, if any.
+func (d *Device) forgive(p *page, i int) {
+	if j := int(p.owed[i]) - 1; j >= 0 {
+		p.owed[i] = 0
+		d.release(j)
 	}
 }
 
@@ -423,24 +478,33 @@ func (d *Device) release(i int) {
 // (§VII-B) uses it, so its CTB inserts and trace events follow the same
 // order on every run. fn must not mutate the device.
 func (d *Device) Lines(fn func(addr uint64, line pte.Line)) {
-	addrs := make([]uint64, 0, len(d.lines))
-	for key := range d.lines {
-		addrs = append(addrs, key)
+	pns := make([]uint64, 0, len(d.pages))
+	for pn := range d.pages {
+		pns = append(pns, pn)
 	}
-	for j, key := range addrs {
-		if tag := key & lineOffsetMask; tag != 0 {
-			addrs[j] = key &^ lineOffsetMask
-			d.seal(addrs[j], int(tag-1))
+	slices.Sort(pns)
+	if d.unsealed > 0 {
+		for _, pn := range pns {
+			p := d.pages[pn]
+			for i, owed := range &p.owed {
+				if owed != 0 {
+					d.seal(pn<<pte.PageShift|uint64(i)*pte.LineBytes, p, i)
+				}
+			}
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		fn(addr, d.lines[addr])
+	for _, pn := range pns {
+		p := d.pages[pn]
+		for i, at := range &p.at {
+			if at != 0 {
+				fn(pn<<pte.PageShift|uint64(i)*pte.LineBytes, *d.line(p, i))
+			}
+		}
 	}
 }
 
 // StoredLines returns the number of materialised lines.
-func (d *Device) StoredLines() int { return len(d.lines) }
+func (d *Device) StoredLines() int { return d.stored }
 
 // Stats reports device activity counters.
 type Stats struct {
@@ -477,7 +541,7 @@ func (d *Device) PublishObs(r *obs.Registry) {
 	r.SetCounter("dram.row_hits", d.rowHits)
 	r.SetCounter("dram.row_activations", d.rowMisses)
 	r.SetCounter("dram.flips_injected", d.flipsTotal)
-	r.SetGauge("dram.stored_lines", float64(len(d.lines)))
+	r.SetGauge("dram.stored_lines", float64(d.stored))
 }
 
 // recordFlips attributes n injected flips to the (bank, row) of addr.

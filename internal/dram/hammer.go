@@ -210,7 +210,7 @@ func (h *Hammerer) applyFlips(addr uint64, bitPositions []int) int {
 		}
 	}
 	if flipped > 0 {
-		h.dev.lines[key] = line
+		h.dev.WriteLine(key, line)
 		h.flips += uint64(flipped)
 		h.dev.recordFlips(key, flipped)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -122,6 +123,9 @@ func TestPublicOptionValidation(t *testing.T) {
 	}
 	if _, err := New(demoKey(), WithMACWidth(1000)); err == nil {
 		t.Error("bad MAC width accepted")
+	}
+	if _, err := New(demoKey(), WithMACWidth(-8)); err == nil || !strings.Contains(err.Error(), "tag width -8") {
+		t.Errorf("negative MAC width: err = %v, want it to name the width", err)
 	}
 }
 
