@@ -24,9 +24,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the pack/unpack, MAC roundtrip, cipher-kernel,
-# page-table mapping, DRAM line-store, seal-on-first-read,
-# mirror-controller and pipelined-machine targets; go test accepts one
-# -fuzz target per invocation.
+# page-table mapping, DRAM line-store, seal-on-first-read and
+# pipelined-machine targets; go test accepts one -fuzz target per
+# invocation.
 fuzz-smoke:
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzLineBytesRoundtrip -fuzztime=5s
 	$(GO) test ./internal/pte -run=^$$ -fuzz=FuzzEntryFieldOps -fuzztime=5s
@@ -41,7 +41,6 @@ fuzz-smoke:
 	$(GO) test ./internal/dist -run=^$$ -fuzz=FuzzDistFrame -fuzztime=5s
 	$(GO) test ./internal/dram -run=^$$ -fuzz=FuzzLineStore -fuzztime=5s
 	$(GO) test ./internal/memctrl -run=^$$ -fuzz=FuzzSealOnRead -fuzztime=5s
-	$(GO) test ./internal/memctrl -run=^$$ -fuzz=FuzzMirror -fuzztime=5s
 	$(GO) test ./internal/sim -run=^$$ -fuzz=FuzzPipelinedMatchesSequential -fuzztime=5s
 
 # chaos-smoke: one soak round over the full fault-point catalog — real

@@ -172,6 +172,14 @@ func NewGuard(cfg Config) (*Guard, error) {
 	if cfg.SoftMatchK < 0 || cfg.SoftMatchK >= cfg.TagBits {
 		return nil, fmt.Errorf("core: soft-match budget %d outside [0, tag bits)", cfg.SoftMatchK)
 	}
+	if cfg.CTBEntries < 0 {
+		return nil, fmt.Errorf("core: CTB size %d entries is negative", cfg.CTBEntries)
+	}
+	// The timing model charges the latency per MAC as an unsigned cycle
+	// count, so a negative one would wrap.
+	if cfg.MACLatencyCycles < 0 {
+		return nil, fmt.Errorf("core: MAC latency %d cycles is negative", cfg.MACLatencyCycles)
+	}
 	auth, err := mac.New(cfg.Key, cfg.TagBits)
 	if err != nil {
 		return nil, err

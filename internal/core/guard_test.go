@@ -70,6 +70,8 @@ func TestNewGuardValidation(t *testing.T) {
 		{name: "negative tag", cfg: Config{Format: f, Key: testKey(), TagBits: -8}, wantErr: true, wantMsg: "tag width -8"},
 		{name: "bad soft k", cfg: Config{Format: f, Key: testKey(), SoftMatchK: -1}, wantErr: true},
 		{name: "64-bit tag ok", cfg: Config{Format: f, Key: testKey(), TagBits: 64}},
+		{name: "negative CTB", cfg: Config{Format: f, Key: testKey(), CTBEntries: -3}, wantErr: true, wantMsg: "CTB size -3"},
+		{name: "negative MAC latency", cfg: Config{Format: f, Key: testKey(), MACLatencyCycles: -5}, wantErr: true, wantMsg: "MAC latency -5"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -127,12 +127,11 @@ type Device struct {
 	actTouched []int32
 
 	// flips attributes injected bit flips to their rowIndex, so fault
-	// campaigns can tell which rows and banks ate the faults; it is nil
-	// until the first flip. flipTouched lists the rows with at least one
-	// flip for iteration.
-	flips       []uint64
-	flipTouched []int32
-	flipsTotal  uint64
+	// campaigns can tell which rows and banks ate the faults. Flips land
+	// on a handful of rows, so it is sparse (as Ramulator2's OracleRH
+	// keeps its per-bank counters) and nil until the first flip.
+	flips      map[int32]uint64
+	flipsTotal uint64
 
 	reads, writes, rowHits, rowMisses uint64
 	refreshWindows                    uint64
@@ -544,18 +543,14 @@ func (d *Device) PublishObs(r *obs.Registry) {
 	r.SetGauge("dram.stored_lines", float64(d.stored))
 }
 
-// recordFlips attributes n injected flips to the (bank, row) of addr.
+// recordFlips attributes n > 0 injected flips to the (bank, row) of addr.
 func (d *Device) recordFlips(addr uint64, n int) {
 	loc := d.Locate(addr)
 	bankIdx := loc.Channel*d.geo.BanksPerChannel + loc.Bank
-	idx := d.rowIndex(bankIdx, loc.Row)
 	if d.flips == nil {
-		d.flips = make([]uint64, d.geo.Channels*d.geo.BanksPerChannel*d.geo.RowsPerBank)
+		d.flips = make(map[int32]uint64)
 	}
-	if d.flips[idx] == 0 && n != 0 {
-		d.flipTouched = append(d.flipTouched, idx)
-	}
-	d.flips[idx] += uint64(n)
+	d.flips[d.rowIndex(bankIdx, loc.Row)] += uint64(n)
 	d.flipsTotal += uint64(n)
 	if d.o != nil {
 		d.o.EmitArgs("fault", "flip", 0, map[string]uint64{
@@ -572,10 +567,13 @@ type FlipCount struct {
 
 // FlipCounts returns per-row flip attribution for every row that received
 // at least one flip, sorted by (bank, row) for deterministic output. The
-// dense index already orders by (bank, row), so sorting the touched list
+// row index already orders by (bank, row), so sorting the indices
 // suffices.
 func (d *Device) FlipCounts() []FlipCount {
-	touched := append([]int32(nil), d.flipTouched...)
+	touched := make([]int32, 0, len(d.flips))
+	for idx := range d.flips {
+		touched = append(touched, idx)
+	}
 	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	out := make([]FlipCount, 0, len(touched))
 	for _, idx := range touched {

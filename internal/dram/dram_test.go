@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -20,9 +21,6 @@ func newTestDevice(tb testing.TB) *Device {
 
 // rowFlips returns the flips attributed to the row containing addr.
 func rowFlips(d *Device, addr uint64) uint64 {
-	if d.flips == nil {
-		return 0
-	}
 	loc := d.Locate(addr)
 	return d.flips[d.rowIndex(loc.Channel*d.geo.BanksPerChannel+loc.Bank, loc.Row)]
 }
@@ -31,8 +29,8 @@ func rowFlips(d *Device, addr uint64) uint64 {
 // (channel*BanksPerChannel + bank).
 func bankFlips(d *Device) []uint64 {
 	out := make([]uint64, d.geo.Channels*d.geo.BanksPerChannel)
-	for _, idx := range d.flipTouched {
-		out[int(idx)/d.geo.RowsPerBank] += d.flips[idx]
+	for idx, n := range d.flips {
+		out[int(idx)/d.geo.RowsPerBank] += n
 	}
 	return out
 }
@@ -469,6 +467,29 @@ func TestSoftTRRValidation(t *testing.T) {
 	}
 	if _, err := mitigate.New("softtrr", trackerConfig(d, 0)); err == nil {
 		t.Error("zero sampler accepted")
+	}
+}
+
+// TestFirstFlipAllocatesLittle: flip attribution is sparse, so a device's
+// first injected flip does not allocate a counter for every row of the
+// module (4 MB at the default geometry).
+func TestFirstFlipAllocatesLittle(t *testing.T) {
+	d := newTestDevice(t)
+	victim := d.AddrOfRow(3, 700, 5)
+	d.WriteLine(victim, pte.Line{})
+	h, err := NewHammerer(d, HammerConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.FlipLineBits(victim, []int{1})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("the first flip allocated %d bytes, want under 64 KB", got)
+	}
+	if rowFlips(d, victim) != 1 {
+		t.Errorf("the first flip attributed %d flips to its row, want 1", rowFlips(d, victim))
 	}
 }
 

@@ -338,6 +338,11 @@ func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], er
 	if err := checkRunLength(s.Warmup, s.Instructions); err != nil {
 		return nil, err
 	}
+	// A spec can arrive over the dist wire, so a negative latency (a MAC
+	// faster than free) must fail here, not in every job.
+	if s.MACLatency < 0 {
+		return nil, fmt.Errorf("harness: MAC latency %d cycles must be positive", s.MACLatency)
+	}
 	var jobs []Job[sim.MulticoreResult]
 	for _, mix := range s.Mixes(campaignSeed) {
 		mix := mix

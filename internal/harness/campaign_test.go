@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptguard/internal/attack"
@@ -111,6 +112,17 @@ func TestSlowdownSpecRejectsNonPositiveMACLatency(t *testing.T) {
 		if _, err := (SlowdownSpec{Workloads: []string{"leela"}, MACLatencies: lats}).Jobs(1); err == nil {
 			t.Errorf("MAC latencies %v accepted", lats)
 		}
+	}
+}
+
+// A negative multicore MAC latency used to run and report PT-Guard faster
+// than the baseline; zero still selects the 10-cycle default.
+func TestMulticoreSpecRejectsNegativeMACLatency(t *testing.T) {
+	if _, err := (MulticoreSpec{SameMixes: 1, MACLatency: -5, Instructions: 2000}).Jobs(1); err == nil || !strings.Contains(err.Error(), "-5") {
+		t.Errorf("MAC latency -5: err = %v, want it to name the latency", err)
+	}
+	if _, err := (MulticoreSpec{SameMixes: 1, Instructions: 2000}).Jobs(1); err != nil {
+		t.Errorf("MAC latency 0 (the default): %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ package memctrl
 
 import (
 	"errors"
-	"fmt"
 
 	"ptguard/internal/core"
 	"ptguard/internal/dram"
@@ -29,13 +28,6 @@ type Controller struct {
 	// Cached nil-safe histogram handles; nil when observability is off, so
 	// the hot path pays only a nil-receiver method call.
 	readHist, writeHist *obs.Histogram
-
-	// mirrors serve every access this controller serves, right after it
-	// (Mirror); mirrored marks a controller attached as one. diverged is
-	// the first access on which a mirror answered differently.
-	mirrors  []*Controller
-	mirrored bool
-	diverged error
 }
 
 // Stats summarises controller activity.
@@ -75,21 +67,6 @@ func (c *Controller) Stats() Stats { return c.stats }
 // contention, and any MAC verification delay. ok is false when PT-Guard
 // raised PTECheckFailed: the line must not be installed or consumed.
 func (c *Controller) ReadLine(addr uint64, isPTE bool) (line pte.Line, latency int, ok bool) {
-	line, latency, ok = c.read(addr, isPTE)
-	for i, m := range c.mirrors {
-		ml, _, mok := m.ReadLine(addr, isPTE)
-		switch {
-		case mok != ok:
-			c.diverge(i, "read", addr, fmt.Sprintf("returned ok %t, the controller %t", mok, ok))
-		case ml != line:
-			c.diverge(i, "read", addr, "returned another line")
-		}
-	}
-	return line, latency, ok
-}
-
-// read is ReadLine without the mirrors.
-func (c *Controller) read(addr uint64, isPTE bool) (line pte.Line, latency int, ok bool) {
 	c.stats.Reads++
 	latency = c.dev.Access(addr, false) + c.contention
 	data := c.dev.ReadLine(addr)
@@ -131,12 +108,7 @@ func (c *Controller) read(addr uint64, isPTE bool) (line pte.Line, latency int, 
 // is reported for accounting but writes are posted: the core does not stall
 // on them, matching the paper's read-path-only slowdown.
 func (c *Controller) WriteLine(addr uint64, line pte.Line) (latency int, err error) {
-	latency, err = c.write(addr, line, false)
-	for i, m := range c.mirrors {
-		_, merr := m.WriteLine(addr, line)
-		c.checkWrite(i, "write", addr, err, merr)
-	}
-	return latency, err
+	return c.write(addr, line, false)
 }
 
 // WriteLinesBatch stores many lines in one call — the campaign setup /
@@ -157,12 +129,6 @@ func (c *Controller) WriteLinesBatch(addrs []uint64, lines []pte.Line) (latency 
 		latency += lat
 		if werr != nil && err == nil {
 			err = werr
-		}
-	}
-	for i, m := range c.mirrors {
-		_, merr := m.WriteLinesBatch(addrs, lines)
-		if len(addrs) > 0 {
-			c.checkWrite(i, "batch write", addrs[0], err, merr)
 		}
 	}
 	return latency, err
@@ -209,67 +175,12 @@ func store(dev *dram.Device, g *core.Guard, addr uint64, res core.WriteResult) {
 	}
 }
 
-// ResetStats zeroes the counters of the controller, its guard and its
-// mirrors (post-warm-up). A recorded divergence stays.
+// ResetStats zeroes the counters of the controller and its guard
+// (post-warm-up).
 func (c *Controller) ResetStats() {
 	c.stats = Stats{}
 	if c.guard != nil {
 		c.guard.ResetCounters()
-	}
-	for _, m := range c.mirrors {
-		m.ResetStats()
-	}
-}
-
-// Mirror attaches m, a controller with its own DRAM device and guard, to
-// serve every ReadLine, WriteLine and WriteLinesBatch this controller
-// serves, in the same order, right after it. m then models the same
-// machine under another guard without a second front end: attached before
-// the first access, its device holds what this controller's holds, and its
-// Stats and guard counters are those of a machine built around it, for as
-// long as Diverged reports nil. A mirror serves only this controller: it
-// cannot have mirrors of its own or be attached twice.
-func (c *Controller) Mirror(m *Controller) error {
-	switch {
-	case m == nil:
-		return errors.New("memctrl: nil mirror")
-	case c.mirrored:
-		return errors.New("memctrl: a mirror cannot have mirrors")
-	case m.mirrored || len(m.mirrors) > 0:
-		return errors.New("memctrl: controller already mirrors or is mirrored")
-	}
-	for _, o := range append([]*Controller{c}, c.mirrors...) {
-		if m.dev == o.dev {
-			return errors.New("memctrl: a mirror needs its own DRAM device")
-		}
-		if m.guard != nil && m.guard == o.guard {
-			return errors.New("memctrl: a mirror needs its own guard")
-		}
-	}
-	m.mirrored = true
-	c.mirrors = append(c.mirrors, m)
-	return nil
-}
-
-// Diverged returns the first access on which a mirror answered otherwise
-// than this controller: a read that returned another line or ok, or a
-// write that failed on one side only. A mirror's Stats and guard counters
-// model its own machine only while Diverged is nil.
-func (c *Controller) Diverged() error { return c.diverged }
-
-// diverge records that mirror i answered the access at addr otherwise,
-// unless an earlier divergence is recorded.
-func (c *Controller) diverge(i int, access string, addr uint64, how string) {
-	if c.diverged == nil {
-		c.diverged = fmt.Errorf("memctrl: mirror %d diverged on the %s of %#x: it %s", i, access, addr, how)
-	}
-}
-
-// checkWrite records a divergence when exactly one of the controller's
-// error err and mirror i's merr is set.
-func (c *Controller) checkWrite(i int, access string, addr uint64, err, merr error) {
-	if (err == nil) != (merr == nil) {
-		c.diverge(i, access, addr, fmt.Sprintf("returned error %v, the controller %v", merr, err))
 	}
 }
 

@@ -33,11 +33,6 @@ func (c *Controller) Rekey(newKey []byte) (RekeyStats, error) {
 	if c.guard == nil {
 		return RekeyStats{}, errors.New("memctrl: rekey needs a guard")
 	}
-	if len(c.mirrors) > 0 {
-		// The sweep reads and writes the device directly, so no mirror
-		// would see it.
-		return RekeyStats{}, errors.New("memctrl: cannot rekey a controller with mirrors")
-	}
 	cfg := c.guard.Config()
 	cfg.Key = newKey
 	next, err := core.NewGuard(cfg)

@@ -33,7 +33,7 @@ func TestDerivedBaselineMatchesSimulated(t *testing.T) {
 	modes := []Mode{PTGuard, PTGuardOptimized}
 	run := func(t *testing.T, cfg Config, prof workload.Profile) Result {
 		t.Helper()
-		r, _, err := sequential(cfg, prof, derivedWarmup, derivedInstructions, nil)
+		r, _, err := sequential(cfg, prof, derivedWarmup, derivedInstructions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +86,15 @@ func TestDerivedBaselineMatchesSimulated(t *testing.T) {
 	}
 }
 
-// TestMirroredModesMatchSimulated is the metamorphic check of the mirrored
-// modes: a protected mode run as a mirror controller on another mode's
-// DRAM traffic reports what its own machine reports. For all 25 profiles,
-// three seeds, MAC latencies 1, 10 and 20 and warm-ups of 0 and 2,000
-// instructions, Compare over both protected modes (the first simulated,
-// the second mirrored, in either order across the grid) must return for
-// each mode the Result of a machine simulated on its own, field for
-// field, and every result reconciles its counters.
+// TestMirroredModesMatchSimulated is the metamorphic check of the further
+// memory sides: a protected mode run as a further memory side of another
+// mode's machine, served that machine's DRAM traffic, reports what its own
+// machine reports. For all 25 profiles, three seeds, MAC latencies 1, 10
+// and 20 and warm-ups of 0 and 2,000 instructions, Compare over both
+// protected modes (the first the machine's, the second a further side, in
+// either order across the grid) must return for each mode the Result of a
+// machine simulated on its own, field for field, and every result
+// reconciles its counters.
 func TestMirroredModesMatchSimulated(t *testing.T) {
 	orders := [][]Mode{{PTGuard, PTGuardOptimized}, {PTGuardOptimized, PTGuard}}
 	for _, prof := range workload.Profiles() {
@@ -104,13 +105,13 @@ func TestMirroredModesMatchSimulated(t *testing.T) {
 				for _, warmup := range []int{0, derivedWarmup} {
 					for li, lat := range []int{1, 10, 20} {
 						modes := orders[(si+li)%2]
-						stage := fmt.Sprintf("seed %#x, warm-up %d, MAC latency %d, %s mirrored", seed, warmup, lat, modes[1])
+						stage := fmt.Sprintf("seed %#x, warm-up %d, MAC latency %d, %s a further side", seed, warmup, lat, modes[1])
 						cmp, err := Compare(prof, warmup, derivedInstructions, seed, lat, modes)
 						if err != nil {
 							t.Fatalf("%s: %v", stage, err)
 						}
 						for _, m := range modes {
-							want, _, err := sequential(Config{Mode: m, Seed: seed, MACLatencyCycles: lat}, prof, warmup, derivedInstructions, nil)
+							want, _, err := sequential(Config{Mode: m, Seed: seed, MACLatencyCycles: lat}, prof, warmup, derivedInstructions)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -241,7 +242,7 @@ func TestUnprotectedPreconditions(t *testing.T) {
 	}
 }
 
-// The mirrored-mode checks name the field in which two Results differ.
+// The comparison checks name the field in which two Results differ.
 func TestFirstDiffNamesTheField(t *testing.T) {
 	for _, c := range []struct {
 		a, b Result

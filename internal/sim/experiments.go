@@ -42,11 +42,12 @@ type Comparison struct {
 // `warmup` instructions before the measured window, mirroring the paper's
 // fast-forward to a representative region (§III).
 //
-// Only the first protected mode's machine is simulated. The guard never
-// changes what the front end sees or which DRAM accesses happen, only the
-// read latency, so the baseline is derived from that run (see unprotected),
-// and every further protected mode runs as a mirror controller on the same
-// DRAM traffic (see mirrored).
+// Only one machine is simulated, in the first protected mode. The guard
+// never changes what the front end sees or which DRAM accesses happen,
+// only the read latency, so the baseline is derived from that run (see
+// unprotected), and every further protected mode is a further memory side
+// of the machine: a controller with its own guard and DRAM device, served
+// the same DRAM traffic (see simulate and sideResult).
 func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode) (Comparison, error) {
 	cmp, _, err := CompareObserved(prof, warmup, instructions, seed, macLatency, modes, nil)
 	return cmp, err
@@ -56,10 +57,10 @@ func Compare(prof workload.Profile, warmup, instructions int, seed uint64, macLa
 // each mode's run gets a fresh Observer and the returned map carries the
 // per-mode RunMetrics (final registry state, the snapshot time series, and
 // the traced events). Every mode's metrics are output, so an observed
-// comparison also simulates the baseline and each mirrored mode on its own
-// machine, and fails if such a run's Result differs from the derived or
-// mirrored one. A nil obsOpts behaves exactly like Compare and returns a
-// nil map.
+// comparison simulates every mode on its own machine, the baseline
+// included, and fails unless each protected mode derives the simulated
+// baseline. A nil obsOpts behaves exactly like Compare and returns a nil
+// map.
 func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint64, macLatency int, modes []Mode, obsOpts *obs.Options) (Comparison, map[Mode]*obs.RunMetrics, error) {
 	if warmup < 0 {
 		return Comparison{}, nil, fmt.Errorf("sim: negative warm-up (%d instructions)", warmup)
@@ -76,57 +77,50 @@ func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint6
 	if len(protected) == 0 {
 		return Comparison{}, nil, errors.New("sim: no protected mode requested")
 	}
+	cfg := func(m Mode) Config { return Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency} }
+	results := make(map[Mode]Result, len(protected)+1)
 	var metrics map[Mode]*obs.RunMetrics
-	observed := func(m Mode, mirrors []Mode) (Result, []*memctrl.Controller, error) {
-		cfg := Config{Mode: m, Seed: seed, MACLatencyCycles: macLatency}
-		var o *obs.Observer
-		if obsOpts != nil {
-			o = obs.New(*obsOpts)
-			cfg.Obs = o
-		}
-		r, mcs, err := simulate(cfg, prof, warmup, instructions, mirrors)
+	if obsOpts == nil {
+		s, err := NewSystem(cfg(protected[0]), prof)
 		if err != nil {
-			return Result{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, protected[0], err)
 		}
-		if o != nil {
-			if metrics == nil {
-				metrics = map[Mode]*obs.RunMetrics{}
+		r, sides, err := simulate(s, warmup, instructions, protected[1:])
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, protected[0], err)
+		}
+		base, err := unprotected(r)
+		if err != nil {
+			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, protected[0], err)
+		}
+		results[protected[0]], results[Baseline] = r, base
+		for _, sd := range sides {
+			results[sd.mode] = sideResult(r, base, sd)
+		}
+	} else {
+		metrics = make(map[Mode]*obs.RunMetrics, len(protected)+1)
+		for _, m := range append([]Mode{Baseline}, protected...) {
+			c := cfg(m)
+			o := obs.New(*obsOpts)
+			c.Obs = o
+			s, err := NewSystem(c, prof)
+			if err == nil {
+				results[m], err = measure(s, warmup, instructions)
+			}
+			if err != nil {
+				return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
 			}
 			metrics[m] = o.RunMetrics(true)
 		}
-		return r, mcs, nil
 	}
-	r, mcs, err := observed(protected[0], protected[1:])
-	if err != nil {
-		return Comparison{}, nil, err
-	}
-	base, err := unprotected(r)
-	if err != nil {
-		return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, protected[0], err)
-	}
-	results := make(map[Mode]Result, len(protected)+1)
-	results[protected[0]] = r
-	for i, m := range protected[1:] {
-		mr := mirrored(r, base, m, mcs[i])
-		b, err := unprotected(mr)
+	base := results[Baseline]
+	for _, m := range protected {
+		b, err := unprotected(results[m])
 		if err != nil {
 			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
 		}
 		if b != base {
-			return Comparison{}, nil, fmt.Errorf("%s: %s and %s derive different baselines (%s)", prof.Name, protected[0], m, firstDiff(b, base))
-		}
-		results[m] = mr
-	}
-	results[Baseline] = base
-	if obsOpts != nil {
-		for _, m := range append([]Mode{Baseline}, protected[1:]...) {
-			sr, _, err := observed(m, nil)
-			if err != nil {
-				return Comparison{}, nil, err
-			}
-			if sr != results[m] {
-				return Comparison{}, nil, fmt.Errorf("%s/%s: the machine simulated on its own differs in %s from the result derived from %s", prof.Name, m, firstDiff(sr, results[m]), protected[0])
-			}
+			return Comparison{}, nil, fmt.Errorf("%s/%s: the baseline derived from this mode differs in %s from the comparison's", prof.Name, m, firstDiff(b, base))
 		}
 	}
 	cmp := Comparison{
@@ -136,6 +130,7 @@ func CompareObserved(prof workload.Profile, warmup, instructions int, seed uint6
 		SlowdownPct: make(map[Mode]float64, len(protected)),
 	}
 	for _, m := range protected {
+		var err error
 		if cmp.SlowdownPct[m], err = SlowdownPercent(results[m].Cycles, base.Cycles); err != nil {
 			return Comparison{}, nil, fmt.Errorf("%s/%s: %w", prof.Name, m, err)
 		}
@@ -190,16 +185,17 @@ func unprotected(r Result) (Result, error) {
 	return base, nil
 }
 
-// mirrored composes the Result a machine in mode m reports from the run r
-// of the machine that c mirrored, and the baseline base derived from r.
-// Running on the same DRAM traffic, c saw every access of r's machine and
-// answered each as its controller did (Diverged is nil), so a machine in
-// mode m would have made the same accesses in the same order: it keeps
-// r's front-end fields, takes c's controller and guard counters, and
-// stalls the in-order core for base's cycles plus c's read-MAC cycles.
-// Like the subtraction in unprotected, the sum is exact.
-func mirrored(r, base Result, m Mode, c *memctrl.Controller) Result {
-	r.Mode, r.Ctrl, r.Guard = m, c.Stats(), c.Guard().Counters()
+// sideResult composes the Result a machine in sd's mode reports from the
+// run r of the machine that sd was a further memory side of, and the
+// baseline base derived from r. sd was served every DRAM access of r's
+// machine and answered every walk read with the page tables' line, as r's
+// own side did (or the run would have diverged), so a machine in sd's mode
+// would have made the same accesses in the same order: it keeps r's
+// front-end fields, takes sd's controller and guard counters, and stalls
+// the in-order core for base's cycles plus sd's read-MAC cycles. Like the
+// subtraction in unprotected, the sum is exact.
+func sideResult(r, base Result, sd side) Result {
+	r.Mode, r.Ctrl, r.Guard = sd.mode, sd.ctrl.Stats(), sd.ctrl.Guard().Counters()
 	r.Cycles = base.Cycles + float64(r.Ctrl.ReadMACCycles)
 	r.IPC = ipc(r.Instructions, r.Cycles)
 	return r
@@ -239,46 +235,41 @@ func firstDiff(a, b Result) string {
 	return diff("", reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
-// simulate builds cfg's machine with one mirror controller per mode of
-// mirrors (newMirroredSystem) and measures it with its memory side
-// pipelined (measure).
-func simulate(cfg Config, prof workload.Profile, warmup, instructions int, mirrors []Mode) (Result, []*memctrl.Controller, error) {
-	return measure(func() (*System, []*memctrl.Controller, error) {
-		return newMirroredSystem(cfg, prof, mirrors)
-	}, warmup, instructions, true)
+// simulate measures the machine s (see measure) with its memory side
+// pipelined, beside one further memory side per mode of further: a
+// controller with its own guard and DRAM device, built as s's is for that
+// mode and flushed the same page tables. s must be a fresh machine as
+// Compare builds it (see usePipeline). It returns the further sides in the
+// order of further.
+func simulate(s *System, warmup, instructions int, further []Mode) (Result, []side, error) {
+	sides := []side{{s.cfg.Mode, s.ctrl}}
+	for _, m := range further {
+		cfg := s.cfg
+		cfg.Mode = m
+		c, err := newController(cfg)
+		if err == nil {
+			err = s.flushTables(c)
+		}
+		if err != nil {
+			return Result{}, nil, fmt.Errorf("%s side: %w", m, err)
+		}
+		sides = append(sides, side{m, c})
+	}
+	s.usePipeline(sides)
+	r, err := measure(s, warmup, instructions)
+	return r, sides[1:], err
 }
 
-// measure builds a machine and its mirrors with build, runs warmup
-// instructions, resets every counter, mirrors included, and measures the
-// next instructions. A mirror that diverged is an error. With pipelined
-// set, the memory side runs on its own goroutine where the machine allows
-// it (usePipeline), and a run that diverged is built and run again
-// sequentially, so the Result and error are always the sequential
-// machine's.
-func measure(build func() (*System, []*memctrl.Controller, error), warmup, instructions int, pipelined bool) (Result, []*memctrl.Controller, error) {
-	s, mcs, err := build()
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if pipelined {
-		s.usePipeline()
-	}
+// measure runs warmup instructions on s, resets every counter, and
+// measures the next instructions.
+func measure(s *System, warmup, instructions int) (Result, error) {
 	if warmup > 0 {
-		if _, err = s.Run(warmup); err == nil {
-			s.ResetStats()
+		if _, err := s.Run(warmup); err != nil {
+			return Result{}, err
 		}
+		s.ResetStats()
 	}
-	var r Result
-	if err == nil {
-		r, err = s.Run(instructions)
-	}
-	if errors.Is(err, errDiverged) {
-		return measure(build, warmup, instructions, false)
-	}
-	if err == nil {
-		err = s.ctrl.Diverged()
-	}
-	return r, mcs, err
+	return s.Run(instructions)
 }
 
 // SuiteSummary aggregates per-workload slowdowns (Fig. 6/7's GMEAN/AMEAN

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"ptguard/internal/obs"
@@ -141,42 +142,64 @@ func TestObservedRunCollectsMetrics(t *testing.T) {
 	}
 }
 
-// TestCompareObservedPerModeMetrics: every requested mode (and the implicit
-// baseline) yields its own RunMetrics, and the unobserved Compare path is
-// unchanged by observation (determinism guard).
+// TestCompareObservedPerModeMetrics: the two comparison paths agree. For
+// two profiles and both protected modes in either order, the observed
+// comparison, which simulates every mode on its own machine, equals the
+// unobserved one, which simulates one machine with a further memory side,
+// field for field: every mode's Result and slowdown. Every mode, the
+// implicit baseline included, yields its own RunMetrics.
 func TestCompareObservedPerModeMetrics(t *testing.T) {
-	prof := testProfile(t, "mcf")
-	modes := []Mode{PTGuard}
-	plain, err := Compare(prof, 5_000, 10_000, 42, 10, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, metrics, err := CompareObserved(prof, 5_000, 10_000, 42, 10, modes,
-		&obs.Options{SnapshotEvery: 2_500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Results[Baseline].Cycles != observed.Results[Baseline].Cycles {
-		t.Errorf("observation changed baseline cycles: %.0f vs %.0f",
-			plain.Results[Baseline].Cycles, observed.Results[Baseline].Cycles)
-	}
-	for _, m := range []Mode{Baseline, PTGuard} {
-		rm := metrics[m]
-		if rm == nil {
-			t.Fatalf("no metrics for mode %s", m)
+	for _, name := range []string{"mcf", "leela"} {
+		prof := testProfile(t, name)
+		for _, modes := range [][]Mode{{PTGuard, PTGuardOptimized}, {PTGuardOptimized, PTGuard}} {
+			stage := fmt.Sprintf("%s %v", name, modes)
+			plain, err := Compare(prof, 5_000, 10_000, 42, 10, modes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observed, metrics, err := CompareObserved(prof, 5_000, 10_000, 42, 10, modes,
+				&obs.Options{SnapshotEvery: 2_500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if observed.Workload != plain.Workload || observed.LLCMPKI != plain.LLCMPKI {
+				t.Errorf("%s: observed %s at LLC MPKI %g, unobserved %s at %g", stage, observed.Workload, observed.LLCMPKI, plain.Workload, plain.LLCMPKI)
+			}
+			if len(observed.Results) != 3 || len(plain.Results) != 3 {
+				t.Errorf("%s: %d observed and %d unobserved results, want 3", stage, len(observed.Results), len(plain.Results))
+			}
+			for _, m := range []Mode{Baseline, PTGuard, PTGuardOptimized} {
+				if d := firstDiff(observed.Results[m], plain.Results[m]); d != "" {
+					t.Errorf("%s: observed %s result differs in %s:\n %+v\nunobserved\n %+v", stage, m, d, observed.Results[m], plain.Results[m])
+				}
+				rm := metrics[m]
+				if rm == nil {
+					t.Fatalf("%s: no metrics for mode %s", stage, m)
+				}
+				if rm.Counters["cpu.instructions"] == 0 {
+					t.Errorf("%s: mode %s: cpu.instructions not published", stage, m)
+				}
+				if len(rm.Series) < 2 {
+					t.Errorf("%s: mode %s: series points = %d, want >= 2", stage, m, len(rm.Series))
+				}
+			}
+			if len(observed.SlowdownPct) != 2 || len(plain.SlowdownPct) != 2 {
+				t.Errorf("%s: slowdowns %v observed, %v unobserved, want one per protected mode", stage, observed.SlowdownPct, plain.SlowdownPct)
+			}
+			for _, m := range modes {
+				if got, want := observed.SlowdownPct[m], plain.SlowdownPct[m]; got != want {
+					t.Errorf("%s: observed %s slowdown %.12g%%, unobserved %.12g%%", stage, m, got, want)
+				}
+			}
+			if metrics[Baseline].Counters["guard.reads"] != 0 {
+				t.Errorf("%s: baseline run published guard activity", stage)
+			}
+			for _, m := range modes {
+				if metrics[m].Counters["guard.reads"] == 0 {
+					t.Errorf("%s: %s run published no guard activity", stage, m)
+				}
+			}
 		}
-		if rm.Counters["cpu.instructions"] == 0 {
-			t.Errorf("mode %s: cpu.instructions not published", m)
-		}
-		if len(rm.Series) < 2 {
-			t.Errorf("mode %s: series points = %d, want >= 2", m, len(rm.Series))
-		}
-	}
-	if metrics[Baseline].Counters["guard.reads"] != 0 {
-		t.Error("baseline run published guard activity")
-	}
-	if metrics[PTGuard].Counters["guard.reads"] == 0 {
-		t.Error("ptguard run published no guard activity")
 	}
 }
 

@@ -4,23 +4,25 @@ import (
 	"errors"
 	"fmt"
 
-	"ptguard/internal/cpu"
+	"ptguard/internal/memctrl"
 	"ptguard/internal/pte"
 )
 
-// A pipelined machine serves its memory side (controller, guard, DRAM
-// device and mirrors) on a second goroutine while its front end (core,
-// workload generator, TLB, walker and caches) runs ahead. The front end
-// queues its DRAM accesses in program order and takes from the memory side
-// only what it can do without: a data access gives it a read latency and a
-// failure count, and a walk read, in a run without an integrity failure,
+// A pipelined machine serves its memory sides on a second goroutine while
+// its front end (core, workload generator, TLB, walker and caches) runs
+// ahead. A memory side is a controller with its guard and DRAM device: the
+// machine's own, then one per further protected mode of the comparison
+// (simulate). The front end queues its DRAM accesses in program order, and
+// the memory goroutine serves each batch of them on every side in turn.
+// The front end takes from its own side only what it can do without: a
+// data access gives it a read latency and a failure count, and a walk read
 // the page tables' architectural line, which the front end reads itself
-// (PageTables.LineAt) and the memory side checks against the controller's
+// (PageTables.LineAt) and every side checks against its controller's
 // answer. The in-order core's cycles are a sum of integers, so the read
-// latency the memory side totals and Run charges when it drains leaves
-// them bit-identical. A walk that fails, returns another line or reaches
-// no table line diverges the run, and measure runs the machine again
-// sequentially (DESIGN.md §8 "Pipelined memory side").
+// latency the machine's own side totals and Run charges when it drains
+// leaves them bit-identical. A walk that fails on a side, returns another
+// line there or reaches no table line makes the run an error (DESIGN.md §8
+// "Pipelined memory side").
 
 const (
 	// batchSize is the number of requests the front end hands the memory
@@ -52,46 +54,57 @@ type batch struct {
 	walks []pte.Line
 }
 
-// pipeline is a pipelined machine's queue to its memory side. Its batches
+// side is one memory side of a pipelined machine: a controller, with its
+// guard and DRAM device, in front of which a machine in mode would sit.
+type side struct {
+	mode Mode
+	ctrl *memctrl.Controller
+}
+
+// pipeline is a pipelined machine's queue to its memory sides. Its batches
 // are allocated once, with the machine, and a Run's memory-side goroutine
 // lives from startMemory to drainMemory.
 type pipeline struct {
-	cur  *batch      // the batch the front end is filling
-	full chan *batch // batches for the memory side, in order
-	free chan *batch // batches the memory side has served
-	done chan served
-	// diverged is the first divergence, from either side; once set, every
-	// later Run of the machine returns it.
+	sides []side      // the machine's own memory side, then the further ones
+	cur   *batch      // the batch the front end is filling
+	full  chan *batch // batches for the memory side, in order
+	free  chan *batch // batches the memory side has served
+	done  chan served
+	// diverged is the first divergence, from the front end or a side;
+	// once set, every later Run of the machine returns it.
 	diverged error
 }
 
 // served is what the memory side reports when a Run drains.
 type served struct {
 	readCycles uint64 // read latency the in-order core stalls for
-	checkFails uint64 // failed data reads and writes
+	checkFails uint64 // the machine's failed data reads and writes
 	diverged   error  // the first walk read that failed or returned another line
 	panicked   any    // a panic of the memory side, raised again on the front end
 }
 
-// errDiverged marks a pipelined run whose front end answered a walk read
-// otherwise than the sequential machine would have.
+// errDiverged marks a pipelined run in which a walk read was answered
+// otherwise than the page tables: the front end went on with a line the
+// machine never read, so the run measured nothing.
 var errDiverged = errors.New("sim: pipelined run diverged")
 
-// usePipeline pipelines the machine's memory side where that is exact: on
-// the Table III in-order core, whose cycles are a sum of integers, and
-// without an observer, churn or recovery, which act on the controller from
-// the front end. It reports whether the machine is pipelined.
-func (s *System) usePipeline() bool {
-	if s.cfg.Core != (cpu.Config{}) || s.obs != nil || s.cfg.ChurnEvery > 0 || s.cfg.EnableRecovery {
-		return false
-	}
+// usePipeline serves the memory sides on a second goroutine during each
+// Run: sides[0] is the machine's own (its controller), the rest are the
+// further sides. Only simulate calls it, on a Compare machine: the Table
+// III in-order core, whose cycles are a sum of integers, without an
+// observer, churn or recovery, which act on the controller from the front
+// end.
+func (s *System) usePipeline(sides []side) {
 	// free holds every batch the front end is not filling.
-	p := &pipeline{free: make(chan *batch, batches), done: make(chan served)}
+	p := &pipeline{
+		sides: sides,
+		free:  make(chan *batch, batches),
+		done:  make(chan served),
+	}
 	for i := 0; i < batches; i++ {
 		p.free <- &batch{reqs: make([]request, 0, batchSize)}
 	}
 	s.pipe = p
-	return true
 }
 
 // push queues one request, handing the batch to the memory side when it
@@ -106,14 +119,14 @@ func (p *pipeline) push(kind reqKind, addr uint64) {
 }
 
 // pipelinedWalk answers the walk read of the table line at addr with the
-// page tables' architectural line and queues the read, whose answer the
+// page tables' architectural line and queues the read, whose answer every
 // memory side checks against that line.
 func (s *System) pipelinedWalk(addr uint64) (pte.Line, bool) {
 	p := s.pipe
 	line, ok := s.tables.LineAt(addr)
 	if !ok {
 		if p.diverged == nil {
-			p.diverged = fmt.Errorf("%w: the walk read of %#x reached no table line", errDiverged, addr)
+			p.diverged = fmt.Errorf("%w: the %s walk read of %#x reached no table line", errDiverged, s.cfg.Mode, addr)
 		}
 		return pte.Line{}, false
 	}
@@ -132,10 +145,10 @@ func (s *System) startMemory() {
 }
 
 // serveMemory is the memory side of a pipelined Run: it serves the
-// requests of each batch from full in order, hands the batch back on free,
-// and reports on done once full is closed. It touches only the controller
-// and the DRAM device, and what is behind them, which the front end leaves
-// alone until Run drains.
+// requests of each batch from full on every side in turn, hands the batch
+// back on free, and reports on done once full is closed. It touches only
+// the sides' controllers and what is behind them, which the front end
+// leaves alone until Run drains.
 func (s *System) serveMemory(full <-chan *batch) {
 	p := s.pipe
 	var out served
@@ -149,22 +162,14 @@ func (s *System) serveMemory(full <-chan *batch) {
 		p.done <- out
 	}()
 	for b := range full {
-		walks := b.walks
-		for _, r := range b.reqs {
-			switch r.kind {
-			case reqWalk:
-				line, lat, ok := s.ctrl.ReadLine(r.addr, true)
-				out.readCycles += uint64(lat)
-				if out.diverged == nil && !ok {
-					out.diverged = fmt.Errorf("%w: the walk read of %#x failed", errDiverged, r.addr)
-				} else if out.diverged == nil && line != walks[0] {
-					out.diverged = fmt.Errorf("%w: the walk read of %#x returned another line than the page tables", errDiverged, r.addr)
-				}
-				walks = walks[1:]
-			case reqData:
-				out.readCycles += uint64(s.readData(r.addr, &out.checkFails))
-			case reqWriteback:
-				s.writeData(r.addr, &out.checkFails)
+		for i, sd := range p.sides {
+			cycles, fails, err := s.serve(sd, b)
+			if i == 0 {
+				out.readCycles += cycles
+				out.checkFails += fails
+			}
+			if out.diverged == nil {
+				out.diverged = err
 			}
 		}
 		b.reqs, b.walks = b.reqs[:0], b.walks[:0]
@@ -172,10 +177,37 @@ func (s *System) serveMemory(full <-chan *batch) {
 	}
 }
 
+// serve serves the requests of b on side sd in order. It returns the read
+// latency and the failed data accesses there, which only the machine's own
+// side charges to the machine (a further side's show in its controller's
+// Stats), and the first walk read that failed or returned another line
+// than the page tables.
+func (s *System) serve(sd side, b *batch) (readCycles, fails uint64, diverged error) {
+	walks := b.walks
+	for _, r := range b.reqs {
+		switch r.kind {
+		case reqWalk:
+			line, lat, ok := sd.ctrl.ReadLine(r.addr, true)
+			readCycles += uint64(lat)
+			if diverged == nil && !ok {
+				diverged = fmt.Errorf("%w: the walk read of %#x failed on the %s side", errDiverged, r.addr, sd.mode)
+			} else if diverged == nil && line != walks[0] {
+				diverged = fmt.Errorf("%w: the walk read of %#x returned another line than the page tables on the %s side", errDiverged, r.addr, sd.mode)
+			}
+			walks = walks[1:]
+		case reqData:
+			readCycles += uint64(s.readData(sd.ctrl, r.addr, &fails))
+		case reqWriteback:
+			s.writeData(sd.ctrl, r.addr, &fails)
+		}
+	}
+	return readCycles, fails, diverged
+}
+
 // drainMemory hands the memory side the last batch of a Run, waits until
-// it has served every request, and charges the core the read latency and
-// the run the failed accesses it reports. It returns the machine's
-// divergence, if any.
+// it has served every request on every side, and charges the core the read
+// latency and the run the failed accesses of the machine's own side. It
+// returns the machine's divergence, if any.
 func (s *System) drainMemory() error {
 	p := s.pipe
 	p.full <- p.cur

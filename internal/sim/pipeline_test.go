@@ -14,105 +14,109 @@ import (
 	"ptguard/internal/workload"
 )
 
-// sequential is simulate without the pipeline: the reference every
-// pipelined run must equal.
-func sequential(cfg Config, prof workload.Profile, warmup, instructions int, mirrors []Mode) (Result, []*memctrl.Controller, error) {
-	return measure(func() (*System, []*memctrl.Controller, error) {
-		return newMirroredSystem(cfg, prof, mirrors)
-	}, warmup, instructions, false)
+// sequential is the sequential machine of cfg, measured as simulate
+// measures a pipelined one: the reference every pipelined run must equal.
+// It also returns the machine's controller.
+func sequential(cfg Config, prof workload.Profile, warmup, instructions int) (Result, *memctrl.Controller, error) {
+	s, err := NewSystem(cfg, prof)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	r, err := measure(s, warmup, instructions)
+	return r, s.ctrl, err
 }
 
-// sameRun fails t unless the pipelined run (got, gotMCs, err) equals the
-// sequential one field for field, mirrors included, with the same error.
-func sameRun(t *testing.T, stage string, got Result, gotMCs []*memctrl.Controller, err error, want Result, wantMCs []*memctrl.Controller, werr error) {
-	t.Helper()
-	if fmt.Sprint(err) != fmt.Sprint(werr) {
-		t.Fatalf("%s: error %v, the sequential machine's %v", stage, err, werr)
+// flipPML4 flips one PFN bit of the PML4 entry that s's first walk reads,
+// in dev only, and returns the address of the flipped line.
+func flipPML4(tb testing.TB, s *System, dev *dram.Device) uint64 {
+	tb.Helper()
+	h, err := dram.NewHammerer(dev, dram.HammerConfig{Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if d := firstDiff(got, want); d != "" {
-		t.Fatalf("%s: the pipelined run differs in %s:\n %+v\nwant the sequential\n %+v", stage, d, got, want)
-	}
-	if len(gotMCs) != len(wantMCs) {
-		t.Fatalf("%s: %d mirrors, the sequential machine %d", stage, len(gotMCs), len(wantMCs))
-	}
-	for i := range wantMCs {
-		if g, w := gotMCs[i].Stats(), wantMCs[i].Stats(); g != w {
-			t.Fatalf("%s: mirror %d stats %+v, want %+v", stage, i, g, w)
-		}
-		if g, w := gotMCs[i].Guard().Counters(), wantMCs[i].Guard().Counters(); g != w {
-			t.Fatalf("%s: mirror %d guard counters %+v, want %+v", stage, i, g, w)
-		}
-	}
+	ea := s.Tables().Root() + (s.vbase>>39&0x1FF)*8
+	line := ea &^ uint64(pte.LineBytes-1)
+	h.FlipLineBits(line, []int{int(ea%pte.LineBytes)*8 + 13})
+	return line
 }
 
-// flippedBuild builds cfg's machine with its mirrors and flips one PFN bit
-// of the PML4 entry that the first walk reads, in the machine's DRAM only.
-func flippedBuild(tb testing.TB, cfg Config, prof workload.Profile, mirrors []Mode) func() (*System, []*memctrl.Controller, error) {
-	return func() (*System, []*memctrl.Controller, error) {
-		s, mcs, err := newMirroredSystem(cfg, prof, mirrors)
-		if err != nil {
-			return nil, nil, err
-		}
-		h, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 1})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		ea := s.Tables().Root() + (s.vbase>>39&0x1FF)*8
-		h.FlipLineBits(ea&^uint64(pte.LineBytes-1), []int{int(ea%pte.LineBytes)*8 + 13})
-		return s, mcs, nil
+// flipped builds cfg's machine with a PFN bit of the PML4 entry that the
+// first walk reads flipped in the machine's DRAM only (flipPML4). It
+// returns the machine and the address of the flipped line.
+func flipped(tb testing.TB, cfg Config, prof workload.Profile) (*System, uint64) {
+	tb.Helper()
+	s, err := NewSystem(cfg, prof)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return s, flipPML4(tb, s, s.dev)
 }
 
-// TestPipelineFallsBackOnDivergence: with a bit flipped in the table line
-// the first walk reads, a pipelined Run reports the divergence, and
-// measure, which simulate runs, returns exactly the sequential machine's
-// Result and error: integrity failures under PT-Guard, a walk through
-// another table under the baseline, and the mirror's divergence when only
-// the machine's own DRAM holds the flip.
-func TestPipelineFallsBackOnDivergence(t *testing.T) {
+// TestDivergedRunIsAnError: with a bit flipped in the table line the first
+// walk reads, in the machine's own DRAM only, simulate returns an error
+// wrapping errDiverged that names the walk and the side that answered it
+// otherwise than the page tables, with and without a further side: an
+// integrity failure under PT-Guard, another line under the baseline. With
+// the flip in a further side's DRAM only, that side's walk fails. The
+// sequential PT-Guard machine with the machine's flip reports integrity
+// failures, which unprotected refuses.
+func TestDivergedRunIsAnError(t *testing.T) {
 	prof := testProfile(t, "mcf")
+	cfg := Config{Mode: PTGuard, Seed: 5, MACLatencyCycles: 10}
+	diverged := func(stage string, err error, line uint64, want string) {
+		t.Helper()
+		if !errors.Is(err, errDiverged) {
+			t.Fatalf("%s: returned %v, want a divergence", stage, err)
+		}
+		if want := fmt.Sprintf("the walk read of %#x %s", line, want); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q, want it to say %q", stage, err, want)
+		}
+	}
 	for _, c := range []struct {
 		mode    Mode
-		mirrors []Mode
+		further []Mode
+		want    string
 	}{
-		{PTGuard, nil},
-		{Baseline, nil},
-		{PTGuard, []Mode{PTGuardOptimized}},
+		{PTGuard, nil, "failed on the ptguard side"},
+		{PTGuard, []Mode{PTGuardOptimized}, "failed on the ptguard side"},
+		{Baseline, nil, "returned another line than the page tables on the baseline side"},
 	} {
-		stage := fmt.Sprintf("%s mirrored by %v", c.mode, c.mirrors)
-		cfg := Config{Mode: c.mode, Seed: 5, MACLatencyCycles: 10}
-		build := flippedBuild(t, cfg, prof, c.mirrors)
-		s, _, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.usePipeline() {
-			t.Fatalf("%s: not pipelined", stage)
-		}
-		if _, err := s.Run(2_000); !errors.Is(err, errDiverged) {
-			t.Fatalf("%s: pipelined Run returned %v, want a divergence", stage, err)
-		}
-		got, gotMCs, err := measure(build, 1_000, 4_000, true)
-		want, wantMCs, werr := measure(build, 1_000, 4_000, false)
-		sameRun(t, stage, got, gotMCs, err, want, wantMCs, werr)
-		switch {
-		case c.mirrors != nil:
-			if werr == nil {
-				t.Errorf("%s: no mirror divergence", stage)
-			}
-		case c.mode == PTGuard:
-			if want.CheckFails == 0 {
-				t.Errorf("%s: no integrity failure", stage)
-			}
-		default:
-			clean, _, err := sequential(cfg, prof, 1_000, 4_000, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if clean == want {
-				t.Errorf("%s: the flip changed nothing", stage)
-			}
-		}
+		c2 := cfg
+		c2.Mode = c.mode
+		s, line := flipped(t, c2, prof)
+		_, _, err := simulate(s, 1_000, 4_000, c.further)
+		diverged(fmt.Sprintf("%s with further sides %v", c.mode, c.further), err, line, c.want)
+	}
+
+	// simulate's body, with the flip in the further side's DRAM only.
+	s, err := NewSystem(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := cfg
+	opt.Mode = PTGuardOptimized
+	c, err := newController(opt)
+	if err == nil {
+		err = s.flushTables(c)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := flipPML4(t, s, c.Device())
+	s.usePipeline([]side{{PTGuard, s.ctrl}, {PTGuardOptimized, c}})
+	_, err = measure(s, 1_000, 4_000)
+	diverged("flip on the further side", err, line, "failed on the ptguard-opt side")
+
+	s, _ = flipped(t, cfg, prof)
+	r, err := measure(s, 1_000, 4_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.CheckFails == 0 {
+		t.Fatal("the sequential machine raised no integrity failure")
+	}
+	if _, err := unprotected(r); err == nil {
+		t.Error("unprotected accepted a run with integrity failures")
 	}
 }
 
@@ -124,30 +128,37 @@ func memoryGoroutines() int {
 
 // TestNoMemoryGoroutineOutlivesSimulate: every goroutine a pipelined run
 // starts has exited when simulate returns, after a success, an error and
-// a fallback.
+// a divergence.
 func TestNoMemoryGoroutineOutlivesSimulate(t *testing.T) {
 	prof := testProfile(t, "lbm")
 	cfg := Config{Mode: PTGuard, Seed: 3, MACLatencyCycles: 10}
+	machine := func() *System {
+		s, err := NewSystem(cfg, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	for _, c := range []struct {
 		name string
 		run  func() error
 	}{
 		{"success", func() error {
-			_, _, err := simulate(cfg, prof, 1_000, 3_000, []Mode{PTGuardOptimized})
+			_, _, err := simulate(machine(), 1_000, 3_000, []Mode{PTGuardOptimized})
 			return err
 		}},
 		{"error", func() error {
-			if _, _, err := simulate(cfg, prof, 1_000, 0, nil); err == nil {
+			if _, _, err := simulate(machine(), 1_000, 0, nil); err == nil {
 				return errors.New("a zero-instruction window was accepted")
 			}
 			return nil
 		}},
-		{"fallback", func() error {
-			r, _, err := measure(flippedBuild(t, cfg, prof, nil), 1_000, 3_000, true)
-			if err == nil && r.CheckFails == 0 {
-				err = errors.New("the flip raised no integrity failure")
+		{"divergence", func() error {
+			s, _ := flipped(t, cfg, prof)
+			if _, _, err := simulate(s, 1_000, 3_000, []Mode{PTGuardOptimized}); !errors.Is(err, errDiverged) {
+				return fmt.Errorf("simulate returned %v, want a divergence", err)
 			}
-			return err
+			return nil
 		}},
 	} {
 		if err := c.run(); err != nil {
@@ -165,7 +176,7 @@ func TestNoMemoryGoroutineOutlivesSimulate(t *testing.T) {
 }
 
 // fuzzModeSets are the protected-mode sets a Compare machine runs: the
-// first mode simulated, the rest mirrored.
+// first mode the machine's, the rest further memory sides.
 var fuzzModeSets = [][]Mode{
 	{PTGuard},
 	{PTGuardOptimized},
@@ -175,8 +186,9 @@ var fuzzModeSets = [][]Mode{
 
 // FuzzPipelinedMatchesSequential: for any profile, seed, warm-up of 0 to
 // 2,000 instructions, window of 1 to 5,000, protected-mode set and MAC
-// latency, simulate returns the sequential machine's Result field for
-// field, mirrors included, and its pipelined run never diverges.
+// latency, simulate never diverges and returns the sequential machine's
+// Result field for field, and each further side ends with the controller
+// and guard counters of its own mode's sequential machine.
 func FuzzPipelinedMatchesSequential(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint16(0), uint16(1), uint8(0), uint8(9))
 	f.Add(uint8(7), uint64(0xBEEF), uint16(2000), uint16(4999), uint8(2), uint8(19))
@@ -189,26 +201,40 @@ func FuzzPipelinedMatchesSequential(f *testing.F) {
 		w, n := int(warmup)%2_001, 1+int(instructions)%5_000
 		cfg := Config{Mode: modes[0], Seed: seed, MACLatencyCycles: 1 + int(macLatency)%32}
 		stage := fmt.Sprintf("%s seed %#x, warm-up %d, %d instructions, modes %v, MAC latency %d", prof.Name, seed, w, n, modes, cfg.MACLatencyCycles)
-		got, gotMCs, err := simulate(cfg, prof, w, n, modes[1:])
-		want, wantMCs, werr := sequential(cfg, prof, w, n, modes[1:])
-		sameRun(t, stage, got, gotMCs, err, want, wantMCs, werr)
-
-		// simulate would hide a fallback, so run a pipelined machine by hand.
-		s, _, err := newMirroredSystem(cfg, prof, modes[1:])
+		s, err := NewSystem(cfg, prof)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.usePipeline() {
-			t.Fatalf("%s: not pipelined", stage)
-		}
-		if w > 0 {
-			if _, err := s.Run(w); err != nil {
-				t.Fatalf("%s: warm-up: %v", stage, err)
-			}
-			s.ResetStats()
-		}
-		if _, err := s.Run(n); err != nil {
+		got, sides, err := simulate(s, w, n, modes[1:])
+		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
+		}
+		want, _, err := sequential(cfg, prof, w, n)
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", stage, err)
+		}
+		if d := firstDiff(got, want); d != "" {
+			t.Fatalf("%s: the pipelined run differs in %s:\n %+v\nwant the sequential\n %+v", stage, d, got, want)
+		}
+		if len(sides) != len(modes)-1 {
+			t.Fatalf("%s: %d further sides for modes %v", stage, len(sides), modes)
+		}
+		for i, sd := range sides {
+			mcfg := cfg
+			mcfg.Mode = modes[1+i]
+			_, c, err := sequential(mcfg, prof, w, n)
+			if err != nil {
+				t.Fatalf("%s: sequential %s: %v", stage, mcfg.Mode, err)
+			}
+			if sd.mode != mcfg.Mode {
+				t.Fatalf("%s: further side %d is %s, want %s", stage, i, sd.mode, mcfg.Mode)
+			}
+			if g, w := sd.ctrl.Stats(), c.Stats(); g != w {
+				t.Fatalf("%s: %s side stats %+v, want its machine's %+v", stage, sd.mode, g, w)
+			}
+			if g, w := sd.ctrl.Guard().Counters(), c.Guard().Counters(); g != w {
+				t.Fatalf("%s: %s side guard counters %+v, want its machine's %+v", stage, sd.mode, g, w)
+			}
 		}
 	})
 }

@@ -162,8 +162,8 @@ type System struct {
 	// obs collects metrics/traces/series when non-nil (Config.Obs).
 	obs *obs.Observer
 
-	// pipe, when set, serves the memory side on its own goroutine during
-	// each Run (pipeline.go).
+	// pipe, when set, serves the memory side, and any further memory
+	// sides, on their own goroutine during each Run (pipeline.go).
 	pipe *pipeline
 }
 
@@ -171,38 +171,16 @@ type System struct {
 // footprint is mapped through real 4-level page tables whose lines are
 // flushed to DRAM through the (possibly guarded) memory controller.
 func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
-	s, _, err := newMirroredSystem(cfg, prof, nil)
-	return s, err
-}
-
-// newMirroredSystem is NewSystem with one mirror controller per mode of
-// mirrors, each with its own DRAM device and guard, attached to the
-// machine's controller before the page tables are flushed: every DRAM
-// access the machine makes reaches each mirror too (memctrl.Mirror). It
-// returns the mirrors in the order of mirrors.
-func newMirroredSystem(cfg Config, prof workload.Profile, mirrors []Mode) (*System, []*memctrl.Controller, error) {
 	ctrl, err := newController(cfg)
 	if err != nil {
-		return nil, nil, err
-	}
-	mcs := make([]*memctrl.Controller, len(mirrors))
-	for i, m := range mirrors {
-		mcfg := cfg
-		mcfg.Mode = m
-		if mcs[i], err = newController(mcfg); err != nil {
-			return nil, nil, err
-		}
-		if err := ctrl.Mirror(mcs[i]); err != nil {
-			return nil, nil, err
-		}
+		return nil, err
 	}
 	totalFrames := ctrl.Device().Geometry().Capacity() / pte.PageSize
 	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, err := newSystemShared(cfg, prof, ctrl.Device(), ctrl, alloc, 0)
-	return s, mcs, err
+	return newSystemShared(cfg, prof, ctrl.Device(), ctrl, alloc, 0)
 }
 
 // newController builds a DRAM device and, in front of it, a controller
@@ -335,15 +313,15 @@ func (s *System) attachWorkload(prof workload.Profile) error {
 		vaddr += uint64(cluster) * pte.PageSize
 		remaining -= cluster
 	}
-	return s.flushTables()
+	return s.flushTables(s.ctrl)
 }
 
-// flushTables writes every table line to DRAM in ascending address order,
-// one table page per WriteLinesBatch call, so the protected lines are
-// stored to be sealed on first read and most table MACs are never computed
-// on the host. Like a per-line WriteLine loop, it writes past an error and
-// returns the first one.
-func (s *System) flushTables() error {
+// flushTables writes every table line to DRAM through c in ascending
+// address order, one table page per WriteLinesBatch call, so the protected
+// lines are stored to be sealed on first read and most table MACs are never
+// computed on the host. Like a per-line WriteLine loop, it writes past an
+// error and returns the first one.
+func (s *System) flushTables(c *memctrl.Controller) error {
 	var (
 		addrs [pte.PageSize / pte.LineBytes]uint64
 		lines [len(addrs)]pte.Line
@@ -355,7 +333,7 @@ func (s *System) flushTables() error {
 			addrs[n], lines[n] = addr, line
 			n++
 		})
-		if _, werr := s.ctrl.WriteLinesBatch(addrs[:n], lines[:n]); werr != nil && err == nil {
+		if _, werr := c.WriteLinesBatch(addrs[:n], lines[:n]); werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -503,18 +481,17 @@ func (s *System) accessData(ref workload.Ref) {
 		s.core.StallMemory(latL1 + latL2 + latL3)
 		return
 	}
-	s.core.StallMemory(latL1 + latL2 + latL3 + s.readData(paddr, &s.checkFails))
+	s.core.StallMemory(latL1 + latL2 + latL3 + s.readData(s.ctrl, paddr, &s.checkFails))
 }
 
-// readData reads the data line at paddr from DRAM and returns the latency.
-// On first touch it materialises the line's pre-existing content through
-// the controller (not charged to the core). Each failed access counts in
-// fails.
-func (s *System) readData(paddr uint64, fails *uint64) int {
-	if !s.dev.Contains(paddr) {
-		s.writeData(paddr, fails)
+// readData reads the data line at paddr from DRAM through c and returns the
+// latency. On first touch it materialises the line's pre-existing content
+// through c (not charged to the core). Each failed access counts in fails.
+func (s *System) readData(c *memctrl.Controller, paddr uint64, fails *uint64) int {
+	if !c.Device().Contains(paddr) {
+		s.writeData(c, paddr, fails)
 	}
-	_, lat, ok := s.ctrl.ReadLine(paddr, false)
+	_, lat, ok := c.ReadLine(paddr, false)
 	if !ok {
 		*fails++
 	}
@@ -527,13 +504,13 @@ func (s *System) writeback(addr uint64) {
 		s.pipe.push(reqWriteback, addr)
 		return
 	}
-	s.writeData(addr, &s.checkFails)
+	s.writeData(s.ctrl, addr, &s.checkFails)
 }
 
-// writeData writes the data line at addr through the controller, counting
-// a failed write in fails.
-func (s *System) writeData(addr uint64, fails *uint64) {
-	if _, err := s.ctrl.WriteLine(addr, s.dataLineFor(addr)); err != nil {
+// writeData writes the data line at addr through c, counting a failed
+// write in fails.
+func (s *System) writeData(c *memctrl.Controller, addr uint64, fails *uint64) {
+	if _, err := c.WriteLine(addr, s.dataLineFor(addr)); err != nil {
 		*fails++
 	}
 }
@@ -601,7 +578,7 @@ func (s *System) churnOnePage() {
 }
 
 // Run executes n instructions and returns the measurements. A pipelined
-// machine's Run drains its memory side before it measures, and returns an
+// machine's Run drains its memory sides before it measures, and returns an
 // error wrapping errDiverged if the machine diverged.
 func (s *System) Run(n int) (Result, error) {
 	if n <= 0 {
@@ -657,9 +634,9 @@ func (s *System) result() Result {
 }
 
 // ResetStats zeroes every measurement counter (core, caches, TLB, page
-// walker, controller with its guard and mirrors, check failures, churns,
-// recovery and the walk trace) while keeping caches, TLB and DRAM state
-// warm. The DRAM device's own counters stay whole-run. Measurements follow
+// walker, the controller of each memory side with its guard, check
+// failures, churns, recovery and the walk trace) while keeping caches, TLB
+// and DRAM state warm. The DRAM device's own counters stay whole-run. Measurements follow
 // the paper's methodology of fast-forwarding to a representative region
 // (§III): run a warm-up, reset, then measure.
 func (s *System) ResetStats() {
@@ -670,6 +647,11 @@ func (s *System) ResetStats() {
 	s.tlb.ResetStats()
 	s.walker.ResetStats()
 	s.ctrl.ResetStats()
+	if s.pipe != nil {
+		for _, sd := range s.pipe.sides[1:] {
+			sd.ctrl.ResetStats()
+		}
+	}
 	s.checkFails = 0
 	s.churns = 0
 	s.recovery = RecoveryStats{}

@@ -127,6 +127,12 @@ func TestPublicOptionValidation(t *testing.T) {
 	if _, err := New(demoKey(), WithMACWidth(-8)); err == nil || !strings.Contains(err.Error(), "tag width -8") {
 		t.Errorf("negative MAC width: err = %v, want it to name the width", err)
 	}
+	if _, err := New(demoKey(), WithCTBEntries(-3)); err == nil || !strings.Contains(err.Error(), "CTB size -3") {
+		t.Errorf("negative CTB size: err = %v, want it to name the size", err)
+	}
+	if _, err := New(demoKey(), WithMACLatency(-5)); err == nil || !strings.Contains(err.Error(), "MAC latency -5") {
+		t.Errorf("negative MAC latency: err = %v, want it to name the latency", err)
+	}
 }
 
 func TestPublicSecurityModel(t *testing.T) {
