@@ -29,7 +29,7 @@ var commands = []command{
 	{"profile", "Fig. 8 PTE PFN categories over a synthetic process population (-format csv: per-process rows)", profileCmd},
 	{"attack", "end-to-end exploit scenarios (§II-C, §IV-G); -compare: detection coverage vs prior defenses", attackCmd},
 	{"trace", "Fig. 9 correction on page-walk traces of the full-system simulation (§VI-F)", traceCmd},
-	{"sweep", "the evaluation campaign: slowdown (Fig. 6/7), multicore (§VII-C), ablation, correction (Fig. 9), mitigate", sweepCmd},
+	{"sweep", "the evaluation campaign: slowdown (Fig. 6/7), multicore (§VII-C), ablation, correction (Fig. 9)", sweepCmd},
 	{"faults", "fault-model taxonomy campaign scored against a ground-truth oracle", faultsCmd},
 	{"mitigate", "mitigation head-to-head: in-DRAM trackers x TRR-aware patterns x PT-Guard off/on", mitigateCmd},
 	{"vm", "inter-VM Rowhammer campaign on nested paging", vmCmd},

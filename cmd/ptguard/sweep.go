@@ -12,18 +12,17 @@ import (
 
 // sweepCmd runs the paper's evaluation campaign — the Fig. 6/7 slowdown
 // grid, the §VII-C multicore mixes, the DESIGN.md §5 ablations and the
-// Fig. 9 correction sweep, plus the opt-in mitigation matrix — as one
-// declarative spec per section fanned out over the harness. It is the one
-// path to Fig. 6, Fig. 7 (-mac-latencies with more than one value adds
-// the latency table) and Fig. 9. The report is byte-identical at any
-// worker count or backend, and -journal resumes a killed run where it
-// left off.
+// Fig. 9 correction sweep — as one declarative spec per section fanned out
+// over the harness. It is the one path to Fig. 6, Fig. 7 (-mac-latencies
+// with more than one value adds the latency table) and Fig. 9. The report
+// is byte-identical at any worker count or backend, and -journal resumes a
+// killed run where it left off.
 func sweepCmd(fs *flag.FlagSet) func() error {
 	camp := newCampaignFlags(fs)
 	format := formatFlag(fs)
 	o := newObsFlags(fs, "slowdown: instructions between snapshots (0 = instructions/4 when -metrics-out is set)")
 	sections := fs.String("sections", "slowdown,multicore,ablation,correction",
-		"comma-separated campaign sections to run (also available: mitigate)")
+		"comma-separated campaign sections to run")
 
 	// Fig. 6/7 grid.
 	warmup := fs.Int("warmup", 200_000, "slowdown: warm-up instructions per run")
@@ -42,11 +41,6 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 	flipProb := fs.Float64("flip-prob", 1.0/128, "ablation: per-bit flip probability")
 	corLines := fs.Int("correction-lines", 400, "correction: faulty lines per Fig. 9 flip probability")
 
-	// Mitigation head-to-head (opt-in via -sections mitigate).
-	mitigation := fs.String("mitigation", "", "mitigate: comma-separated mitigation plugins from the internal/mitigate registry (empty = all)")
-	mitTrials := fs.Int("mitigate-trials", 3, "mitigate: trials per matrix cell")
-	mitActs := fs.Int("mitigate-acts", 0, "mitigate: aggressor activations per trial (0 = 40000)")
-
 	return func() error {
 		lats, err := parseInts(*macLats)
 		if err != nil {
@@ -59,7 +53,6 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 			Multicore  harness.MulticoreSpec
 			Ablation   harness.AblationSpec
 			Correction harness.CorrectionSpec
-			Mitigate   harness.MitigateSpec
 		}{
 			Slowdown: harness.SlowdownSpec{
 				Workloads: splitCSV(*workloads), Warmup: *warmup, Instructions: *instr,
@@ -71,20 +64,17 @@ func sweepCmd(fs *flag.FlagSet) func() error {
 			},
 			Ablation:   harness.AblationSpec{Lines: *ablLines, FlipProb: *flipProb},
 			Correction: harness.CorrectionSpec{Lines: *corLines},
-			Mitigate: harness.MitigateSpec{
-				Mitigations: splitCSV(*mitigation), Trials: *mitTrials, Acts: *mitActs,
-			},
 		}
 		// Resolve and expand every section before any campaign starts, so
 		// a typo or an invalid spec fails before work (and before the
 		// journal is created).
-		known := []harness.Spec{specs.Slowdown, specs.Multicore, specs.Ablation, specs.Correction, specs.Mitigate}
+		known := []harness.Spec{specs.Slowdown, specs.Multicore, specs.Ablation, specs.Correction}
 		var selected []harness.Spec
 		var plans []harness.Plan
 		for _, section := range splitCSV(*sections) {
 			i := slices.IndexFunc(known, func(s harness.Spec) bool { return s.Kind() == section })
 			if i < 0 {
-				return fmt.Errorf("unknown section %q (want slowdown, multicore, ablation, correction or mitigate)", section)
+				return fmt.Errorf("unknown section %q (want slowdown, multicore, ablation or correction)", section)
 			}
 			plan, err := harness.Prepare(known[i], camp.seed)
 			if err != nil {

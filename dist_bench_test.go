@@ -2,7 +2,7 @@
 // (BENCH_2): the same fixed-cost campaign run in-process and sharded
 // over 1, 2, 4, and 8 worker subprocesses (the re-executed test binary,
 // via WorkerCommand). The jobs are
-// wall-clock-bound (dist.SyntheticSpec sleeps a fixed cost per job, it
+// wall-clock-bound (disttest.SyntheticSpec sleeps a fixed cost per job, it
 // does not burn CPU), so campaign-jobs/sec measures what the backend
 // actually adds — dispatch, framing, and pipeline overlap across
 // processes — and scales with worker count even on a single-core
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ptguard/internal/dist"
+	"ptguard/internal/dist/disttest"
 	"ptguard/internal/harness"
 )
 
@@ -42,7 +43,7 @@ func TestMain(m *testing.M) {
 // the timed region — worker spawn cost is a per-campaign constant, not a
 // per-job one, and BENCH_2 tracks steady-state dispatch throughput.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	spec := dist.SyntheticSpec{JobCount: 24, CostMS: 20}
+	spec := disttest.SyntheticSpec{JobCount: 24, CostMS: 20}
 	const seed = 42
 	jobs, err := spec.Jobs(seed)
 	if err != nil {

@@ -45,9 +45,7 @@ func run() error {
 	w.Tables.Lines(func(addr uint64, line pte.Line) {
 		_, _ = w.Ctrl.WriteLine(addr, line)
 	})
-	if err := w.Shootdown(); err != nil { // INVLPG + MMU-cache flush
-		return err
-	}
+	w.Shootdown() // INVLPG + MMU-cache flush
 	fmt.Printf("   page %#x -> %#x, poisoned frame quarantined, TLB shot down\n\n", oldPage, newPage)
 
 	res = w.Walker.Walk(w.Tables.Root(), attack.VictimVBase)
@@ -73,9 +71,7 @@ func run() error {
 	fmt.Printf("   scanned %d lines, re-MACed %d protected lines, CTB now %d entries\n\n",
 		st.LinesScanned, st.Remacced, w.Ctrl.Guard().CTBLen())
 
-	if err := w.Shootdown(); err != nil {
-		return err
-	}
+	w.Shootdown()
 	res = w.Walker.Walk(w.Tables.Root(), attack.VictimVBase+pte.PageSize)
 	fmt.Printf("6. System healthy under the new key: walk ok=%t\n", !res.CheckFailed && !res.Fault)
 	return nil

@@ -239,14 +239,4 @@ func (w *World) PublishObs(r *obs.Registry) {
 // Shootdown models the TLB/MMU-cache shootdown the OS performs after
 // modifying page tables (e.g. the §IV-G row-remap): the walker's cached
 // upper-level entries are discarded so subsequent walks re-read memory.
-func (w *World) Shootdown() error {
-	walker, err := tlb.NewWalker(func(addr uint64) (pte.Line, bool) {
-		line, _, ok := w.Ctrl.ReadLine(addr, true)
-		return line, ok
-	})
-	if err != nil {
-		return err
-	}
-	w.Walker = walker
-	return nil
-}
+func (w *World) Shootdown() { w.Walker.Flush() }

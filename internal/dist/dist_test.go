@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ptguard/internal/chaos"
+	"ptguard/internal/dist/disttest"
 	"ptguard/internal/harness"
 )
 
@@ -132,7 +133,7 @@ func TestWorkerKillRequeue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	spec := SyntheticSpec{JobCount: 8, CostMS: 2}
+	spec := disttest.SyntheticSpec{JobCount: 8, CostMS: 2}
 	const seed = 99
 	jobs, err := spec.Jobs(seed)
 	if err != nil {
@@ -185,7 +186,7 @@ func TestTCPBackend(t *testing.T) {
 		}
 	}()
 
-	spec := SyntheticSpec{JobCount: 10, CostMS: 1}
+	spec := disttest.SyntheticSpec{JobCount: 10, CostMS: 1}
 	const seed = 5
 	jobs, err := spec.Jobs(seed)
 	if err != nil {
@@ -261,7 +262,7 @@ func TestJournalResumeAcrossBackends(t *testing.T) {
 
 // TestExecutorRequiredForRemoteBackends pins the harness-side guard.
 func TestExecutorRequiredForRemoteBackends(t *testing.T) {
-	jobs, err := SyntheticSpec{JobCount: 1, CostMS: 1}.Jobs(1)
+	jobs, err := disttest.SyntheticSpec{JobCount: 1, CostMS: 1}.Jobs(1)
 	if err != nil {
 		t.Fatal(err)
 	}

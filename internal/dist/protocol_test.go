@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ptguard/internal/dist/disttest"
 	"ptguard/internal/harness"
 )
 
@@ -59,7 +60,7 @@ func TestGoldenFrames(t *testing.T) {
 			`{"crc":"d85fb7ef","m":{"type":"job","key":"slowdown/leela/mac10"}}` + "\n",
 		},
 		{
-			Message{Type: MsgHello, Magic: Magic, Version: Version, Results: 1, Kind: SyntheticSpec{}.Kind(),
+			Message{Type: MsgHello, Magic: Magic, Version: Version, Results: 1, Kind: disttest.SyntheticSpec{}.Kind(),
 				Spec: json.RawMessage(`{"jobs":2,"cost_ms":1}`), Seed: 7, HeartbeatMS: 200},
 			`{"crc":"6caab9a0","m":{"type":"hello","magic":"ptguard-dist","version":2,"results":1,"kind":"synthetic","spec":{"jobs":2,"cost_ms":1},"seed":7,"heartbeat_ms":200}}` + "\n",
 		},
@@ -130,7 +131,7 @@ func TestServeRejectsVersionMismatch(t *testing.T) {
 	} {
 		w, r, errc := serveInMemory(t)
 		hello := Message{Type: MsgHello, Magic: Magic, Version: c.version, Results: c.results,
-			Kind: SyntheticSpec{}.Kind(), Spec: json.RawMessage(`{}`), Seed: 1}
+			Kind: disttest.SyntheticSpec{}.Kind(), Spec: json.RawMessage(`{}`), Seed: 1}
 		if err := w.Write(hello); err != nil {
 			t.Fatal(err)
 		}
@@ -185,9 +186,9 @@ func TestServeRejectsBadMagicAndUnknownKind(t *testing.T) {
 // clean bye.
 func TestServeSession(t *testing.T) {
 	w, r, errc := serveInMemory(t)
-	spec, _ := json.Marshal(SyntheticSpec{JobCount: 3, CostMS: 1})
+	spec, _ := json.Marshal(disttest.SyntheticSpec{JobCount: 3, CostMS: 1})
 	if err := w.Write(Message{Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion,
-		Kind: SyntheticSpec{}.Kind(), Spec: spec, Seed: 42}); err != nil {
+		Kind: disttest.SyntheticSpec{}.Kind(), Spec: spec, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	ready, err := r.Read()
@@ -207,7 +208,7 @@ func TestServeSession(t *testing.T) {
 	if res.Type != MsgResult || res.Key != "synthetic/0001" || res.Error != "" {
 		t.Fatalf("result = %+v", res)
 	}
-	var sr SyntheticResult
+	var sr disttest.SyntheticResult
 	if err := json.Unmarshal(res.Result, &sr); err != nil {
 		t.Fatalf("decode result: %v", err)
 	}

@@ -8,14 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"ptguard/internal/dist"
+	"ptguard/internal/dist/disttest"
 	"ptguard/internal/harness"
 	"ptguard/internal/sim"
 )
 
 // The registry tests live in an external package so they can link
-// internal/dist, which registers the synthetic kind: together the two
-// packages register every kind a worker can be handed.
+// internal/dist/disttest, which registers the synthetic kind: together the
+// two packages register every kind a worker can be handed.
 
 // TestKindsCoverAllCampaigns pins the registered kind names: they are part
 // of the wire protocol and of journal fingerprints.
@@ -89,7 +89,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			Trials: 2, PagesPerVM: 4, Correction: true, Threshold: 48, Acts: 2048,
 			FlipProb: 1.0 / 64, Obs: obsSpec,
 		}, seed),
-		typed(t, dist.SyntheticSpec{JobCount: 3, CostMS: 1}, seed),
+		typed(t, disttest.SyntheticSpec{JobCount: 3, CostMS: 1}, seed),
 	}
 	var covered []string
 	for _, tc := range cases {

@@ -28,7 +28,6 @@ func perLineSystem(t *testing.T, cfg Config, prof workload.Profile) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.dev = dev
 	if s.ctrl, err = memctrl.New(dev, guard, cfg.ContentionCycles); err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +85,20 @@ func TestTableFlushMatchesPerLineWrites(t *testing.T) {
 				}
 			}
 
-			if s.dev.StoredLines() != ref.dev.StoredLines() {
-				t.Fatalf("stored lines = %d, want %d", s.dev.StoredLines(), ref.dev.StoredLines())
+			dev, refDev := s.ctrl.Device(), ref.ctrl.Device()
+			if dev.StoredLines() != refDev.StoredLines() {
+				t.Fatalf("stored lines = %d, want %d", dev.StoredLines(), refDev.StoredLines())
 			}
-			ref.dev.Lines(func(addr uint64, line pte.Line) {
-				if !s.dev.Contains(addr) || s.dev.ReadLine(addr) != line {
+			refDev.Lines(func(addr uint64, line pte.Line) {
+				if !dev.Contains(addr) || dev.ReadLine(addr) != line {
 					t.Errorf("line %#x differs from the per-line flush", addr)
 				}
-				if got, want := s.dev.Activations(addr), ref.dev.Activations(addr); got != want {
+				if got, want := dev.Activations(addr), refDev.Activations(addr); got != want {
 					t.Errorf("row of %#x: %d activations, want %d", addr, got, want)
 				}
 			})
-			if s.dev.Stats() != ref.dev.Stats() {
-				t.Errorf("dram stats = %+v, want %+v", s.dev.Stats(), ref.dev.Stats())
+			if dev.Stats() != refDev.Stats() {
+				t.Errorf("dram stats = %+v, want %+v", dev.Stats(), refDev.Stats())
 			}
 			if s.ctrl.Stats() != ref.ctrl.Stats() {
 				t.Errorf("memctrl stats = %+v, want %+v", s.ctrl.Stats(), ref.ctrl.Stats())

@@ -46,7 +46,7 @@ func TestMulticoreSeedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ms.Run(1500, 0)
+		res, err := ms.Run(1500)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestResultDigestPinned(t *testing.T) {
 					Key:    fmt.Sprintf("%s/%s/%s", name, mode, st.name),
 					Result: res,
 					L1:     s.l1d.Stats(), L2: s.l2.Stats(), L3: s.l3.Stats(),
-					DRAM: s.dev.Stats(),
+					DRAM: s.ctrl.Device().Stats(),
 				}
 				if err := enc.Encode(rec); err != nil {
 					t.Fatal(err)

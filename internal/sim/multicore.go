@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"ptguard/internal/cpu"
-	"ptguard/internal/dram"
-	"ptguard/internal/memctrl"
 	"ptguard/internal/ostable"
 	"ptguard/internal/pte"
 	"ptguard/internal/workload"
@@ -19,12 +17,10 @@ import (
 // Not safe for concurrent use.
 type MultiSystem struct {
 	cores []*System
-	dev   *dram.Device
-	ctrl  *memctrl.Controller
 }
 
-// DefaultQuantum is the round-robin scheduling quantum in instructions.
-const DefaultQuantum = 1000
+// quantum is the round-robin scheduling quantum in instructions.
+const quantum = 1000
 
 // NewMultiSystem builds an n-core system; cfg applies to every core except
 // the per-core seed (offset per core) and virtual layout. Each core runs
@@ -37,17 +33,16 @@ func NewMultiSystem(cfg Config, profiles []workload.Profile) (*MultiSystem, erro
 	if err != nil {
 		return nil, err
 	}
-	dev := ctrl.Device()
-	totalFrames := dev.Geometry().Capacity() / pte.PageSize
+	totalFrames := ctrl.Device().Geometry().Capacity() / pte.PageSize
 	alloc, err := ostable.NewFrameAllocator(4096, totalFrames-4096)
 	if err != nil {
 		return nil, err
 	}
-	ms := &MultiSystem{dev: dev, ctrl: ctrl}
+	ms := &MultiSystem{}
 	for i, prof := range profiles {
 		coreCfg := cfg
 		coreCfg.Seed = cfg.Seed + uint64(i)*7919
-		core, cerr := newSystemShared(coreCfg, prof, dev, ctrl, alloc, i)
+		core, cerr := newSystemShared(coreCfg, prof, ctrl, alloc, i)
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -59,12 +54,9 @@ func NewMultiSystem(cfg Config, profiles []workload.Profile) (*MultiSystem, erro
 // Run executes instrPerCore instructions on every core, interleaved in
 // round-robin quanta so the shared row buffers see the interleaved access
 // stream. It returns one Result per core.
-func (m *MultiSystem) Run(instrPerCore, quantum int) ([]Result, error) {
+func (m *MultiSystem) Run(instrPerCore int) ([]Result, error) {
 	if instrPerCore <= 0 {
 		return nil, errors.New("sim: instruction count must be positive")
-	}
-	if quantum <= 0 {
-		quantum = DefaultQuantum
 	}
 	remaining := make([]int, len(m.cores))
 	for i := range remaining {
@@ -148,12 +140,12 @@ func CompareMulticore(mix MulticoreMix, warmup, instrPerCore int, seed uint64, m
 			return 0, err
 		}
 		if warmup > 0 {
-			if _, err := ms.Run(warmup, 0); err != nil {
+			if _, err := ms.Run(warmup); err != nil {
 				return 0, err
 			}
 			ms.ResetStats()
 		}
-		results, err := ms.Run(instrPerCore, 0)
+		results, err := ms.Run(instrPerCore)
 		if err != nil {
 			return 0, err
 		}

@@ -49,7 +49,7 @@ func flipped(tb testing.TB, cfg Config, prof workload.Profile) (*System, uint64)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return s, flipPML4(tb, s, s.dev)
+	return s, flipPML4(tb, s, s.ctrl.Device())
 }
 
 // TestDivergedRunIsAnError: with a bit flipped in the table line the first

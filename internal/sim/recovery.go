@@ -21,12 +21,10 @@ type RecoveryStats struct {
 // recoveryRetries bounds the in-place rebuild attempts per failure.
 const recoveryRetries = 3
 
-func (s *System) remapAfter() int {
-	if s.cfg.RemapAfter > 0 {
-		return s.cfg.RemapAfter
-	}
-	return 2
-}
+// remapAfter is the number of integrity failures one table page may raise
+// before recovery escalates to migrating the page to a fresh frame
+// (quarantining the vulnerable row, §IV-G).
+const remapAfter = 2
 
 // recoverPTELine is the OS response to an uncorrectable integrity failure
 // on the page-table line at addr (§IV-G): the kernel owns the authoritative
@@ -44,7 +42,7 @@ func (s *System) recoverPTELine(addr uint64) (pte.Line, bool) {
 	page := addr &^ uint64(pte.PageSize-1)
 	s.pageFailures[page]++
 
-	if s.pageFailures[page] >= s.remapAfter() {
+	if s.pageFailures[page] >= remapAfter {
 		if line, ok := s.remapVictimPage(addr); ok {
 			s.recovery.Recovered++
 			return line, true
@@ -123,7 +121,6 @@ func (s *System) remapVictimPage(addr uint64) (pte.Line, bool) {
 		s.l2.Invalidate(parentLine)
 		s.l3.Invalidate(parentLine)
 		delete(s.cleanPTE, parentLine)
-		s.walker.InvalidateEntry(parentEA)
 	}
 	// Translations cached anywhere may reference the old frame.
 	s.tlb.Flush()

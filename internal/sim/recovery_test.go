@@ -12,7 +12,7 @@ import (
 // is uncorrectable and must reach the OS recovery path.
 func corruptLine(tb testing.TB, s *System, lineAddr uint64) {
 	tb.Helper()
-	hmr, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 99})
+	hmr, err := dram.NewHammerer(s.ctrl.Device(), dram.HammerConfig{Seed: 99})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -150,12 +150,7 @@ func TestRecoveryDisabledStillFails(t *testing.T) {
 // migrated to a fresh frame (§IV-G row quarantine) and the old frame goes
 // out of service, while translations keep resolving.
 func TestRecoveryRemapEscalation(t *testing.T) {
-	s, err := NewSystem(Config{
-		Mode:           PTGuard,
-		Seed:           13,
-		EnableRecovery: true,
-		RemapAfter:     1, // escalate on the first failure
-	}, testProfile(t, "mcf"))
+	s, err := NewSystem(Config{Mode: PTGuard, Seed: 13, EnableRecovery: true}, testProfile(t, "mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +158,8 @@ func TestRecoveryRemapEscalation(t *testing.T) {
 	wantPFN, _ := s.tables.Translate(vaddr)
 	oldLine := leafLineOf(t, s, vaddr)
 	oldPage := oldLine &^ uint64(pte.PageSize-1)
+	// One earlier failure on the page: the next one escalates.
+	s.pageFailures[oldPage] = remapAfter - 1
 	corruptLine(t, s, oldLine)
 	s.flushCaches()
 
@@ -214,7 +211,7 @@ func TestRecoveryFatalWithoutAuthoritativeState(t *testing.T) {
 
 // TestRecoveryRepeatedFaultsConverge: hammer the same line before each of
 // several walks; each failure recovers, and the second one escalates to a
-// remap under the default RemapAfter=2, after which the old address is out
+// remap (remapAfter is 2), after which the old address is out
 // of the walk path entirely.
 func TestRecoveryRepeatedFaultsConverge(t *testing.T) {
 	s, err := NewSystem(Config{Mode: PTGuard, Seed: 19, EnableRecovery: true}, testProfile(t, "mcf"))

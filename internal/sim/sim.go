@@ -113,10 +113,6 @@ type Config struct {
 	// table line from its authoritative mapping state instead of
 	// panicking.
 	EnableRecovery bool
-	// RemapAfter is the number of integrity failures one table page may
-	// raise before recovery escalates to migrating the page to a fresh
-	// frame (quarantining the vulnerable row, §IV-G); 0 selects 2.
-	RemapAfter int
 	// Obs, when set, collects metrics, trace events, and periodic
 	// time-series snapshots for this run. Nil disables observability with
 	// zero overhead.
@@ -134,7 +130,6 @@ type System struct {
 	l2     *cache.Cache
 	l3     *cache.Cache
 	ctrl   *memctrl.Controller
-	dev    *dram.Device
 	alloc  *ostable.FrameAllocator
 	tables *ostable.PageTables
 	gen    *workload.Generator
@@ -180,7 +175,7 @@ func NewSystem(cfg Config, prof workload.Profile) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSystemShared(cfg, prof, ctrl.Device(), ctrl, alloc, 0)
+	return newSystemShared(cfg, prof, ctrl, alloc, 0)
 }
 
 // newController builds a DRAM device and, in front of it, a controller
@@ -202,7 +197,7 @@ func newController(cfg Config) (*memctrl.Controller, error) {
 
 // newSystemShared builds a per-core system over shared DRAM, controller and
 // frame allocator (the multicore configuration of §VII-C).
-func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *memctrl.Controller, alloc *ostable.FrameAllocator, coreIdx int) (*System, error) {
+func newSystemShared(cfg Config, prof workload.Profile, ctrl *memctrl.Controller, alloc *ostable.FrameAllocator, coreIdx int) (*System, error) {
 	coreModel, err := cpu.New(cfg.Core)
 	if err != nil {
 		return nil, err
@@ -226,7 +221,6 @@ func newSystemShared(cfg Config, prof workload.Profile, dev *dram.Device, ctrl *
 		l2:           mkCache(cache.L2Config),
 		l3:           mkCache(cache.L3Config),
 		ctrl:         ctrl,
-		dev:          dev,
 		alloc:        alloc,
 		rng:          stats.NewRNG(cfg.Seed ^ 0xD1CE),
 		vbase:        0x10_0000_0000 + uint64(coreIdx)<<40,

@@ -200,7 +200,7 @@ func TestDetectionUnderAttackInFullSystem(t *testing.T) {
 	if _, err := s.Run(50_000); err != nil {
 		t.Fatal(err)
 	}
-	h, err := dram.NewHammerer(s.dev, dram.HammerConfig{Seed: 1})
+	h, err := dram.NewHammerer(s.ctrl.Device(), dram.HammerConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestMultiSystemSharedInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := ms.Run(60_000, 0)
+	results, err := ms.Run(60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestMultiSystemSharedInterference(t *testing.T) {
 		t.Errorf("shared-channel core faster (%.0f cyc) than solo (%.0f cyc)",
 			results[0].Cycles, aloneRes.Cycles)
 	}
-	if _, err := ms.Run(0, 0); err == nil {
+	if _, err := ms.Run(0); err == nil {
 		t.Error("zero instructions accepted")
 	}
 	if _, err := NewMultiSystem(Config{Mode: Baseline}, nil); err == nil {

@@ -169,20 +169,6 @@ func TestWalkAbortsOnCheckFailure(t *testing.T) {
 	}
 }
 
-func TestInvalidateEntryForcesRefetch(t *testing.T) {
-	m := newFakeMemory()
-	const cr3, vaddr, leaf = 0x1000, 0x7f1234567000, 0xABCDE
-	buildMapping(m, cr3, vaddr, leaf)
-	w, _ := NewWalker(m.read)
-	w.Walk(cr3, vaddr)
-	ea := entryAddr(cr3, vaddr, 0)
-	w.InvalidateEntry(ea)
-	res := w.Walk(cr3, vaddr)
-	if res.MemAccesses != 2 { // PML4 refetch + leaf
-		t.Errorf("post-invalidate accesses = %d, want 2", res.MemAccesses)
-	}
-}
-
 func TestEntryAddrIndexing(t *testing.T) {
 	// vaddr bit slices: 47:39, 38:30, 29:21, 20:12.
 	vaddr := uint64(0x0000_FFFF_FFFF_F000) // bits 47:12 all set

@@ -66,11 +66,25 @@ func entryAddr(tableBase, vaddr uint64, level int) uint64 {
 
 // Walk translates vaddr starting from the root table at cr3.
 func (w *Walker) Walk(cr3, vaddr uint64) WalkResult {
+	return w.walk(cr3, vaddr, nil)
+}
+
+// walk is the one walk loop. A non-nil xlate maps each level's entry
+// address before the MMU cache and the line reader see it (the stage-2
+// translation of a 2-D walk's guest dimension); when it returns false the
+// walk ends with the result so far, and xlate records why.
+func (w *Walker) walk(cr3, vaddr uint64, xlate func(uint64) (uint64, bool)) WalkResult {
 	w.walks++
 	res := WalkResult{}
 	base := cr3
 	for level := 0; level < Levels; level++ {
 		ea := entryAddr(base, vaddr, level)
+		if xlate != nil {
+			var ok bool
+			if ea, ok = xlate(ea); !ok {
+				return res
+			}
+		}
 		var entry pte.Entry
 		// Upper levels consult the MMU cache; the leaf level always
 		// goes to the memory system (it is what the TLB caches).
@@ -87,9 +101,10 @@ func (w *Walker) Walk(cr3, vaddr uint64) WalkResult {
 				w.mmuHits++
 				entry = v
 			} else {
-				// A hit without a value is presence gone stale after
-				// an invalidation; either way the entry comes from
-				// memory, and a fresh install records its value.
+				// A hit without a value is a line cached for a
+				// sibling entry, whose value the walker never
+				// records; either way the entry comes from memory,
+				// and only a fresh install records its value.
 				e, ok := w.fetchEntry(ea, &res)
 				if !ok {
 					return res
@@ -150,13 +165,6 @@ func dropLineValues(values map[uint64]pte.Entry, lineAddr uint64) {
 	for i := 0; i < pte.PTEsPerLine; i++ {
 		delete(values, lineAddr+uint64(i*8))
 	}
-}
-
-// InvalidateEntry drops a cached upper-level entry (e.g. after the OS
-// rewrites a page table).
-func (w *Walker) InvalidateEntry(ea uint64) {
-	w.mmu.Invalidate(ea)
-	delete(w.values, ea)
 }
 
 // Flush drops the entire MMU cache (e.g. after the OS migrates a table
