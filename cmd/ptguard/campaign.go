@@ -71,7 +71,7 @@ func (r *campaignRun) run(spec harness.Spec) (*harness.Output, error) {
 // harness.Prepare(spec, seed).
 func (r *campaignRun) runPlan(spec harness.Spec, plan harness.Plan) (*harness.Output, error) {
 	opts := r.opts
-	co, err := r.dist.Start(dist.Campaign{Kind: spec.Kind(), Spec: spec, Seed: r.seed}, &opts, opts.Chaos)
+	co, err := r.dist.Start(dist.Campaign{Kind: spec.Kind(), Spec: spec, Seed: r.seed}, &opts)
 	if err != nil {
 		return nil, err
 	}

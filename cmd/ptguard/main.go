@@ -25,7 +25,7 @@ type command struct {
 
 var commands = []command{
 	{"report", "static tables: PTE layouts (Tables I, II), system configuration (III), MAC bit map (IV), storage budget (§V-E)", reportCmd},
-	{"security", "§VI-E security model (Eqs. 1, 2); -mitigation adds a residual-exposure table", securityCmd},
+	{"security", "§VI-E security model (Eqs. 1, 2)", securityCmd},
 	{"profile", "Fig. 8 PTE PFN categories over a synthetic process population (-format csv: per-process rows)", profileCmd},
 	{"attack", "end-to-end exploit scenarios (§II-C, §IV-G); -compare: detection coverage vs prior defenses", attackCmd},
 	{"trace", "Fig. 9 correction on page-walk traces of the full-system simulation (§VI-F)", traceCmd},

@@ -5,36 +5,23 @@ import (
 	"fmt"
 	"os"
 
-	"ptguard/internal/attack"
-	"ptguard/internal/dram"
 	"ptguard/internal/mac"
-	"ptguard/internal/mitigate"
 	"ptguard/internal/report"
 )
 
 // securityCmd evaluates the analytic security model of §VI-E: Eq. 1
 // (effective MAC strength under fault-tolerant matching and correction
 // guesses) and Eq. 2 (uncorrectable-MAC probability), plus the attack-time
-// estimates of §IV-G. With -mitigation it adds an empirical
-// residual-exposure table: the named in-DRAM mitigation (resolved through
-// the internal/mitigate registry) faces every TRR-aware attack pattern
-// with PT-Guard off and on, showing which patterns slip past the tracker
-// and whether the integrity check catches what does.
+// estimates of §IV-G. The empirical counterpart, each in-DRAM mitigation
+// against every attack pattern with PT-Guard off and on, is `ptguard
+// mitigate`.
 func securityCmd(fs *flag.FlagSet) func() error {
 	n := fs.Int("mac-bits", 96, "MAC width n")
 	gMax := fs.Int("gmax", mac.GMaxPaper, "maximum correction guesses")
 	attemptNs := fs.Float64("attempt-ns", 50, "nanoseconds per attack attempt")
-	mitigation := fs.String("mitigation", "", "add an empirical exposure table for this internal/mitigate plugin (e.g. trr, graphene, oracle)")
-	seed := seedFlag(fs)
 	format := formatFlag(fs)
 
 	return func() error {
-		if *mitigation != "" {
-			if _, err := mitigate.New(*mitigation, mitigate.Config{Banks: 1, RowsPerBank: 2, Threshold: 2}); err != nil {
-				return fmt.Errorf("-mitigation: %w", err)
-			}
-		}
-
 		eq1 := report.New(
 			fmt.Sprintf("Eq. 1 — effective MAC strength (n=%d, G_max=%d)", *n, *gMax),
 			"k (tolerated MAC faults)", "n_eff (bits)", "security loss (bits)", "attack time (years)")
@@ -71,45 +58,6 @@ func securityCmd(fs *flag.FlagSet) func() error {
 			eq2.AddRow(p.label, report.I(k), fmt.Sprintf("%.4g", pu))
 		}
 
-		tables := []*report.Table{eq1, eq2}
-		if *mitigation != "" {
-			exposure, err := exposureTable(*mitigation, *seed)
-			if err != nil {
-				return err
-			}
-			tables = append(tables, exposure)
-		}
-		return report.EmitAll(os.Stdout, tables, *format)
+		return report.EmitAll(os.Stdout, []*report.Table{eq1, eq2}, *format)
 	}
-}
-
-// exposureTable plays every attack pattern against the named mitigation
-// with PT-Guard off and on: the empirical counterpart to Eq. 1 — the
-// tracker bounds which patterns reach the page tables, the MAC bounds
-// what an attacker gains when one does.
-func exposureTable(mitigation string, seed uint64) (*report.Table, error) {
-	tbl := report.New(
-		fmt.Sprintf("Residual exposure — %s tracker vs TRR-aware patterns (%d victim pages)",
-			mitigation, attack.VictimPages),
-		"pattern", "guard", "row flips", "detected", "faulted", "silent", "verdict")
-	for _, pattern := range dram.PatternNames() {
-		for _, protected := range []bool{false, true} {
-			res, err := attack.RunMitigationTrial(attack.MitigationTrialConfig{
-				Mitigation: mitigation,
-				Pattern:    pattern,
-				Protected:  protected,
-				Seed:       seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			guard := "off"
-			if protected {
-				guard = "on"
-			}
-			tbl.AddRow(res.Pattern, guard, report.I(res.RowsFlipped),
-				report.I(res.Detected), report.I(res.Faulted), report.I(res.Silent), res.Verdict(res.RowsFlipped))
-		}
-	}
-	return tbl, nil
 }

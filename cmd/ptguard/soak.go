@@ -45,8 +45,6 @@ func soakCmd(fs *flag.FlagSet) func() error {
 	faults := fs.String("faults", "all",
 		fmt.Sprintf("comma-separated fault points to cycle, or \"all\" (catalog: %v)", chaos.Points()))
 	maxLegs := fs.Int("max-legs", 6, "disrupted legs per fault point before the final clean leg")
-	fs.DurationVar(&cfg.backoff, "retry-backoff", 50*time.Millisecond, "base retry backoff (deterministic jitter)")
-	fs.DurationVar(&cfg.drain, "drain-grace", 2*time.Second, "grace for in-flight jobs on SIGINT/SIGTERM")
 	keep := fs.Bool("keep", false, "keep the journal artifact directory")
 	dirFlag := fs.String("dir", "", "journal artifact directory (default: a temp dir)")
 
@@ -160,9 +158,8 @@ func soakCmd(fs *flag.FlagSet) func() error {
 // the backend of the disrupted legs; a worker.kill schedule is absorbed by
 // the coordinator's crash-requeue rather than killing the leg.
 type soakConfig struct {
-	camp           *campaignFlags
-	lines, jobs    int
-	backoff, drain time.Duration
+	camp        *campaignFlags
+	lines, jobs int
 }
 
 // spec builds the correction campaign: a geometric-ish grid of flip
@@ -184,7 +181,7 @@ func (c soakConfig) leg(journal string, inj *chaos.Injector) (*campaignRun, erro
 	if err != nil {
 		return nil, err
 	}
-	r.opts.Backoff, r.opts.DrainGrace, r.opts.Chaos = c.backoff, c.drain, inj
+	r.opts.Chaos = inj
 	return r, nil
 }
 
@@ -272,8 +269,6 @@ func (c soakConfig) runFaultCycle(ctx context.Context, self, dir string, round i
 			"-jobs", fmt.Sprint(c.jobs),
 			"-workers", fmt.Sprint(c.camp.workers),
 			"-timeout", c.camp.timeout.String(),
-			"-retry-backoff", c.backoff.String(),
-			"-drain-grace", c.drain.String(),
 			"-quiet=true",
 			"-backend", c.camp.dist.Backend,
 			"-dist-workers", fmt.Sprint(c.camp.dist.Workers),

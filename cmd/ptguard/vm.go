@@ -30,7 +30,7 @@ func vmCmd(fs *flag.FlagSet) func() error {
 	targets := fs.String("targets", "", "comma-separated attack targets: guest, stage2 (empty = both)")
 	trials := fs.Int("trials", 3, "trials per (tenants, target, placement) cell")
 	pages := fs.Int("pages", 0, "leaf mappings per tenant VM (0 = default 16)")
-	threshold := fs.Int("threshold", 0, "charge-loss flip threshold in activations (0 = scaled default)")
+	threshold := fs.Int("threshold", 0, "aggressor-row activations at which a double-sided burst flips the victim row, timing-model activations since the last refresh included (0 = 64)")
 	acts := fs.Int("acts", 0, "double-sided activations per hammered row (0 = scaled default)")
 	correction := fs.Bool("correction", false, "enable the correction engine on guarded layers")
 	list := fs.Bool("list", false, "print the guard placements and attack targets, then exit")

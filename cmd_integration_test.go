@@ -118,7 +118,6 @@ func TestCommandLineTools(t *testing.T) {
 			[]string{"mitigate", "-mitigations", "none,trr", "-patterns", "classic,many-sided",
 				"-trials", "1", "-acts", "4096", "-workers", "2", "-quiet"}},
 		{"ptguard-mitigate-list", "mitigate-list", []string{"mitigate", "-list"}},
-		{"ptguard-security-mitigation_oracle", "security-oracle", []string{"security", "-mitigation", "oracle"}},
 		{"ptguard-mitigate-mitigations_oracle_-trials_1_-acts_4096_-quiet", "mitigate-oracle",
 			[]string{"mitigate", "-mitigations", "oracle", "-trials", "1", "-acts", "4096", "-quiet"}},
 		{"ptguard-soak-faults_worker.panic_-lines_20_-jobs_6_-timeout_30s_-quiet", "soak-worker-panic",
@@ -203,6 +202,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"latency"},
 		// The mitigation matrix runs only as `ptguard mitigate`.
 		{"sweep", "-sections", "mitigate"},
+		{"security", "-mitigation", "oracle"},
 		// A fault model that can never flip a bit.
 		{"faults", "-models", "uniform:p=0", "-lines", "5"},
 	} {

@@ -17,7 +17,10 @@ import (
 // tracker stops which pattern) are threshold-scale-invariant because every
 // tracker's detection threshold scales with the same knob.
 const (
-	// DefaultTrialThreshold is the scaled charge-loss flip threshold.
+	// DefaultTrialThreshold is the scaled flip threshold: the charge a
+	// mitigation trial's victim row loses before it flips
+	// (dram.MitigatedHammerer), and the aggressor activation count at
+	// which an inter-VM trial's double-sided burst flips (dram.Hammerer).
 	DefaultTrialThreshold = 64
 	// DefaultTrialActs is the total aggressor activations per trial —
 	// enough for many threshold crossings at the scaled threshold.

@@ -42,8 +42,13 @@ type VMTrialConfig struct {
 	// Seed drives everything: host layout, victim/attacker pick, fault
 	// model.
 	Seed uint64
-	// Threshold is the charge-loss flip threshold; 0 selects
-	// DefaultTrialThreshold.
+	// Threshold is the aggressor activation count at which a
+	// double-sided burst flips the victim row; 0 selects
+	// DefaultTrialThreshold. The trial hammers through
+	// dram.Hammerer.DoubleSided, which compares it with the aggressor
+	// row's activation counter in the dram.Device: that counter also
+	// holds the timing model's activations of the row since the last
+	// refresh window. It is not dram.MitigatedHammerer's charge ledger.
 	Threshold int
 	// Acts is the per-row double-sided activation count; 0 selects
 	// DefaultTrialActs.

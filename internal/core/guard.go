@@ -10,6 +10,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -384,7 +385,7 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, deferSeal bool) (WriteResult
 	collisionPossible := true
 	if g.cfg.OptIdentifier {
 		n := gatherFieldInto(&buf, line, f.IdentifierMask)
-		collisionPossible = bytesEqual(buf[:n], g.ident)
+		collisionPossible = bytes.Equal(buf[:n], g.ident)
 	}
 	res := WriteResult{Line: line}
 	if collisionPossible {
@@ -393,7 +394,7 @@ func (g *Guard) onWrite(line pte.Line, addr uint64, deferSeal bool) (WriteResult
 		res.MACComputed = true
 		n := gatherFieldInto(&buf, line, f.MACMask)
 		raw := tag.Raw()
-		if bytesEqual(buf[:n], raw[:tag.SizeBytes()]) {
+		if bytes.Equal(buf[:n], raw[:tag.SizeBytes()]) {
 			if err := g.ctb.add(addr); err != nil {
 				g.o.Emit("ctb", "full", 0)
 				return res, err
@@ -444,31 +445,40 @@ func (g *Guard) OnRead(line pte.Line, addr uint64, isPTE bool) ReadResult {
 	return g.readData(line, addr)
 }
 
-// readPTE is the page-table-walk path: verify, then strip (§IV-C).
-func (g *Guard) readPTE(line pte.Line, addr uint64) ReadResult {
-	g.ctr.PTEWalkChecks++
-	f := g.cfg.Format
+// verifyStrip is the check both read paths share: gather the line's
+// stored MAC, take the zero fast path (§V-B: an all-zero payload carrying
+// MAC-zero) or compare the stored MAC with the computed one, and strip a
+// line that passes (§IV-C). Stripped reports the pass; on a mismatch the
+// result carries only MACComputed, and stored is the MAC the line held.
+func (g *Guard) verifyStrip(line pte.Line, addr uint64) (res ReadResult, stored mac.Tag) {
 	var buf [pte.LineBytes]byte
-	n := gatherFieldInto(&buf, line, f.MACMask)
-	stored, _ := mac.TagFromBytes(buf[:n], g.cfg.TagBits)
-
-	// Zero fast path (§V-B): an all-zero payload carrying MAC-zero.
+	n := gatherFieldInto(&buf, line, g.cfg.Format.MACMask)
+	stored, _ = mac.TagFromBytes(buf[:n], g.cfg.TagBits)
 	if g.cfg.OptZeroMAC && g.isZeroProtected(line, stored, 0) {
 		g.ctr.ZeroFastPathHits++
 		g.ctr.StrippedReads++
 		g.o.Emit("mac", "zero", 0)
-		return ReadResult{Line: g.strip(line), Stripped: true}
+		return ReadResult{Line: g.strip(line), Stripped: true}, stored
 	}
-
 	computed := g.lineMAC(line, addr)
 	g.ctr.ReadMACComputes++
 	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
-	res := ReadResult{MACComputed: true}
+	res.MACComputed = true
 	if computed.Equal(stored) {
 		g.ctr.StrippedReads++
 		res.Line = g.strip(line)
 		res.Stripped = true
 		g.o.Emit("mac", "strip", 0)
+	}
+	return res, stored
+}
+
+// readPTE is the page-table-walk path: verify, then strip (§IV-C); a
+// mismatch goes to the correction engine, if enabled, or fails the check.
+func (g *Guard) readPTE(line pte.Line, addr uint64) ReadResult {
+	g.ctr.PTEWalkChecks++
+	res, stored := g.verifyStrip(line, addr)
+	if res.Stripped {
 		return res
 	}
 
@@ -493,40 +503,23 @@ func (g *Guard) readPTE(line pte.Line, addr uint64) ReadResult {
 // readData is the regular-data path: detect an embedded MAC and remove it;
 // otherwise forward the line untouched (§IV-C, §IV-E).
 func (g *Guard) readData(line pte.Line, addr uint64) ReadResult {
-	f := g.cfg.Format
-	var buf [pte.LineBytes]byte
 	if g.cfg.OptIdentifier {
-		n := gatherFieldInto(&buf, line, f.IdentifierMask)
-		if !bytesEqual(buf[:n], g.ident) {
+		var buf [pte.LineBytes]byte
+		n := gatherFieldInto(&buf, line, g.cfg.Format.IdentifierMask)
+		if !bytes.Equal(buf[:n], g.ident) {
 			// No identifier: the common case; skip the MAC unit
 			// entirely (§V-A).
 			g.ctr.IdentifierSkips++
 			return ReadResult{Line: line}
 		}
 	}
-	n := gatherFieldInto(&buf, line, f.MACMask)
-	stored, _ := mac.TagFromBytes(buf[:n], g.cfg.TagBits)
-	if g.cfg.OptZeroMAC && g.isZeroProtected(line, stored, 0) {
-		g.ctr.ZeroFastPathHits++
-		g.ctr.StrippedReads++
-		g.o.Emit("mac", "zero", 0)
-		return ReadResult{Line: g.strip(line), Stripped: true}
+	res, _ := g.verifyStrip(line, addr)
+	if !res.Stripped {
+		// MAC mismatch on a data read: either the line never carried a
+		// MAC, or it carried one and has bit flips. Forward unchanged
+		// either way — no worse than an unprotected baseline (§IV-E).
+		res.Line = line
 	}
-	computed := g.lineMAC(line, addr)
-	g.ctr.ReadMACComputes++
-	g.o.Emit("mac", "verify", uint64(g.cfg.MACLatencyCycles))
-	res := ReadResult{MACComputed: true}
-	if computed.Equal(stored) {
-		g.ctr.StrippedReads++
-		res.Line = g.strip(line)
-		res.Stripped = true
-		g.o.Emit("mac", "strip", 0)
-		return res
-	}
-	// MAC mismatch on a data read: either the line never carried a MAC,
-	// or it carried one and has bit flips. Forward unchanged either way —
-	// no worse than an unprotected baseline (§IV-E).
-	res.Line = line
 	return res
 }
 
@@ -574,16 +567,4 @@ func (g *Guard) strip(line pte.Line) pte.Line {
 		out = clearField(out, g.cfg.Format.IdentifierMask)
 	}
 	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

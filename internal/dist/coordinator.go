@@ -42,44 +42,27 @@ type Options struct {
 	WorkerCommand []string
 	// WorkerEnv appends to the spawned workers' environment.
 	WorkerEnv []string
-	// Heartbeat is the cadence workers prove liveness at while running a
-	// job; default 200ms.
-	Heartbeat time.Duration
-	// HeartbeatGrace is how long the coordinator tolerates silence from
-	// a busy worker before declaring it dead and requeueing the job;
-	// default 10s. Must comfortably exceed Heartbeat.
-	HeartbeatGrace time.Duration
-	// MaxRequeues bounds how many times one job survives worker crashes
-	// before the loss is surfaced to the harness as a job failure;
-	// default 3. Crash requeues below this cap are absorbed here and do
-	// NOT burn harness retries — a killed worker is an infrastructure
-	// fault, not evidence against the job.
-	MaxRequeues int
 	// Chaos, when set, arms the worker.kill fault point: the schedule
 	// kills a leased worker right after a job is dispatched to it.
 	Chaos *chaos.Injector
-	// Stderr receives spawned workers' stderr; default os.Stderr.
-	Stderr io.Writer
 }
 
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = 200 * time.Millisecond
-	}
-	if o.HeartbeatGrace <= 0 {
-		o.HeartbeatGrace = 10 * time.Second
-	}
-	if o.MaxRequeues <= 0 {
-		o.MaxRequeues = 3
-	}
-	if o.Stderr == nil {
-		o.Stderr = os.Stderr
-	}
-	return o
-}
+const (
+	// heartbeat is the cadence workers prove liveness at while running a
+	// job; the hello frame carries it.
+	heartbeat = 200 * time.Millisecond
+	// heartbeatGrace is how long the coordinator tolerates silence from a
+	// busy worker before declaring it dead and requeueing the job.
+	heartbeatGrace = 10 * time.Second
+	// maxRequeues bounds how many times one job survives worker crashes
+	// before the loss is surfaced to the harness as a job failure. Crash
+	// requeues below this cap are absorbed here and do NOT burn harness
+	// retries — a killed worker is an infrastructure fault, not evidence
+	// against the job.
+	maxRequeues = 3
+	// handshake bounds a worker's connect and its hello/ready exchange.
+	handshake = 30 * time.Second
+)
 
 // Coordinator owns a pool of worker sessions and implements
 // harness.Executor over them: each Execute leases one session, ships the
@@ -89,12 +72,11 @@ func (o Options) withDefaults() Options {
 // harness above sees remote execution with exactly the local pool's
 // semantics.
 type Coordinator struct {
-	campaign  Campaign
-	specJSON  json.RawMessage
-	opts      Options
-	tcp       bool
-	addrs     []string
-	handshake time.Duration
+	campaign Campaign
+	specJSON json.RawMessage
+	opts     Options
+	tcp      bool
+	addrs    []string
 
 	pool chan *session
 
@@ -131,19 +113,20 @@ type session struct {
 // returned coordinator is ready to be installed as harness
 // Options.Executor; call Close after the campaign.
 func Start(c Campaign, opts Options) (*Coordinator, error) {
-	opts = opts.withDefaults()
+	if opts.Workers <= 0 {
+		opts.Workers = 2
+	}
 	specJSON, err := json.Marshal(c.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: marshal %s spec: %w", c.Kind, err)
 	}
 	co := &Coordinator{
-		campaign:  c,
-		specJSON:  specJSON,
-		opts:      opts,
-		tcp:       len(opts.Connect) > 0,
-		addrs:     opts.Connect,
-		handshake: 30 * time.Second,
-		sessions:  make(map[int]*session),
+		campaign: c,
+		specJSON: specJSON,
+		opts:     opts,
+		tcp:      len(opts.Connect) > 0,
+		addrs:    opts.Connect,
+		sessions: make(map[int]*session),
 	}
 	width := opts.Workers
 	if co.tcp {
@@ -206,7 +189,7 @@ func (c *Coordinator) spawn(addr string) (*session, error) {
 	s := &session{id: id, addr: addr, started: time.Now(), msgs: make(chan Message, 8)}
 	var r io.Reader
 	if addr != "" {
-		conn, err := net.DialTimeout("tcp", addr, c.handshake)
+		conn, err := net.DialTimeout("tcp", addr, handshake)
 		if err != nil {
 			return nil, fmt.Errorf("dist: connect worker %s: %w", addr, err)
 		}
@@ -221,7 +204,7 @@ func (c *Coordinator) spawn(addr string) (*session, error) {
 		}
 		cmd := exec.Command(argv[0], argv[1:]...)
 		cmd.Env = append(os.Environ(), c.opts.WorkerEnv...)
-		cmd.Stderr = c.opts.Stderr
+		cmd.Stderr = os.Stderr
 		stdin, err := cmd.StdinPipe()
 		if err != nil {
 			return nil, fmt.Errorf("dist: worker stdin: %w", err)
@@ -260,7 +243,7 @@ func (c *Coordinator) spawn(addr string) (*session, error) {
 	hello := Message{
 		Type: MsgHello, Magic: Magic, Version: Version, Results: harness.ResultsVersion,
 		Kind: c.campaign.Kind, Spec: c.specJSON, Seed: c.campaign.Seed,
-		HeartbeatMS: c.opts.Heartbeat.Milliseconds(),
+		HeartbeatMS: heartbeat.Milliseconds(),
 	}
 	if err := s.w.Write(hello); err != nil {
 		s.kill()
@@ -280,9 +263,9 @@ func (c *Coordinator) spawn(addr string) (*session, error) {
 			s.kill()
 			return nil, fmt.Errorf("dist: worker %d sent %q before ready", id, m.Type)
 		}
-	case <-time.After(c.handshake):
+	case <-time.After(handshake):
 		s.kill()
-		return nil, fmt.Errorf("dist: worker %d handshake timed out after %s", id, c.handshake)
+		return nil, fmt.Errorf("dist: worker %d handshake timed out after %s", id, handshake)
 	}
 
 	c.mu.Lock()
@@ -317,7 +300,7 @@ func (c *Coordinator) drop(s *session) {
 
 // Execute implements harness.Executor: lease a worker, dispatch the job
 // key, wait for its result under the heartbeat deadline. Worker loss is
-// absorbed by respawn-and-requeue up to MaxRequeues; only then does the
+// absorbed by respawn-and-requeue up to maxRequeues; only then does the
 // loss surface as an error (burning a harness retry, exactly like a
 // local failure would).
 func (c *Coordinator) Execute(ctx context.Context, key string) (json.RawMessage, error) {
@@ -344,11 +327,11 @@ func (c *Coordinator) Execute(ctx context.Context, key string) (json.RawMessage,
 		// Injected fault: kill the leased worker right after dispatch,
 		// forcing the crash-requeue path mid-flight.
 		if c.opts.Chaos.Fire(chaos.WorkerKill) {
-			fmt.Fprintf(c.opts.Stderr, "chaos: injected worker kill after dispatching %q to worker %d\n", key, s.id)
+			fmt.Fprintf(os.Stderr, "chaos: injected worker kill after dispatching %q to worker %d\n", key, s.id)
 			s.kill()
 		}
 
-		timer := time.NewTimer(c.opts.HeartbeatGrace)
+		timer := time.NewTimer(heartbeatGrace)
 	wait:
 		for {
 			select {
@@ -375,7 +358,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string) (json.RawMessage,
 					if !timer.Stop() {
 						<-timer.C
 					}
-					timer.Reset(c.opts.HeartbeatGrace)
+					timer.Reset(heartbeatGrace)
 				case MsgResult:
 					timer.Stop()
 					s.jobs.Add(1)
@@ -398,7 +381,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string) (json.RawMessage,
 				}
 			case <-timer.C:
 				c.heartbeatTimeouts.Add(1)
-				fmt.Fprintf(c.opts.Stderr, "dist: worker %d silent for %s running %q; killing and requeueing\n", s.id, c.opts.HeartbeatGrace, key)
+				fmt.Fprintf(os.Stderr, "dist: worker %d silent for %s running %q; killing and requeueing\n", s.id, heartbeatGrace, key)
 				s.kill()
 				var rerr error
 				s, rerr = c.requeue(s, key, &requeues)
@@ -412,7 +395,7 @@ func (c *Coordinator) Execute(ctx context.Context, key string) (json.RawMessage,
 }
 
 // requeue handles a lost worker mid-job: drop the dead session, spawn a
-// replacement, and hand it back for redispatch. Past MaxRequeues the
+// replacement, and hand it back for redispatch. Past maxRequeues the
 // replacement still goes back to the pool but the job's loss is
 // surfaced as an error.
 func (c *Coordinator) requeue(dead *session, key string, requeues *int) (*session, error) {
@@ -423,9 +406,9 @@ func (c *Coordinator) requeue(dead *session, key string, requeues *int) (*sessio
 	}
 	*requeues++
 	c.requeues.Add(1)
-	if *requeues > c.opts.MaxRequeues {
+	if *requeues > maxRequeues {
 		c.pool <- fresh
-		return nil, fmt.Errorf("dist: job %q lost its worker %d times (MaxRequeues %d)", key, *requeues, c.opts.MaxRequeues)
+		return nil, fmt.Errorf("dist: job %q lost its worker %d times (limit %d)", key, *requeues, maxRequeues)
 	}
 	return fresh, nil
 }
@@ -447,7 +430,7 @@ func (c *Coordinator) restock(addr string) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	fmt.Fprintf(c.opts.Stderr, "dist: failed to restock worker pool; running short\n")
+	fmt.Fprintf(os.Stderr, "dist: failed to restock worker pool; running short\n")
 }
 
 // Close shuts every worker down (polite bye, then hard kill) and marks

@@ -53,7 +53,7 @@ func (s SyntheticSpec) Jobs(campaignSeed uint64) ([]harness.Job[SyntheticResult]
 	for i := 0; i < n; i++ {
 		i := i
 		key := fmt.Sprintf("synthetic/%04d", i)
-		seed := harness.DeriveSeed(campaignSeed, key)
+		seed := stats.DeriveSeed(campaignSeed, key)
 		jobs = append(jobs, harness.Job[SyntheticResult]{
 			Key: key,
 			Run: func(ctx context.Context) (SyntheticResult, error) {

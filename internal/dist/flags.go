@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"ptguard/internal/chaos"
 	"ptguard/internal/harness"
 	"ptguard/internal/obs"
 )
@@ -38,15 +37,14 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 // to the pool width so each worker session stays saturated without idle
 // queueing. For the local backend it is a no-op returning (nil, nil).
 // The caller must Close a non-nil coordinator after the campaign.
-//
-// inj arms the worker.kill chaos point on the coordinator; pass the same
-// injector the harness uses so one -faults schedule spans both layers.
-func (f *Flags) Start(campaign Campaign, hopts *harness.Options, inj *chaos.Injector) (*Coordinator, error) {
+// hopts.Chaos also arms the worker.kill chaos point on the coordinator, so
+// one -faults schedule spans both layers.
+func (f *Flags) Start(campaign Campaign, hopts *harness.Options) (*Coordinator, error) {
 	switch f.Backend {
 	case "", harness.BackendLocal:
 		return nil, nil
 	case "proc":
-		co, err := Start(campaign, Options{Workers: f.Workers, Chaos: inj})
+		co, err := Start(campaign, Options{Workers: f.Workers, Chaos: hopts.Chaos})
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +60,7 @@ func (f *Flags) Start(campaign Campaign, hopts *harness.Options, inj *chaos.Inje
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("dist: -backend=tcp requires -connect host:port[,host:port...]")
 		}
-		co, err := Start(campaign, Options{Connect: addrs, Chaos: inj})
+		co, err := Start(campaign, Options{Connect: addrs, Chaos: hopts.Chaos})
 		if err != nil {
 			return nil, err
 		}

@@ -26,15 +26,9 @@ import (
 // the MAC width, p_flip), so every one of their jobs runs on the campaign
 // seed itself: each row sees the same workload stream or page-table
 // population, and a difference between rows is the configuration's alone.
-// The multicore mixes seed each job with DeriveSeed(campaignSeed, jobKey).
-
-// DeriveSeed maps (campaign seed, job key) to the job's simulation seed: a
-// pure function, so results never depend on worker count or scheduling
-// order. It is stats.DeriveSeed, re-exported here because the job keys of
-// every journal on disk were derived through this name.
-func DeriveSeed(campaignSeed uint64, key string) uint64 {
-	return stats.DeriveSeed(campaignSeed, key)
-}
+// The multicore mixes seed each job with stats.DeriveSeed(campaignSeed,
+// jobKey), a pure function, so results never depend on worker count or
+// scheduling order.
 
 // ObsSpec turns on per-job observability for a campaign: each job's runs
 // collect metrics, periodic time-series snapshots, and (optionally) trace
@@ -347,7 +341,7 @@ func (s MulticoreSpec) Jobs(campaignSeed uint64) ([]Job[sim.MulticoreResult], er
 	for _, mix := range s.Mixes(campaignSeed) {
 		mix := mix
 		key := "multicore/" + mix.Name
-		seed := DeriveSeed(campaignSeed, key)
+		seed := stats.DeriveSeed(campaignSeed, key)
 		jobs = append(jobs, Job[sim.MulticoreResult]{
 			Key: key,
 			Run: func(context.Context) (sim.MulticoreResult, error) {

@@ -11,6 +11,7 @@ import (
 
 	"ptguard/internal/attack"
 	"ptguard/internal/sim"
+	"ptguard/internal/stats"
 	"ptguard/internal/workload"
 )
 
@@ -194,7 +195,7 @@ func TestSpecsZeroWarmupRunsNone(t *testing.T) {
 		t.Fatal(err)
 	}
 	mix := mc.Mixes(seed)[0]
-	wantMC, err := sim.CompareMulticore(mix, 0, 1000, DeriveSeed(seed, mjobs[0].Key), 10)
+	wantMC, err := sim.CompareMulticore(mix, 0, 1000, stats.DeriveSeed(seed, mjobs[0].Key), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,14 +156,16 @@ func TestJournalHandlesOversizedRecords(t *testing.T) {
 	}
 }
 
-func TestFailureHistorySurvivesResume(t *testing.T) {
+func TestQuarantinedJobReRunsOnResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
 	opts := Options{JournalPath: journal, Retries: 1}
 	fail := true
+	var flakyRuns atomic.Int64
 	mkJobs := func() []Job[int] {
 		return []Job[int]{intJob("ok", 1), {
 			Key: "flaky",
 			Run: func(context.Context) (int, error) {
+				flakyRuns.Add(1)
 				if fail {
 					return 0, errors.New("transient dependency down")
 				}
@@ -172,8 +174,8 @@ func TestFailureHistorySurvivesResume(t *testing.T) {
 		}}
 	}
 
-	// First run: flaky exhausts its attempts and is quarantined; its
-	// attempt count and final error are journaled.
+	// First run: flaky exhausts its attempts and is quarantined; only the
+	// completed job is journaled.
 	rep, err := Run(context.Background(), mkJobs(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -185,102 +187,111 @@ func TestFailureHistorySurvivesResume(t *testing.T) {
 	if rep.Metrics.Quarantined != 1 {
 		t.Fatalf("metrics = %+v", rep.Metrics)
 	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"flaky"`)) {
+		t.Errorf("quarantined job journaled:\n%s", data)
+	}
 
-	// Second run: flaky now succeeds, and the resumed campaign surfaces
-	// the journaled failure history instead of losing it.
+	// Second run: the quarantined job re-runs, and now succeeds.
 	fail = false
+	flakyRuns.Store(0)
 	rep, err = Run(context.Background(), mkJobs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o = rep.Outcomes[1]
-	if o.Err != nil || o.Result != 2 {
-		t.Fatalf("second-run outcome = %+v", o)
+	if o.Err != nil || o.Result != 2 || o.FromJournal || flakyRuns.Load() != 1 {
+		t.Fatalf("second-run outcome = %+v (%d runs)", o, flakyRuns.Load())
 	}
-	if o.PriorAttempts != 2 || !strings.Contains(o.PriorError, "transient dependency down") {
-		t.Errorf("failure history lost: PriorAttempts=%d PriorError=%q", o.PriorAttempts, o.PriorError)
-	}
-	if rep.Metrics.PriorFailures != 1 {
-		t.Errorf("metrics = %+v", rep.Metrics)
+	if m := rep.Metrics; m.FromJournal != 1 || m.Executed != 1 || m.Quarantined != 0 {
+		t.Errorf("second-run metrics = %+v", m)
 	}
 
-	// Third run: both journaled; history still surfaced on the restored
-	// outcome.
+	// Third run: both jobs restore from the journal.
 	rep, err = Run(context.Background(), mkJobs(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o = rep.Outcomes[1]
-	if !o.FromJournal || o.PriorAttempts != 2 {
+	if o = rep.Outcomes[1]; !o.FromJournal || o.Result != 2 {
 		t.Errorf("third-run outcome = %+v", o)
 	}
 }
 
-func TestBackoffDelayIsDeterministicAndBounded(t *testing.T) {
-	opts := Options{Backoff: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
-	for attempt := 1; attempt <= 6; attempt++ {
-		a := backoffDelay(opts, "job-a", attempt)
-		if b := backoffDelay(opts, "job-a", attempt); b != a {
-			t.Fatalf("attempt %d: nondeterministic backoff %v vs %v", attempt, a, b)
-		}
-		base := opts.Backoff << (attempt - 1)
-		if base > opts.BackoffMax {
-			base = opts.BackoffMax
-		}
-		if a < base/2 || a >= base+base/2 {
-			t.Errorf("attempt %d: delay %v outside [%v, %v)", attempt, a, base/2, base+base/2)
-		}
+// legacyFailureJournal is a journal as builds before the failure records
+// were dropped wrote it for a campaign whose job "b" exhausted its two
+// attempts: a completed record for "a", then a CRC-framed failure record
+// for "b" that carries no result.
+func legacyFailureJournal(fingerprint string) []byte {
+	frame := func(entry string) string {
+		return fmt.Sprintf(`{"crc":"%s","e":%s}`, frameCRC([]byte(entry)), entry) + "\n"
 	}
-	if backoffDelay(Options{}, "job-a", 1) != 0 {
-		t.Error("zero Backoff produced a delay")
-	}
-	if a, b := backoffDelay(opts, "job-a", 1), backoffDelay(opts, "job-b", 1); a == b {
-		t.Error("jitter ignores the job key")
-	}
+	return []byte(`{"journal":"ptguard-harness","version":2,"fingerprint":"` + fingerprint + `"}` + "\n" +
+		frame(`{"key":"a","result":1,"attempts":1,"elapsed_ms":0.5}`) +
+		frame(`{"key":"b","attempts":2,"elapsed_ms":1.5,"failed":true,"error":"job panicked: boom"}`))
 }
 
-func TestRetryBackoffCountersAndSleep(t *testing.T) {
-	var attempts atomic.Int64
-	job := Job[int]{Key: "flappy", Run: func(context.Context) (int, error) {
-		if attempts.Add(1) < 3 {
-			return 0, errors.New("flap")
-		}
-		return 9, nil
-	}}
-	start := time.Now()
-	rep, err := Run(context.Background(), []Job[int]{job},
-		Options{Retries: 2, Backoff: 20 * time.Millisecond})
+func TestLegacyFailureRecordReRuns(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
+	if err := os.WriteFile(journal, legacyFailureJournal("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ranA, ranB atomic.Int64
+	jobs := []Job[int]{
+		{Key: "a", Run: func(context.Context) (int, error) { ranA.Add(1); return 1, nil }},
+		{Key: "b", Run: func(context.Context) (int, error) { ranB.Add(1); return 2, nil }},
+	}
+	rep, err := Run(context.Background(), jobs, Options{JournalPath: journal, Fingerprint: "legacy"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcomes[0].Err != nil || rep.Outcomes[0].Result != 9 {
-		t.Fatalf("outcome = %+v", rep.Outcomes[0])
+	// The failure record satisfies nothing: "a" restores, "b" re-runs, and
+	// the dropped record is not reported as corruption.
+	if ranA.Load() != 0 || ranB.Load() != 1 {
+		t.Fatalf("a ran %d times, b ran %d times; want 0 and 1", ranA.Load(), ranB.Load())
 	}
-	if rep.Metrics.Backoffs != 2 || rep.Metrics.BackoffTotal <= 0 {
-		t.Errorf("metrics = %+v", rep.Metrics)
+	if m := rep.Metrics; m.FromJournal != 1 || m.Executed != 1 || m.JournalQuarantined != 0 || len(rep.Quarantined) != 0 {
+		t.Fatalf("metrics = %+v, quarantined = %v", m, rep.Quarantined)
 	}
-	// Two backoffs of >= 10ms (20ms halved by worst-case jitter) each.
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("campaign finished in %v; backoff did not sleep", elapsed)
+	if res, err := rep.Results(); err != nil || res[0] != 1 || res[1] != 2 {
+		t.Fatalf("results = %v, %v", res, err)
+	}
+	// The open compacted the failure record away; the journal now holds
+	// the header and one completed record per job.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"failed"`)) || bytes.Count(data, []byte("\n")) != 3 {
+		t.Errorf("failure record not compacted away:\n%s", data)
+	}
+	st, err := loadJournal(bytes.NewReader(data), "legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.dirty() || len(st.completed) != 2 {
+		t.Errorf("reloaded journal: dirty=%v, %d completed", st.dirty(), len(st.completed))
 	}
 }
 
-func TestBackoffSleepAbortsOnCancel(t *testing.T) {
+func TestFailureAfterCancelIsNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	job := Job[int]{Key: "doomed", Run: func(context.Context) (int, error) {
 		cancel()
 		return 0, errors.New("fails, then campaign is gone")
 	}}
-	start := time.Now()
-	rep, err := Run(ctx, []Job[int]{job}, Options{Retries: 3, Backoff: 10 * time.Second})
+	rep, err := Run(ctx, []Job[int]{job}, Options{Retries: 3})
 	if err == nil {
 		t.Fatal("cancelled campaign returned nil error")
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("backoff ignored cancellation (took %v)", elapsed)
+	o := rep.Outcomes[0]
+	if o.Attempts != 1 || rep.Metrics.Retried != 0 {
+		t.Errorf("job failing after cancellation was retried: %+v, metrics %+v", o, rep.Metrics)
 	}
-	if o := rep.Outcomes[0]; o.Quarantined {
+	if o.Quarantined || rep.Metrics.Quarantined != 0 {
 		t.Errorf("cancellation-aborted job marked poison: %+v", o)
 	}
 }
@@ -296,7 +307,7 @@ func TestDrainGraceJournalsInFlightCompletion(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		return 11, nil
 	}}
-	opts := Options{JournalPath: journal, DrainGrace: 2 * time.Second}
+	opts := Options{JournalPath: journal}
 	rep, err := Run(ctx, []Job[int]{job}, opts)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want campaign interrupted", err)
@@ -317,20 +328,24 @@ func TestDrainGraceJournalsInFlightCompletion(t *testing.T) {
 	}
 }
 
-func TestNoDrainGraceAbandonsInFlight(t *testing.T) {
+func TestInFlightPastDrainGraceIsAbandoned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	job := Job[int]{Key: "inflight", Run: func(context.Context) (int, error) {
 		cancel()
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(drainGrace + 500*time.Millisecond)
 		return 11, nil
 	}}
+	start := time.Now()
 	rep, err := Run(ctx, []Job[int]{job}, Options{})
 	if err == nil {
 		t.Fatal("cancelled campaign returned nil error")
 	}
-	if o := rep.Outcomes[0]; o.Err == nil {
-		t.Fatalf("in-flight job not abandoned without grace: %+v", o)
+	if o := rep.Outcomes[0]; o.Err == nil || !strings.Contains(o.Err.Error(), "abandoned") {
+		t.Fatalf("in-flight job outliving the grace not abandoned: %+v", o)
+	}
+	if elapsed := time.Since(start); elapsed < drainGrace {
+		t.Errorf("abandoned after %v, before the %v grace ran out", elapsed, drainGrace)
 	}
 }
 

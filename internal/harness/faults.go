@@ -9,6 +9,7 @@ import (
 	"ptguard/internal/dram"
 	"ptguard/internal/fault"
 	"ptguard/internal/report"
+	"ptguard/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ func (s FaultSpec) Jobs(campaignSeed uint64) ([]Job[fault.CampaignResult], error
 					mode, FaultModeDetect, FaultModeCorrect)
 			}
 			key := fmt.Sprintf("faults/%s/%s", m.Name(), mode)
-			seed := DeriveSeed(campaignSeed, key)
+			seed := stats.DeriveSeed(campaignSeed, key)
 			jobs = append(jobs, Job[fault.CampaignResult]{
 				Key: key,
 				Run: func(context.Context) (fault.CampaignResult, error) {

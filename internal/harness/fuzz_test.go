@@ -14,11 +14,7 @@ import (
 // writer as the live append path.
 func buildJournal(t testing.TB, fingerprint string, n int) []byte {
 	t.Helper()
-	st := &journalState{
-		completed: make(map[string]journalEntry),
-		failures:  make(map[string]journalEntry),
-		version:   journalVersion,
-	}
+	st := newJournalState()
 	for i := 0; i < n; i++ {
 		st.add(journalEntry{
 			Key:      fmt.Sprintf("job-%d", i),
@@ -51,6 +47,8 @@ func FuzzJournalLoad(f *testing.F) {
 	// A valid record under a header that names no campaign, and under none.
 	f.Add(buildJournal(f, "", 1))
 	f.Add(bytes.SplitN(buildJournal(f, "", 1), []byte("\n"), 2)[1])
+	// An older build's failure record (framed, no result).
+	f.Add(legacyFailureJournal("fuzz-fingerprint"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const fp = "fuzz-fingerprint"
 		st, err := loadJournal(bytes.NewReader(data), fp)
@@ -73,7 +71,7 @@ func FuzzJournalLoad(f *testing.F) {
 		if h.Fingerprint != "" && h.Fingerprint != fp {
 			t.Fatalf("accepted journal with foreign fingerprint %q", h.Fingerprint)
 		}
-		if n := len(st.completed) + len(st.failures); n > 0 && h.Fingerprint != fp {
+		if n := len(st.completed); n > 0 && h.Fingerprint != fp {
 			t.Fatalf("accepted %d records under a header naming %q, want %q", n, h.Fingerprint, fp)
 		}
 		framed := make(map[string]bool)
@@ -83,14 +81,15 @@ func FuzzJournalLoad(f *testing.F) {
 				framed[peekKey(fr.Entry)] = true
 			}
 		}
-		for _, accepted := range []map[string]journalEntry{st.completed, st.failures} {
-			for key := range accepted {
-				if key == "" {
-					t.Fatal("accepted record with empty key")
-				}
-				if !framed[key] {
-					t.Fatalf("accepted %q without a valid CRC frame", key)
-				}
+		for key, e := range st.completed {
+			if key == "" {
+				t.Fatal("accepted record with empty key")
+			}
+			if !framed[key] {
+				t.Fatalf("accepted %q without a valid CRC frame", key)
+			}
+			if len(e.Result) == 0 {
+				t.Fatalf("accepted %q without a result", key)
 			}
 		}
 		// Compaction round-trip: rewriting the surviving state and loading
@@ -104,12 +103,11 @@ func FuzzJournalLoad(f *testing.F) {
 			t.Fatalf("reload after compaction: %v", err)
 		}
 		if st2.dirty() {
-			t.Fatalf("compacted journal still dirty: %d quarantined, version %d, torn=%v",
-				len(st2.quarantined), st2.version, st2.tornTail)
+			t.Fatalf("compacted journal still dirty: %d quarantined, version %d, torn=%v, dropped failure=%v",
+				len(st2.quarantined), st2.version, st2.tornTail, st2.droppedFailure)
 		}
-		if len(st2.completed) != len(st.completed) || len(st2.failures) != len(st.failures) {
-			t.Fatalf("round-trip changed state: %d/%d completed, %d/%d failures",
-				len(st2.completed), len(st.completed), len(st2.failures), len(st.failures))
+		if len(st2.completed) != len(st.completed) {
+			t.Fatalf("round-trip changed state: %d/%d completed", len(st2.completed), len(st.completed))
 		}
 		for key, e := range st.completed {
 			e2, ok := st2.completed[key]
@@ -154,7 +152,7 @@ func FuzzJournalCorruption(f *testing.F) {
 				t.Fatalf("accepted invented key %q", key)
 			}
 			var got int
-			if derr := e.decode(&got); derr != nil {
+			if derr := json.Unmarshal(e.Result, &got); derr != nil {
 				t.Fatalf("accepted undecodable record %q: %v", key, derr)
 			}
 			if want := i*i + 7; got != want {

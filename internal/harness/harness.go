@@ -7,14 +7,15 @@
 // regardless of scheduling.
 //
 // The runner is robust by construction: a panicking job is recovered and
-// retried (with exponential backoff and deterministic jitter) a bounded
-// number of times, every job runs under a wall-clock timeout, a job that
-// exhausts its attempts is quarantined as poison (reported, never wedging
-// a worker), and finished jobs are checkpointed to a CRC-framed JSONL
-// journal so an interrupted campaign resumes by skipping work already
-// done. Every durability path carries a chaos fault-point hook
-// (internal/chaos), so kills, torn writes, and disk faults are first-class
-// test inputs — `ptguard soak` runs that proof continuously.
+// retried at once a bounded number of times (a job is a pure function of
+// its spec, seed and key, so a retry computes the same bytes), every job
+// runs under a wall-clock timeout, a job that exhausts its attempts is
+// quarantined as poison (reported, never wedging a worker), and finished
+// jobs are checkpointed to a CRC-framed JSONL journal so an interrupted
+// campaign resumes by skipping work already done. Every durability path
+// carries a chaos fault-point hook (internal/chaos), so kills, torn
+// writes, and disk faults are first-class test inputs — `ptguard soak`
+// runs that proof continuously.
 package harness
 
 import (
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"ptguard/internal/chaos"
-	"ptguard/internal/stats"
 )
 
 // Job is one independent unit of work. Key must be unique within a
@@ -80,23 +80,10 @@ type Options struct {
 	// Timeout bounds each job attempt's wall-clock time; 0 disables.
 	Timeout time.Duration
 	// Retries is the number of re-attempts after a failed or panicked
-	// attempt (total attempts = Retries+1). A job that exhausts all
-	// attempts is quarantined: reported in its outcome (and journaled with
-	// its attempt history) without wedging a worker.
+	// attempt (total attempts = Retries+1); a re-attempt starts at once.
+	// A job that exhausts all attempts is quarantined: reported in its
+	// outcome without wedging a worker, and re-run by a resume.
 	Retries int
-	// Backoff is the base delay before the first re-attempt; each further
-	// re-attempt doubles it, capped by BackoffMax. The actual delay
-	// carries deterministic per-(job, attempt) jitter in [0.5x, 1.5x), so
-	// retry storms decorrelate without losing reproducibility. 0 retries
-	// immediately.
-	Backoff time.Duration
-	// BackoffMax caps the exponential backoff; 0 selects 30s.
-	BackoffMax time.Duration
-	// DrainGrace is the window granted to in-flight job attempts when the
-	// campaign context is cancelled (SIGINT/SIGTERM): attempts finishing
-	// within it are journaled as completions instead of being abandoned.
-	// 0 abandons in-flight work immediately on cancellation.
-	DrainGrace time.Duration
 	// JournalPath enables the JSONL checkpoint journal. Completed jobs
 	// are appended as they finish; a re-run with the same path skips jobs
 	// whose keys are already journaled, reusing the stored results.
@@ -135,43 +122,32 @@ type Outcome[R any] struct {
 	// FromJournal marks a result restored from the checkpoint journal.
 	FromJournal bool
 	// Quarantined marks a poison job: every attempt failed on its own
-	// merits (not campaign cancellation), so the job was given up on and
-	// its failure journaled.
+	// merits (not campaign cancellation), so the job was given up on.
 	Quarantined bool
-	// PriorAttempts and PriorError carry the journaled failure history of
-	// a job that was quarantined by an earlier (killed or resumed) run of
-	// this campaign, so flaky-job history survives resume.
-	PriorAttempts int
-	PriorError    string
 }
 
-// Metrics summarises a campaign run.
+// Metrics summarises a campaign run. LiveStatus.Snapshot returns the same
+// struct mid-run; the JSON keys are those of the -debug-addr page.
 type Metrics struct {
 	// Total is the number of jobs in the campaign.
-	Total int
+	Total int `json:"total"`
 	// Executed counts jobs that ran to success in this process.
-	Executed int
+	Executed int `json:"executed"`
 	// Failed counts jobs whose final attempt failed.
-	Failed int
+	Failed int `json:"failed"`
 	// Retried counts individual re-attempts across all jobs.
-	Retried int
+	Retried int `json:"retried"`
 	// FromJournal counts jobs skipped because the journal had them.
-	FromJournal int
+	FromJournal int `json:"from_journal"`
 	// Quarantined counts poison jobs that exhausted every attempt.
-	Quarantined int
-	// PriorFailures counts jobs whose journal carried failure history
-	// from an earlier run of this campaign.
-	PriorFailures int
+	Quarantined int `json:"quarantined"`
 	// JournalQuarantined counts corrupted journal records that were
 	// quarantined on load (their jobs re-ran).
-	JournalQuarantined int
+	JournalQuarantined int `json:"journal_quarantined"`
 	// JournalBytes counts checkpoint bytes appended by this process.
-	JournalBytes int64
-	// Backoffs counts retry backoff sleeps; BackoffTotal is their sum.
-	Backoffs     int
-	BackoffTotal time.Duration
-	// Elapsed is the campaign wall-clock time.
-	Elapsed time.Duration
+	JournalBytes int64 `json:"journal_bytes"`
+	// Elapsed is the campaign wall-clock time (zero in a live snapshot).
+	Elapsed time.Duration `json:"-"`
 }
 
 // JobsPerSec returns the executed-job throughput. Journal-replayed jobs
@@ -280,24 +256,17 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options) (*Report[R], e
 
 	outcomes := make([]Outcome[R], len(jobs))
 	var pending []int
-	c := &counters{}
-	opts.LiveStatus.attach(len(jobs), c)
+	c := &counters{total: len(jobs)}
+	opts.LiveStatus.attach(c)
 	if st != nil {
 		c.journalQuarantined.Store(int64(len(st.quarantined)))
 	}
 	for i, j := range jobs {
 		if st != nil {
-			if f, ok := st.failures[j.Key]; ok {
-				outcomes[i].PriorAttempts = f.Attempts
-				outcomes[i].PriorError = f.Error
-				c.priorFailures.Add(1)
-			}
 			if e, ok := st.completed[j.Key]; ok {
 				var res R
-				if err := e.decode(&res); err == nil {
-					outcomes[i].Key = j.Key
-					outcomes[i].Result = res
-					outcomes[i].FromJournal = true
+				if err := json.Unmarshal(e.Result, &res); err == nil {
+					outcomes[i] = Outcome[R]{Key: j.Key, Result: res, FromJournal: true}
 					c.fromJournal.Add(1)
 					continue
 				}
@@ -316,7 +285,7 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options) (*Report[R], e
 		workers = len(pending)
 	}
 
-	rep := startReporter(opts, len(jobs), c)
+	rep := startReporter(opts, c)
 
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -325,9 +294,7 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options) (*Report[R], e
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				prior := outcomes[i]
 				out := runJob(ctx, jobs[i], opts, c)
-				out.PriorAttempts, out.PriorError = prior.PriorAttempts, prior.PriorError
 				outcomes[i] = out
 				if out.Err == nil {
 					c.executed.Add(1)
@@ -344,11 +311,6 @@ func Run[R any](ctx context.Context, jobs []Job[R], opts Options) (*Report[R], e
 					c.failed.Add(1)
 					if out.Quarantined {
 						c.quarantined.Add(1)
-						if jr != nil {
-							if err := jr.appendFailure(out.Key, out.Attempts, out.Elapsed, out.Err); err != nil {
-								c.journalErr(err)
-							}
-						}
 					}
 				}
 				c.journalBytes.Store(jr.Bytes())
@@ -367,20 +329,8 @@ feed:
 	wg.Wait()
 	rep.stop()
 
-	m := Metrics{
-		Total:              len(jobs),
-		Executed:           int(c.executed.Load()),
-		Failed:             int(c.failed.Load()),
-		Retried:            int(c.retried.Load()),
-		FromJournal:        int(c.fromJournal.Load()),
-		Quarantined:        int(c.quarantined.Load()),
-		PriorFailures:      int(c.priorFailures.Load()),
-		JournalQuarantined: int(c.journalQuarantined.Load()),
-		JournalBytes:       c.journalBytes.Load(),
-		Backoffs:           int(c.backoffs.Load()),
-		BackoffTotal:       time.Duration(c.backoffNanos.Load()),
-		Elapsed:            time.Since(start),
-	}
+	m := c.metrics()
+	m.Elapsed = time.Since(start)
 	report := &Report[R]{Outcomes: outcomes, Metrics: m}
 	if st != nil {
 		report.Quarantined = st.quarantined
@@ -399,9 +349,9 @@ feed:
 }
 
 // runJob runs one job with bounded retry; panics and timeouts count as
-// failed attempts. Re-attempts back off exponentially with deterministic
-// per-(job, attempt) jitter. A job whose final attempt fails while the
-// campaign is still live is quarantined as poison.
+// failed attempts, and a failed attempt is re-run at once. A job whose
+// final attempt fails while the campaign is still live is quarantined as
+// poison.
 func runJob[R any](ctx context.Context, job Job[R], opts Options, c *counters) Outcome[R] {
 	start := time.Now()
 	out := Outcome[R]{Key: job.Key}
@@ -422,15 +372,6 @@ func runJob[R any](ctx context.Context, job Job[R], opts Options, c *counters) O
 		}
 		if attempt <= opts.Retries {
 			c.retried.Add(1)
-			if d := backoffDelay(opts, job.Key, attempt); d > 0 {
-				c.backoffs.Add(1)
-				c.backoffNanos.Add(int64(d))
-				if !sleepCtx(ctx, d) {
-					out.Err = ctx.Err()
-					out.Elapsed = time.Since(start)
-					return out
-				}
-			}
 		}
 	}
 	out.Elapsed = time.Since(start)
@@ -440,50 +381,18 @@ func runJob[R any](ctx context.Context, job Job[R], opts Options, c *counters) O
 	return out
 }
 
-// backoffDelay computes the delay before re-attempt number attempt+1:
-// Backoff << (attempt-1), capped at BackoffMax, scaled by a deterministic
-// jitter factor in [0.5, 1.5) derived from (job key, attempt). Pure
-// function — a re-run of the same campaign backs off identically.
-func backoffDelay(opts Options, key string, attempt int) time.Duration {
-	if opts.Backoff <= 0 {
-		return 0
-	}
-	max := opts.BackoffMax
-	if max <= 0 {
-		max = 30 * time.Second
-	}
-	d := opts.Backoff
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	u := stats.DeriveSeed(uint64(attempt), "backoff/"+key)
-	jitter := 0.5 + float64(u%(1<<20))/float64(1<<20) // [0.5, 1.5)
-	return time.Duration(float64(d) * jitter)
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled; it reports whether the
-// full sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
+// drainGrace is the window an in-flight job attempt gets to finish when
+// the campaign context is cancelled (SIGINT/SIGTERM), so its completion is
+// journaled instead of abandoned.
+const drainGrace = 2 * time.Second
 
 // runAttempt executes one attempt under the per-job timeout, converting a
 // panic into an error. The job runs in its own goroutine so a deadline can
 // fire even if the job never checks the context; an over-deadline job is
 // abandoned, not killed. When the campaign context (not the per-job
-// deadline) is what fired, Options.DrainGrace grants the in-flight attempt
-// a window to finish so its completion can still be journaled — the
-// graceful-drain half of SIGINT handling.
+// deadline) is what fired, the in-flight attempt gets drainGrace to finish
+// so its completion can still be journaled — the graceful-drain half of
+// SIGINT handling.
 func runAttempt[R any](ctx context.Context, job Job[R], opts Options) (R, error) {
 	actx := ctx
 	cancel := func() {}
@@ -532,9 +441,9 @@ func runAttempt[R any](ctx context.Context, job Job[R], opts Options) (R, error)
 	case a := <-ch:
 		return a.val, a.err
 	case <-actx.Done():
-		if ctx.Err() != nil && opts.DrainGrace > 0 {
+		if ctx.Err() != nil {
 			// Campaign-level cancellation: drain rather than abandon.
-			grace := time.NewTimer(opts.DrainGrace)
+			grace := time.NewTimer(drainGrace)
 			defer grace.Stop()
 			select {
 			case a := <-ch:

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -351,26 +352,6 @@ func TestProgressReporterEmitsLines(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedIsStableAndSpread(t *testing.T) {
-	a := DeriveSeed(42, "slowdown/mcf/mac10")
-	if b := DeriveSeed(42, "slowdown/mcf/mac10"); a != b {
-		t.Error("DeriveSeed not deterministic")
-	}
-	if a == DeriveSeed(43, "slowdown/mcf/mac10") {
-		t.Error("campaign seed ignored")
-	}
-	if a == DeriveSeed(42, "slowdown/lbm/mac10") {
-		t.Error("job key ignored")
-	}
-	seen := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		seen[DeriveSeed(42, fmt.Sprintf("k%d", i))] = true
-	}
-	if len(seen) != 1000 {
-		t.Errorf("collisions in 1000 derived seeds: %d distinct", len(seen))
-	}
-}
-
 // TestMetricsCounterIdentity checks the campaign counters against each
 // other: in any run that is not cancelled every job is executed, failed or
 // restored from the journal exactly once, and only a failed job can be
@@ -431,4 +412,82 @@ func TestMetricsCounterIdentity(t *testing.T) {
 		t.Errorf("resumed run metrics = %+v, want 8 from journal and 1 executed", rep.Metrics)
 	}
 	check("resumed", rep.Metrics, 9)
+}
+
+// TestLiveStatusMatchesMetrics checks the -debug-addr view of a campaign:
+// zero before Run, consistent while a poller reads it during Run, the
+// final Metrics (less Elapsed) after it, published under the page's keys.
+func TestLiveStatusMatchesMetrics(t *testing.T) {
+	live := &LiveStatus{}
+	if got := live.Snapshot(); got != (Metrics{}) {
+		t.Fatalf("snapshot before Run = %+v, want zero", got)
+	}
+	var nilStatus *LiveStatus
+	if got := nilStatus.Snapshot(); got != (Metrics{}) {
+		t.Fatalf("nil status snapshot = %+v, want zero", got)
+	}
+	var attempts atomic.Int64
+	jobs := []Job[int]{intJob("a", 1), intJob("b", 2),
+		{Key: "flappy", Run: func(context.Context) (int, error) {
+			if attempts.Add(1) == 1 {
+				return 0, errors.New("flap")
+			}
+			return 3, nil
+		}},
+		{Key: "poison", Run: func(context.Context) (int, error) { panic("poison job") }},
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Counters are read one by one, so only bounds hold mid-run.
+			m := live.Snapshot()
+			if m.Executed+m.Failed+m.FromJournal > m.Total {
+				t.Errorf("inconsistent live snapshot %+v", m)
+				return
+			}
+		}
+	}()
+	rep, err := Run(context.Background(), jobs, Options{
+		Workers: 2, Retries: 1, LiveStatus: live,
+		JournalPath: filepath.Join(t.TempDir(), "campaign.jsonl"),
+	})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.Metrics
+	want.Elapsed = 0
+	if got := live.Snapshot(); got != want {
+		t.Errorf("snapshot after Run = %+v, want %+v", got, want)
+	}
+	if want.Retried == 0 || want.Quarantined == 0 || want.JournalBytes == 0 {
+		t.Errorf("metrics = %+v, want retries, a quarantine and journal bytes", want)
+	}
+	raw, err := json.Marshal(live.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"total", "executed", "failed", "retried", "from_journal",
+		"quarantined", "journal_quarantined", "journal_bytes"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("snapshot JSON lacks %q: %s", k, raw)
+		}
+		delete(keys, k)
+	}
+	if len(keys) != 0 {
+		t.Errorf("snapshot JSON has extra keys %v: %s", keys, raw)
+	}
 }

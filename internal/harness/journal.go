@@ -16,11 +16,9 @@ import (
 )
 
 // The journal is a JSONL checkpoint: a header line identifying the
-// campaign, then one line per finished job. Completed jobs are appended
+// campaign, then one line per completed job. Completed jobs are appended
 // (and fsynced) as they finish, so a killed campaign loses at most
-// in-flight work; jobs that exhaust their retries are appended as failure
-// records carrying the attempt count and final error, so a resumed
-// campaign surfaces flaky-job history instead of losing it.
+// in-flight work; a job that failed has no record and re-runs on resume.
 //
 // Version 2 frames every record as {"crc":"<crc32-hex>","e":{...}} with
 // the CRC computed over the entry bytes: a torn trailing line from a
@@ -29,7 +27,9 @@ import (
 // accepted or silently dropped. An unframed (version 1) record is
 // quarantined like any other corruption and its job re-runs; on open, a
 // corrupted journal is compacted to clean v2 via an atomic
-// temp-file+rename rewrite.
+// temp-file+rename rewrite. Older builds also journaled a failure record
+// (no result) for a job that exhausted its retries; such a record is
+// dropped on load and compacted away, and its job re-runs.
 
 const (
 	journalMagic   = "ptguard-harness"
@@ -47,12 +47,6 @@ type journalEntry struct {
 	Result    json.RawMessage `json:"result,omitempty"`
 	Attempts  int             `json:"attempts"`
 	ElapsedMS float64         `json:"elapsed_ms"`
-	// Failed marks a poison-job record: the job exhausted its attempts and
-	// Error holds its final error string. Failed records never satisfy a
-	// resume — the job re-runs — but its history is surfaced in the
-	// outcome.
-	Failed bool   `json:"failed,omitempty"`
-	Error  string `json:"error,omitempty"`
 }
 
 // journalFrame is the v2 on-disk line: the entry bytes plus their CRC32.
@@ -63,14 +57,6 @@ type journalFrame struct {
 
 func frameCRC(entry []byte) string {
 	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(entry))
-}
-
-// decode unmarshals the stored result into out.
-func (e journalEntry) decode(out any) error {
-	if len(e.Result) == 0 {
-		return fmt.Errorf("harness: journal entry %q has no result", e.Key)
-	}
-	return json.Unmarshal(e.Result, out)
 }
 
 // QuarantinedRecord describes one corrupted journal record: it is reported
@@ -98,8 +84,6 @@ type journalState struct {
 	order []string
 	// completed maps job key -> latest successful record.
 	completed map[string]journalEntry
-	// failures maps job key -> latest failure record (attempt history).
-	failures map[string]journalEntry
 	// quarantined lists corrupted records that were rejected.
 	quarantined []QuarantinedRecord
 	// version is the header version (journalVersion when headerless).
@@ -107,12 +91,20 @@ type journalState struct {
 	// tornTail marks a final line without a trailing newline that failed
 	// to parse: the benign signature of a mid-write kill.
 	tornTail bool
+	// droppedFailure marks a failure record an older build journaled (a
+	// framed entry with no result): dropped, and compacted away.
+	droppedFailure bool
+}
+
+// newJournalState is the state of an empty journal.
+func newJournalState() *journalState {
+	return &journalState{completed: make(map[string]journalEntry), version: journalVersion}
 }
 
 // dirty reports whether the on-disk journal should be compacted to clean
 // v2 framing before appending resumes.
 func (st *journalState) dirty() bool {
-	return len(st.quarantined) > 0 || st.version < journalVersion || st.tornTail
+	return len(st.quarantined) > 0 || st.version < journalVersion || st.tornTail || st.droppedFailure
 }
 
 // note records one rejected line.
@@ -122,16 +114,16 @@ func (st *journalState) note(line int, key, format string, args ...any) {
 	})
 }
 
-// add absorbs one valid entry, newest record per key winning.
+// add absorbs one valid entry, newest record per key winning. An entry
+// with no result is an older build's failure record: it never satisfied a
+// resume, so it is dropped.
 func (st *journalState) add(e journalEntry) {
-	if _, seen := st.completed[e.Key]; !seen {
-		if _, seenF := st.failures[e.Key]; !seenF {
-			st.order = append(st.order, e.Key)
-		}
-	}
-	if e.Failed {
-		st.failures[e.Key] = e
+	if len(e.Result) == 0 {
+		st.droppedFailure = true
 		return
+	}
+	if _, seen := st.completed[e.Key]; !seen {
+		st.order = append(st.order, e.Key)
 	}
 	st.completed[e.Key] = e
 }
@@ -147,11 +139,7 @@ func (st *journalState) add(e journalEntry) {
 // none, or under no header at all: nothing ties such a record to this
 // campaign.
 func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
-	st := &journalState{
-		completed: make(map[string]journalEntry),
-		failures:  make(map[string]journalEntry),
-		version:   journalVersion,
-	}
+	st := newJournalState()
 	br := bufio.NewReaderSize(r, 1<<16)
 	lineNo := 0
 	sawHeader := false
@@ -194,7 +182,7 @@ func loadJournal(r io.Reader, fingerprint string) (*journalState, error) {
 			break
 		}
 	}
-	if fingerprint != "" && headerFingerprint != fingerprint && len(st.completed)+len(st.failures) > 0 {
+	if fingerprint != "" && headerFingerprint != fingerprint && len(st.completed) > 0 {
 		return nil, foreignJournal(headerFingerprint, fingerprint)
 	}
 	return st, nil
@@ -286,11 +274,7 @@ func openJournal(path, fingerprint string, inj *chaos.Injector) (*journal, *jour
 	in, err := os.Open(path)
 	switch {
 	case os.IsNotExist(err):
-		st = &journalState{
-			completed: make(map[string]journalEntry),
-			failures:  make(map[string]journalEntry),
-			version:   journalVersion,
-		}
+		st = newJournalState()
 	case err != nil:
 		return nil, nil, fmt.Errorf("harness: open journal: %w", err)
 	default:
@@ -345,15 +329,8 @@ func writeCompacted(w io.Writer, fingerprint string, st *journalState) error {
 		return err
 	}
 	for _, key := range st.order {
-		if e, ok := st.failures[key]; ok {
-			if err := writeRec(e, true); err != nil {
-				return err
-			}
-		}
-		if e, ok := st.completed[key]; ok {
-			if err := writeRec(e, true); err != nil {
-				return err
-			}
+		if err := writeRec(st.completed[key], true); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -403,17 +380,6 @@ func (j *journal) append(key string, result any, attempts int, elapsed time.Dura
 		Result:    raw,
 		Attempts:  attempts,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-	})
-}
-
-// appendFailure records a poison job's attempt history.
-func (j *journal) appendFailure(key string, attempts int, elapsed time.Duration, ferr error) error {
-	return j.writeEntry(journalEntry{
-		Key:       key,
-		Attempts:  attempts,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		Failed:    true,
-		Error:     ferr.Error(),
 	})
 }
 

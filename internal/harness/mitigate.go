@@ -9,6 +9,7 @@ import (
 	"ptguard/internal/dram"
 	"ptguard/internal/mitigate"
 	"ptguard/internal/report"
+	"ptguard/internal/stats"
 )
 
 // ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ func (s MitigateSpec) Jobs(campaignSeed uint64) ([]Job[attack.MitigationTrialRes
 				for trial := 0; trial < s.Trials; trial++ {
 					m, p, protected := m, p, g == GuardOn
 					key := fmt.Sprintf("mitigate/%s/%s/%s/%d", m, p, g, trial)
-					seed := DeriveSeed(campaignSeed, key)
+					seed := stats.DeriveSeed(campaignSeed, key)
 					jobs = append(jobs, Job[attack.MitigationTrialResult]{
 						Key: key,
 						Run: func(context.Context) (attack.MitigationTrialResult, error) {

@@ -10,20 +10,32 @@ import (
 
 // counters is the shared live state between workers and the reporter.
 type counters struct {
+	total       int          // jobs in the campaign
 	executed    atomic.Int64 // jobs run to success in this process
 	failed      atomic.Int64
 	retried     atomic.Int64 // individual re-attempts
 	fromJournal atomic.Int64
 
 	quarantined        atomic.Int64 // poison jobs that exhausted every attempt
-	priorFailures      atomic.Int64 // jobs with journaled failure history
 	journalQuarantined atomic.Int64 // corrupt journal records rejected on load
 	journalBytes       atomic.Int64 // checkpoint bytes appended this process
-	backoffs           atomic.Int64 // retry backoff sleeps
-	backoffNanos       atomic.Int64 // total backoff time
 
 	mu    sync.Mutex
 	jrErr error
+}
+
+// metrics reads the counters into a Metrics; Elapsed is the caller's.
+func (c *counters) metrics() Metrics {
+	return Metrics{
+		Total:              c.total,
+		Executed:           int(c.executed.Load()),
+		Failed:             int(c.failed.Load()),
+		Retried:            int(c.retried.Load()),
+		FromJournal:        int(c.fromJournal.Load()),
+		Quarantined:        int(c.quarantined.Load()),
+		JournalQuarantined: int(c.journalQuarantined.Load()),
+		JournalBytes:       c.journalBytes.Load(),
+	}
 }
 
 func (c *counters) journalErr(err error) {
@@ -45,61 +57,24 @@ func (c *counters) takeJournalErr() error {
 // one via Options.LiveStatus; before Run starts (or with none attached) the
 // snapshot is all zeros. Safe for concurrent use.
 type LiveStatus struct {
-	mu    sync.Mutex
-	total int
-	c     *counters
-}
-
-// StatusSnapshot is one point-in-time view of campaign progress.
-type StatusSnapshot struct {
-	Total       int   `json:"total"`
-	Executed    int64 `json:"executed"`
-	Failed      int64 `json:"failed"`
-	Retried     int64 `json:"retried"`
-	FromJournal int64 `json:"from_journal"`
-	// Durability counters (journal v2 + chaos hardening).
-	Quarantined        int64 `json:"quarantined"`
-	PriorFailures      int64 `json:"prior_failures"`
-	JournalQuarantined int64 `json:"journal_quarantined"`
-	JournalBytes       int64 `json:"journal_bytes"`
-	Backoffs           int64 `json:"backoffs"`
-	BackoffMS          int64 `json:"backoff_ms"`
+	c atomic.Pointer[counters]
 }
 
 // attach binds the status to a campaign's live counters.
-func (ls *LiveStatus) attach(total int, c *counters) {
-	if ls == nil {
-		return
+func (ls *LiveStatus) attach(c *counters) {
+	if ls != nil {
+		ls.c.Store(c)
 	}
-	ls.mu.Lock()
-	ls.total, ls.c = total, c
-	ls.mu.Unlock()
 }
 
-// Snapshot returns the current progress numbers.
-func (ls *LiveStatus) Snapshot() StatusSnapshot {
-	if ls == nil {
-		return StatusSnapshot{}
+// Snapshot returns the current progress numbers, with a zero Elapsed.
+func (ls *LiveStatus) Snapshot() Metrics {
+	if ls != nil {
+		if c := ls.c.Load(); c != nil {
+			return c.metrics()
+		}
 	}
-	ls.mu.Lock()
-	total, c := ls.total, ls.c
-	ls.mu.Unlock()
-	if c == nil {
-		return StatusSnapshot{}
-	}
-	return StatusSnapshot{
-		Total:              total,
-		Executed:           c.executed.Load(),
-		Failed:             c.failed.Load(),
-		Retried:            c.retried.Load(),
-		FromJournal:        c.fromJournal.Load(),
-		Quarantined:        c.quarantined.Load(),
-		PriorFailures:      c.priorFailures.Load(),
-		JournalQuarantined: c.journalQuarantined.Load(),
-		JournalBytes:       c.journalBytes.Load(),
-		Backoffs:           c.backoffs.Load(),
-		BackoffMS:          c.backoffNanos.Load() / int64(time.Millisecond),
-	}
+	return Metrics{}
 }
 
 // reporter periodically writes a progress line to Options.Progress.
@@ -110,7 +85,7 @@ type reporter struct {
 
 // startReporter launches the progress goroutine; with a nil Progress
 // writer it returns an inert reporter.
-func startReporter(opts Options, total int, c *counters) *reporter {
+func startReporter(opts Options, c *counters) *reporter {
 	r := &reporter{quit: make(chan struct{}), done: make(chan struct{})}
 	if opts.Progress == nil {
 		close(r.done)
@@ -140,10 +115,10 @@ func startReporter(opts Options, total int, c *counters) *reporter {
 				if elapsed > 0 {
 					rate = float64(executed) / elapsed.Seconds()
 				}
-				eta := etaString(int64(total)-finished, rate)
+				eta := etaString(int64(c.total)-finished, rate)
 				fmt.Fprintf(opts.Progress,
 					"harness: %d/%d done (%d from journal), %d failed, %d retried, %.2f jobs/s, ETA %s\n",
-					finished, total, journaled, failed, retried, rate, eta)
+					finished, c.total, journaled, failed, retried, rate, eta)
 			}
 		}
 	}()

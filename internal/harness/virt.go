@@ -7,6 +7,7 @@ import (
 
 	"ptguard/internal/attack"
 	"ptguard/internal/report"
+	"ptguard/internal/stats"
 	"ptguard/internal/virt"
 )
 
@@ -100,7 +101,7 @@ func (s VirtSpec) Jobs(campaignSeed uint64) ([]Job[attack.VMTrialResult], error)
 				for trial := 0; trial < s.Trials; trial++ {
 					tenants, target, placement := tenants, target, placement
 					key := fmt.Sprintf("vm/t%03d/%s/%s/%d", tenants, target, placement, trial)
-					seed := DeriveSeed(campaignSeed, key)
+					seed := stats.DeriveSeed(campaignSeed, key)
 					jobs = append(jobs, Job[attack.VMTrialResult]{
 						Key: key,
 						Run: func(context.Context) (attack.VMTrialResult, error) {

@@ -3,6 +3,7 @@ package ostable
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"ptguard/internal/pte"
 	"ptguard/internal/stats"
@@ -105,22 +106,13 @@ func (p *Population) logUniform(max int) int {
 	if max <= 1 {
 		return 1
 	}
-	lo, hi := 0.0, float64(bitsLen(max))
+	lo, hi := 0.0, float64(bits.Len(uint(max)))
 	e := lo + p.rng.Float64()*(hi-lo)
 	v := 1 << uint(e)
 	extra := p.rng.Intn(v) // smooth within the octave
 	n := v + extra
 	if n > max {
 		n = max
-	}
-	return n
-}
-
-func bitsLen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
 	}
 	return n
 }

@@ -7,6 +7,7 @@ package pte
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -172,19 +173,11 @@ func FormatX86(physAddrBits int) (Format, error) {
 }
 
 // MACBitsPerLine returns the MAC capacity of a line under f (96 for x86_64).
-func (f Format) MACBitsPerLine() int { return popcount(f.MACMask) * PTEsPerLine }
+func (f Format) MACBitsPerLine() int { return bits.OnesCount64(f.MACMask) * PTEsPerLine }
 
 // IdentifierBitsPerLine returns the identifier capacity (56 for x86_64).
-func (f Format) IdentifierBitsPerLine() int { return popcount(f.IdentifierMask) * PTEsPerLine }
+func (f Format) IdentifierBitsPerLine() int { return bits.OnesCount64(f.IdentifierMask) * PTEsPerLine }
 
 // ProtectedBitsPerPTE returns the number of MAC-covered bits per PTE
 // (44 for x86_64 with M=40: 28 PFN + 16 flag bits, §VI-D step 2).
-func (f Format) ProtectedBitsPerPTE() int { return popcount(f.ProtectedMask) }
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
+func (f Format) ProtectedBitsPerPTE() int { return bits.OnesCount64(f.ProtectedMask) }

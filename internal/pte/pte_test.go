@@ -1,6 +1,7 @@
 package pte
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -95,10 +96,10 @@ func TestFormatX86TableIVCounts(t *testing.T) {
 	if got := f.ProtectedBitsPerPTE(); got != 44 {
 		t.Errorf("protected bits per PTE = %d, want 44 (28 PFN + 16 flags)", got)
 	}
-	if got := popcount(f.PFNMask); got != 28 {
+	if got := bits.OnesCount64(f.PFNMask); got != 28 {
 		t.Errorf("usable PFN bits = %d, want 28", got)
 	}
-	if got := popcount(f.FlagsMask); got != 16 {
+	if got := bits.OnesCount64(f.FlagsMask); got != 16 {
 		t.Errorf("protected flag bits = %d, want 16", got)
 	}
 }
@@ -110,7 +111,7 @@ func TestFormatX86SmallerMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := popcount(f.PFNMask); got != 22 {
+	if got := bits.OnesCount64(f.PFNMask); got != 22 {
 		t.Errorf("usable PFN bits = %d, want 22", got)
 	}
 	if f.MACMask != MaskMAC {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,5 +133,17 @@ func TestDeriveSeedStability(t *testing.T) {
 	}
 	if b := DeriveSeed(1, "y"); a == b {
 		t.Error("different keys collided")
+	}
+}
+
+// TestDeriveSeedSpread checks that a campaign's job keys draw distinct
+// seeds: 1,000 keys under one campaign seed derive 1,000 seeds.
+func TestDeriveSeedSpread(t *testing.T) {
+	seen := make(map[uint64]bool)
+	for i := 0; i < 1000; i++ {
+		seen[DeriveSeed(42, fmt.Sprintf("k%d", i))] = true
+	}
+	if len(seen) != 1000 {
+		t.Errorf("collisions in 1000 derived seeds: %d distinct", len(seen))
 	}
 }
